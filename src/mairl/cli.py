@@ -16,15 +16,20 @@ from .estimation import (
     ConfidenceParams,
     CountBook,
     GenerativeOracle,
-    estimate,
     sample_round,
-    stopping_time,
-    theoretical_sample_bound,
     uniform_sampling,
 )
-from .experiment import BOUND_COLUMNS, ExperimentConfig, run_experiment, write_csv
+from .experiment import (
+    BOUND_COLUMNS,
+    ExperimentConfig,
+    bound_row,
+    recover_reward,
+    run_experiment,
+    synthesize_expert,
+    write_csv,
+)
 from .gridworld import GridGameSpec, build_grid_game, variant_spec
-from .reward_select import DISTANCE_TO_RANDOM, behavior_cloning, max_gap_reward
+from .reward_select import behavior_cloning
 from .textio import parse_config, read_sections, write_sections
 
 EXIT_OK = 0
@@ -49,17 +54,8 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _expert(config: ExperimentConfig):
-    spec = GridGameSpec(variant="deterministic", gamma=config.gamma, rmax=config.rmax)
-    game, reward, index = build_grid_game(spec)
-    result = nash_value_iteration(game, reward)
-    if not result.converged:
-        raise ConvergenceError("expert synthesis did not converge")
-    return spec, game, reward, result
-
-
 def cmd_gen_expert(config: ExperimentConfig) -> int:
-    _, game, reward, result = _expert(config)
+    _, game, reward, result = synthesize_expert(config)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "expert.txt")
     write_sections(path, game=game, reward=reward, policy=result.policy)
@@ -69,7 +65,7 @@ def cmd_gen_expert(config: ExperimentConfig) -> int:
 
 
 def cmd_sample(config: ExperimentConfig) -> int:
-    _, game, _, result = _expert(config)
+    _, game, _, result = synthesize_expert(config)
     params = ConfidenceParams(
         delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
     )
@@ -90,22 +86,13 @@ def cmd_sample(config: ExperimentConfig) -> int:
 
 
 def cmd_recover(config: ExperimentConfig) -> int:
-    _, game, _, result = _expert(config)
+    _, game, _, result = synthesize_expert(config)
     seed = config.seeds[0]
     oracle = GenerativeOracle(game, result.policy, seed=seed)
     counts = CountBook(game.n_states, game.action_counts)
     for _ in range(config.k_max):
         sample_round(oracle, counts)
-    problem = estimate(counts)
-    est_game = problem.as_game(config.gamma, game.mu)
-    recovered = max_gap_reward(
-        est_game,
-        problem.pi_hat,
-        config.rmax,
-        mode=config.mode,
-        seed=seed if config.mode == DISTANCE_TO_RANDOM else None,
-        reward_class=config.reward_class,
-    )
+    _, recovered = recover_reward(config, counts, game.mu, seed)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "recovered_reward.txt")
     write_sections(
@@ -123,7 +110,7 @@ def cmd_recover(config: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
-    base, game, det_reward, result = _expert(config)
+    base, game, det_reward, result = synthesize_expert(config)
     path = reward_path or os.path.join(config.out_dir, "recovered_reward.txt")
     if not os.path.exists(path):
         raise ConfigError(f"recovered reward not found at {path}; run `recover` first")
@@ -157,35 +144,11 @@ def cmd_experiment(config: ExperimentConfig) -> int:
 def cmd_bound(config: ExperimentConfig) -> int:
     spec = GridGameSpec(variant="deterministic", gamma=config.gamma, rmax=config.rmax)
     game, _, _ = build_grid_game(spec)
-    params = ConfidenceParams(
-        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
-    )
-    bound = theoretical_sample_bound(
-        params, game.n_states, game.action_counts, game.n_agents, config.epsilon
-    )
-    tau = stopping_time(
-        params, game.n_states, game.action_counts, game.n_agents, config.epsilon
-    )
+    row = bound_row(config, game)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "bound.csv")
-    row = (
-        game.n_states,
-        game.n_agents,
-        game.n_joint_actions,
-        config.gamma,
-        config.rmax,
-        config.epsilon,
-        config.delta,
-        config.pi_min,
-        bound.total,
-        -1 if tau is None else tau,
-    )
     write_csv(path, BOUND_COLUMNS, [row])
-    print(
-        f"theoretical bound {bound.total:.6g} "
-        f"(transition {bound.transition_term:.6g}, policy {bound.policy_term:.6g}); "
-        f"empirical tau {row[-1]}"
-    )
+    print(f"theoretical bound {row[-2]:.6g}; empirical tau {row[-1]}")
     return EXIT_OK
 
 

@@ -73,7 +73,7 @@ def policy_evaluation(
     _check_shapes(game, reward, policy)
     S, A, n = game.n_states, game.n_joint_actions, game.n_agents
     joint = policy.joint_table(game.agent_actions)
-    p_pi = np.einsum("sa,sat->st", joint, game.transitions)
+    p_pi = transition_under(game, policy)
     r_pi = np.einsum("sa,isa->is", joint, reward.tables)
 
     if S <= EXACT_MAX_STATES and S * A <= EXACT_MAX_ENTRIES:
@@ -94,14 +94,29 @@ def policy_evaluation(
     return ValueBundle(v=v, q=q, residual=residual, tol=tol)
 
 
+def own_action_marginal(
+    game: MarkovGame, policy: JointPolicy, agent: int, table: np.ndarray
+) -> np.ndarray:
+    """(S, |A_i|, ...) table sum_{a^{-i}} pi^{-i}(a^{-i}|s) table[s, (a^i, a^{-i}), ...].
+
+    `table` is indexed by (state, joint action) first; trailing axes are kept.
+    """
+    opp = policy.opponent_table(agent, game.agent_actions)
+    own = game.agent_actions[agent]
+    onehot = np.equal.outer(own, np.arange(game.action_counts[agent])).astype(np.float64)
+    return np.einsum("sf,sf...,fd->sd...", opp, table, onehot)
+
+
+def shaping(game: MarkovGame, v: np.ndarray) -> np.ndarray:
+    """(n, S, A) potential-shaping tables V^i(s) - gamma sum_{s'} P(s'|s,a) V^i(s')."""
+    return v[:, :, None] - game.gamma * np.einsum("sat,it->isa", game.transitions, v)
+
+
 def expected_advantage_table(
     game: MarkovGame, policy: JointPolicy, values: ValueBundle, agent: int
 ) -> np.ndarray:
     """(S, |A_i|) table of sum_{a^{-i}} pi^{-i}(a^{-i}|s) Q^i(s, a^i a^{-i}) - V^i(s)."""
-    opp = policy.opponent_table(agent, game.agent_actions)
-    own = game.agent_actions[agent]
-    onehot = np.equal.outer(own, np.arange(game.action_counts[agent])).astype(np.float64)
-    exp_q = (opp * values.q[agent]) @ onehot
+    exp_q = own_action_marginal(game, policy, agent, values.q[agent])
     return exp_q - values.v[agent][:, None]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import policy_evaluation
+from .dp import own_action_marginal, policy_evaluation
 from .errors import ConvergenceError, DimensionMismatchError
 from .games import JointPolicy, JointReward, MarkovGame
 
@@ -51,11 +51,8 @@ def induced_mdp(game: MarkovGame, policy: JointPolicy, reward_i: np.ndarray, age
     Returns (r, p) with r of shape (S, |A_i|) and p of shape (S, |A_i|, S),
     both marginalized under the opponents' action distribution.
     """
-    opp = policy.opponent_table(agent, game.agent_actions)
-    own = game.agent_actions[agent]
-    onehot = np.equal.outer(own, np.arange(game.action_counts[agent])).astype(np.float64)
-    r = (opp * reward_i) @ onehot
-    p = np.einsum("sf,sft,fa->sat", opp, game.transitions, onehot)
+    r = own_action_marginal(game, policy, agent, reward_i)
+    p = own_action_marginal(game, policy, agent, game.transitions)
     return r, p
 
 
@@ -127,36 +124,24 @@ def nash_gap(
     )
 
 
-def stacked_policy_operator(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
-    """(S, S*A) operator mapping a stacked (s,a) table to its per-state pi-average."""
-    S, A = game.n_states, game.n_joint_actions
-    joint = policy.joint_table(game.agent_actions)
-    op = np.zeros((S, S * A))
-    idx = np.arange(S)[:, None] * A + np.arange(A)[None, :]
-    op[np.repeat(np.arange(S), A), idx.ravel()] = joint.ravel()
-    return op
-
-
 def matrix_ne_check(
     game: MarkovGame, reward: JointReward, policy: JointPolicy, tol: float = 1e-9
 ) -> MatrixNECheck:
     """Equilibrium test via the stacked operators.
 
-    Solves (I - gamma P pi) Q^i = R^i over the stacked (s,a) space and checks
-    that every pure deviation's opponent-expected Q stays below V^i(s) + tol.
+    Solves (I - gamma P pi) Q^i = R^i over the stacked (s,a) space, where
+    (P pi)[(s,a), (s',a')] = P(s'|s,a) pi(a'|s'), and checks that every pure
+    deviation's opponent-expected Q stays below V^i(s) + tol.
     """
     S, A = game.n_states, game.n_joint_actions
-    pi_op = stacked_policy_operator(game, policy)
-    p_flat = game.transitions.reshape(S * A, S)
-    M = np.eye(S * A) - game.gamma * p_flat @ pi_op
+    joint = policy.joint_table(game.agent_actions)
+    p_pi_stacked = (game.transitions[:, :, :, None] * joint).reshape(S * A, S * A)
+    M = np.eye(S * A) - game.gamma * p_pi_stacked
     worst = -np.inf
     for i in range(game.n_agents):
         q = np.linalg.solve(M, reward.tables[i].ravel()).reshape(S, A)
-        v = np.einsum("sa,sa->s", policy.joint_table(game.agent_actions), q)
-        opp = policy.opponent_table(i, game.agent_actions)
-        own = game.agent_actions[i]
-        onehot = np.equal.outer(own, np.arange(game.action_counts[i])).astype(np.float64)
-        exp_q = (opp * q) @ onehot
+        v = np.einsum("sa,sa->s", joint, q)
+        exp_q = own_action_marginal(game, policy, i, q)
         worst = max(worst, float(np.max(exp_q - v[:, None])))
     return MatrixNECheck(passed=worst <= tol, worst_violation=worst)
 
@@ -329,6 +314,7 @@ def nash_value_iteration(
     support_cache = [None] * S
     converged = False
     iterations = 0
+    delta = np.inf
     for iterations in range(1, max_iters + 1):
         pol1, pol2, values = _solve_stage_games(game, q, support_cache)
         q_next = reward.tables + game.gamma * np.einsum("sat,it->isa", game.transitions, values)
@@ -340,7 +326,7 @@ def nash_value_iteration(
     if not converged:
         warnings.warn(
             f"Nash value iteration did not converge within {max_iters} backups "
-            f"(last delta unknown tolerance {tol}); returning best-so-far policy",
+            f"(last delta {delta:.3e}, tolerance {tol}); returning best-so-far policy",
             RuntimeWarning,
         )
     pol1, pol2, values = _solve_stage_games(game, q, support_cache)

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dp import shaping
 from .equilibrium import nash_gap, nash_value_iteration
-from .errors import ConfigError, ConvergenceError, OutOfRangeError
+from .errors import ConfigError, ConvergenceError, MairlError, OutOfRangeError
 from .estimation import (
     ConfidenceParams,
     CountBook,
@@ -77,7 +78,6 @@ class ExperimentConfig:
     eval_points: tuple = (1, 50, 500)
     gamma: float = 0.9
     rmax: float = 1.0
-    family_size: int = 20
     mode: str = DISTANCE_TO_RANDOM
     reward_class: str = STATE_CLASS
     out_dir: str = "results"
@@ -148,9 +148,7 @@ def sample_reward_family(
     for _ in range(size):
         for _try in range(max_tries):
             v = rng.uniform(v_range[0], v_range[1], size=(game.n_agents, game.n_states))
-            shaped = v[:, :, None] - game.gamma * np.einsum(
-                "sat,it->isa", game.transitions, v
-            )
+            shaped = shaping(game, v)
             frac = rng.uniform(*penalty_range, size=shaped.shape)
             a = np.where(mask, frac * np.maximum(shaped, 0.0), 0.0)
             try:
@@ -233,6 +231,62 @@ class ExperimentResult:
     paths: dict = field(default_factory=dict)
 
 
+def synthesize_expert(config: ExperimentConfig):
+    """The deterministic grid under `config`, its reward and its NashQ expert.
+
+    Returns (spec, game, reward, NashQResult); raises ConvergenceError when
+    Nash value iteration does not converge.
+    """
+    spec = GridGameSpec(variant="deterministic", gamma=config.gamma, rmax=config.rmax)
+    game, reward, _ = build_grid_game(spec)
+    result = nash_value_iteration(game, reward)
+    if not result.converged:
+        raise ConvergenceError("expert synthesis did not converge on the deterministic grid")
+    return spec, game, reward, result
+
+
+def bound_row(config: ExperimentConfig, game: MarkovGame) -> tuple:
+    """The `bound.csv` row (BOUND_COLUMNS) of `game`: the theoretical sample
+    bound and the deterministic stopping round (-1 when none is reached)."""
+    params = ConfidenceParams(
+        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
+    )
+    bound = theoretical_sample_bound(
+        params, game.n_states, game.action_counts, game.n_agents, config.epsilon
+    )
+    tau = stopping_time(params, game.n_states, game.action_counts, game.n_agents, config.epsilon)
+    return (
+        game.n_states,
+        game.n_agents,
+        game.n_joint_actions,
+        config.gamma,
+        config.rmax,
+        config.epsilon,
+        config.delta,
+        config.pi_min,
+        bound.total,
+        -1 if tau is None else tau,
+    )
+
+
+def recover_reward(config: ExperimentConfig, counts: CountBook, mu, seed: int):
+    """Estimate the problem from `counts` (discount config.gamma, start `mu`)
+    and select a reward on it in the config's mode and reward class.
+
+    Returns (EstimatedProblem, MaxGapResult).
+    """
+    problem = estimate(counts)
+    recovered = max_gap_reward(
+        problem.as_game(config.gamma, mu),
+        problem.pi_hat,
+        config.rmax,
+        mode=config.mode,
+        seed=seed if config.mode == DISTANCE_TO_RANDOM else None,
+        reward_class=config.reward_class,
+    )
+    return problem, recovered
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Synthesize the expert on the deterministic grid, sample, recover,
     transfer to each altered variant, and emit curve/bound/summary CSVs.
@@ -240,14 +294,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Per seed and eval point, the recovered reward (max-gap selection on the
     estimated problem) is transported to each variant by recomputing its
     equilibrium there, and both it and behavior cloning are scored by the
-    equilibrium gap under the true reward of that variant. Stage failures are
-    recorded per seed and the run continues.
+    equilibrium gap under the true reward of that variant. Package errors
+    (MairlError) and singular linear systems are recorded per seed and the
+    run continues; any other exception propagates.
     """
-    base = GridGameSpec(variant="deterministic", gamma=config.gamma, rmax=config.rmax)
-    det_game, det_reward, _ = build_grid_game(base)
-    expert_result = nash_value_iteration(det_game, det_reward)
-    if not expert_result.converged:
-        raise ConvergenceError("expert synthesis did not converge on the deterministic grid")
+    base, det_game, _, expert_result = synthesize_expert(config)
     expert = expert_result.policy
 
     altered = {}
@@ -269,17 +320,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 sample_round(oracle, counts)
                 if k not in eval_points:
                     continue
-                problem = estimate(counts)
+                problem, recovered = recover_reward(config, counts, det_game.mu, seed)
                 unc = uncertainty(counts, params)
-                est_game = problem.as_game(config.gamma, det_game.mu)
-                recovered = max_gap_reward(
-                    est_game,
-                    problem.pi_hat,
-                    config.rmax,
-                    mode=config.mode,
-                    seed=seed if config.mode == DISTANCE_TO_RANDOM else None,
-                    reward_class=config.reward_class,
-                )
                 bc_policy = behavior_cloning(problem.pi_hat)
                 samples_total = k * det_game.n_states * (det_game.n_joint_actions + 1)
                 for name in config.variants:
@@ -290,35 +332,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     curve_rows.append(
                         (seed, name, k, samples_total, gap_mairl, gap_bc, unc.epsilon_k)
                     )
-        except Exception as exc:  # noqa: BLE001 - per-seed failures are recorded
+        except (MairlError, np.linalg.LinAlgError) as exc:
             errors.append((seed, repr(exc)))
-
-    bound = theoretical_sample_bound(
-        params, det_game.n_states, det_game.action_counts, det_game.n_agents, config.epsilon
-    )
-    tau = stopping_time(
-        params,
-        det_game.n_states,
-        det_game.action_counts,
-        det_game.n_agents,
-        config.epsilon,
-    )
-    bound_row = (
-        det_game.n_states,
-        det_game.n_agents,
-        det_game.n_joint_actions,
-        config.gamma,
-        config.rmax,
-        config.epsilon,
-        config.delta,
-        config.pi_min,
-        bound.total,
-        -1 if tau is None else tau,
-    )
 
     result = ExperimentResult(
         curve_rows=curve_rows,
-        bound_row=bound_row,
+        bound_row=bound_row(config, det_game),
         errors=errors,
         expert_supports=expert_result.stage_supports,
     )
@@ -327,7 +346,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     bound_path = os.path.join(config.out_dir, "bound.csv")
     summary_path = os.path.join(config.out_dir, "summary.csv")
     write_csv(curve_path, CURVE_COLUMNS, curve_rows)
-    write_csv(bound_path, BOUND_COLUMNS, [bound_row])
+    write_csv(bound_path, BOUND_COLUMNS, [result.bound_row])
     write_csv(summary_path, SUMMARY_COLUMNS, _summarize(curve_rows, config))
     result.paths = {"curve": curve_path, "bound": bound_path, "summary": summary_path}
     if errors:

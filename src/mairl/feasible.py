@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import expected_advantage_table, occupancy, policy_evaluation
+from .dp import expected_advantage_table, occupancy, policy_evaluation, shaping
 from .equilibrium import nash_gap
 from .errors import DimensionMismatchError, NotFeasibleError, OutOfRangeError
 from .games import JointPolicy, JointReward, MarkovGame
@@ -118,11 +118,7 @@ def construct_reward(
     r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
     if r.shape == (1,):
         r = np.repeat(r, n)
-    mask = event_mask(policy, game.agent_actions).mask
-    shaped = params.v_fn[:, :, None] - game.gamma * np.einsum(
-        "sat,it->isa", game.transitions, params.v_fn
-    )
-    tables = -params.a_fn * mask + shaped
+    tables = witness_reward_tables(game, policy, params)
     lo = tables.min()
     hi = float((tables - r[:, None, None]).max())
     if lo < -range_tol or hi > range_tol:
@@ -195,10 +191,7 @@ def witness_reward_tables(
 ) -> np.ndarray:
     """Raw witness tables -A 1_Ehat + V - gamma Phat V (no range validation)."""
     mask = event_mask(policy_hat, game_hat.agent_actions).mask
-    shaped = params.v_fn[:, :, None] - game_hat.gamma * np.einsum(
-        "sat,it->isa", game_hat.transitions, params.v_fn
-    )
-    return -params.a_fn * mask + shaped
+    return -params.a_fn * mask + shaping(game_hat, params.v_fn)
 
 
 def nash_gap_bound(

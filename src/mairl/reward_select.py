@@ -1,9 +1,17 @@
 """Selecting one reward from the feasible set.
 
-Per agent, the deviation constraints say that every pure own-action reply,
-averaged over the opponents' policy, must not beat the policy's value; rows
-for actions the policy never plays carry a margin. The max-margin mode
-maximizes that margin by LP over a reward class:
+Per agent i, the deviation constraints say that every pure own-action reply
+d at state s, averaged over the opponents' policy, must not beat the
+policy's value. With V = (I - gamma P_pi)^{-1} R_pi the policy's value, the
+opponent-expected advantage of d at s is
+
+    adv(s, d) = R_d(s, d) - R_pi(s) + gamma (P_d - P_pi)(s, d, .) V,
+
+where the subscript d marginalizes over the opponents' actions and pi
+averages over the joint policy. It is linear in the reward, adv = U r, and
+U needs only the S x S resolvent (I - gamma P_pi)^{-1} (see
+`_advantage_rows`). Rows for actions the policy never plays carry a margin.
+The max-margin mode maximizes that margin by LP over a reward class:
 
 * "state-action": one reward entry per (state, joint action);
 * "state": one entry per state, broadcast over joint actions. Deviations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import stacked_policy_operator
+from .dp import own_action_marginal, transition_under
 from .errors import NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame
@@ -52,43 +60,44 @@ class MaxGapResult:
     pinned_rows: tuple  # per agent: count of structurally-tied deviation rows
 
 
-def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int):
-    """Rows U with (U R)[s,d] = opponent-expected advantage of pure reply d at s.
+def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_class: str):
+    """Rows U with (U x)[s, d] = opponent-expected advantage of pure reply d at s.
 
-    Built from the stacked identity Q = (I - gamma P pi)^{-1} R: each row is
-    (e_dev(s,d) - e_pi(s)) applied to that inverse.
+    Stack Q over (s, a): with Pt the (S*A, S) kernel and Pi the (S, S*A)
+    policy average, Q = (I - gamma Pt Pi)^{-1} R, and row (s, d) of W takes
+    the own-action marginal of Q at (s, d) minus its policy average at s,
+    so the advantage is W (I - gamma Pt Pi)^{-1} R. The push-through identity
+
+        (I - gamma Pt Pi)^{-1} = I + gamma Pt (I - gamma P_pi)^{-1} Pi,
+
+    with P_pi = Pi Pt the S x S policy kernel and W Pt = P_d - P_pi (P_d
+    the kernel marginalized over the opponents), gives
+
+        U = W + gamma (P_d - P_pi) (I - gamma P_pi)^{-1} Pi,
+
+    so only an S x S system is solved. In the "state" class the reward is
+    R = L x with L broadcasting x over joint actions; Pi L = I and W L = 0,
+    so U = gamma (P_d - P_pi) (I - gamma P_pi)^{-1} acts on x directly and
+    nothing of size S*A is built.
     """
+    if reward_class not in (STATE_ACTION_CLASS, STATE_CLASS):
+        raise ValueError(f"unknown reward class {reward_class!r}")
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
-    pi_op = stacked_policy_operator(game, policy)
-    p_flat = game.transitions.reshape(S * A, S)
-    M = np.eye(S * A) - game.gamma * p_flat @ pi_op
-
-    opp = policy.opponent_table(agent, game.agent_actions)
-    joint = policy.joint_table(game.agent_actions)
-    own = game.agent_actions[agent]
-    W = np.zeros((S * n_own, S * A))
-    cols = np.arange(A)
-    for s in range(S):
-        for d in range(n_own):
-            row = W[s * n_own + d]
-            sel = own == d
-            row[s * A + cols[sel]] = opp[s, sel]
-            row[s * A + cols] -= joint[s]
-    return np.linalg.solve(M.T, W.T).T  # U
-
-
-def _class_basis(game: MarkovGame, reward_class: str):
-    """Columns of the reward class in the stacked (s,a) space."""
-    S, A = game.n_states, game.n_joint_actions
-    if reward_class == STATE_ACTION_CLASS:
-        return None  # identity
+    p_pi = transition_under(game, policy)
+    p_dev = own_action_marginal(game, policy, agent, game.transitions) - p_pi[:, None, :]
+    # X (I - gamma P_pi)^{-1} is the transpose of a solve with the transposed system
+    resolved = np.linalg.solve(
+        (np.eye(S) - game.gamma * p_pi).T, game.gamma * p_dev.reshape(S * n_own, S).T
+    ).T
     if reward_class == STATE_CLASS:
-        lift = np.zeros((S * A, S))
-        for s in range(S):
-            lift[s * A : (s + 1) * A, s] = 1.0
-        return lift
-    raise ValueError(f"unknown reward class {reward_class!r}")
+        return resolved
+    joint = policy.joint_table(game.agent_actions)
+    U = (resolved[:, :, None] * joint).reshape(S, n_own, S, A)
+    own_rows = own_action_marginal(game, policy, agent, np.broadcast_to(np.eye(A), (S, A, A)))
+    states = np.arange(S)
+    U[states, :, states, :] += own_rows - joint[:, None, :]
+    return U.reshape(S * n_own, S * A)
 
 
 def _margin_lp(U, margin_rows, rmax_i, gamma):
@@ -108,21 +117,26 @@ def _margin_lp(U, margin_rows, rmax_i, gamma):
 def _lexicographic_margin(U, mask, live, rmax_i, gamma, max_rounds=32):
     """Maximize the scalar margin, pinning structurally-tied rows at zero.
 
+    Returns the last round's solution, the rows still carrying the margin,
+    and the simplex pivots summed over all rounds.
+
     When the optimum is zero, the rows carrying nonzero LP duals form a
     certificate whose gaps sum to zero for every reward in the class; they
     are removed from the margin (kept feasible at <= 0) and the LP repeats.
     """
     margin_rows = mask & live
     sol = None
+    pivots = 0
     for _ in range(max_rounds):
         sol = _margin_lp(U, margin_rows, rmax_i, gamma)
+        pivots += sol.iterations
         if sol.x[-1] > 1e-9 or not margin_rows.any():
             break
         cert = margin_rows & (np.abs(sol.row_duals) > 1e-9)
         if not cert.any():
             break
         margin_rows = margin_rows & ~cert
-    return sol, margin_rows
+    return sol, margin_rows, pivots
 
 
 def _violation(x, U, ineq, rhs, rmax_i):
@@ -288,7 +302,6 @@ def max_gap_reward(
         raise ValueError("rmax must be positive")
 
     S, A = game.n_states, game.n_joint_actions
-    lift = _class_basis(game, reward_class)
     tables = np.zeros((game.n_agents, S, A))
     margins = np.zeros(game.n_agents)
     lp_iters = 0
@@ -297,14 +310,12 @@ def max_gap_reward(
     rng = np.random.default_rng(seed) if seed is not None else None
 
     for i in range(game.n_agents):
-        U = _advantage_rows(game, policy, i)
-        if lift is not None:
-            U = U @ lift
+        U = _advantage_rows(game, policy, i, reward_class)
         n_vars = U.shape[1]
         mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
         live = np.linalg.norm(U, axis=1) > _DEAD_ROW
-        sol, margin_rows = _lexicographic_margin(U, mask, live, r[i], game.gamma)
-        lp_iters += sol.iterations
+        sol, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
+        lp_iters += pivots
         pinned.append(int(np.sum(mask & live & ~margin_rows)))
         t_star = sol.x[-1]
         x = sol.x[:-1]
@@ -319,8 +330,8 @@ def max_gap_reward(
             # the LP vertex stays valid if no feasible projection was found
             if projected is not None:
                 x = projected
-        flat = x if lift is None else lift @ x
-        tables[i] = np.clip(flat, 0.0, r[i]).reshape(S, A)
+        # a state-class x has one entry per state and broadcasts over joint actions
+        tables[i] = np.clip(x, 0.0, r[i]).reshape(S, -1)
         vals = U @ x
         if (margin_rows & live).any():
             margins[i] = float(-vals[margin_rows & live].max())

@@ -144,7 +144,7 @@ def read_sections(path):
 # Experiment configs
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"k_max", "family_size"}
+_INT_KEYS = {"k_max"}
 _FLOAT_KEYS = {"epsilon", "delta", "pi_min", "gamma", "rmax"}
 _TUPLE_INT_KEYS = {"seeds", "eval_points"}
 _TUPLE_STR_KEYS = {"variants"}
@@ -191,7 +191,6 @@ def write_config(path, config: ExperimentConfig) -> None:
     lines.append("eval_points = " + " ".join(str(k) for k in config.eval_points))
     lines.append(f"gamma = {fmt(config.gamma)}")
     lines.append(f"rmax = {fmt(config.rmax)}")
-    lines.append(f"family_size = {config.family_size}")
     lines.append(f"mode = {config.mode}")
     lines.append(f"reward_class = {config.reward_class}")
     lines.append(f"out_dir = {config.out_dir}")

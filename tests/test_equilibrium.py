@@ -129,6 +129,14 @@ def test_nash_value_iteration_pd(pd):
     assert np.allclose(res.policy.per_agent[1], [[0.0, 1.0]])
 
 
+def test_nash_value_iteration_warning_reports_last_delta(pd):
+    game, reward, _, _ = pd
+    # the first backup from Q = 0 moves Q by the largest reward, 1.0
+    with pytest.warns(RuntimeWarning, match=r"last delta 1\.000e\+00, tolerance 1e-08"):
+        res = nash_value_iteration(game, reward, max_iters=1)
+    assert not res.converged
+
+
 def test_nash_value_iteration_zero_reward():
     game = single_state_game((2, 2), 0.9)
     reward = JointReward(np.zeros((2, 1, 4)), rmax=[1.0, 1.0])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mairl.errors import ConfigError
+import mairl.experiment
+from mairl.cli import EXIT_OK, main
+from mairl.errors import ConfigError, NotFeasibleError
 from mairl.experiment import (
     ExperimentConfig,
     optimality_check,
@@ -10,6 +12,7 @@ from mairl.experiment import (
 )
 from mairl.feasible import check_implicit
 from mairl.synthetic import random_reward
+from mairl.textio import write_config
 
 from conftest import make_instance
 
@@ -94,3 +97,41 @@ def test_run_experiment_smoke_and_determinism(tmp_path):
     assert summary[0].startswith("variant,k,")
     lows = [float(line.split(",")[3]) for line in summary[1:]]
     assert all(v >= 0.0 for v in lows)
+
+
+def one_seed_config(out_dir):
+    return ExperimentConfig(
+        seeds=(0,), k_max=1, eval_points=(1,), variants=("deterministic",), out_dir=str(out_dir)
+    )
+
+
+def test_run_experiment_records_package_errors_per_seed(tmp_path, monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise NotFeasibleError("no feasible reward")
+
+    monkeypatch.setattr(mairl.experiment, "max_gap_reward", infeasible)
+    result = run_experiment(one_seed_config(tmp_path))
+    assert result.curve_rows == []
+    assert result.errors == [(0, "NotFeasibleError('no feasible reward')")]
+    assert (tmp_path / "errors.csv").read_text() == (
+        "seed,error\n0,NotFeasibleError('no feasible reward')\n"
+    )
+
+
+def test_run_experiment_lets_programming_errors_raise(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(mairl.experiment, "max_gap_reward", broken)
+    with pytest.raises(TypeError, match="bug"):
+        run_experiment(one_seed_config(tmp_path))
+
+
+def test_bound_command_matches_run_experiment(tmp_path):
+    config = one_seed_config(tmp_path / "experiment")
+    write_config(tmp_path / "exp.cfg", config)
+    result = run_experiment(config)
+    args = ["--config", str(tmp_path / "exp.cfg"), "--out-dir", str(tmp_path / "cli"), "bound"]
+    assert main(args) == EXIT_OK
+    cli_bound = (tmp_path / "cli" / "bound.csv").read_bytes()
+    assert cli_bound == open(result.paths["bound"], "rb").read()

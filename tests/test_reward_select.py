@@ -1,13 +1,91 @@
 import numpy as np
 import pytest
 
-from mairl.equilibrium import nash_gap
+import mairl.reward_select
+from mairl.equilibrium import matrix_ne_check, nash_gap, nash_value_iteration
 from mairl.estimation import CountBook, estimate
 from mairl.feasible import check_implicit
-from mairl.reward_select import behavior_cloning, max_gap_reward
+from mairl.games import JointReward
+from mairl.gridworld import GridGameSpec, build_grid_game
+from mairl.reward_select import _advantage_rows, behavior_cloning, max_gap_reward
 from mairl.synthetic import random_joint_policy, random_markov_game
 
 from conftest import make_instance
+
+
+def dense_advantage_rows(game, policy, agent, reward_class):
+    """Reference rows from the stacked (S*A) x (S*A) system Q = (I - gamma P pi)^{-1} R:
+    row (s, d) is (e_dev(s, d) - e_pi(s)) applied to that inverse, lifted onto
+    per-state rewards for the "state" class."""
+    S, A = game.n_states, game.n_joint_actions
+    n_own = game.action_counts[agent]
+    joint = policy.joint_table(game.agent_actions)
+    pi_op = np.zeros((S, S * A))
+    idx = np.arange(S)[:, None] * A + np.arange(A)[None, :]
+    pi_op[np.repeat(np.arange(S), A), idx.ravel()] = joint.ravel()
+    M = np.eye(S * A) - game.gamma * game.transitions.reshape(S * A, S) @ pi_op
+    opp = policy.opponent_table(agent, game.agent_actions)
+    own = game.agent_actions[agent]
+    W = np.zeros((S * n_own, S * A))
+    cols = np.arange(A)
+    for s in range(S):
+        for d in range(n_own):
+            row = W[s * n_own + d]
+            sel = own == d
+            row[s * A + cols[sel]] = opp[s, sel]
+            row[s * A + cols] -= joint[s]
+    U = np.linalg.solve(M.T, W.T).T
+    if reward_class == "state":
+        lift = np.zeros((S * A, S))
+        for s in range(S):
+            lift[s * A : (s + 1) * A, s] = 1.0
+        U = U @ lift
+    return U
+
+
+def advantage_row_cases():
+    for seed in range(6):
+        counts = (2, 3) if seed % 2 else (2, 2, 3)
+        yield make_instance(500 + seed, n_states=4, action_counts=counts, gamma=0.8)
+    game, reward, _ = build_grid_game(GridGameSpec())
+    yield game, nash_value_iteration(game, reward).policy
+
+
+@pytest.mark.parametrize("reward_class", ["state-action", "state"])
+def test_advantage_rows_match_dense_system(reward_class):
+    rng = np.random.default_rng(0)
+    for game, policy in advantage_row_cases():
+        S, A = game.n_states, game.n_joint_actions
+        rows = []
+        tables = np.zeros((game.n_agents, S, A))
+        for i in range(game.n_agents):
+            U = _advantage_rows(game, policy, i, reward_class)
+            np.testing.assert_allclose(
+                U, dense_advantage_rows(game, policy, i, reward_class), rtol=0, atol=1e-12
+            )
+            x = rng.uniform(size=U.shape[1])
+            tables[i] = x.reshape(S, -1)
+            rows.append(U @ x)
+        worst = matrix_ne_check(game, JointReward(tables, 1.0), policy).worst_violation
+        assert abs(max(float(r.max()) for r in rows) - worst) <= 1e-12
+
+
+def test_lp_iterations_count_every_lexicographic_round(monkeypatch):
+    pivots = []
+    solve_lp = mairl.reward_select.solve_lp
+
+    def counting(lp):
+        sol = solve_lp(lp)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(mairl.reward_select, "solve_lp", counting)
+    rng = np.random.default_rng(0)
+    game = random_markov_game(rng, 4, (2, 2), 0.6)
+    policy = random_joint_policy(rng, game, deterministic=True)
+    res = max_gap_reward(game, policy, rmax=1.0, reward_class="state")
+    assert len(pivots) > game.n_agents  # some agent needed a second round
+    assert res.lp_iterations == sum(pivots)
 
 
 def test_pd_max_margin(pd):
