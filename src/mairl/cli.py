@@ -105,7 +105,8 @@ def cmd_recover(config: ExperimentConfig) -> int:
             "solver_iterations": recovered.lp_iterations + recovered.projection_sweeps,
         },
     )
-    print(f"recovered reward written to {path} (margins {recovered.margins})")
+    paths = ", ".join(recovered.projection_paths) or "none (max-margin)"
+    print(f"recovered reward written to {path} (margins {recovered.margins}; projection {paths})")
     return EXIT_OK
 
 

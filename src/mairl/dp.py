@@ -3,7 +3,8 @@
 Values solve the linear Bellman system Q = R + gamma * P V, V = pi Q per
 agent. Systems are solved by dense factorization at desk scale
 (S <= EXACT_MAX_STATES and S*A <= EXACT_MAX_ENTRIES table entries) and by
-value iteration above that.
+value iteration above that, which raises ConvergenceError after
+VALUE_ITERATION_MAX_ITERS sweeps.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StaleValuesError
+from .errors import ConvergenceError, DimensionMismatchError, StaleValuesError
 from .games import JointPolicy, JointReward, MarkovGame
 
 EXACT_MAX_STATES = 1000
 EXACT_MAX_ENTRIES = 100_000
+VALUE_ITERATION_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,17 @@ def policy_evaluation(
         v = np.zeros((n, S))
         # contraction: sup-norm error <= gamma/(1-gamma) * last step size
         shrink = game.gamma / max(1.0 - game.gamma, 1e-300)
-        while True:
+        for _ in range(VALUE_ITERATION_MAX_ITERS):
             v_next = r_pi + game.gamma * v @ p_pi.T
             step = float(np.max(np.abs(v_next - v)))
             v = v_next
             if step * shrink <= 0.5 * tol:
                 break
+        else:
+            raise ConvergenceError(
+                f"policy evaluation did not converge in {VALUE_ITERATION_MAX_ITERS} "
+                f"sweeps (last step {step:.3e})"
+            )
 
     q = reward.tables + game.gamma * np.einsum("sat,it->isa", game.transitions, v)
     residual = float(np.max(np.abs(v - np.einsum("sa,isa->is", joint, q))))

@@ -317,7 +317,8 @@ def stopping_time(
         if hit.size:
             return int(ks[hit[0]])
         lo = hi + 1
-        chunk = min(chunk * 4, 1 << 24)
+        # eps_k is elementwise in k, so the chunk size moves only memory, not tau
+        chunk = min(chunk * 4, 1 << 18)
     return None
 
 

@@ -24,7 +24,14 @@ The distance mode then projects a seeded random target reward onto the
 margin-pinned feasible polytope (minimizing the squared distance):
 projected gradient on the dual of the projection problem plus an exact
 active-set polish, with the LP vertex as the feasibility-preserving
-fallback.
+fallback. `MaxGapResult.projection_paths` reports, per agent, which point
+came back:
+
+* "polished": the exact projection from the active-set polish;
+* "blended": the best gradient iterate, moved toward the LP vertex just
+  enough to satisfy every row (not moved at all if it already did);
+* "vertex": the max-margin LP vertex itself, because neither of the above
+  was feasible.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class MaxGapResult:
     lp_iterations: int
     projection_sweeps: int
     pinned_rows: tuple  # per agent: count of structurally-tied deviation rows
+    projection_paths: tuple  # per agent: "polished", "blended" or "vertex"; () in max-margin mode
 
 
 def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_class: str):
@@ -214,12 +222,13 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
     kept implicit) tracks the best-feasibility primal iterate; an exact
     active-set polish is attempted, and when the near-active face is too
     degenerate for it, the iterate is blended toward the strictly feasible
-    `anchor` just enough to restore exact feasibility. Returns (point or
-    None, iterations)."""
+    `anchor` just enough to restore exact feasibility. Returns (point,
+    iterations, path) with path "polished", "blended" or "vertex"; on
+    "vertex" no feasible projection was found and the point is `anchor`."""
     ineq = np.ones(U.shape[0], dtype=bool)
     m = U.shape[0]
     if m == 0:
-        return np.clip(target, 0.0, rmax_i), 0
+        return np.clip(target, 0.0, rmax_i), 0, "polished"
     gram_scale = 1.0
     v = np.ones(m) / np.sqrt(m)
     for _ in range(30):
@@ -255,22 +264,22 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
                 break
     polished = _polish_projection(target, best, U, ineq, rhs, rmax_i, tol)
     if polished is not None:
-        return polished, it
+        return polished, it, "polished"
     # blend toward the strictly feasible anchor until every row holds exactly
     excess = np.maximum(U @ best - rhs, 0.0)
     spare = np.maximum(rhs - U @ anchor, 0.0)
     need = excess > 0
     if not need.any():
-        return np.clip(best, 0.0, rmax_i), it
+        return np.clip(best, 0.0, rmax_i), it, "blended"
     with np.errstate(divide="ignore", invalid="ignore"):
         theta_rows = excess[need] / (excess[need] + spare[need])
     theta = float(np.max(theta_rows))
     if theta >= 1.0 or not np.isfinite(theta):
-        return None, it
+        return anchor, it, "vertex"
     blended = (1.0 - 1.05 * theta) * best + 1.05 * min(theta, 1.0 / 1.05) * anchor
     if _violation(blended, U, ineq, rhs, rmax_i) <= tol:
-        return np.clip(blended, 0.0, rmax_i), it
-    return None, it
+        return np.clip(blended, 0.0, rmax_i), it, "blended"
+    return anchor, it, "vertex"
 
 
 def max_gap_reward(
@@ -288,8 +297,9 @@ def max_gap_reward(
     at rmax/(1-gamma), which caps the otherwise unbounded case of a fully
     mixed policy or an all-tied deviation set). mode="distance-to-random"
     additionally projects a seeded uniform target onto the polytope with the
-    margin pinned at its maximum minus 1e-6. Works on the true model or on
-    an estimated problem converted to a game.
+    margin pinned at its maximum minus 1e-6, and reports per agent whether
+    the projection was polished, blended or fell back to the LP vertex.
+    Works on the true model or on an estimated problem converted to a game.
     """
     if mode not in (MAX_MARGIN, DISTANCE_TO_RANDOM):
         raise ValueError(f"unknown mode {mode!r}")
@@ -307,6 +317,7 @@ def max_gap_reward(
     lp_iters = 0
     sweeps = 0
     pinned = []
+    paths = []
     rng = np.random.default_rng(seed) if seed is not None else None
 
     for i in range(game.n_agents):
@@ -325,11 +336,9 @@ def max_gap_reward(
             # zero identically, so <= 0 on each forces equality at any
             # feasible point
             rhs = np.where(margin_rows & live, -max(t_star - 1e-6, 0.0), 0.0)
-            projected, s_i = _distance_project(target, U[live], rhs[live], x, r[i])
+            x, s_i, path = _distance_project(target, U[live], rhs[live], x, r[i])
             sweeps += s_i
-            # the LP vertex stays valid if no feasible projection was found
-            if projected is not None:
-                x = projected
+            paths.append(path)
         # a state-class x has one entry per state and broadcasts over joint actions
         tables[i] = np.clip(x, 0.0, r[i]).reshape(S, -1)
         vals = U @ x
@@ -354,6 +363,7 @@ def max_gap_reward(
         lp_iterations=lp_iters,
         projection_sweeps=sweeps,
         pinned_rows=tuple(pinned),
+        projection_paths=tuple(paths),
     )
 
 

@@ -2,12 +2,24 @@
 
 maximize c^T x  subject to  L x (<=,=,>=) b,  lo <= x <= hi.
 
-Inequalities get slack variables; phase 1 drives artificial variables to
-zero from an all-at-lower-bound start. Pricing is Dantzig's rule until a
-run of degenerate pivots, then Bland's rule (smallest index) until the
-objective moves again, which rules out cycling. Problem sizes here are a
-few hundred rows and ~1000 columns, so the basis inverse is kept explicitly
-and refactorized periodically.
+Inequalities get slack variables. The start puts every structural variable
+at a finite bound (the lower one first) and takes the start residual
+rhs - L x of each row. A row whose slack can carry that residual (an LE row
+with residual >= 0, a GE row with residual <= 0) starts with its slack
+basic; only the other rows (EQ rows and rows whose residual has the wrong
+sign) get an artificial column, and phase 1 drives those to zero. With no
+artificial column (e.g. L x >= 0 with x at its lower bounds 0, as in the
+margin LP of reward selection) phase 1 is skipped and the start basis is
+already feasible for phase 2.
+
+Pricing is Dantzig's rule until a run of degenerate pivots, then Bland's
+rule (smallest index) until the objective moves again, which rules out
+cycling. Problem sizes here are a few hundred rows and ~1000 columns, so the
+basis inverse is kept explicitly. Each pivot costs O(m^2) plus one pricing
+pass over the columns: the basic values move by the ratio-test step and the
+inverse by an in-place rank-1 update. Every 64 pivots (or at a tiny pivot
+element) the inverse is refactorized and the basic values are recomputed
+from the nonbasic ones, which bounds the drift of both.
 """
 
 from __future__ import annotations
@@ -76,15 +88,20 @@ class _BoundedSimplex:
         self.pivots = 0
 
     def start(self, basis, status, x):
+        """`basis[i]` is a slack or artificial column whose one nonzero, +-1,
+        sits in row i, so the basis matrix is diagonal with entries +-1 and is
+        its own inverse; `x` already holds the basic values."""
         # copies: pivots mutate the basis in place and must not alias caller arrays
         self.basis = np.array(basis, dtype=np.int64)
         self.status = np.array(status, dtype=np.int64)
         self.x = np.array(x, dtype=np.float64)
-        self._refactor()
+        self.binv = np.diag(self.A[np.arange(self.m), self.basis])
+        self._since_refactor = 0
 
     def _refactor(self):
         self.binv = np.linalg.inv(self.A[:, self.basis])
         self._since_refactor = 0
+        self.x[self.basis] = self._basic_values()
 
     def _basic_values(self):
         nonbasic = self.status != _BASIC
@@ -140,27 +157,27 @@ class _BoundedSimplex:
                 raise UnboundedLPError("objective is unbounded along an improving ray")
 
             # apply the move
-            self.x[j] += sigma * step
             self.x[self.basis] = xb - step * dirn
             if bound_switch:
                 self.status[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                self.x[j] = self.hi[j] if sigma > 0 else self.lo[j]
             else:
                 out = self.basis[leave_pos]
                 self.status[out] = leave_to
                 self.x[out] = self.lo[out] if leave_to == _AT_LOWER else self.hi[out]
+                self.x[j] += sigma * step
                 self.status[j] = _BASIC
                 self.basis[leave_pos] = j
                 piv = w[leave_pos]
                 if abs(piv) < 1e-12:
                     self._refactor()
                 else:
-                    self.binv[leave_pos] /= piv
-                    others = np.arange(self.m) != leave_pos
-                    self.binv[others] -= np.outer(w[others], self.binv[leave_pos])
+                    row = self.binv[leave_pos] / piv
+                    self.binv -= np.outer(w, row)
+                    self.binv[leave_pos] = row
                     self._since_refactor += 1
                     if self._since_refactor >= 64:
                         self._refactor()
-                self.x[self.basis] = self._basic_values()
 
             self.pivots += 1
             if step <= tol:
@@ -179,56 +196,52 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9, max_pivots: int | None = None
     if np.any(~np.isfinite(lp.lower) & ~np.isfinite(lp.upper)):
         raise ValueError("free variables are not supported; give each a finite bound")
 
-    n_slack = int(np.sum(lp.sense != EQ))
-    total = n + n_slack + m  # structural + slacks + artificials
+    # start: every structural variable at its finite bound (lower first)
+    x_struct = np.where(np.isfinite(lp.lower), lp.lower, lp.upper)
+    residual = lp.rhs - lp.lhs @ x_struct if m else np.zeros(0)
+    slack_rows = np.nonzero(lp.sense != EQ)[0]
+    slack_sign = -lp.sense[slack_rows].astype(np.float64)  # +1 on LE rows, -1 on GE rows
+    slack_value = slack_sign * residual[slack_rows]
+    carries = slack_value >= 0
+    art_rows = np.setdiff1d(np.arange(m), slack_rows[carries])
+    n_slack, n_art = slack_rows.size, art_rows.size
+    total = n + n_slack + n_art
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
+
     A = np.zeros((m, total))
     if m:
         A[:, :n] = lp.lhs
-    lo = np.concatenate([lp.lower, np.zeros(n_slack), np.zeros(m)])
-    hi = np.concatenate([lp.upper, np.full(n_slack, np.inf), np.full(m, np.inf)])
-    col = n
-    for i in range(m):
-        if lp.sense[i] == LE:
-            A[i, col] = 1.0
-            col += 1
-        elif lp.sense[i] == GE:
-            A[i, col] = -1.0
-            col += 1
+    A[slack_rows, slack_cols] = slack_sign
+    A[art_rows, art_cols] = np.where(residual[art_rows] >= 0, 1.0, -1.0)
+    lo = np.concatenate([lp.lower, np.zeros(n_slack + n_art)])
+    hi = np.concatenate([lp.upper, np.full(n_slack + n_art, np.inf)])
+    x = np.concatenate([x_struct, np.where(carries, slack_value, 0.0), np.abs(residual[art_rows])])
 
-    # start: every structural/slack variable at its finite bound (lower first)
-    x = np.zeros(total)
-    for j in range(n + n_slack):
-        if np.isfinite(lo[j]):
-            x[j] = lo[j]
-        elif np.isfinite(hi[j]):
-            x[j] = hi[j]
-        else:
-            x[j] = 0.0
+    # basis position i holds the column with the unit entry in row i
+    basis = np.empty(m, dtype=np.int64)
+    basis[slack_rows[carries]] = slack_cols[carries]
+    basis[art_rows] = art_cols
     status = np.full(total, _AT_LOWER, dtype=np.int64)
-    status[: n + n_slack][~np.isfinite(lo[: n + n_slack])] = _AT_UPPER
-
-    residual = lp.rhs - A[:, : n + n_slack] @ x[: n + n_slack] if m else np.zeros(0)
-    art = n + n_slack + np.arange(m)
-    for i in range(m):
-        A[i, art[i]] = 1.0 if residual[i] >= 0 else -1.0
-        x[art[i]] = abs(residual[i])
-    status[art] = _BASIC
+    status[:n][~np.isfinite(lp.lower)] = _AT_UPPER
+    status[basis] = _BASIC
 
     if max_pivots is None:
         max_pivots = 200 * (m + 1) + 20 * total + 2000
     core = _BoundedSimplex(A, lp.rhs, lo, hi, tol, max_pivots)
-    core.start(art, status, x)
+    core.start(basis, status, x)
 
-    phase1 = np.zeros(total)
-    phase1[art] = -1.0
-    core.run(phase1)
-    if m and float(phase1 @ core.x) < -max(tol, 1e-7) * max(1.0, np.abs(lp.rhs).max()):
-        raise InfeasibleLPError(
-            f"phase 1 left artificial mass {-float(phase1 @ core.x):.3e}"
-        )
-    # freeze artificials at zero for phase 2
-    core.hi[art] = 0.0
-    core.x[art] = np.minimum(core.x[art], 0.0)
+    if n_art:
+        phase1 = np.zeros(total)
+        phase1[art_cols] = -1.0
+        core.run(phase1)
+        if float(phase1 @ core.x) < -max(tol, 1e-7) * max(1.0, np.abs(lp.rhs).max()):
+            raise InfeasibleLPError(
+                f"phase 1 left artificial mass {-float(phase1 @ core.x):.3e}"
+            )
+        # freeze artificials at zero for phase 2
+        core.hi[art_cols] = 0.0
+        core.x[art_cols] = np.minimum(core.x[art_cols], 0.0)
 
     phase2 = np.zeros(total)
     phase2[:n] = lp.objective

@@ -48,6 +48,7 @@ def test_recover_then_evaluate(tmp_path, capsys):
         f"out_dir = {tmp_path}\n"
     )
     assert main(["--config", str(cfg), "recover"]) == EXIT_OK
+    assert "projection" in capsys.readouterr().out
     bundle = read_sections(tmp_path / "recovered_reward.txt")
     assert "reward" in bundle and "provenance" in bundle
     assert bundle["provenance"]["mode"] == "distance-to-random"

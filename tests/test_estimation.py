@@ -6,6 +6,7 @@ import pytest
 
 from mairl.estimation import (
     ConfidenceParams,
+    _indicator,
     CountBook,
     GenerativeOracle,
     estimate,
@@ -156,6 +157,19 @@ def test_uniform_sampling_immediate_and_pure_expert():
     assert run.history[0][4] == 0  # no indicator-active states at k = 1
     scan = stopping_time(params, 2, (2, 2), 2, 2.0)
     assert run.tau == scan
+
+
+@pytest.mark.parametrize("epsilon", [2.0, 4.0])
+def test_stopping_time_past_a_chunk_boundary_matches_one_array_scan(epsilon):
+    params = _params(delta=0.1, pi_min=1.0, rmax=1.0, gamma=0.9)
+    tau = stopping_time(params, 2, (2, 2), 2, epsilon)
+    ks = np.arange(1, 600_001, dtype=np.float64)
+    eps_k = (
+        params.rmax / (1.0 - params.gamma) * _indicator(ks, params, 2, (2, 2), 2)
+        + params.gamma * transition_radius(ks, params, 2, (2, 2))
+    ) / (1.0 - params.gamma)
+    assert tau > 65536  # past the first scan chunk
+    assert tau == int(ks[np.argmax(eps_k <= epsilon / 2.0)])
 
 
 def test_uniform_sampling_budget_exhaustion():

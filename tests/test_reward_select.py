@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 import mairl.reward_select
+import mairl.simplex
 from mairl.equilibrium import matrix_ne_check, nash_gap, nash_value_iteration
 from mairl.estimation import CountBook, estimate
 from mairl.feasible import check_implicit
 from mairl.games import JointReward
 from mairl.gridworld import GridGameSpec, build_grid_game
-from mairl.reward_select import _advantage_rows, behavior_cloning, max_gap_reward
+from mairl.reward_select import (
+    _advantage_rows,
+    _margin_lp,
+    behavior_cloning,
+    max_gap_reward,
+)
 from mairl.synthetic import random_joint_policy, random_markov_game
 
 from conftest import make_instance
@@ -88,6 +94,44 @@ def test_lp_iterations_count_every_lexicographic_round(monkeypatch):
     assert res.lp_iterations == sum(pivots)
 
 
+@pytest.fixture(scope="module")
+def grid_expert():
+    game, reward, _ = build_grid_game(GridGameSpec())
+    return game, nash_value_iteration(game, reward).policy
+
+
+def test_grid_margin_lp_starts_feasible(grid_expert, monkeypatch):
+    # -U x - t m >= 0 holds at x = 0, t = 0, so the slack basis is feasible
+    # and phase 1 is skipped: one run of the core, for phase 2
+    game, policy = grid_expert
+    runs = []
+    run = mairl.simplex._BoundedSimplex.run
+
+    def counting(self, objective):
+        runs.append(objective)
+        return run(self, objective)
+
+    monkeypatch.setattr(mairl.simplex._BoundedSimplex, "run", counting)
+    U = _advantage_rows(game, policy, 0, "state")
+    mask = (policy.per_agent[0] == 0.0).ravel()
+    _margin_lp(U, mask, 1.0, game.gamma)
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize(
+    "reward_class, expected",
+    [
+        # margins of the all-artificial start; the slack start must reproduce them
+        ("state", [0.4072398190045177, 0.4090909090908768]),
+        ("state-action", [0.9999999999999666, 0.9999999999998361]),
+    ],
+)
+def test_grid_margins_match_artificial_start(grid_expert, reward_class, expected):
+    game, policy = grid_expert
+    res = max_gap_reward(game, policy, rmax=1.0, reward_class=reward_class)
+    np.testing.assert_allclose(res.margins, expected, rtol=0, atol=1e-9)
+
+
 def test_pd_max_margin(pd):
     game, _, dd, _ = pd
     res = max_gap_reward(game, dd, rmax=1.0)
@@ -126,6 +170,9 @@ def test_distance_mode_seeded_and_feasible(pd):
     a = max_gap_reward(game, dd, rmax=1.0, mode="distance-to-random", seed=5)
     b = max_gap_reward(game, dd, rmax=1.0, mode="distance-to-random", seed=5)
     assert np.array_equal(a.reward.tables, b.reward.tables)
+    assert a.projection_paths == b.projection_paths
+    assert len(a.projection_paths) == game.n_agents
+    assert max_gap_reward(game, dd, rmax=1.0).projection_paths == ()
     assert np.all(a.margins >= 1.0 - 1e-6 - 1e-9)
     assert check_implicit(game, a.reward, dd, tol=1e-8).passed
     with pytest.raises(ValueError):
@@ -144,6 +191,15 @@ def test_distance_mode_on_mixed_estimated_policy():
     """Estimated experts carry mixed rows; the projection must stay feasible."""
     game, policy = make_instance(12, n_states=3, gamma=0.7)
     res = max_gap_reward(game, policy, rmax=1.0, mode="distance-to-random", seed=2)
+    assert check_implicit(game, res.reward, policy, tol=1e-8).passed
+
+
+def test_projection_fallback_is_reported(monkeypatch):
+    monkeypatch.setattr(mairl.reward_select, "_polish_projection", lambda *args: None)
+    game, policy = make_instance(12, n_states=3, gamma=0.7)
+    res = max_gap_reward(game, policy, rmax=1.0, mode="distance-to-random", seed=2)
+    assert len(res.projection_paths) == game.n_agents
+    assert set(res.projection_paths) <= {"blended", "vertex"}
     assert check_implicit(game, res.reward, policy, tol=1e-8).passed
 
 

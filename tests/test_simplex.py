@@ -57,9 +57,9 @@ def test_free_variables_rejected():
         solve_lp(lp([1], np.zeros((0, 1)), [], [], [-np.inf], [np.inf]))
 
 
-def test_random_lps_match_reference_solver():
-    """Cross-check optimal values against an independent LP solver."""
-    matched = 0
+def random_lp_cases():
+    """(lhs, sense, rhs, objective, upper) with lower bounds 0."""
+    # small dense rows of every sense
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
@@ -69,6 +69,40 @@ def test_random_lps_match_reference_solver():
         c = rng.normal(size=n)
         upper = rng.uniform(0.5, 3.0, size=n)
         sense = rng.choice([LE, GE, EQ], size=m, p=[0.5, 0.3, 0.2])
+        yield A, sense, b, c, upper
+    # margin-LP shape: -U x - t m >= 0 with rhs 0, feasible at the origin,
+    # so every row starts on its slack and no artificial is built
+    for seed in range(12):
+        rng = np.random.default_rng(100 + seed)
+        m = int(rng.integers(5, 41))
+        n = int(rng.integers(3, 25))
+        U = rng.normal(size=(m, n))
+        margin_rows = rng.random(m) < 0.7
+        A = np.hstack([-U, -margin_rows[:, None].astype(float)])
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        upper = np.concatenate([np.full(n, 1.0), [10.0]])
+        yield A, np.full(m, GE), np.zeros(m), c, upper
+    # mixed rows around an interior point: LE rows with rhs < 0, GE rows with
+    # rhs > 0 and EQ rows start on artificials, the other rows on slacks
+    for seed in range(12):
+        rng = np.random.default_rng(200 + seed)
+        m = int(rng.integers(5, 31))
+        n = int(rng.integers(m // 2 + 2, m + 5))
+        A = rng.normal(size=(m, n))
+        upper = rng.uniform(0.5, 3.0, size=n)
+        inside = rng.uniform(0.0, upper)
+        sense = rng.choice([LE, GE, EQ], size=m, p=[0.45, 0.45, 0.1])
+        b = A @ inside - sense * rng.uniform(0.0, 1.0, size=m)
+        yield A, sense, b, rng.normal(size=n), upper
+
+
+def test_random_lps_match_reference_solver():
+    """Cross-check optimal values against an independent LP solver and
+    certify the row duals (complementary slackness, signs, reduced costs)."""
+    matched = 0
+    for A, sense, b, c, upper in random_lp_cases():
+        m, n = A.shape
         prob = lp(c, A, sense, b, np.zeros(n), upper)
 
         A_ub, b_ub, A_eq, b_eq = [], [], [], []
@@ -107,8 +141,16 @@ def test_random_lps_match_reference_solver():
                 assert v >= rb - 1e-7
             else:
                 assert abs(v - rb) <= 1e-7
+        # dual feasibility: y >= 0 on LE rows, <= 0 on GE rows, zero on slack rows
+        y = sol.row_duals
+        assert np.all(y[sense == LE] >= -1e-9) and np.all(y[sense == GE] <= 1e-9)
+        assert np.all(np.abs(y * (vals - b))[sense != EQ] <= 1e-7)
+        # reduced costs: <= 0 off the upper bound, >= 0 off the lower bound
+        reduced = c - y @ A
+        assert np.all(reduced[sol.x < upper - 1e-9] <= 1e-7)
+        assert np.all(reduced[sol.x > 1e-9] >= -1e-7)
         matched += 1
-    assert matched >= 20  # most random instances are feasible
+    assert matched >= 40  # most random instances are feasible
 
 
 def test_row_duals_certify_optimality():
