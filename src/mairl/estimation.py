@@ -6,6 +6,11 @@ after k rounds every pair count equals k. Empirical estimates fall back to
 uniform on unvisited entries. Hoeffding-style radii and the expert-support
 indicator combine into a per-pair reward uncertainty whose maximum drives
 the stopping rule; closed-form sample bounds mirror the same quantities.
+
+Draws are deterministic per (seed, round, state): one Philox stream per
+(round, state) gives A transition uniforms, then one per agent, each mapped
+through an inverse CDF built once per oracle. Since counts depend on k
+alone, `uniform_sampling` takes tau from `stopping_time`.
 """
 
 from __future__ import annotations
@@ -95,10 +100,9 @@ class UncertaintyTable:
 class GenerativeOracle:
     """Generative model backed by a known game and expert policy.
 
-    Draws are deterministic functions of (seed, round, state, query index):
-    each (state, round) pair owns one counter-based stream, which first
-    answers the state's transition queries in flat joint-action order and
-    then the per-agent expert-action queries.
+    Round k at state s makes one `random(A + n)` call on a Philox stream
+    keyed by (seed, k, s): A transition uniforms in flat joint-action order,
+    then one per agent, each through an inverse CDF built in the constructor.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -107,6 +111,8 @@ class GenerativeOracle:
         self.game = game
         self.expert = expert
         self.seed = int(seed)
+        self._transition_cdf = _cdf(game.transitions)  # (S, A, S)
+        self._action_cdfs = [_cdf(table) for table in expert.per_agent]  # (S, |A_i|) each
 
     def _stream(self, k: int, state: int) -> np.random.Generator:
         return np.random.Generator(
@@ -115,20 +121,22 @@ class GenerativeOracle:
 
     def round_samples(self, k: int):
         """All queries of round k: (S, A) next states and (S, n) expert actions."""
-        game = self.game
-        S, A = game.n_states, game.n_joint_actions
-        next_states = np.empty((S, A), dtype=np.int64)
-        expert_actions = np.empty((S, game.n_agents), dtype=np.int64)
-        for s in range(S):
-            rng = self._stream(k, s)
-            u = rng.random(A)
-            cum = np.cumsum(game.transitions[s], axis=1)
-            next_states[s] = np.argmax(u[:, None] < cum, axis=1)
-            for i in range(game.n_agents):
-                expert_actions[s, i] = rng.choice(
-                    game.action_counts[i], p=self.expert.per_agent[i][s]
-                )
-        return next_states, expert_actions
+        S, A, n = self.game.n_states, self.game.n_joint_actions, self.game.n_agents
+        u = np.array([self._stream(k, s).random(A + n) for s in range(S)])
+        actions = [_inverse_cdf(cdf, u[:, A + i]) for i, cdf in enumerate(self._action_cdfs)]
+        return _inverse_cdf(self._transition_cdf, u[:, :A]), np.stack(actions, axis=1)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """CDF over the last axis divided by its last entry, as `Generator.choice` builds it."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count of CDF entries <= u on the last axis (`searchsorted(side="right")`);
+    a normalised CDF ends at 1 > u, so the last positive-mass outcome caps it."""
+    return (u[..., None] >= cdf).sum(axis=-1)
 
 
 def sample_round(oracle: GenerativeOracle, counts: CountBook) -> CountBook:
@@ -204,20 +212,29 @@ def _indicator(n_s, params: ConfidenceParams, n_states: int, action_counts, n_ag
     return (N <= np.maximum(1.0, xi)).astype(np.float64)
 
 
+def _c_terms(n_s, n_sa, params: ConfidenceParams, n_states: int, action_counts, n_agents: int):
+    """Indicator at counts n_s, radius at counts n_sa, and C = rmax/(1-gamma)
+    indicator + gamma radius (the indicator broadcast over n_sa's last axis)."""
+    ind = _indicator(n_s, params, n_states, action_counts, n_agents)
+    radius = transition_radius(n_sa, params, n_states, action_counts)
+    c = params.rmax / (1.0 - params.gamma) * ind[..., None] + params.gamma * radius
+    return ind, radius, c
+
+
+def _schedule(ks, params: ConfidenceParams, n_states: int, action_counts, n_agents: int):
+    """epsilon_k, C_k, transition radius and indicator of the uniform schedule
+    at rounds ks, where every count after k rounds equals k."""
+    ind, radius, c = _c_terms(ks, ks[:, None], params, n_states, action_counts, n_agents)
+    return c[:, 0] / (1.0 - params.gamma), c[:, 0], radius[:, 0], ind
+
+
 def uncertainty(counts: CountBook, params: ConfidenceParams) -> UncertaintyTable:
     """Per-pair reward uncertainty C_k and the accuracy epsilon_k = max C_k / (1-gamma)."""
-    S, A = counts.n_states, joint_action_count(counts.action_counts)
-    ind = _indicator(counts.n_s, params, S, counts.action_counts, counts.n_agents)
-    radius = transition_radius(counts.n_sa, params, S, counts.action_counts)
-    scale = params.rmax / (1.0 - params.gamma)
-    c = scale * ind[:, None] + params.gamma * radius
-    eps = float(c.max() / (1.0 - params.gamma)) if c.size else 0.0
-    return UncertaintyTable(
-        c=c,
-        epsilon_k=eps,
-        indicator=ind,
-        max_transition_radius=float(radius.max()) if radius.size else 0.0,
+    ind, radius, c = _c_terms(
+        counts.n_s, counts.n_sa, params, counts.n_states, counts.action_counts, counts.n_agents
     )
+    eps = float(c.max() / (1.0 - params.gamma)) if c.size else 0.0
+    return UncertaintyTable(c, eps, ind, float(radius.max()) if radius.size else 0.0)
 
 
 @dataclass
@@ -238,44 +255,30 @@ def uniform_sampling(
 ) -> UniformSamplingResult:
     """Sample one round per (s,a) until epsilon_k <= epsilon_target / 2.
 
-    Returns the first k meeting the rule as tau; if the budget k_max runs out
-    first, converged is False and the partial estimates are returned.
+    tau is `stopping_time`'s first such k (every count after k rounds equals
+    k); the oracle runs tau rounds and the estimates are taken once. If k_max
+    runs out first, converged is False, with the estimates after k_max rounds.
     """
     if not epsilon_target > 0:
         raise ValueError("epsilon_target must be positive")
     game = oracle.game
+    shape = (game.n_states, game.action_counts, game.n_agents)
+    tau = stopping_time(params, *shape, epsilon_target, k_max=int(k_max))
     counts = CountBook(game.n_states, game.action_counts)
-    history = []
-    problem = estimate(counts)
-    unc = uncertainty(counts, params)
-    converged = False
+    wall_ms = []
     start = time.perf_counter()
-    for k in range(1, int(k_max) + 1):
+    for _ in range(int(k_max) if tau is None else tau):
         sample_round(oracle, counts)
-        problem = estimate(counts)
-        unc = uncertainty(counts, params)
-        history.append(
-            (
-                k,
-                unc.epsilon_k,
-                float(unc.c.max()),
-                unc.max_transition_radius,
-                int(unc.indicator.sum()),
-                (time.perf_counter() - start) * 1000.0,
-            )
-        )
-        if unc.epsilon_k <= epsilon_target / 2.0:
-            converged = True
-            break
+        wall_ms.append((time.perf_counter() - start) * 1000.0)
+    ks = np.arange(1, counts.iteration + 1, dtype=np.float64)
+    history = [
+        (int(k), float(e), float(c), float(r), int(game.n_states * i), ms)
+        for k, e, c, r, i, ms in zip(ks, *_schedule(ks, params, *shape), wall_ms)
+    ]
     if log_path is not None:
         _write_log(log_path, history)
-    return UniformSamplingResult(
-        problem=problem,
-        uncertainty=unc,
-        tau=counts.iteration,
-        converged=converged,
-        history=history,
-    )
+    problem, unc = estimate(counts), uncertainty(counts, params)
+    return UniformSamplingResult(problem, unc, counts.iteration, tau is not None, history)
 
 
 def _write_log(path, history) -> None:
@@ -303,17 +306,13 @@ def stopping_time(
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    target = epsilon / 2.0
     chunk = 65536
     lo = 1
     while lo <= k_max:
         hi = min(lo + chunk - 1, k_max)
         ks = np.arange(lo, hi + 1, dtype=np.float64)
-        ind = _indicator(ks, params, n_states, action_counts, n_agents)
-        radius = transition_radius(ks, params, n_states, action_counts)
-        scale = params.rmax / (1.0 - params.gamma)
-        eps_k = (scale * ind + params.gamma * radius) / (1.0 - params.gamma)
-        hit = np.nonzero(eps_k <= target)[0]
+        eps_k = _schedule(ks, params, n_states, action_counts, n_agents)[0]
+        hit = np.nonzero(eps_k <= epsilon / 2.0)[0]
         if hit.size:
             return int(ks[hit[0]])
         lo = hi + 1

@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be > 0, delta in (0,1), pi_min in (0,1]")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
+        if not self.rmax >= GridGameSpec.goal_reward:
+            raise ConfigError(f"rmax must be >= the grid's goal reward {GridGameSpec.goal_reward}")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown variants {sorted(unknown)}; choose from {VARIANTS}")
@@ -96,6 +98,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown recovery mode {self.mode!r}")
         if self.reward_class not in (STATE_ACTION_CLASS, STATE_CLASS):
             raise ConfigError(f"unknown reward class {self.reward_class!r}")
+        if not self.eval_points:
+            raise ConfigError("need at least one eval point")
         if any(k < 1 for k in self.eval_points) or self.k_max < max(self.eval_points):
             raise ConfigError("eval points must be >= 1 and <= k_max")
 

@@ -1,3 +1,5 @@
+import pytest
+
 from mairl.cli import EXIT_CONFIG, EXIT_OK, main
 from mairl.textio import read_sections
 
@@ -22,6 +24,14 @@ def test_bad_config_is_exit_2(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[experiment]\nvariants = bogus\n")
     assert main(["--config", str(cfg), "bound"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", ["rmax = 0", "rmax = -1", "eval_points ="])
+def test_invalid_experiment_values_are_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\nseeds = 0\n{line}\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "experiment"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_evaluate_without_reward_is_exit_2(tmp_path):

@@ -63,6 +63,18 @@ def test_experiment_config_validation():
         ExperimentConfig(reward_class="other")
 
 
+@pytest.mark.parametrize("rmax", [0.0, -1.0, 0.5, float("nan")])
+def test_experiment_config_rejects_rmax_below_the_goal_reward(rmax):
+    # the grid's goal reward (1) must fit in [0, rmax]
+    with pytest.raises(ConfigError, match="rmax"):
+        ExperimentConfig(rmax=rmax)
+
+
+def test_experiment_config_rejects_empty_eval_points():
+    with pytest.raises(ConfigError, match="eval point"):
+        ExperimentConfig(eval_points=())
+
+
 def test_run_experiment_smoke_and_determinism(tmp_path):
     config = ExperimentConfig(
         seeds=(0, 1),
