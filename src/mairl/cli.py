@@ -102,7 +102,8 @@ def cmd_recover(config: ExperimentConfig) -> int:
             "seed": seed,
             "mode": recovered.mode,
             "margin": float(recovered.margins.min()),
-            "solver_iterations": recovered.lp_iterations + recovered.projection_sweeps,
+            "lp_pivots": recovered.lp_iterations,
+            "projection_sweeps": recovered.projection_sweeps,
         },
     )
     paths = ", ".join(recovered.projection_paths) or "none (max-margin)"

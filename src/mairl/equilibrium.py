@@ -4,6 +4,13 @@ Provides exact single-agent best responses (policy iteration), the Nash
 imitation gap, a stacked-operator equilibrium test, a support-enumeration
 bimatrix solver, and NashQ-style equilibrium synthesis (exact full-width
 backups or sample-based Q-learning).
+
+A NashQ backup solves one stage game per state, warm-started from the support
+that state selected in the previous backup. Cached pure supports are checked
+for all states in one numpy pass; the remaining states (no cache, a mixed
+cache, or a pure cache that stopped being an equilibrium) run support
+enumeration one state at a time. The selected equilibrium is the one the
+per-state solver picks, so both paths give bit-identical results.
 """
 
 from __future__ import annotations
@@ -266,26 +273,58 @@ class NashQResult:
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
-def _stage_shape(game: MarkovGame):
-    a1, a2 = game.action_counts
-    return a1, a2
+def _stage_equilibrium(q, s, shape, support_cache, tol=1e-9):
+    """Equilibrium of the stage game (Q^1(s,.), Q^2(s,.)) by `bimatrix_nash`,
+    warm-started from and stored back into `support_cache[s]`."""
+    eq = bimatrix_nash(
+        q[0, s].reshape(shape), q[1, s].reshape(shape), tol=tol, first_supports=support_cache[s]
+    )
+    support_cache[s] = eq.supports
+    return eq
 
 
 def _solve_stage_games(game, q, support_cache, tol=1e-9):
-    """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values."""
-    a1, a2 = _stage_shape(game)
+    """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
+
+    States whose cached support is pure ((i,), (j,)) are checked in one numpy
+    pass: the support is kept iff max_r Q^1[s,r,j] <= Q^1[s,i,j] + tol and
+    max_c Q^2[s,i,c] <= Q^2[s,i,j] + tol, which is `_try_support`'s k = 1 test
+    (exact for one-hot strategies). Every other state (no cache, a mixed
+    cache, or a failed check) goes through `bimatrix_nash` warm-started from
+    its cache. The selected equilibrium is the per-state solver's, bit for bit.
+    """
+    if not np.all(np.isfinite(q)):
+        raise ValueError("payoff matrices must be finite")
+    a1, a2 = game.action_counts
     S = game.n_states
     pol1 = np.zeros((S, a1))
     pol2 = np.zeros((S, a2))
     values = np.zeros((2, S))
-    for s in range(S):
-        eq = bimatrix_nash(
-            q[0, s].reshape(a1, a2),
-            q[1, s].reshape(a1, a2),
-            tol=tol,
-            first_supports=support_cache[s],
+
+    pure = [
+        (s, c[0][0], c[1][0])
+        for s, c in enumerate(support_cache)
+        if c is not None and len(c[0]) == 1
+    ]
+    settled = np.zeros(S, dtype=bool)
+    if pure:
+        s_idx, i_idx, j_idx = np.array(pure).T
+        q1 = q[0].reshape(S, a1, a2)
+        q2 = q[1].reshape(S, a1, a2)
+        v = q1[s_idx, i_idx, j_idx]
+        w = q2[s_idx, i_idx, j_idx]
+        ok = (q1[s_idx, :, j_idx].max(axis=1) <= v + tol) & (
+            q2[s_idx, i_idx, :].max(axis=1) <= w + tol
         )
-        support_cache[s] = eq.supports
+        s_ok = s_idx[ok]
+        pol1[s_ok, i_idx[ok]] = 1.0
+        pol2[s_ok, j_idx[ok]] = 1.0
+        values[0, s_ok] = v[ok]
+        values[1, s_ok] = w[ok]
+        settled[s_ok] = True
+
+    for s in np.flatnonzero(~settled):
+        eq = _stage_equilibrium(q, s, (a1, a2), support_cache, tol)
         pol1[s] = eq.row_strategy
         pol2[s] = eq.col_strategy
         values[0, s], values[1, s] = eq.payoffs
@@ -301,11 +340,14 @@ def nash_value_iteration(
     """Exact model-based NashQ: full-width backups with a bimatrix stage solver.
 
     Each backup bootstraps with the stage-game equilibrium value of
-    (Q^1(s',.), Q^2(s',.)). Stage equilibria are selected deterministically
-    (first support in the fixed enumeration order), which pins down the
-    equilibrium the iteration tracks. General-sum iteration carries no
-    convergence guarantee; on failure the best-so-far policy is returned with
-    converged=False and a warning.
+    (Q^1(s',.), Q^2(s',.)). Stage equilibria are selected deterministically:
+    the support a state selected in the previous backup if it is still an
+    equilibrium, else the first support in the fixed enumeration order (size,
+    then lexicographic), which pins down the equilibrium the iteration tracks.
+    Cached pure supports are checked for all states in one pass and only the
+    other states enumerate (see `_solve_stage_games`). General-sum iteration
+    carries no convergence guarantee; on failure the best-so-far policy is
+    returned with converged=False and a warning.
     """
     if game.n_agents != 2:
         raise ValueError("the stage-game solver is bimatrix; need exactly 2 agents")
@@ -373,28 +415,21 @@ def nash_q_learning(
 
     rng = np.random.default_rng(seed)
     S, A = game.n_states, game.n_joint_actions
-    a1, a2 = _stage_shape(game)
+    a1, a2 = game.action_counts
     q = np.zeros((2, S, A))
     visits = np.zeros((S, A), dtype=np.int64)
     support_cache = [None] * S
-
-    def stage(s):
-        eq = bimatrix_nash(
-            q[0, s].reshape(a1, a2), q[1, s].reshape(a1, a2), first_supports=support_cache[s]
-        )
-        support_cache[s] = eq.supports
-        return eq
 
     for ep in range(episodes):
         s = int(rng.choice(S, p=game.mu))
         eps = eps_of(ep)
         for _ in range(horizon):
-            eq = stage(s)
+            eq = _stage_equilibrium(q, s, (a1, a2), support_cache)
             act1 = int(rng.choice(a1)) if rng.random() < eps else int(rng.choice(a1, p=eq.row_strategy))
             act2 = int(rng.choice(a2)) if rng.random() < eps else int(rng.choice(a2, p=eq.col_strategy))
             flat = act1 * a2 + act2
             s_next = int(rng.choice(S, p=game.transitions[s, flat]))
-            eq_next = stage(s_next)
+            eq_next = _stage_equilibrium(q, s_next, (a1, a2), support_cache)
             visits[s, flat] += 1
             alpha = learning_rate(int(visits[s, flat]))
             for i in range(2):

@@ -1,7 +1,9 @@
 import pytest
 
 from mairl.cli import EXIT_CONFIG, EXIT_OK, main
-from mairl.textio import read_sections
+from mairl.estimation import CountBook, GenerativeOracle, sample_round
+from mairl.experiment import recover_reward, synthesize_expert
+from mairl.textio import parse_config, read_sections
 
 
 def test_bound_command(tmp_path, capsys):
@@ -61,7 +63,19 @@ def test_recover_then_evaluate(tmp_path, capsys):
     assert "projection" in capsys.readouterr().out
     bundle = read_sections(tmp_path / "recovered_reward.txt")
     assert "reward" in bundle and "provenance" in bundle
-    assert bundle["provenance"]["mode"] == "distance-to-random"
+    provenance = bundle["provenance"]
+    assert provenance["mode"] == "distance-to-random"
+    # LP pivots and projection sweeps are reported apart, each as the solver counted it
+    config = parse_config(str(cfg))
+    _, game, _, result = synthesize_expert(config)
+    oracle = GenerativeOracle(game, result.policy, seed=0)
+    counts = CountBook(game.n_states, game.action_counts)
+    for _ in range(config.k_max):
+        sample_round(oracle, counts)
+    _, recovered = recover_reward(config, counts, game.mu, 0)
+    assert int(provenance["lp_pivots"]) == recovered.lp_iterations > 0
+    assert int(provenance["projection_sweeps"]) == recovered.projection_sweeps
+    assert "solver_iterations" not in provenance
     assert main(["--config", str(cfg), "evaluate"]) == EXIT_OK
     lines = (tmp_path / "evaluate.csv").read_text().splitlines()
     assert lines[0] == "variant,nash_gap_mairl,nash_gap_bc"
