@@ -42,8 +42,7 @@ def main():
     print("\nrecovering a reward from 500 sampling rounds (state reward class) ...")
     oracle = mairl.GenerativeOracle(game, expert, seed=0)
     counts = mairl.CountBook(game.n_states, game.action_counts)
-    for _ in range(500):
-        mairl.sample_round(oracle, counts)
+    mairl.sample_round(oracle, counts, 500)
     problem = mairl.estimate(counts)
     est_game = problem.as_game(base.gamma, game.mu)
     recovered = mairl.max_gap_reward(est_game, problem.pi_hat, base.rmax,

@@ -90,8 +90,7 @@ def cmd_recover(config: ExperimentConfig) -> int:
     seed = config.seeds[0]
     oracle = GenerativeOracle(game, result.policy, seed=seed)
     counts = CountBook(game.n_states, game.action_counts)
-    for _ in range(config.k_max):
-        sample_round(oracle, counts)
+    sample_round(oracle, counts, config.k_max)
     _, recovered = recover_reward(config, counts, game.mu, seed)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "recovered_reward.txt")

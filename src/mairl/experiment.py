@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one eval point")
         if any(k < 1 for k in self.eval_points) or self.k_max < max(self.eval_points):
             raise ConfigError("eval points must be >= 1 and <= k_max")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be non-negative")
 
 
 def _fmt(x) -> str:
@@ -298,7 +300,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Per seed and eval point, the recovered reward (max-gap selection on the
     estimated problem) is transported to each variant by recomputing its
     equilibrium there, and both it and behavior cloning are scored by the
-    equilibrium gap under the true reward of that variant. Package errors
+    equilibrium gap under the true reward of that variant. The rounds between
+    consecutive eval points are drawn in one `sample_round` call. Package errors
     (MairlError) and singular linear systems are recorded per seed and the
     run continues; any other exception propagates.
     """
@@ -320,10 +323,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         oracle = GenerativeOracle(det_game, expert, seed=seed)
         counts = CountBook(det_game.n_states, det_game.action_counts)
         try:
-            for k in range(1, max(eval_points) + 1):
-                sample_round(oracle, counts)
-                if k not in eval_points:
-                    continue
+            for k in eval_points:
+                sample_round(oracle, counts, k - counts.iteration)
                 problem, recovered = recover_reward(config, counts, det_game.mu, seed)
                 unc = uncertainty(counts, params)
                 bc_policy = behavior_cloning(problem.pi_hat)

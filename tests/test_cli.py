@@ -36,6 +36,11 @@ def test_invalid_experiment_values_are_exit_2(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_is_exit_2(tmp_path, capsys):
+    assert main(["--seed=-1", "--out-dir", str(tmp_path), "recover"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_evaluate_without_reward_is_exit_2(tmp_path):
     assert main(["--out-dir", str(tmp_path), "evaluate"]) == EXIT_CONFIG
 

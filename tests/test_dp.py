@@ -52,15 +52,17 @@ def test_monte_carlo_rollout_oracle():
     returns = np.zeros(n_rollouts)
     states = np.full(n_rollouts, start)
     discount = 1.0
+    # one rng.choice(p=row) per rollout draws one random() and inverts the
+    # CDF cumsum(row) / its last entry (searchsorted side="right"); doing the
+    # same over all rollouts at once keeps every draw of the per-rollout loop
+    action_cdf = np.cumsum(joint, axis=1)
+    action_cdf /= action_cdf[:, -1:]
+    next_cdf = np.cumsum(game.transitions, axis=2)
+    next_cdf /= next_cdf[:, :, -1:]
     for t in range(horizon):
-        actions = np.array(
-            [rng.choice(game.n_joint_actions, p=joint[s]) for s in states]
-        )
+        actions = (rng.random(n_rollouts)[:, None] >= action_cdf[states]).sum(axis=1)
         returns += discount * reward.tables[0, states, actions]
-        nexts = np.array(
-            [rng.choice(game.n_states, p=game.transitions[s, a]) for s, a in zip(states, actions)]
-        )
-        states = nexts
+        states = (rng.random(n_rollouts)[:, None] >= next_cdf[states, actions]).sum(axis=1)
         discount *= game.gamma
     se = returns.std(ddof=1) / np.sqrt(n_rollouts)
     assert abs(returns.mean() - vb.v[0, start]) <= 3 * se

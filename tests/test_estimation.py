@@ -249,8 +249,7 @@ def test_estimator_consistency_long_run():
     )
     oracle = GenerativeOracle(game, expert, seed=11)
     counts = CountBook(2, (2, 2))
-    for _ in range(10_000):
-        sample_round(oracle, counts)
+    sample_round(oracle, counts, 10_000)
     prob = estimate(counts)
     assert np.abs(prob.p_hat - game.transitions).max() <= 0.02
     for i in range(2):

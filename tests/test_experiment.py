@@ -75,6 +75,12 @@ def test_experiment_config_rejects_empty_eval_points():
         ExperimentConfig(eval_points=())
 
 
+def test_experiment_config_rejects_a_negative_seed():
+    # SeedSequence rejects it too, but only at the first oracle draw
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig(seeds=(0, -1))
+
+
 def test_run_experiment_smoke_and_determinism(tmp_path):
     config = ExperimentConfig(
         seeds=(0, 1),

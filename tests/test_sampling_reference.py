@@ -1,15 +1,20 @@
 """Bit-equality of the sampling layer against its previous implementation.
 
-`reference_round_samples` is the former per-state draw (an unnormalised
-`cumsum` per round for next states, one `rng.choice` per agent for expert
-actions) and `reference_uniform_sampling` the former per-round loop that
-re-ran `estimate` and `uncertainty` after every round to find tau. Both are
-kept here as test oracles for `GenerativeOracle.round_samples` and
-`uniform_sampling`.
+`reference_round_samples` is the former per-state draw (one
+`Generator(Philox(SeedSequence(seed, spawn_key=(k, s))))` per (round,
+state), an unnormalised `cumsum` per round for next states, one
+`rng.choice` per agent for expert actions), `_inverse_cdf` the former dense
+normalised-CDF draw, and `reference_uniform_sampling` the former per-round
+loop that re-ran `estimate` and `uncertainty` after every round to find
+tau. They are kept here as test oracles for the vectorised stream keys and
+Philox draws, the jump-table draw, `GenerativeOracle.round_samples`,
+`sample_round` and `uniform_sampling`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mairl import equilibrium, gridworld
 from mairl.estimation import (
@@ -17,7 +22,11 @@ from mairl.estimation import (
     CountBook,
     GenerativeOracle,
     _cdf,
-    _inverse_cdf,
+    _draw,
+    _jump_table,
+    _philox_uniforms,
+    _seed_pool,
+    _stream_keys,
     estimate,
     sample_round,
     uncertainty,
@@ -29,13 +38,23 @@ from mairl.synthetic import random_markov_game
 from conftest import make_instance
 
 
+def _stream(seed: int, k: int, state: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k, state))))
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Count of CDF entries <= u on the last axis (`searchsorted(side="right")`);
+    a normalised CDF ends at 1 > u, so the last positive-mass outcome caps it."""
+    return (u[..., None] >= cdf).sum(axis=-1)
+
+
 def reference_round_samples(oracle: GenerativeOracle, k: int):
     game = oracle.game
     S, A = game.n_states, game.n_joint_actions
     next_states = np.empty((S, A), dtype=np.int64)
     expert_actions = np.empty((S, game.n_agents), dtype=np.int64)
     for s in range(S):
-        rng = oracle._stream(k, s)
+        rng = _stream(oracle.seed, k, s)
         u = rng.random(A)
         cum = np.cumsum(game.transitions[s], axis=1)
         next_states[s] = np.argmax(u[:, None] < cum, axis=1)
@@ -129,6 +148,101 @@ def test_inverse_cdf_caps_a_short_row_at_its_last_positive_mass_state():
     # vectorised over leading axes: one row per state
     table = np.stack([row, np.array([0.0, 0.0, 1.0])])
     assert _inverse_cdf(_cdf(table), np.array([1.0 - 1e-13, 0.3])).tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130])
+def test_stream_keys_match_seed_sequence_at_edge_values(seed):
+    # 2**130 has five 32-bit words, one more than the pool holds
+    pool = _seed_pool(seed)
+    for k in (1, 2**32 - 1):
+        for s in (0, 9_999):
+            key0, key1 = _stream_keys(pool, np.array([k]), np.array([s]))
+            ref = np.random.SeedSequence(seed, spawn_key=(k, s)).generate_state(2, np.uint64)
+            assert key0.dtype == key1.dtype == np.uint64
+            assert [int(key0[0]), int(key1[0])] == [int(x) for x in ref]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**140),
+    k=st.integers(min_value=0, max_value=2**32 - 1),
+    s=st.integers(min_value=0, max_value=9_999),
+    n=st.integers(min_value=1, max_value=40),
+)
+def test_philox_uniforms_match_generator_random(seed, k, s, n):
+    key0, key1 = _stream_keys(_seed_pool(seed), np.array([k]), np.array([s]))
+    u = _philox_uniforms(key0, key1, n)
+    assert u.shape == (1, n)
+    assert u[0].tobytes() == _stream(seed, k, s).random(n).tobytes()
+
+
+def test_out_of_range_seed_and_round_index_raise():
+    game, policy = make_instance(0)
+    with pytest.raises(ValueError):
+        GenerativeOracle(game, policy, seed=-1)  # at construction, not at the first draw
+    oracle = GenerativeOracle(game, policy, seed=0)
+    for k in (-1, 2**32):
+        with pytest.raises(ValueError):
+            oracle.round_samples(k)
+    assert oracle.round_samples(2**32 - 1)[0].shape == (game.n_states, game.n_joint_actions)
+
+
+_MASS = st.one_of(st.just(0.0), st.just(1e-17), st.floats(min_value=1e-300, max_value=1.0))
+
+
+@st.composite
+def _probability_tables(draw):
+    """Rows of one width with exact zeros, tiny masses and a zero-mass tail."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(_MASS, min_size=n, max_size=n).filter(lambda r: sum(r) > 0)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    tail = draw(st.integers(min_value=0, max_value=3))
+    return np.hstack([np.array(rows), np.zeros((len(rows), tail))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_probability_tables(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_jump_table_draw_matches_dense_cdf_draw(table, seed):
+    cdf = _cdf(table)
+    # random uniforms plus every CDF value below 1, where ties decide the draw
+    u = np.random.default_rng(seed).random((7, table.shape[0]))
+    ties = np.where(cdf < 1.0, cdf, 0.0).T
+    u = np.vstack([u, ties, np.nextafter(ties, 0.0)])
+    draws = _draw(_jump_table(table), u)
+    assert draws.dtype == np.intp
+    assert np.array_equal(draws, _inverse_cdf(cdf, u))
+
+
+def test_jump_table_caps_a_short_row_at_its_last_positive_mass_state():
+    # the row of the dense-CDF test above, summing to 1 - 4e-13
+    table = np.stack([np.array([0.5, 0.5 - 4e-13, 0.0]), np.array([0.0, 0.0, 1.0])])
+    positions, values = _jump_table(table)
+    assert positions.tolist() == [[0, 1], [2, 0]]
+    assert values[1, 1] == np.inf
+    u = np.array([[1.0 - 1e-13, 0.3], [0.25, 0.0], [0.75, 1.0 - 1e-13]])
+    assert _draw((positions, values), u).tolist() == [[1, 2], [0, 2], [1, 2]]
+    assert np.array_equal(_draw((positions, values), u), _inverse_cdf(_cdf(table), u))
+
+
+def test_batched_sample_round_matches_single_rounds_across_chunks():
+    game, policy = make_instance(3, n_states=4, action_counts=(2, 3))
+    batched, single = GenerativeOracle(game, policy, seed=11), GenerativeOracle(game, policy, seed=11)
+    batched._chunk_rounds = 3  # after 2 rounds, rounds 3..12 span chunks of 3, 3, 3, 1
+    counts, ref = CountBook(4, (2, 3)), CountBook(4, (2, 3))
+    sample_round(batched, counts, 2)
+    sample_round(batched, counts, 10)
+    for _ in range(12):
+        sample_round(single, ref)
+    assert counts.iteration == ref.iteration == 12
+    assert np.array_equal(counts.n_sas, ref.n_sas)
+    assert np.array_equal(counts.n_sa, ref.n_sa) and np.array_equal(counts.n_s, ref.n_s)
+    for mine, theirs in zip(counts.n_i_sa, ref.n_i_sa):
+        assert np.array_equal(mine, theirs)
+    next_states, expert_actions = batched.round_samples(np.arange(3, 13))
+    for i, k in enumerate(range(3, 13)):
+        ref_states, ref_actions = reference_round_samples(single, k)
+        assert np.array_equal(next_states[i], ref_states)
+        assert np.array_equal(expert_actions[i], ref_actions)
 
 
 def _toy_problem():
