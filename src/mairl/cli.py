@@ -10,9 +10,10 @@ import argparse
 import os
 import sys
 
-from .equilibrium import nash_gap, nash_value_iteration
+from .equilibrium import nash_gap
 from .errors import ConfigError, ConvergenceError
 from .estimation import (
+    LOG_COLUMNS,
     ConfidenceParams,
     CountBook,
     GenerativeOracle,
@@ -26,9 +27,11 @@ from .experiment import (
     recover_reward,
     run_experiment,
     synthesize_expert,
+    transfer_gaps,
+    transfer_variants,
     write_csv,
 )
-from .gridworld import GridGameSpec, build_grid_game, variant_spec
+from .gridworld import GridGameSpec, build_grid_game
 from .reward_select import behavior_cloning
 from .textio import parse_config, read_sections, write_sections
 
@@ -71,8 +74,9 @@ def cmd_sample(config: ExperimentConfig) -> int:
     )
     oracle = GenerativeOracle(game, result.policy, seed=config.seeds[0])
     os.makedirs(config.out_dir, exist_ok=True)
+    run = uniform_sampling(oracle, params, config.epsilon, config.k_max)
     log_path = os.path.join(config.out_dir, "run_log.csv")
-    run = uniform_sampling(oracle, params, config.epsilon, config.k_max, log_path=log_path)
+    write_csv(log_path, LOG_COLUMNS, run.history)
     est_path = os.path.join(config.out_dir, "estimated.txt")
     write_sections(
         est_path,
@@ -118,11 +122,8 @@ def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
     recovered = read_sections(path)["reward"]
     bc_policy = behavior_cloning(result.policy)
     rows = []
-    for name in config.variants:
-        alt_game, alt_reward, _ = build_grid_game(variant_spec(base, name))
-        transferred = nash_value_iteration(alt_game, recovered).policy
-        gap_mairl = nash_gap(alt_game, alt_reward, transferred).gap
-        gap_bc = nash_gap(alt_game, alt_reward, bc_policy).gap
+    altered = transfer_variants(base, config.variants)
+    for name, gap_mairl, gap_bc in transfer_gaps(altered, recovered, bc_policy):
         rows.append((name, gap_mairl, gap_bc))
         print(f"{name}: mairl gap {gap_mairl:.6g}, bc gap {gap_bc:.6g}")
     os.makedirs(config.out_dir, exist_ok=True)

@@ -1,10 +1,8 @@
 """Exact dynamic-programming primitives on Markov games.
 
 Values solve the linear Bellman system Q = R + gamma * P V, V = pi Q per
-agent. Systems are solved by dense factorization at desk scale
-(S <= EXACT_MAX_STATES and S*A <= EXACT_MAX_ENTRIES table entries) and by
-value iteration above that, which raises ConvergenceError after
-VALUE_ITERATION_MAX_ITERS sweeps.
+agent. Every system is solved by one dense S x S factorization: the game
+already stores an (S, A, S) kernel, A times the size of that system.
 """
 
 from __future__ import annotations
@@ -13,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError, StaleValuesError
+from .errors import DimensionMismatchError, StaleValuesError
 from .games import JointPolicy, JointReward, MarkovGame
-
-EXACT_MAX_STATES = 1000
-EXACT_MAX_ENTRIES = 100_000
-VALUE_ITERATION_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,29 +67,10 @@ def policy_evaluation(
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_shapes(game, reward, policy)
-    S, A, n = game.n_states, game.n_joint_actions, game.n_agents
     joint = policy.joint_table(game.agent_actions)
     p_pi = transition_under(game, policy)
     r_pi = np.einsum("sa,isa->is", joint, reward.tables)
-
-    if S <= EXACT_MAX_STATES and S * A <= EXACT_MAX_ENTRIES:
-        v = np.linalg.solve(np.eye(S) - game.gamma * p_pi, r_pi.T).T
-    else:
-        v = np.zeros((n, S))
-        # contraction: sup-norm error <= gamma/(1-gamma) * last step size
-        shrink = game.gamma / max(1.0 - game.gamma, 1e-300)
-        for _ in range(VALUE_ITERATION_MAX_ITERS):
-            v_next = r_pi + game.gamma * v @ p_pi.T
-            step = float(np.max(np.abs(v_next - v)))
-            v = v_next
-            if step * shrink <= 0.5 * tol:
-                break
-        else:
-            raise ConvergenceError(
-                f"policy evaluation did not converge in {VALUE_ITERATION_MAX_ITERS} "
-                f"sweeps (last step {step:.3e})"
-            )
-
+    v = np.linalg.solve(np.eye(game.n_states) - game.gamma * p_pi, r_pi.T).T
     q = reward.tables + game.gamma * np.einsum("sat,it->isa", game.transitions, v)
     residual = float(np.max(np.abs(v - np.einsum("sa,isa->is", joint, q))))
     return ValueBundle(v=v, q=q, residual=residual, tol=tol)

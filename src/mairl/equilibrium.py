@@ -2,8 +2,9 @@
 
 Provides exact single-agent best responses (policy iteration), the Nash
 imitation gap, a stacked-operator equilibrium test, a support-enumeration
-bimatrix solver, and NashQ-style equilibrium synthesis (exact full-width
-backups or sample-based Q-learning).
+bimatrix solver, and NashQ-style equilibrium synthesis: `nash_value_iteration`
+is the exact solver (full-width backups on the true model) and
+`nash_q_learning` the sampled learner (Q-learning on simulated episodes).
 
 A NashQ backup solves one stage game per state, warm-started from the support
 that state selected in the previous backup. Cached pure supports are checked
@@ -52,17 +53,6 @@ class MatrixNECheck:
     worst_violation: float
 
 
-def induced_mdp(game: MarkovGame, policy: JointPolicy, reward_i: np.ndarray, agent: int):
-    """Single-agent MDP seen by `agent` when the others play policy^{-agent}.
-
-    Returns (r, p) with r of shape (S, |A_i|) and p of shape (S, |A_i|, S),
-    both marginalized under the opponents' action distribution.
-    """
-    r = own_action_marginal(game, policy, agent, reward_i)
-    p = own_action_marginal(game, policy, agent, game.transitions)
-    return r, p
-
-
 def best_response(
     game: MarkovGame,
     reward: JointReward,
@@ -77,7 +67,9 @@ def best_response(
     """
     S = game.n_states
     n_actions = game.action_counts[agent]
-    r, p = induced_mdp(game, policy, reward.tables[agent], agent)
+    # the single-agent MDP seen by `agent` when the others play policy^{-agent}
+    r = own_action_marginal(game, policy, agent, reward.tables[agent])
+    p = own_action_marginal(game, policy, agent, game.transitions)
 
     # switches require a strict improvement beyond float noise, which rules
     # out cycling between policies whose values tie to machine precision
@@ -389,23 +381,15 @@ def nash_q_learning(
     learning_rate=None,
     exploration=0.1,
     seed: int = 0,
-    mode: str = "exact",
     horizon: int = 50,
-    tol: float = 1e-8,
-    max_iters: int = 5000,
 ) -> NashQResult:
-    """Two-agent NashQ expert synthesis.
+    """Two-agent NashQ-learning on simulated episodes (the sampled learner;
+    `nash_value_iteration` is the exact solver).
 
-    mode="exact" (the default when the true model is available, as here) runs
-    full-width Nash value iteration. mode="sampled" runs tabular NashQ-learning
-    on simulated episodes: epsilon-greedy around the current stage equilibrium,
-    bootstrap target = stage equilibrium value at the next state, step size
-    from `learning_rate` (callable of the (s,a) visit count; default 1/count).
+    Epsilon-greedy around the current stage equilibrium, bootstrap target =
+    stage equilibrium value at the next state, step size from `learning_rate`
+    (callable of the (s,a) visit count; default 1/count).
     """
-    if mode == "exact":
-        return nash_value_iteration(game, reward, tol=tol, max_iters=max_iters)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     if game.n_agents != 2:
         raise ValueError("the stage-game solver is bimatrix; need exactly 2 agents")
 

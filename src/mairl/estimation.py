@@ -18,7 +18,8 @@ table of its normalised CDF, built once per oracle, which makes the same
 float comparisons as the dense CDF at only the entries where it rises.
 `sample_round` draws any number of rounds in chunks of bounded size, so
 memory stays flat in the round count. Since counts depend on k alone,
-`uniform_sampling` takes tau from `stopping_time`.
+`uniform_sampling` takes tau from `stopping_time`; it returns one history
+row per round (LOG_COLUMNS) and writes no file.
 """
 
 from __future__ import annotations
@@ -416,7 +417,6 @@ def uniform_sampling(
     params: ConfidenceParams,
     epsilon_target: float,
     k_max: int,
-    log_path=None,
 ) -> UniformSamplingResult:
     """Sample one round per (s,a) until epsilon_k <= epsilon_target / 2.
 
@@ -440,19 +440,8 @@ def uniform_sampling(
         (int(k), float(e), float(c), float(r), int(game.n_states * i), wall_ms)
         for k, e, c, r, i in zip(ks, *_schedule(ks, params, *shape))
     ]
-    if log_path is not None:
-        _write_log(log_path, history)
     problem, unc = estimate(counts), uncertainty(counts, params)
     return UniformSamplingResult(problem, unc, counts.iteration, tau is not None, history)
-
-
-def _write_log(path, history) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(LOG_COLUMNS) + "\n")
-        for row in history:
-            fh.write(
-                f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g},{row[4]},{row[5]:.17g}\n"
-            )
 
 
 def stopping_time(

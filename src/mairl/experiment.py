@@ -69,13 +69,13 @@ SUMMARY_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     epsilon: float = 1.0
     delta: float = 0.1
     pi_min: float = 1.0
     k_max: int = 500
-    variants: tuple = ("deterministic", "stochastic-up", "obstacle-one")
-    eval_points: tuple = (1, 50, 500)
+    variants: tuple[str, ...] = ("deterministic", "stochastic-up", "obstacle-one")
+    eval_points: tuple[int, ...] = (1, 50, 500)
     gamma: float = 0.9
     rmax: float = 1.0
     mode: str = DISTANCE_TO_RANDOM
@@ -134,14 +134,14 @@ def sample_reward_family(
     seed: int,
     v_range=None,
     penalty_range=(0.0, 1.0),
-    max_tries: int = 200,
 ):
     """`size` feasible rewards from seeded (A, V) draws, rejected until in range.
 
     V is drawn uniformly in `v_range`, defaulting to [gamma*M, M] with
     M = rmax/(1-gamma^2), which keeps the shaping part inside [0, rmax] for
     any kernel; deviation penalties take a uniform fraction (drawn from
-    `penalty_range`) of the available headroom on masked entries.
+    `penalty_range`) of the available headroom on masked entries. Each member
+    gets 200 draws before ConvergenceError is raised.
     """
     if size < 1:
         raise ValueError("family size must be positive")
@@ -152,7 +152,7 @@ def sample_reward_family(
         v_range = (game.gamma * scale, scale)
     members = []
     for _ in range(size):
-        for _try in range(max_tries):
+        for _try in range(200):
             v = rng.uniform(v_range[0], v_range[1], size=(game.n_agents, game.n_states))
             shaped = shaping(game, v)
             frac = rng.uniform(*penalty_range, size=shaped.shape)
@@ -166,7 +166,7 @@ def sample_reward_family(
                 continue
         else:
             raise ConvergenceError(
-                f"could not sample an in-range feasible reward in {max_tries} tries"
+                "could not sample an in-range feasible reward in 200 tries"
             )
     return members
 
@@ -185,7 +185,6 @@ def optimality_check(
     family_true,
     family_recovered,
     epsilon: float,
-    precheck_tol: float = 1e-6,
 ) -> OptimalityReport:
     """Sup-inf equilibrium-transport distances between two reward families.
 
@@ -193,18 +192,19 @@ def optimality_check(
     recovered reward, its equilibrium policy is recomputed by Nash value
     iteration in the recovered model; the entry (a, b) of the gap matrix
     scores that policy in the true game under true reward a. The check passes
-    iff both sup-inf quantities stay at or below epsilon.
+    iff both sup-inf quantities stay at or below epsilon. Every family member
+    must first pass `check_implicit` on its own problem at tol 1e-6.
     """
     game_true, policy_true = true_problem
     game_rec, policy_rec = recovered_problem
     if not family_true or not family_recovered:
         raise ValueError("reward families must be nonempty")
     for reward in family_true:
-        report = check_implicit(game_true, reward, policy_true, tol=precheck_tol)
+        report = check_implicit(game_true, reward, policy_true, tol=1e-6)
         if not report.passed:
             raise ValueError("a true-family member is not feasible for the true problem")
     for reward in family_recovered:
-        report = check_implicit(game_rec, reward, policy_rec, tol=precheck_tol)
+        report = check_implicit(game_rec, reward, policy_rec, tol=1e-6)
         if not report.passed:
             raise ValueError("a recovered-family member is not feasible for its problem")
 
@@ -293,6 +293,27 @@ def recover_reward(config: ExperimentConfig, counts: CountBook, mu, seed: int):
     return problem, recovered
 
 
+def transfer_variants(base: GridGameSpec, variants) -> list:
+    """(name, game, true reward) of each named variant of the board `base`, in order."""
+    out = []
+    for name in variants:
+        game, reward, _ = build_grid_game(variant_spec(base, name))
+        out.append((name, game, reward))
+    return out
+
+
+def transfer_gaps(altered, reward, bc_policy):
+    """Yield (name, MAIRL gap, cloning gap) per (name, game, true reward) in
+    `altered`: the equilibrium of the recovered `reward`, recomputed by Nash
+    value iteration in that game, and `bc_policy` are both scored by
+    `nash_gap` under the variant's true reward."""
+    for name, alt_game, alt_reward in altered:
+        transferred = nash_value_iteration(alt_game, reward).policy
+        gap_mairl = nash_gap(alt_game, alt_reward, transferred).gap
+        gap_bc = nash_gap(alt_game, alt_reward, bc_policy).gap
+        yield name, gap_mairl, gap_bc
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Synthesize the expert on the deterministic grid, sample, recover,
     transfer to each altered variant, and emit curve/bound/summary CSVs.
@@ -308,10 +329,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     base, det_game, _, expert_result = synthesize_expert(config)
     expert = expert_result.policy
 
-    altered = {}
-    for name in config.variants:
-        g, r, _ = build_grid_game(variant_spec(base, name))
-        altered[name] = (g, r)
+    altered = transfer_variants(base, config.variants)
 
     params = ConfidenceParams(
         delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
@@ -329,11 +347,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 unc = uncertainty(counts, params)
                 bc_policy = behavior_cloning(problem.pi_hat)
                 samples_total = k * det_game.n_states * (det_game.n_joint_actions + 1)
-                for name in config.variants:
-                    alt_game, alt_reward = altered[name]
-                    transferred = nash_value_iteration(alt_game, recovered.reward).policy
-                    gap_mairl = nash_gap(alt_game, alt_reward, transferred).gap
-                    gap_bc = nash_gap(alt_game, alt_reward, bc_policy).gap
+                for name, gap_mairl, gap_bc in transfer_gaps(
+                    altered, recovered.reward, bc_policy
+                ):
                     curve_rows.append(
                         (seed, name, k, samples_total, gap_mairl, gap_bc, unc.epsilon_k)
                     )

@@ -13,7 +13,7 @@ import numpy as np
 from .dp import expected_advantage_table, occupancy, policy_evaluation, shaping
 from .equilibrium import nash_gap
 from .errors import DimensionMismatchError, NotFeasibleError, OutOfRangeError
-from .games import JointPolicy, JointReward, MarkovGame
+from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
 
 
 @dataclass(frozen=True)
@@ -104,36 +104,33 @@ def construct_reward(
     policy: JointPolicy,
     params: FeasibleParams,
     rmax,
-    range_tol: float = 1e-9,
-    self_check: bool = True,
 ) -> JointReward:
     """Reward from the explicit form R^i = -A^i 1_E + V^i - gamma P V^i.
 
     Entries must land in [0, rmax_i]; out-of-range parameterizations are
-    rejected rather than clamped, since clamping silently breaks feasibility.
+    rejected rather than clamped, since clamping silently breaks feasibility;
+    entries within 1e-9 of the range are clipped into it. The result must pass
+    its own feasibility check at tol 1e-9.
     """
     n, S, A = game.n_agents, game.n_states, game.n_joint_actions
     if params.a_fn.shape != (n, S, A) or params.v_fn.shape != (n, S):
         raise DimensionMismatchError("params shapes do not match the game")
-    r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
-    if r.shape == (1,):
-        r = np.repeat(r, n)
+    r = per_agent_rmax(rmax, n)
     tables = witness_reward_tables(game, policy, params)
     lo = tables.min()
     hi = float((tables - r[:, None, None]).max())
-    if lo < -range_tol or hi > range_tol:
+    if lo < -1e-9 or hi > 1e-9:
         raise OutOfRangeError(
             f"constructed reward leaves [0, rmax]: min {lo:.3e}, rmax overshoot {hi:.3e}"
         )
     tables = np.clip(tables, 0.0, r[:, None, None])
     out = JointReward(tables, r)
-    if self_check:
-        report = check_implicit(game, out, policy, tol=1e-9)
-        if not report.passed:
-            raise NotFeasibleError(
-                f"constructed reward fails its own feasibility check "
-                f"(max violation {report.max_violation:.3e}); this is a bug"
-            )
+    report = check_implicit(game, out, policy, tol=1e-9)
+    if not report.passed:
+        raise NotFeasibleError(
+            f"constructed reward fails its own feasibility check "
+            f"(max violation {report.max_violation:.3e}); this is a bug"
+        )
     return out
 
 

@@ -20,6 +20,15 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def per_agent_rmax(rmax, n_agents: int) -> np.ndarray:
+    """`rmax` as a float64 array with one entry per agent; a scalar or a
+    length-1 value is repeated n_agents times, any other shape is kept."""
+    r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
+    if r.shape == (1,):
+        r = np.repeat(r, n_agents)
+    return r
+
+
 def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
     if np.any(rows < 0):
         raise StochasticityError(f"{what} has negative entries")
@@ -86,9 +95,7 @@ class JointReward:
         T = _frozen(tables)
         if T.ndim != 3:
             raise DimensionMismatchError(f"reward tables must be (n, S, A), got {T.shape}")
-        r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
-        if r.shape == (1,) and T.shape[0] > 1:
-            r = np.repeat(r, T.shape[0])
+        r = per_agent_rmax(rmax, T.shape[0])
         if r.shape != (T.shape[0],):
             raise DimensionMismatchError(f"rmax shape {r.shape} != ({T.shape[0]},)")
         if np.any(r < 0):

@@ -17,7 +17,7 @@ start column advances only with `up_success_prob`, else the agent stays);
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class GridGameSpec:
     variant: str = "deterministic"
     up_success_prob: float = 0.5
     goal_reward: float = 1.0
-    collision_rule: bool = True
     gamma: float = 0.9
     rmax: float = 1.0
 
@@ -137,12 +136,7 @@ def build_grid_game(spec: GridGameSpec):
                 ):
                     w = w0 * w1
                     if q0 == q1:
-                        if spec.collision_rule:
-                            q0, q1 = p0, p1
-                        else:
-                            q1 = p1  # mover priority: agent 0 keeps its target
-                            if q0 == q1:
-                                q0 = p0
+                        q0, q1 = p0, p1
                     P[s, flat, index.state_of[(q0, q1)]] += w
                     if q0 == goals[0] and p0 != goals[0]:
                         R[0, s, flat] += w * spec.goal_reward
@@ -158,15 +152,4 @@ def build_grid_game(spec: GridGameSpec):
 
 def variant_spec(base: GridGameSpec, variant: str) -> GridGameSpec:
     """Same board and parameters, different transition variant."""
-    return GridGameSpec(
-        width=base.width,
-        height=base.height,
-        start_positions=base.start_positions,
-        goal_positions=base.goal_positions,
-        variant=variant,
-        up_success_prob=base.up_success_prob,
-        goal_reward=base.goal_reward,
-        collision_rule=base.collision_rule,
-        gamma=base.gamma,
-        rmax=base.rmax,
-    )
+    return replace(base, variant=variant)

@@ -43,7 +43,7 @@ import numpy as np
 from .dp import own_action_marginal, transition_under
 from .errors import NotFeasibleError
 from .feasible import check_implicit
-from .games import JointPolicy, JointReward, MarkovGame
+from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
 from .simplex import GE, LinearProgram, solve_lp
 
 MAX_MARGIN = "max-margin"
@@ -147,26 +147,24 @@ def _lexicographic_margin(U, mask, live, rmax_i, gamma, max_rounds=32):
     return sol, margin_rows, pivots
 
 
-def _violation(x, U, ineq, rhs, rmax_i):
-    vals = U @ x
-    slack = np.where(ineq, vals - rhs, np.abs(vals - rhs))
+def _violation(x, U, rhs, rmax_i):
+    slack = U @ x - rhs
     return max(float(np.max(slack)), float(np.max(-x)), float(np.max(x - rmax_i)))
 
 
-def _polish_projection(target, x, U, ineq, rhs, rmax_i, tol, max_rounds=60):
+def _polish_projection(target, x, U, rhs, rmax_i, tol, max_rounds=60):
     """Exact projection onto the face suggested by an approximate solution.
 
-    Fixes near-bound coordinates, treats equality rows and near-active
-    inequality rows as equalities, and solves the KKT system of the
-    equality-constrained projection. Violated rows/coordinates are added and
-    the solve repeats; additions are monotone, so the loop terminates.
+    Fixes near-bound coordinates, treats near-active rows as equalities, and
+    solves the KKT system of the equality-constrained projection. Violated
+    rows/coordinates are added and the solve repeats; additions are monotone,
+    so the loop terminates.
     Returns None if no feasible polish is found.
     """
     n = x.size
     eps_id = 1e-7 * max(1.0, rmax_i)
     vals = U @ x
-    active_rows = set(np.nonzero(~ineq)[0].tolist())
-    active_rows.update(np.nonzero(ineq & (vals >= rhs - eps_id))[0].tolist())
+    active_rows = set(np.nonzero(vals >= rhs - eps_id)[0].tolist())
     fix_lo = set(np.nonzero(x <= eps_id)[0].tolist())
     fix_hi = set(np.nonzero(x >= rmax_i - eps_id)[0].tolist())
     for _ in range(max_rounds):
@@ -193,12 +191,12 @@ def _polish_projection(target, x, U, ineq, rhs, rmax_i, tol, max_rounds=60):
             xf = z
         cand = fixed_vals.copy()
         cand[free] = xf
-        viol = _violation(cand, U, ineq, rhs, rmax_i)
+        viol = _violation(cand, U, rhs, rmax_i)
         if viol <= tol:
             return np.clip(cand, 0.0, rmax_i)
         grew = False
         vals = U @ cand
-        for r in np.nonzero(ineq & (vals > rhs + tol))[0]:
+        for r in np.nonzero(vals > rhs + tol)[0]:
             if r not in active_rows:
                 active_rows.add(int(r))
                 grew = True
@@ -225,7 +223,6 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
     `anchor` just enough to restore exact feasibility. Returns (point,
     iterations, path) with path "polished", "blended" or "vertex"; on
     "vertex" no feasible projection was found and the point is `anchor`."""
-    ineq = np.ones(U.shape[0], dtype=bool)
     m = U.shape[0]
     if m == 0:
         return np.clip(target, 0.0, rmax_i), 0, "polished"
@@ -245,7 +242,7 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
     t_acc = 1.0
     x = np.clip(target, 0.0, rmax_i)
     best = x.copy()
-    best_viol = _violation(x, U, ineq, rhs, rmax_i)
+    best_viol = _violation(x, U, rhs, rmax_i)
     it = 0
     for it in range(1, max_iters + 1):
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
@@ -256,13 +253,13 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
         lam = np.maximum(mom + step * grad, 0.0)
         t_acc = t_next
         if it % 25 == 0:
-            viol = _violation(x, U, ineq, rhs, rmax_i)
+            viol = _violation(x, U, rhs, rmax_i)
             if viol < best_viol:
                 best_viol = viol
                 best = x.copy()
             if viol <= 1e-8:
                 break
-    polished = _polish_projection(target, best, U, ineq, rhs, rmax_i, tol)
+    polished = _polish_projection(target, best, U, rhs, rmax_i, tol)
     if polished is not None:
         return polished, it, "polished"
     # blend toward the strictly feasible anchor until every row holds exactly
@@ -277,7 +274,7 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
     if theta >= 1.0 or not np.isfinite(theta):
         return anchor, it, "vertex"
     blended = (1.0 - 1.05 * theta) * best + 1.05 * min(theta, 1.0 / 1.05) * anchor
-    if _violation(blended, U, ineq, rhs, rmax_i) <= tol:
+    if _violation(blended, U, rhs, rmax_i) <= tol:
         return np.clip(blended, 0.0, rmax_i), it, "blended"
     return anchor, it, "vertex"
 
@@ -289,7 +286,6 @@ def max_gap_reward(
     mode: str = MAX_MARGIN,
     seed: int | None = None,
     reward_class: str = STATE_ACTION_CLASS,
-    feas_tol: float = 1e-8,
 ) -> MaxGapResult:
     """One feasible reward per agent, deviation margins maximized.
 
@@ -305,9 +301,7 @@ def max_gap_reward(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == DISTANCE_TO_RANDOM and seed is None:
         raise ValueError("distance-to-random mode needs a seed for the target reward")
-    r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
-    if r.shape == (1,):
-        r = np.repeat(r, game.n_agents)
+    r = per_agent_rmax(rmax, game.n_agents)
     if np.any(r <= 0):
         raise ValueError("rmax must be positive")
 
@@ -348,7 +342,7 @@ def max_gap_reward(
             margins[i] = r[i] / (1.0 - game.gamma)
 
     reward = JointReward(tables, r)
-    report = check_implicit(game, reward, policy, tol=feas_tol)
+    report = check_implicit(game, reward, policy, tol=1e-8)
     if not report.passed:
         raise NotFeasibleError(
             f"selected reward fails the feasibility check "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import JointPolicy, JointReward, MarkovGame, deterministic_policy
+from .games import JointPolicy, JointReward, MarkovGame, deterministic_policy, per_agent_rmax
 from .joint import joint_action_count
 
 
@@ -48,9 +48,7 @@ def random_markov_game(
 
 
 def random_reward(rng: np.random.Generator, game: MarkovGame, rmax=1.0) -> JointReward:
-    r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
-    if r.shape == (1,):
-        r = np.repeat(r, game.n_agents)
+    r = per_agent_rmax(rmax, game.n_agents)
     tables = rng.uniform(
         0.0, r[:, None, None], size=(game.n_agents, game.n_states, game.n_joint_actions)
     )

@@ -2,13 +2,16 @@
 
 Sections are headed by [game], [transitions], [reward], [policy], and
 [provenance]; experiment configs use a single [experiment] section of
-key = value lines. Floats are written with 17 significant digits, which
+key = value lines whose keys are ExperimentConfig's fields. A key may appear
+once per section. Floats are written with 17 significant digits, which
 round-trips IEEE doubles bit-exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import typing
 
 import numpy as np
 
@@ -44,7 +47,10 @@ def _kv(lines, what: str):
         if "=" not in line:
             raise ConfigError(f"expected key = value in [{what}], got {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"key {key!r} given more than once in [{what}]")
+        out[key] = value.strip()
     return out
 
 
@@ -144,10 +150,12 @@ def read_sections(path):
 # Experiment configs
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"k_max"}
-_FLOAT_KEYS = {"epsilon", "delta", "pi_min", "gamma", "rmax"}
-_TUPLE_INT_KEYS = {"seeds", "eval_points"}
-_TUPLE_STR_KEYS = {"variants"}
+
+def _config_fields():
+    """(name, type) of every ExperimentConfig field, in declaration order; a
+    tuple field's type is tuple[element type, ...]."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(ExperimentConfig)]
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -158,21 +166,18 @@ def parse_config(path) -> ExperimentConfig:
     if "experiment" not in sections:
         raise ConfigError("config file must contain an [experiment] section")
     kv = _kv(sections["experiment"], "experiment")
+    types = dict(_config_fields())
     kwargs = {}
     try:
         for key, value in kv.items():
-            if key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _TUPLE_INT_KEYS:
-                kwargs[key] = tuple(int(v) for v in value.split())
-            elif key in _TUPLE_STR_KEYS:
-                kwargs[key] = tuple(value.split())
-            elif key in ("mode", "reward_class", "out_dir"):
-                kwargs[key] = value
-            else:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
+            kind = types[key]
+            if typing.get_origin(kind) is tuple:
+                element = typing.get_args(kind)[0]
+                kwargs[key] = tuple(element(v) for v in value.split())
+            else:
+                kwargs[key] = kind(value)
         return ExperimentConfig(**kwargs)
     except ConfigError:
         raise
@@ -182,17 +187,12 @@ def parse_config(path) -> ExperimentConfig:
 
 def write_config(path, config: ExperimentConfig) -> None:
     lines = ["[experiment]"]
-    lines.append("seeds = " + " ".join(str(s) for s in config.seeds))
-    lines.append(f"epsilon = {fmt(config.epsilon)}")
-    lines.append(f"delta = {fmt(config.delta)}")
-    lines.append(f"pi_min = {fmt(config.pi_min)}")
-    lines.append(f"k_max = {config.k_max}")
-    lines.append("variants = " + " ".join(config.variants))
-    lines.append("eval_points = " + " ".join(str(k) for k in config.eval_points))
-    lines.append(f"gamma = {fmt(config.gamma)}")
-    lines.append(f"rmax = {fmt(config.rmax)}")
-    lines.append(f"mode = {config.mode}")
-    lines.append(f"reward_class = {config.reward_class}")
-    lines.append(f"out_dir = {config.out_dir}")
+    for name, kind in _config_fields():
+        value = getattr(config, name)
+        if typing.get_origin(kind) is tuple:
+            value = " ".join(str(v) for v in value)
+        elif kind is float:
+            value = fmt(value)
+        lines.append(f"{name} = {value}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,14 @@
 import pytest
 
 from mairl.cli import EXIT_CONFIG, EXIT_OK, main
-from mairl.estimation import CountBook, GenerativeOracle, sample_round
+from mairl.estimation import (
+    LOG_COLUMNS,
+    ConfidenceParams,
+    CountBook,
+    GenerativeOracle,
+    sample_round,
+    uniform_sampling,
+)
 from mairl.experiment import recover_reward, synthesize_expert
 from mairl.textio import parse_config, read_sections
 
@@ -52,6 +59,27 @@ def test_gen_expert_writes_bundle(tmp_path, capsys):
     assert bundle["game"].n_states == 72
     assert bundle["policy"].n_agents == 2
     assert "equilibrium gap" in capsys.readouterr().out
+
+
+def test_sample_writes_one_log_row_per_round(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\nseeds = 3\nepsilon = 100\nout_dir = {tmp_path}\n")
+    assert main(["--config", str(cfg), "sample"]) == EXIT_OK
+    config = parse_config(str(cfg))
+    _, game, _, result = synthesize_expert(config)
+    params = ConfidenceParams(
+        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
+    )
+    oracle = GenerativeOracle(game, result.policy, seed=3)
+    run = uniform_sampling(oracle, params, config.epsilon, config.k_max)
+    lines = (tmp_path / "run_log.csv").read_text().splitlines()
+    assert lines[0] == ",".join(LOG_COLUMNS)
+    assert run.converged and len(lines) == 1 + run.tau
+    for line, (k, eps, max_c, radius, active, _) in zip(lines[1:], run.history):
+        want = [str(k), f"{eps:.17g}", f"{max_c:.17g}", f"{radius:.17g}", str(active)]
+        assert line.split(",")[:5] == want
+    # wall_time_ms varies between runs; it is one float per row
+    assert all(len(line.split(",")) == len(LOG_COLUMNS) for line in lines)
 
 
 def test_recover_then_evaluate(tmp_path, capsys):

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mairl.dp
 from mairl.dp import (
     expected_advantage,
     occupancy,
     policy_evaluation,
     simulation_decomposition,
 )
-from mairl.errors import ConvergenceError, StaleValuesError
+from mairl.errors import StaleValuesError
 from mairl.games import JointPolicy, JointReward, MarkovGame
-from mairl.gridworld import GridGameSpec, build_grid_game
 from mairl.synthetic import (
     random_joint_policy,
     random_markov_game,
@@ -69,7 +67,7 @@ def test_monte_carlo_rollout_oracle():
 
 
 def test_iterative_branch_matches_closed_form():
-    # S > 1000 routes policy evaluation through value iteration
+    # a 1,100-state cycle whose value is 0.5 / (1 - 0.9) at every state
     S = 1100
     P = np.zeros((S, 1, S))
     P[np.arange(S), 0, (np.arange(S) + 1) % S] = 1.0
@@ -79,27 +77,6 @@ def test_iterative_branch_matches_closed_form():
     vb = policy_evaluation(game, reward, policy, tol=1e-10)
     assert np.allclose(vb.v, 5.0, atol=1e-9)
     assert vb.residual <= 1e-10
-
-
-def grid_policy_problem():
-    game, reward, _ = build_grid_game(GridGameSpec())
-    return game, reward, random_joint_policy(np.random.default_rng(4), game)
-
-
-def test_iterative_branch_matches_exact_solve_on_grid(monkeypatch):
-    game, reward, policy = grid_policy_problem()
-    exact = policy_evaluation(game, reward, policy, tol=1e-10)
-    monkeypatch.setattr(mairl.dp, "EXACT_MAX_STATES", 0)
-    iterated = policy_evaluation(game, reward, policy, tol=1e-10)
-    assert np.max(np.abs(iterated.v - exact.v)) <= 1e-10
-
-
-def test_iterative_branch_raises_at_its_sweep_cap(monkeypatch):
-    game, reward, policy = grid_policy_problem()
-    monkeypatch.setattr(mairl.dp, "EXACT_MAX_STATES", 0)
-    monkeypatch.setattr(mairl.dp, "VALUE_ITERATION_MAX_ITERS", 1)
-    with pytest.raises(ConvergenceError):
-        policy_evaluation(game, reward, policy)
 
 
 def test_advantage_constant_reward_zero():

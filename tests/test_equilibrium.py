@@ -156,7 +156,7 @@ def test_nash_value_iteration_grid_expert():
 
 def test_sampled_nash_q_learning_pd(pd):
     game, reward, _, _ = pd
-    res = nash_q_learning(game, reward, episodes=300, seed=1, mode="sampled", horizon=10)
+    res = nash_q_learning(game, reward, episodes=300, seed=1, horizon=10)
     assert np.allclose(res.policy.per_agent[0], [[0.0, 1.0]])
     assert np.allclose(res.policy.per_agent[1], [[0.0, 1.0]])
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mairl.estimation import (
+    LOG_COLUMNS,
     ConfidenceParams,
     _indicator,
     CountBook,
@@ -20,7 +21,7 @@ from mairl.estimation import (
     uniform_sampling,
     xi_threshold,
 )
-from mairl.experiment import sample_reward_family
+from mairl.experiment import sample_reward_family, write_csv
 from mairl.games import JointPolicy, MarkovGame, deterministic_policy
 from mairl.synthetic import random_markov_game
 
@@ -185,7 +186,8 @@ def test_run_log_columns(tmp_path):
     params = _params(delta=0.5, pi_min=1.0, rmax=1.0, gamma=0.1)
     oracle = GenerativeOracle(game, expert, seed=5)
     path = tmp_path / "log.csv"
-    uniform_sampling(oracle, params, epsilon_target=2.0, k_max=50, log_path=path)
+    run = uniform_sampling(oracle, params, epsilon_target=2.0, k_max=50)
+    write_csv(path, LOG_COLUMNS, run.history)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,epsilon_k,max_C,max_transition_radius,indicator_active_states,wall_time_ms"
     assert len(lines) >= 2

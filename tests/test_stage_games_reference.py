@@ -132,7 +132,7 @@ def test_sampled_nash_q_learning_matches_reference():
     rng = np.random.default_rng(3)
     game = random_markov_game(rng, 3, (3, 2), 0.8)
     reward = random_reward(rng, game)
-    kwargs = dict(episodes=60, seed=5, mode="sampled", horizon=8)
+    kwargs = dict(episodes=60, seed=5, horizon=8)
     with mock.patch.object(equilibrium, "_solve_stage_games", reference_solve_stage_games):
         want = equilibrium.nash_q_learning(game, reward, **kwargs)
     assert_same_result(equilibrium.nash_q_learning(game, reward, **kwargs), want)

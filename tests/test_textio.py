@@ -57,6 +57,13 @@ def test_config_errors(tmp_path):
         parse_config(bad)
 
 
+def test_repeated_config_key_is_an_error(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("[experiment]\nseeds = 0 1\nk_max = 10\neval_points = 1\nseeds = 7\n")
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config(path)
+
+
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# header\n[experiment]\n\nseeds = 1 2  # two seeds\nk_max = 4\neval_points = 1\n")
