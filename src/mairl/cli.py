@@ -85,6 +85,9 @@ def cmd_sample(config: ExperimentConfig) -> int:
     )
     print(f"tau = {run.tau}, converged = {run.converged}; log at {log_path}")
     if not run.converged:
+        needed = bound_row(config, game)[-1]
+        reach = f"needs {needed} rounds" if needed > 0 else "is met in no round scanned"
+        print(f"stopping rule at epsilon = {config.epsilon} {reach}; k_max = {config.k_max}")
         return EXIT_CONVERGENCE
     return EXIT_OK
 
@@ -119,7 +122,10 @@ def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
     path = reward_path or os.path.join(config.out_dir, "recovered_reward.txt")
     if not os.path.exists(path):
         raise ConfigError(f"recovered reward not found at {path}; run `recover` first")
-    recovered = read_sections(path)["reward"]
+    sections = read_sections(path)
+    if "reward" not in sections:
+        raise ConfigError(f"{path} has no [reward] section")
+    recovered = sections["reward"]
     bc_policy = behavior_cloning(result.policy)
     rows = []
     altered = transfer_variants(base, config.variants)

@@ -7,19 +7,19 @@ uniform on unvisited entries. Hoeffding-style radii and the expert-support
 indicator combine into a per-pair reward uncertainty whose maximum drives
 the stopping rule; closed-form sample bounds mirror the same quantities.
 
-Draws are deterministic per (seed, round, state): the stream of round k at
-state s is numpy's `Generator(Philox(SeedSequence(seed, spawn_key=(k, s))))`,
-whose first A `random()` draws pick the next states of the A joint actions
-and whose next n pick the agents' expert actions. No generator is built:
-the `SeedSequence` key hash and the Philox4x64-10 counter blocks of all
-streams of a batch of rounds are evaluated at once in uint64 array code,
-bit-identical to numpy's. Each uniform is inverted through a per-row jump
+Draws are deterministic per (seed, round): each seed has one numpy Philox
+stream, keyed `SeedSequence(seed).generate_state(2, np.uint64)`, and round
+k reads its own range of counter blocks, starting at (k - 1) times the
+blocks one round takes. Of a round's `random()` draws, each state takes A
+in turn to pick the next states of the A joint actions, then n to pick the
+agents' expert actions. Each uniform is inverted through a per-row jump
 table of its normalised CDF, built once per oracle, which makes the same
 float comparisons as the dense CDF at only the entries where it rises.
-`sample_round` draws any number of rounds in chunks of bounded size, so
-memory stays flat in the round count. Since counts depend on k alone,
-`uniform_sampling` takes tau from `stopping_time`; it returns one history
-row per round (LOG_COLUMNS) and writes no file.
+`sample_round` draws any number of rounds in chunks of bounded size, one
+`random()` call per chunk, so memory stays flat in the round count. Since
+counts depend on k alone, `uniform_sampling` takes tau from
+`stopping_time`; it returns one history row per round (LOG_COLUMNS) and
+writes no file.
 """
 
 from __future__ import annotations
@@ -106,33 +106,24 @@ class UncertaintyTable:
     max_transition_radius: float
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-# Philox4x64-10 multipliers and Weyl key increments (Random123)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-# per-chunk bound on uniforms times the widest jump table: the Philox words
-# and inverse-CDF comparisons of a chunk then stay in cache (2**16 beat
-# 2**14 and 2**18 on the 3x3 and 4x4 grids) and memory stays flat in rounds
+# per-chunk bound on uniforms times the widest jump table, so memory stays
+# flat in rounds
 _CHUNK_ELEMENTS = 1 << 16
 
 
 class GenerativeOracle:
     """Generative model backed by a known game and expert policy.
 
-    Round k at state s reads the first A + n `random()` draws of the stream
-    `Generator(Philox(SeedSequence(seed, spawn_key=(k, s))))`: A transition
-    uniforms in flat joint-action order, then one per agent. The streams of
-    all states and rounds asked for are computed at once in array code
-    (`_stream_keys`, `_philox_uniforms`), bit-identical to building each
-    generator. Each uniform goes through the inverse CDF of its row, kept as
-    a jump table built in the constructor. A negative seed raises ValueError
-    here, as `SeedSequence` does.
+    All draws of a seed come from one Philox4x64-10 stream keyed
+    `SeedSequence(seed).generate_state(2, np.uint64)`. Round k owns the B =
+    ceil(S (A + n) / 4) counter blocks after counter (k - 1) B, that is 4B
+    `random()` draws, of which the first S (A + n) are used: per state, A
+    transition uniforms in flat joint-action order, then one per agent. Any
+    run of consecutive rounds is one `random()` call on a `Philox` started at
+    its first round's counter, so draws depend on (seed, round) alone. Each
+    uniform goes through the inverse CDF of its row, kept as a jump table
+    built in the constructor. A negative seed raises ValueError here, from
+    `SeedSequence`.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -141,120 +132,25 @@ class GenerativeOracle:
         self.game = game
         self.expert = expert
         self.seed = int(seed)
-        self._seed_pool = _seed_pool(self.seed)
+        self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        self._round_uniforms = game.n_states * (game.n_joint_actions + game.n_agents)
+        self._round_blocks = -(-self._round_uniforms // 4)
         self._transition_table = _jump_table(game.transitions)  # (S, A, w) each
         self._action_tables = [_jump_table(table) for table in expert.per_agent]  # (S, w_i)
         width = max(t[0].shape[-1] for t in (self._transition_table, *self._action_tables))
-        per_round = game.n_states * (game.n_joint_actions + game.n_agents) * width
-        self._chunk_rounds = max(1, _CHUNK_ELEMENTS // per_round)
+        self._chunk_rounds = max(1, _CHUNK_ELEMENTS // (self._round_uniforms * width))
 
-    def round_samples(self, k):
-        """All queries of round k, or of each round in an integer array k:
-        next states of shape k.shape + (S, A) and expert actions of shape
-        k.shape + (S, n)."""
+    def round_samples(self, first: int, rounds: int = 1):
+        """All queries of rounds first, ..., first + rounds - 1: next states
+        of shape (rounds, S, A) and expert actions of shape (rounds, S, n)."""
+        if first < 1:
+            raise ValueError("rounds are numbered from 1")
         S, A = self.game.n_states, self.game.n_joint_actions
-        keys = _stream_keys(self._seed_pool, np.asarray(k)[..., None], np.arange(S))
-        u = _philox_uniforms(*keys, A + self.game.n_agents)
+        bits = np.random.Philox(key=self._key, counter=(first - 1) * self._round_blocks)
+        u = np.random.Generator(bits).random((rounds, 4 * self._round_blocks))
+        u = u[:, : self._round_uniforms].reshape(rounds, S, A + self.game.n_agents)
         actions = [_draw(table, u[..., A + i]) for i, table in enumerate(self._action_tables)]
         return _draw(self._transition_table, u[..., :A]), np.stack(actions, axis=-1)
-
-
-def _hash_constants(const: int, mult: int, steps: int) -> list:
-    """SeedSequence's hash constant and its next `steps` values (one per hashmix)."""
-    consts = [const]
-    for _ in range(steps):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
-
-
-def _hashmix(value, const, next_const):
-    """SeedSequence's hashmix of 32-bit words in Python ints or uint64 arrays,
-    at hash constant `const`, which the step advances to `next_const`."""
-    value = (value ^ const) * next_const & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words, in Python ints or uint64 arrays."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _seed_pool(seed: int):
-    """The pool of `SeedSequence(seed, spawn_key=...)` after the seed's 32-bit
-    words, zero-padded to the pool size as a spawn key requires, and the
-    hash constants left for the two spawn-key words, as uint64 arrays."""
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    # hashmix steps: the pool, its all-pairs mix, then each later word into every pool word
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + 2))
-    steps = zip(consts, consts[1:])
-    pool = [_hashmix(word, *next(steps)) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for word in words[_POOL_SIZE:]:
-        pool = [_mix(value, _hashmix(word, *next(steps))) for value in pool]
-    spawn = consts[-(2 * _POOL_SIZE + 1) :]
-    return np.array(pool, dtype=np.uint64), np.array(spawn, dtype=np.uint64)
-
-
-def _stream_keys(seed_pool, k, s):
-    """Philox keys `SeedSequence(seed, spawn_key=(k, s)).generate_state(2,
-    np.uint64)` for broadcastable arrays of round indices k and states s,
-    as two uint64 arrays; each index must fit one 32-bit word. The four
-    pool words run along a leading axis."""
-    k, s = np.asarray(k), np.asarray(s)
-    for name, index in (("round index", k), ("state", s)):
-        if index.size and (index.min() < 0 or index.max() > _MASK32):
-            raise ValueError(f"{name} must lie in [0, 2**32)")
-    pool, consts = seed_pool
-    axes = (-1,) + (1,) * max(k.ndim, s.ndim)
-    pool, consts = pool.reshape(axes), consts.reshape(axes)
-    for i, word in enumerate((k, s)):
-        step = slice(i * _POOL_SIZE, (i + 1) * _POOL_SIZE)
-        after = slice(step.start + 1, step.stop + 1)
-        pool = _mix(pool, _hashmix(word.astype(np.uint64), consts[step], consts[after]))
-    out = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64).reshape(axes)
-    words = _hashmix(pool, out[:-1], out[1:])
-    return words[0] | words[1] << 32, words[2] | words[3] << 32
-
-
-def _philox_uniforms(key0: np.ndarray, key1: np.ndarray, n: int) -> np.ndarray:
-    """First n `random()` draws of each Philox4x64-10 stream keyed (key0, key1).
-
-    Block c = 1, 2, ... is the Philox bijection of counter (c, 0, 0, 0) and
-    yields four words; draw j is word j of the concatenated blocks as
-    (x >> 11) * 2**-53. All blocks of all streams go through the rounds
-    together: the words a round multiplies (x0, x2) and the others (x1, x3)
-    are each one array of shape (2, blocks) + key0.shape, and the 128-bit
-    products are taken from 32-bit halves. Returns key0.shape + (n,) float64.
-    """
-    blocks = -(-n // 4)
-    axes = (2,) + (1,) * (key0.ndim + 1)
-    m = np.array(_PHILOX_M, dtype=np.uint64).reshape(axes)
-    weyl = np.array(_PHILOX_W, dtype=np.uint64).reshape(axes)
-    m_hi, m_lo = m >> 32, m & _MASK32
-    shift, mask = np.uint64(32), np.uint64(_MASK32)
-    key = np.stack((key0, key1))[:, None]
-    multiplied = np.zeros((2, blocks) + key0.shape, dtype=np.uint64)
-    multiplied[0] = np.arange(1, blocks + 1, dtype=np.uint64).reshape((-1,) + axes[2:])
-    other = np.zeros_like(multiplied)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key = key + weyl
-        x_hi, x_lo = multiplied >> shift, multiplied & mask
-        t = m_hi * x_lo + (m_lo * x_lo >> shift)
-        w = m_lo * x_hi + (t & mask)
-        hi = m_hi * x_hi + (t >> shift) + (w >> shift)
-        multiplied, other = hi[::-1] ^ other ^ key, (m * multiplied)[::-1]
-    # word j of a block is (x0, x1, x2, x3)[j] = (multiplied, other)[j % 2][j // 2]
-    words = np.stack((multiplied, other), axis=1).reshape((4, blocks) + key0.shape)
-    words = np.moveaxis(words, (0, 1), (-1, -2)).reshape(key0.shape + (4 * blocks,))
-    return (words[..., :n] >> np.uint64(11)) * 2.0**-53
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -300,8 +196,8 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
 
     Rounds are drawn in chunks whose uniforms, times the widest jump table,
     stay under a fixed element count, so memory stays flat in `rounds`; a
-    chunk adds its samples with one `bincount` per table. The counts equal
-    those of `rounds` single-round calls.
+    chunk adds its samples with one `np.add.at` per table on its flat view.
+    The counts equal those of `rounds` single-round calls.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
@@ -309,14 +205,11 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
     first, stop = counts.iteration + 1, counts.iteration + rounds + 1
     sa_offsets = np.arange(S * A).reshape(S, A) * S
     for lo in range(first, stop, oracle._chunk_rounds):
-        ks = np.arange(lo, min(lo + oracle._chunk_rounds, stop))
-        next_states, expert_actions = oracle.round_samples(ks)
-        counts.n_sas += np.bincount(
-            (sa_offsets + next_states).ravel(), minlength=counts.n_sas.size
-        ).reshape(counts.n_sas.shape)
+        next_states, expert_actions = oracle.round_samples(lo, min(oracle._chunk_rounds, stop - lo))
+        np.add.at(counts.n_sas.reshape(-1), (sa_offsets + next_states).ravel(), 1)
         for i, table in enumerate(counts.n_i_sa):
             flat = np.arange(S) * table.shape[1] + expert_actions[..., i]
-            table += np.bincount(flat.ravel(), minlength=table.size).reshape(table.shape)
+            np.add.at(table.reshape(-1), flat.ravel(), 1)
     counts.n_sa += rounds
     counts.n_s += rounds
     counts.iteration += rounds

@@ -97,9 +97,19 @@ def write_sections(path, game: MarkovGame | None = None, reward: JointReward | N
 
 
 def read_sections(path):
-    """Dict with any of the keys game/reward/policy/provenance found in the file."""
+    """Dict with any of the keys game/reward/policy/provenance found in the
+    file. A malformed number or table raises ConfigError."""
     with open(path) as fh:
         sections = _parse_sections(fh.read())
+    try:
+        return _build_sections(sections)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"malformed entry in {path}: {exc}") from exc
+
+
+def _build_sections(sections):
     out = {}
     if "game" in sections:
         head = _kv(sections["game"], "game")

@@ -1,6 +1,6 @@
 import pytest
 
-from mairl.cli import EXIT_CONFIG, EXIT_OK, main
+from mairl.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
 from mairl.estimation import (
     LOG_COLUMNS,
     ConfidenceParams,
@@ -50,6 +50,26 @@ def test_negative_seed_is_exit_2(tmp_path, capsys):
 
 def test_evaluate_without_reward_is_exit_2(tmp_path):
     assert main(["--out-dir", str(tmp_path), "evaluate"]) == EXIT_CONFIG
+
+
+def test_evaluate_reward_file_without_reward_section_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "reward.txt"
+    path.write_text("[provenance]\nseed = 0\n")
+    assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_evaluate_reward_file_with_a_non_numeric_entry_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "reward.txt"
+    path.write_text("[reward]\nrmax = 1 1\n0 0 0 0.5\n1 0 0 half\n")
+    assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sample_on_the_default_config_names_the_round_it_needs(tmp_path, capsys):
+    # epsilon = 1 on the 3x3 grid needs 2,685,541 rounds; k_max is 500
+    assert main(["--out-dir", str(tmp_path), "sample"]) == EXIT_CONVERGENCE
+    assert "2685541" in capsys.readouterr().out
 
 
 def test_gen_expert_writes_bundle(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_experiment_config_rejects_empty_eval_points():
 
 
 def test_experiment_config_rejects_a_negative_seed():
-    # SeedSequence rejects it too, but only at the first oracle draw
+    # GenerativeOracle rejects it too, but with a bare ValueError after expert synthesis
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig(seeds=(0, -1))
 
