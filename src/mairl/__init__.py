@@ -8,7 +8,6 @@ reward selection, and grid-game transfer experiments.
 """
 
 from .dp import (
-    Occupancy,
     ValueBundle,
     expected_advantage,
     expected_advantage_table,
@@ -83,7 +82,7 @@ from .feasible import (
 )
 from .games import JointPolicy, JointReward, MarkovGame, deterministic_policy
 from .gridworld import GridGameSpec, GridIndex, build_grid_game, variant_spec
-from .joint import JointActionIndex, flat_of, joint_action_count, split_of
+from .joint import flat_of, joint_action_count, split_of
 from .reward_select import MaxGapResult, behavior_cloning, max_gap_reward
 from .simplex import LinearProgram, LPSolution, solve_lp
 

@@ -11,10 +11,9 @@ import os
 import sys
 
 from .equilibrium import nash_gap
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DimensionMismatchError
 from .estimation import (
     LOG_COLUMNS,
-    ConfidenceParams,
     CountBook,
     GenerativeOracle,
     sample_round,
@@ -69,12 +68,9 @@ def cmd_gen_expert(config: ExperimentConfig) -> int:
 
 def cmd_sample(config: ExperimentConfig) -> int:
     _, game, _, result = synthesize_expert(config)
-    params = ConfidenceParams(
-        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
-    )
     oracle = GenerativeOracle(game, result.policy, seed=config.seeds[0])
     os.makedirs(config.out_dir, exist_ok=True)
-    run = uniform_sampling(oracle, params, config.epsilon, config.k_max)
+    run = uniform_sampling(oracle, config.confidence_params(), config.epsilon, config.k_max)
     log_path = os.path.join(config.out_dir, "run_log.csv")
     write_csv(log_path, LOG_COLUMNS, run.history)
     est_path = os.path.join(config.out_dir, "estimated.txt")
@@ -129,9 +125,12 @@ def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
     bc_policy = behavior_cloning(result.policy)
     rows = []
     altered = transfer_variants(base, config.variants)
-    for name, gap_mairl, gap_bc in transfer_gaps(altered, recovered, bc_policy):
-        rows.append((name, gap_mairl, gap_bc))
-        print(f"{name}: mairl gap {gap_mairl:.6g}, bc gap {gap_bc:.6g}")
+    try:
+        for name, gap_mairl, gap_bc in transfer_gaps(altered, recovered, bc_policy):
+            rows.append((name, gap_mairl, gap_bc))
+            print(f"{name}: mairl gap {gap_mairl:.6g}, bc gap {gap_bc:.6g}")
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"the reward in {path} does not fit the grid: {exc}") from exc
     os.makedirs(config.out_dir, exist_ok=True)
     out = os.path.join(config.out_dir, "evaluate.csv")
     write_csv(out, ("variant", "nash_gap_mairl", "nash_gap_bc"), rows)

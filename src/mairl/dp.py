@@ -3,6 +3,9 @@
 Values solve the linear Bellman system Q = R + gamma * P V, V = pi Q per
 agent. Every system is solved by one dense S x S factorization: the game
 already stores an (S, A, S) kernel, A times the size of that system.
+Discounted occupancy measures are plain (S, A) arrays. Rewards must be
+(n, S, A) tables of the game and policies must match its states and action
+counts; otherwise DimensionMismatchError is raised.
 """
 
 from __future__ import annotations
@@ -31,22 +34,16 @@ class ValueBundle:
             )
 
 
-@dataclass(frozen=True)
-class Occupancy:
-    """Discounted state/joint-action visitation mass; total sums to 1/(1-gamma)."""
-
-    w: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.w.sum())
-
-
-def _check_shapes(game: MarkovGame, reward: JointReward | None, policy: JointPolicy) -> None:
-    if policy.n_states != game.n_states or policy.action_counts != game.action_counts:
-        raise DimensionMismatchError(
-            f"policy shape {policy.action_counts}x{policy.n_states} does not match game"
-        )
+def _check_shapes(
+    game: MarkovGame, reward: JointReward | None, policy: JointPolicy | None
+) -> None:
+    """Raise DimensionMismatchError unless the reward tables are (n, S, A)
+    and the policy's action counts and states are the game's; None skips."""
+    if policy is not None:
+        if policy.n_states != game.n_states or policy.action_counts != game.action_counts:
+            raise DimensionMismatchError(
+                f"policy shape {policy.action_counts}x{policy.n_states} does not match game"
+            )
     if reward is not None:
         if reward.tables.shape != (game.n_agents, game.n_states, game.n_joint_actions):
             raise DimensionMismatchError(
@@ -120,8 +117,9 @@ def expected_advantage(
     return exp_q - float(values.v[agent, state])
 
 
-def occupancy(game: MarkovGame, policy: JointPolicy, start=None) -> Occupancy:
-    """Discounted visitation w(s,a) = sum_t gamma^t Pr_t(s) pi(a|s).
+def occupancy(game: MarkovGame, policy: JointPolicy, start=None) -> np.ndarray:
+    """(S, A) discounted visitation w(s,a) = sum_t gamma^t Pr_t(s) pi(a|s),
+    whose entries sum to 1/(1-gamma).
 
     `start` is the initial distribution: None uses game.mu, an integer is a
     deterministic start state, and an array is used as given.
@@ -137,7 +135,7 @@ def occupancy(game: MarkovGame, policy: JointPolicy, start=None) -> Occupancy:
         mu = np.asarray(start, dtype=np.float64)
     p_pi = transition_under(game, policy)
     d = np.linalg.solve(np.eye(S) - game.gamma * p_pi.T, mu)
-    return Occupancy(w=d[:, None] * policy.joint_table(game.agent_actions))
+    return d[:, None] * policy.joint_table(game.agent_actions)
 
 
 def simulation_decomposition(
@@ -147,7 +145,6 @@ def simulation_decomposition(
     reward_hat: JointReward,
     policy: JointPolicy,
     agent: int,
-    tol: float = 1e-12,
 ):
     """Per-state value gap between two models and its occupancy expansion.
 
@@ -162,8 +159,8 @@ def simulation_decomposition(
         or game_p.gamma != game_phat.gamma
     ):
         raise DimensionMismatchError("models must share states, actions and discount")
-    v_true = policy_evaluation(game_p, reward, policy, tol=tol).v[agent]
-    v_hat = policy_evaluation(game_phat, reward_hat, policy, tol=tol).v[agent]
+    v_true = policy_evaluation(game_p, reward, policy).v[agent]
+    v_hat = policy_evaluation(game_phat, reward_hat, policy).v[agent]
     lhs = v_hat - v_true
 
     defect = (reward_hat.tables[agent] - reward.tables[agent]) + game_p.gamma * (

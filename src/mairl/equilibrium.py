@@ -5,6 +5,9 @@ imitation gap, a stacked-operator equilibrium test, a support-enumeration
 bimatrix solver, and NashQ-style equilibrium synthesis: `nash_value_iteration`
 is the exact solver (full-width backups on the true model) and
 `nash_q_learning` the sampled learner (Q-learning on simulated episodes).
+`best_response`, `nash_gap`, `nash_value_iteration` and `nash_q_learning`
+raise DimensionMismatchError for a reward whose tables are not the game's
+(n, S, A).
 
 A NashQ backup solves one stage game per state, warm-started from the support
 that state selected in the previous backup. Cached pure supports are checked
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import own_action_marginal, policy_evaluation
+from .dp import _check_shapes, own_action_marginal, policy_evaluation
 from .errors import ConvergenceError, DimensionMismatchError
 from .games import JointPolicy, JointReward, MarkovGame
 
@@ -58,13 +61,13 @@ def best_response(
     reward: JointReward,
     policy: JointPolicy,
     agent: int,
-    tol: float = 1e-10,
 ) -> BestResponseResult:
     """Exactly optimal deterministic reply via policy iteration.
 
     Ties are broken toward the lowest action index, so the result is
     reproducible across runs.
     """
+    _check_shapes(game, reward, policy)
     S = game.n_states
     n_actions = game.action_counts[agent]
     # the single-agent MDP seen by `agent` when the others play policy^{-agent}
@@ -91,7 +94,7 @@ def best_response(
 
     table = np.zeros((S, n_actions))
     table[rows, actions] = 1.0
-    v_pi = policy_evaluation(game, reward, policy, tol=tol).v[agent]
+    v_pi = policy_evaluation(game, reward, policy).v[agent]
     return BestResponseResult(policy_i=table, actions=actions, value=v, gap_per_state=v - v_pi)
 
 
@@ -99,7 +102,6 @@ def nash_gap(
     game: MarkovGame,
     reward: JointReward,
     policy: JointPolicy,
-    tol: float = 1e-10,
     initial_state_mode: str = MAX_OVER_STATES,
 ) -> NashGapReport:
     """max_i max_{pi^i} V^i(pi^i, policy^{-i}) - V^i(policy), clamped at 0.
@@ -112,7 +114,7 @@ def nash_gap(
         raise ValueError(f"unknown initial_state_mode {initial_state_mode!r}")
     gaps = np.zeros(game.n_agents)
     for i in range(game.n_agents):
-        br = best_response(game, reward, policy, i, tol=tol)
+        br = best_response(game, reward, policy, i)
         if initial_state_mode == MAX_OVER_STATES:
             gaps[i] = np.max(br.gap_per_state)
         else:
@@ -326,7 +328,6 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
 def nash_value_iteration(
     game: MarkovGame,
     reward: JointReward,
-    tol: float = 1e-8,
     max_iters: int = 5000,
 ) -> NashQResult:
     """Exact model-based NashQ: full-width backups with a bimatrix stage solver.
@@ -337,12 +338,14 @@ def nash_value_iteration(
     equilibrium, else the first support in the fixed enumeration order (size,
     then lexicographic), which pins down the equilibrium the iteration tracks.
     Cached pure supports are checked for all states in one pass and only the
-    other states enumerate (see `_solve_stage_games`). General-sum iteration
-    carries no convergence guarantee; on failure the best-so-far policy is
-    returned with converged=False and a warning.
+    other states enumerate (see `_solve_stage_games`). The iteration has
+    converged once a backup moves no Q entry by 1e-8 or more. General-sum
+    iteration carries no convergence guarantee; on failure the best-so-far
+    policy is returned with converged=False and a warning.
     """
     if game.n_agents != 2:
         raise ValueError("the stage-game solver is bimatrix; need exactly 2 agents")
+    _check_shapes(game, reward, None)
     S, A = game.n_states, game.n_joint_actions
     q = np.zeros((2, S, A))
     support_cache = [None] * S
@@ -354,13 +357,13 @@ def nash_value_iteration(
         q_next = reward.tables + game.gamma * np.einsum("sat,it->isa", game.transitions, values)
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
-        if delta < tol:
+        if delta < 1e-8:
             converged = True
             break
     if not converged:
         warnings.warn(
             f"Nash value iteration did not converge within {max_iters} backups "
-            f"(last delta {delta:.3e}, tolerance {tol}); returning best-so-far policy",
+            f"(last delta {delta:.3e}, tolerance 1e-08); returning best-so-far policy",
             RuntimeWarning,
         )
     pol1, pol2, values = _solve_stage_games(game, q, support_cache)
@@ -378,24 +381,20 @@ def nash_q_learning(
     game: MarkovGame,
     reward: JointReward,
     episodes: int = 2000,
-    learning_rate=None,
-    exploration=0.1,
     seed: int = 0,
     horizon: int = 50,
 ) -> NashQResult:
     """Two-agent NashQ-learning on simulated episodes (the sampled learner;
     `nash_value_iteration` is the exact solver).
 
-    Epsilon-greedy around the current stage equilibrium, bootstrap target =
-    stage equilibrium value at the next state, step size from `learning_rate`
-    (callable of the (s,a) visit count; default 1/count).
+    Each agent explores uniformly with probability 0.1 and otherwise plays
+    the current stage equilibrium; the bootstrap target is the stage
+    equilibrium value at the next state and the step size is 1/count, with
+    count the visits to the (s, a) pair.
     """
     if game.n_agents != 2:
         raise ValueError("the stage-game solver is bimatrix; need exactly 2 agents")
-
-    if learning_rate is None:
-        learning_rate = lambda count: 1.0 / count
-    eps_of = exploration if callable(exploration) else (lambda _ep: exploration)
+    _check_shapes(game, reward, None)
 
     rng = np.random.default_rng(seed)
     S, A = game.n_states, game.n_joint_actions
@@ -404,18 +403,17 @@ def nash_q_learning(
     visits = np.zeros((S, A), dtype=np.int64)
     support_cache = [None] * S
 
-    for ep in range(episodes):
+    for _ in range(episodes):
         s = int(rng.choice(S, p=game.mu))
-        eps = eps_of(ep)
         for _ in range(horizon):
             eq = _stage_equilibrium(q, s, (a1, a2), support_cache)
-            act1 = int(rng.choice(a1)) if rng.random() < eps else int(rng.choice(a1, p=eq.row_strategy))
-            act2 = int(rng.choice(a2)) if rng.random() < eps else int(rng.choice(a2, p=eq.col_strategy))
+            act1 = int(rng.choice(a1)) if rng.random() < 0.1 else int(rng.choice(a1, p=eq.row_strategy))
+            act2 = int(rng.choice(a2)) if rng.random() < 0.1 else int(rng.choice(a2, p=eq.col_strategy))
             flat = act1 * a2 + act2
             s_next = int(rng.choice(S, p=game.transitions[s, flat]))
             eq_next = _stage_equilibrium(q, s_next, (a1, a2), support_cache)
             visits[s, flat] += 1
-            alpha = learning_rate(int(visits[s, flat]))
+            alpha = 1.0 / int(visits[s, flat])
             for i in range(2):
                 target = reward.tables[i, s, flat] + game.gamma * eq_next.payoffs[i]
                 q[i, s, flat] += alpha * (target - q[i, s, flat])

@@ -85,7 +85,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if self.epsilon <= 0 or not 0 < self.delta < 1 or not 0 < self.pi_min <= 1:
+        if not self.epsilon > 0 or not 0 < self.delta < 1 or not 0 < self.pi_min <= 1:
             raise ConfigError("epsilon must be > 0, delta in (0,1), pi_min in (0,1]")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
@@ -104,6 +104,12 @@ class ExperimentConfig:
             raise ConfigError("eval points must be >= 1 and <= k_max")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError("seeds must be non-negative")
+
+    def confidence_params(self) -> ConfidenceParams:
+        """The sampling layer's confidence parameters under this config."""
+        return ConfidenceParams(
+            delta=self.delta, pi_min=self.pi_min, rmax=self.rmax, gamma=self.gamma
+        )
 
 
 def _fmt(x) -> str:
@@ -233,7 +239,6 @@ class ExperimentResult:
     curve_rows: list
     bound_row: tuple
     errors: list = field(default_factory=list)
-    expert_supports: list = field(default_factory=list)
     paths: dict = field(default_factory=dict)
 
 
@@ -254,9 +259,7 @@ def synthesize_expert(config: ExperimentConfig):
 def bound_row(config: ExperimentConfig, game: MarkovGame) -> tuple:
     """The `bound.csv` row (BOUND_COLUMNS) of `game`: the theoretical sample
     bound and the deterministic stopping round (-1 when none is reached)."""
-    params = ConfidenceParams(
-        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
-    )
+    params = config.confidence_params()
     bound = theoretical_sample_bound(
         params, game.n_states, game.action_counts, game.n_agents, config.epsilon
     )
@@ -331,9 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     altered = transfer_variants(base, config.variants)
 
-    params = ConfidenceParams(
-        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
-    )
+    params = config.confidence_params()
     curve_rows = []
     errors = []
     eval_points = sorted(set(config.eval_points))
@@ -360,7 +361,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         curve_rows=curve_rows,
         bound_row=bound_row(config, det_game),
         errors=errors,
-        expert_supports=expert_result.stage_supports,
     )
     os.makedirs(config.out_dir, exist_ok=True)
     curve_path = os.path.join(config.out_dir, "curve.csv")

@@ -84,7 +84,12 @@ def check_implicit(
     vanish (within tol) on the policy's support and be <= tol off it. Returns
     every violating triple.
     """
-    values = policy_evaluation(game, reward, policy, tol=min(tol, 1e-10))
+    values = policy_evaluation(game, reward, policy)
+    return _implicit_report(game, policy, values, tol)
+
+
+def _implicit_report(game, policy, values, tol) -> ImplicitCheckReport:
+    """`check_implicit` on the policy's value bundle `values`."""
     violations = []
     worst = 0.0
     for i in range(game.n_agents):
@@ -147,13 +152,13 @@ def decompose_reward(
     other feasible rewards the reconstruction is a feasible completion that
     agrees on masked entries wherever V >= Q.
     """
-    report = check_implicit(game, reward, policy, tol=tol)
+    values = policy_evaluation(game, reward, policy)
+    report = _implicit_report(game, policy, values, tol)
     if not report.passed:
         raise NotFeasibleError(
             f"reward is not feasible for this policy (max violation "
             f"{report.max_violation:.3e} > tol {tol:.3e})"
         )
-    values = policy_evaluation(game, reward, policy, tol=min(tol, 1e-10))
     a_fn = np.maximum(values.v[:, :, None] - values.q, 0.0)
     return FeasibleParams(a_fn=a_fn, v_fn=values.v)
 
@@ -191,6 +196,13 @@ def witness_reward_tables(
     return -params.a_fn * mask + shaping(game_hat, params.v_fn)
 
 
+def _deviator_profile(policy_hat: JointPolicy, deviator_policy: JointPolicy, agent: int):
+    """The profile (deviator^agent, policy_hat^{-agent})."""
+    tables = list(policy_hat.per_agent)
+    tables[agent] = deviator_policy.per_agent[agent]
+    return JointPolicy(tables)
+
+
 def nash_gap_bound(
     game_true: MarkovGame,
     game_est: MarkovGame,
@@ -198,7 +210,6 @@ def nash_gap_bound(
     reward_hat: JointReward,
     policy_hat: JointPolicy,
     deviator_policy: JointPolicy,
-    tol: float = 1e-6,
 ) -> float:
     """Two-sided simulation bound on the deviation gain of an estimated
     equilibrium when it is transported to the true problem.
@@ -211,24 +222,22 @@ def nash_gap_bound(
 
     where both visitations are taken in the estimated model from mu and the
     values are true-problem values. Requires policy_hat to be an equilibrium
-    of the estimated problem within tol; returns the max over agents.
+    of the estimated problem within 1e-6; returns the max over agents.
     """
     report = nash_gap(game_est, reward_hat, policy_hat)
-    if report.gap > tol:
+    if report.gap > 1e-6:
         raise NotFeasibleError(
             f"policy_hat is not an equilibrium of the estimated problem "
-            f"(gap {report.gap:.3e} > tol {tol:.3e})"
+            f"(gap {report.gap:.3e} > 1e-6)"
         )
     dr = np.abs(reward.tables - reward_hat.tables)
     dp = game_est.transitions - game_true.transitions
     bounds = np.zeros(game_true.n_agents)
-    w_hat = occupancy(game_est, policy_hat).w
+    w_hat = occupancy(game_est, policy_hat)
     v_hat_side = policy_evaluation(game_true, reward, policy_hat).v
     for i in range(game_true.n_agents):
-        tables = [policy_hat.per_agent[j] for j in range(game_true.n_agents)]
-        tables[i] = deviator_policy.per_agent[i]
-        tilde = JointPolicy(tables)
-        w_tilde = occupancy(game_est, tilde).w
+        tilde = _deviator_profile(policy_hat, deviator_policy, i)
+        w_tilde = occupancy(game_est, tilde)
         v_tilde = policy_evaluation(game_true, reward, tilde).v[i]
         term_tilde = dr[i] + game_true.gamma * np.abs(dp @ v_tilde)
         term_hat = dr[i] + game_true.gamma * np.abs(dp @ v_hat_side[i])
@@ -244,9 +253,7 @@ def deviation_gain(
     agent: int,
 ) -> float:
     """mu-weighted V^i(deviator^i, policy_hat^{-i}) - V^i(policy_hat) in the true game."""
-    tables = [policy_hat.per_agent[j] for j in range(game.n_agents)]
-    tables[agent] = deviator_policy.per_agent[agent]
-    tilde = JointPolicy(tables)
+    tilde = _deviator_profile(policy_hat, deviator_policy, agent)
     v_tilde = policy_evaluation(game, reward, tilde).v[agent]
     v_hat = policy_evaluation(game, reward, policy_hat).v[agent]
     return float(game.mu @ (v_tilde - v_hat))

@@ -3,12 +3,11 @@
 Joint actions are ranked lexicographically with agent 0 most significant and
 the last agent fastest-varying, i.e. the C-order flattening of the
 (|A^0|, ..., |A^{n-1}|) index grid. All tables over joint actions in this
-package use this ordering.
+package use this ordering. A joint action is a plain int (its rank) or a
+tuple of per-agent actions; `flat_of` and `split_of` convert between them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,36 +31,3 @@ def agent_action_table(action_counts) -> np.ndarray:
     counts = tuple(action_counts)
     flats = np.arange(joint_action_count(counts))
     return np.asarray(np.unravel_index(flats, counts), dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class JointActionIndex:
-    """A joint action addressed both by flat rank and per-agent components."""
-
-    action_counts: tuple
-    flat_index: int
-    per_agent: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.action_counts)
-        if any(c <= 0 for c in counts):
-            raise ValueError("action counts must be positive")
-        per = tuple(int(a) for a in self.per_agent)
-        if len(per) != len(counts) or any(not 0 <= a < c for a, c in zip(per, counts)):
-            raise ValueError(f"per-agent actions {per} out of range for counts {counts}")
-        object.__setattr__(self, "action_counts", counts)
-        object.__setattr__(self, "per_agent", per)
-        if self.flat_index != flat_of(counts, per):
-            raise ValueError(
-                f"flat index {self.flat_index} is not the lexicographic rank of {per}"
-            )
-
-    @classmethod
-    def from_per_agent(cls, action_counts, per_agent) -> "JointActionIndex":
-        counts = tuple(int(c) for c in action_counts)
-        return cls(counts, flat_of(counts, per_agent), tuple(int(a) for a in per_agent))
-
-    @classmethod
-    def from_flat(cls, action_counts, flat_index: int) -> "JointActionIndex":
-        counts = tuple(int(c) for c in action_counts)
-        return cls(counts, int(flat_index), split_of(counts, flat_index))

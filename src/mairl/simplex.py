@@ -20,6 +20,11 @@ pass over the columns: the basic values move by the ratio-test step and the
 inverse by an in-place rank-1 update. Every 64 pivots (or at a tiny pivot
 element) the inverse is refactorized and the basic values are recomputed
 from the nonbasic ones, which bounds the drift of both.
+
+Pricing and the ratio test use a fixed tolerance of 1e-9; phase 1 reports
+infeasibility when more than 1e-7 * max(1, |b|_inf) artificial mass remains.
+A solve that takes more than 200 (m + 1) + 20 n + 2000 pivots, with n the
+column count including slacks and artificials, raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -77,14 +82,13 @@ class LPSolution:
 
 
 class _BoundedSimplex:
-    def __init__(self, A, b, lo, hi, tol, max_pivots):
+    def __init__(self, A, b, lo, hi):
         self.A = A
         self.b = b
         self.lo = lo
         self.hi = hi
-        self.tol = tol
-        self.max_pivots = max_pivots
         self.m, self.n = A.shape
+        self.max_pivots = 200 * (self.m + 1) + 20 * self.n + 2000
         self.pivots = 0
 
     def start(self, basis, status, x):
@@ -109,7 +113,7 @@ class _BoundedSimplex:
         return self.binv @ rhs
 
     def run(self, objective):
-        tol = self.tol
+        tol = 1e-9
         bland = False
         stall = 0
         while True:
@@ -189,7 +193,7 @@ class _BoundedSimplex:
                 bland = False
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9, max_pivots: int | None = None) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve a bounded LP; raises InfeasibleLPError / UnboundedLPError."""
     m = lp.lhs.shape[0] if lp.lhs.size else 0
     n = lp.objective.size
@@ -226,16 +230,14 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9, max_pivots: int | None = None
     status[:n][~np.isfinite(lp.lower)] = _AT_UPPER
     status[basis] = _BASIC
 
-    if max_pivots is None:
-        max_pivots = 200 * (m + 1) + 20 * total + 2000
-    core = _BoundedSimplex(A, lp.rhs, lo, hi, tol, max_pivots)
+    core = _BoundedSimplex(A, lp.rhs, lo, hi)
     core.start(basis, status, x)
 
     if n_art:
         phase1 = np.zeros(total)
         phase1[art_cols] = -1.0
         core.run(phase1)
-        if float(phase1 @ core.x) < -max(tol, 1e-7) * max(1.0, np.abs(lp.rhs).max()):
+        if float(phase1 @ core.x) < -1e-7 * max(1.0, np.abs(lp.rhs).max()):
             raise InfeasibleLPError(
                 f"phase 1 left artificial mass {-float(phase1 @ core.x):.3e}"
             )

@@ -65,9 +65,3 @@ def random_joint_policy(
         rng.dirichlet(np.ones(c), size=game.n_states) for c in game.action_counts
     ]
     return JointPolicy(tables)
-
-
-def uniform_joint_policy(game: MarkovGame) -> JointPolicy:
-    return JointPolicy(
-        [np.full((game.n_states, c), 1.0 / c) for c in game.action_counts]
-    )

@@ -98,13 +98,16 @@ def write_sections(path, game: MarkovGame | None = None, reward: JointReward | N
 
 def read_sections(path):
     """Dict with any of the keys game/reward/policy/provenance found in the
-    file. A malformed number or table raises ConfigError."""
+    file. A malformed number or table, or a missing key (such as a [reward]
+    section that does not start with `rmax = ...`), raises ConfigError."""
     with open(path) as fh:
         sections = _parse_sections(fh.read())
     try:
         return _build_sections(sections)
     except ConfigError:
         raise
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc} in {path}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed entry in {path}: {exc}") from exc
 

@@ -35,7 +35,7 @@ def test_bad_config_is_exit_2(tmp_path):
     assert main(["--config", str(cfg), "bound"]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("line", ["rmax = 0", "rmax = -1", "eval_points ="])
+@pytest.mark.parametrize("line", ["rmax = 0", "rmax = -1", "eval_points =", "epsilon = nan"])
 def test_invalid_experiment_values_are_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"[experiment]\nseeds = 0\n{line}\n")
@@ -57,6 +57,23 @@ def test_evaluate_reward_file_without_reward_section_is_exit_2(tmp_path, capsys)
     path.write_text("[provenance]\nseed = 0\n")
     assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[reward]\n",
+        "[reward]\nscale = 1\n0 0 0 0.5\n",
+        "[reward]\nrmax = 1\n0 0 0 0.5\n",  # a (1, 1, 1) reward on the 72-state grid
+    ],
+    ids=["empty", "no-rmax-line", "one-entry"],
+)
+def test_evaluate_reward_file_that_does_not_fit_is_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "reward.txt"
+    path.write_text(text)
+    assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate.csv").exists()
 
 
 def test_evaluate_reward_file_with_a_non_numeric_entry_is_exit_2(tmp_path, capsys):

@@ -119,14 +119,14 @@ def test_occupancy_absorbing_and_chain():
     game = single_state_game((1,), 0.9)
     policy = JointPolicy([np.ones((1, 1))])
     occ = occupancy(game, policy)
-    assert abs(occ.w[0, 0] - 10.0) < 1e-9
+    assert abs(occ[0, 0] - 10.0) < 1e-9
 
     P = np.zeros((2, 1, 2))
     P[0, 0, 1] = 1.0
     P[1, 0, 1] = 1.0
     chain = MarkovGame(P, 0.5, [1.0, 0.0], (1,))
     occ = occupancy(chain, JointPolicy([np.ones((2, 1))]), start=0)
-    assert np.allclose(occ.w[:, 0], [1.0, 1.0])
+    assert np.allclose(occ[:, 0], [1.0, 1.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,8 +140,9 @@ def test_occupancy_normalization_property(seed):
     policy = random_joint_policy(rng, game)
     start = int(rng.integers(S)) if rng.random() < 0.5 else None
     occ = occupancy(game, policy, start=start)
-    assert occ.w.min() >= -1e-15
-    assert abs(occ.total - 1.0 / (1.0 - gamma)) <= 1e-9
+    assert occ.shape == (S, game.n_joint_actions)
+    assert occ.min() >= -1e-15
+    assert abs(occ.sum() - 1.0 / (1.0 - gamma)) <= 1e-9
 
 
 def test_simulation_decomposition_identity_and_shift():

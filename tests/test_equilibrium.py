@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl.dp import policy_evaluation
+from mairl.errors import DimensionMismatchError
 from mairl.equilibrium import (
     best_response,
     bimatrix_nash,
@@ -167,3 +168,20 @@ def test_nash_q_learning_requires_two_agents():
     reward = random_reward(rng, game)
     with pytest.raises(ValueError):
         nash_value_iteration(game, reward)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 72, 15), (3, 72, 16)])
+def test_reward_that_is_not_the_games_shape_is_rejected(shape):
+    # a (1, 1, 1) table would broadcast through the NashQ backup and converge
+    game, _, _ = build_grid_game(GridGameSpec())
+    bad = JointReward(np.zeros(shape), rmax=np.ones(shape[0]))
+    policy = deterministic_policy(game.action_counts, game.n_states, [0, 0])
+    with pytest.raises(DimensionMismatchError):
+        nash_value_iteration(game, bad)
+    with pytest.raises(DimensionMismatchError):
+        nash_q_learning(game, bad, episodes=1, horizon=1)
+    for agent in range(2):
+        with pytest.raises(DimensionMismatchError):
+            best_response(game, bad, policy, agent)
+    with pytest.raises(DimensionMismatchError):
+        nash_gap(game, bad, policy)

@@ -1,8 +1,7 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mairl.joint import JointActionIndex, agent_action_table, flat_of, joint_action_count, split_of
+from mairl.joint import agent_action_table, flat_of, joint_action_count, split_of
 
 
 def test_lexicographic_order_agent0_most_significant():
@@ -19,16 +18,6 @@ def test_agent_action_table():
     assert table.shape == (2, 4)
     assert table[0].tolist() == [0, 0, 1, 1]
     assert table[1].tolist() == [0, 1, 0, 1]
-
-
-def test_joint_action_index_validates():
-    idx = JointActionIndex.from_per_agent((2, 3), (1, 2))
-    assert idx.flat_index == 5
-    assert JointActionIndex.from_flat((2, 3), 5).per_agent == (1, 2)
-    with pytest.raises(ValueError):
-        JointActionIndex((2, 3), 4, (1, 2))
-    with pytest.raises(ValueError):
-        JointActionIndex.from_per_agent((2, 3), (2, 0))
 
 
 @settings(max_examples=200, deadline=None)
