@@ -20,7 +20,7 @@ def main():
 
     values = mairl.policy_evaluation(game, reward, defect)
     print(f"value of mutual defection: {values.v[0, 0]:.3f} (= 0.2 / (1 - 0.5))")
-    adv = mairl.expected_advantage(game, reward, defect, values, agent=0, state=0, action=0)
+    adv = mairl.expected_advantage_table(game, defect, values, agent=0)[0, 0]
     print(f"advantage of cooperating against (D, D): {adv:+.3f}  -> deviating is bad")
 
     print(f"equilibrium gap of (D, D): {mairl.nash_gap(game, reward, defect).gap:.3f}")
@@ -33,7 +33,7 @@ def main():
     print(f"canonical V: {params.v_fn[:, 0]}, penalty on (C, D) for agent 0: "
           f"{params.a_fn[0, 0, 1]:.3f}")
     back = mairl.construct_reward(game, defect, params, rmax=1.0)
-    mask = mairl.event_mask(defect).mask
+    mask = mairl.event_mask(defect)
     support = defect.joint_table() > 0  # the (D, D) column
     pinned = mask | support[None, :, :]
     err = np.abs(back.tables - reward.tables)

@@ -41,7 +41,7 @@ def main():
     print(f"\nestimation error: |P - Phat| = "
           f"{np.abs(run.problem.p_hat - game.transitions).max():.4f}, "
           f"masks recovered exactly: "
-          f"{np.array_equal(mairl.event_mask(run.problem.pi_hat).mask, mairl.event_mask(expert).mask)}")
+          f"{np.array_equal(mairl.event_mask(run.problem.pi_hat), mairl.event_mask(expert))}")
 
     print("\n--- sup-inf optimality certificate (20-member families) ---")
     est_game = run.problem.as_game(game.gamma, game.mu)

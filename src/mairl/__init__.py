@@ -9,7 +9,6 @@ reward selection, and grid-game transfer experiments.
 
 from .dp import (
     ValueBundle,
-    expected_advantage,
     expected_advantage_table,
     occupancy,
     policy_evaluation,
@@ -25,7 +24,6 @@ from .equilibrium import (
     bimatrix_nash,
     matrix_ne_check,
     nash_gap,
-    nash_q_learning,
     nash_value_iteration,
 )
 from .errors import (
@@ -68,7 +66,6 @@ from .experiment import (
     sample_reward_family,
 )
 from .feasible import (
-    EventMask,
     FeasibleParams,
     ImplicitCheckReport,
     check_implicit,

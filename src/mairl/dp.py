@@ -5,7 +5,9 @@ agent. Every system is solved by one dense S x S factorization: the game
 already stores an (S, A, S) kernel, A times the size of that system.
 Discounted occupancy measures are plain (S, A) arrays. Rewards must be
 (n, S, A) tables of the game and policies must match its states and action
-counts; otherwise DimensionMismatchError is raised.
+counts; otherwise DimensionMismatchError is raised. Opponent-expected
+advantages come as one (S, |A_i|) table per agent, and a value bundle whose
+Bellman residual exceeds its tolerance raises StaleValuesError there.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _check_shapes(
 
 def transition_under(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)."""
-    joint = policy.joint_table(game.agent_actions)
+    joint = policy.joint_table()
     return np.einsum("sa,sat->st", joint, game.transitions)
 
 
@@ -64,7 +66,7 @@ def policy_evaluation(
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_shapes(game, reward, policy)
-    joint = policy.joint_table(game.agent_actions)
+    joint = policy.joint_table()
     p_pi = transition_under(game, policy)
     r_pi = np.einsum("sa,isa->is", joint, reward.tables)
     v = np.linalg.solve(np.eye(game.n_states) - game.gamma * p_pi, r_pi.T).T
@@ -80,7 +82,7 @@ def own_action_marginal(
 
     `table` is indexed by (state, joint action) first; trailing axes are kept.
     """
-    opp = policy.opponent_table(agent, game.agent_actions)
+    opp = policy.opponent_table(agent)
     own = game.agent_actions[agent]
     onehot = np.equal.outer(own, np.arange(game.action_counts[agent])).astype(np.float64)
     return np.einsum("sf,sf...,fd->sd...", opp, table, onehot)
@@ -94,27 +96,13 @@ def shaping(game: MarkovGame, v: np.ndarray) -> np.ndarray:
 def expected_advantage_table(
     game: MarkovGame, policy: JointPolicy, values: ValueBundle, agent: int
 ) -> np.ndarray:
-    """(S, |A_i|) table of sum_{a^{-i}} pi^{-i}(a^{-i}|s) Q^i(s, a^i a^{-i}) - V^i(s)."""
+    """(S, |A_i|) table of sum_{a^{-i}} pi^{-i}(a^{-i}|s) Q^i(s, a^i a^{-i}) - V^i(s).
+
+    Raises StaleValuesError if `values` missed its Bellman residual tolerance.
+    """
+    values.require_fresh()
     exp_q = own_action_marginal(game, policy, agent, values.q[agent])
     return exp_q - values.v[agent][:, None]
-
-
-def expected_advantage(
-    game: MarkovGame,
-    reward: JointReward,
-    policy: JointPolicy,
-    values: ValueBundle,
-    agent: int,
-    state: int,
-    action: int,
-) -> float:
-    """Opponent-expected advantage of agent playing `action` at `state`."""
-    _check_shapes(game, reward, policy)
-    values.require_fresh()
-    opp = policy.opponent_table(agent, game.agent_actions)[state]
-    mask = game.agent_actions[agent] == action
-    exp_q = float(np.dot(opp[mask], values.q[agent, state, mask]))
-    return exp_q - float(values.v[agent, state])
 
 
 def occupancy(game: MarkovGame, policy: JointPolicy, start=None) -> np.ndarray:
@@ -135,7 +123,7 @@ def occupancy(game: MarkovGame, policy: JointPolicy, start=None) -> np.ndarray:
         mu = np.asarray(start, dtype=np.float64)
     p_pi = transition_under(game, policy)
     d = np.linalg.solve(np.eye(S) - game.gamma * p_pi.T, mu)
-    return d[:, None] * policy.joint_table(game.agent_actions)
+    return d[:, None] * policy.joint_table()
 
 
 def simulation_decomposition(
@@ -166,7 +154,7 @@ def simulation_decomposition(
     defect = (reward_hat.tables[agent] - reward.tables[agent]) + game_p.gamma * (
         (game_phat.transitions - game_p.transitions) @ v_true
     )
-    joint = policy.joint_table(game_p.agent_actions)
+    joint = policy.joint_table()
     defect_pi = (joint * defect).sum(axis=1)
     # rhs(s0) = e_{s0}^T (I - gamma Phat_pi)^{-1} defect_pi: one solve covers all starts
     p_pi_hat = transition_under(game_phat, policy)

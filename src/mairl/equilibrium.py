@@ -2,12 +2,10 @@
 
 Provides exact single-agent best responses (policy iteration), the Nash
 imitation gap, a stacked-operator equilibrium test, a support-enumeration
-bimatrix solver, and NashQ-style equilibrium synthesis: `nash_value_iteration`
-is the exact solver (full-width backups on the true model) and
-`nash_q_learning` the sampled learner (Q-learning on simulated episodes).
-`best_response`, `nash_gap`, `nash_value_iteration` and `nash_q_learning`
-raise DimensionMismatchError for a reward whose tables are not the game's
-(n, S, A).
+bimatrix solver, and NashQ equilibrium synthesis: `nash_value_iteration`
+runs exact full-width backups on the true model. `best_response`,
+`nash_gap` and `nash_value_iteration` raise DimensionMismatchError for a
+reward whose tables are not the game's (n, S, A).
 
 A NashQ backup solves one stage game per state, warm-started from the support
 that state selected in the previous backup. Cached pure supports are checked
@@ -135,7 +133,7 @@ def matrix_ne_check(
     deviation's opponent-expected Q stays below V^i(s) + tol.
     """
     S, A = game.n_states, game.n_joint_actions
-    joint = policy.joint_table(game.agent_actions)
+    joint = policy.joint_table()
     p_pi_stacked = (game.transitions[:, :, :, None] * joint).reshape(S * A, S * A)
     M = np.eye(S * A) - game.gamma * p_pi_stacked
     worst = -np.inf
@@ -267,16 +265,6 @@ class NashQResult:
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
-def _stage_equilibrium(q, s, shape, support_cache, tol=1e-9):
-    """Equilibrium of the stage game (Q^1(s,.), Q^2(s,.)) by `bimatrix_nash`,
-    warm-started from and stored back into `support_cache[s]`."""
-    eq = bimatrix_nash(
-        q[0, s].reshape(shape), q[1, s].reshape(shape), tol=tol, first_supports=support_cache[s]
-    )
-    support_cache[s] = eq.supports
-    return eq
-
-
 def _solve_stage_games(game, q, support_cache, tol=1e-9):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
@@ -318,7 +306,13 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
         settled[s_ok] = True
 
     for s in np.flatnonzero(~settled):
-        eq = _stage_equilibrium(q, s, (a1, a2), support_cache, tol)
+        eq = bimatrix_nash(
+            q[0, s].reshape(a1, a2),
+            q[1, s].reshape(a1, a2),
+            tol=tol,
+            first_supports=support_cache[s],
+        )
+        support_cache[s] = eq.supports
         pol1[s] = eq.row_strategy
         pol2[s] = eq.col_strategy
         values[0, s], values[1, s] = eq.payoffs
@@ -373,58 +367,5 @@ def nash_value_iteration(
         values=values,
         converged=converged,
         iterations=iterations,
-        stage_supports=list(support_cache),
-    )
-
-
-def nash_q_learning(
-    game: MarkovGame,
-    reward: JointReward,
-    episodes: int = 2000,
-    seed: int = 0,
-    horizon: int = 50,
-) -> NashQResult:
-    """Two-agent NashQ-learning on simulated episodes (the sampled learner;
-    `nash_value_iteration` is the exact solver).
-
-    Each agent explores uniformly with probability 0.1 and otherwise plays
-    the current stage equilibrium; the bootstrap target is the stage
-    equilibrium value at the next state and the step size is 1/count, with
-    count the visits to the (s, a) pair.
-    """
-    if game.n_agents != 2:
-        raise ValueError("the stage-game solver is bimatrix; need exactly 2 agents")
-    _check_shapes(game, reward, None)
-
-    rng = np.random.default_rng(seed)
-    S, A = game.n_states, game.n_joint_actions
-    a1, a2 = game.action_counts
-    q = np.zeros((2, S, A))
-    visits = np.zeros((S, A), dtype=np.int64)
-    support_cache = [None] * S
-
-    for _ in range(episodes):
-        s = int(rng.choice(S, p=game.mu))
-        for _ in range(horizon):
-            eq = _stage_equilibrium(q, s, (a1, a2), support_cache)
-            act1 = int(rng.choice(a1)) if rng.random() < 0.1 else int(rng.choice(a1, p=eq.row_strategy))
-            act2 = int(rng.choice(a2)) if rng.random() < 0.1 else int(rng.choice(a2, p=eq.col_strategy))
-            flat = act1 * a2 + act2
-            s_next = int(rng.choice(S, p=game.transitions[s, flat]))
-            eq_next = _stage_equilibrium(q, s_next, (a1, a2), support_cache)
-            visits[s, flat] += 1
-            alpha = 1.0 / int(visits[s, flat])
-            for i in range(2):
-                target = reward.tables[i, s, flat] + game.gamma * eq_next.payoffs[i]
-                q[i, s, flat] += alpha * (target - q[i, s, flat])
-            s = s_next
-
-    pol1, pol2, values = _solve_stage_games(game, q, support_cache)
-    return NashQResult(
-        policy=JointPolicy([pol1, pol2]),
-        q=q,
-        values=values,
-        converged=True,
-        iterations=episodes,
         stage_supports=list(support_cache),
     )

@@ -448,9 +448,7 @@ def good_event_inequalities(
     ind = _indicator(counts.n_s, params, game.n_states, game.action_counts, game.n_agents)
     radius = transition_radius(counts.n_sa, params, game.n_states, game.action_counts)
 
-    e_true = event_mask(expert, game.agent_actions).mask.astype(np.float64)
-    e_hat = event_mask(problem.pi_hat, game.agent_actions).mask.astype(np.float64)
-    mask_diff = np.abs(e_true - e_hat)
+    mask_diff = event_mask(expert) != event_mask(problem.pi_hat)
 
     params_true = decompose_reward(game, expert, reward)
     game_hat = problem.as_game(game.gamma, game.mu)

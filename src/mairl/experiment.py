@@ -89,8 +89,12 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be > 0, delta in (0,1), pi_min in (0,1]")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
-        if not self.rmax >= GridGameSpec.goal_reward:
-            raise ConfigError(f"rmax must be >= the grid's goal reward {GridGameSpec.goal_reward}")
+        if not GridGameSpec.goal_reward <= self.rmax < np.inf:
+            raise ConfigError(
+                f"rmax must be finite and >= the grid's goal reward {GridGameSpec.goal_reward}"
+            )
+        if not self.variants:
+            raise ConfigError("need at least one variant")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ConfigError(f"unknown variants {sorted(unknown)}; choose from {VARIANTS}")
@@ -152,7 +156,7 @@ def sample_reward_family(
     if size < 1:
         raise ValueError("family size must be positive")
     rng = np.random.default_rng(seed)
-    mask = event_mask(policy, game.agent_actions).mask
+    mask = event_mask(policy)
     if v_range is None:
         scale = rmax / (1.0 - game.gamma**2)
         v_range = (game.gamma * scale, scale)

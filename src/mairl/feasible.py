@@ -1,7 +1,7 @@
 """Characterizations of the rewards under which a joint policy is a Nash
 equilibrium: the implicit advantage conditions, the explicit (A, V)
-parameterization with its event mask, the model-estimation error bound,
-and the two-sided deviation-gain bound.
+parameterization with its event mask (an (n, S, A) bool array), the
+model-estimation error bound, and the two-sided deviation-gain bound.
 """
 
 from __future__ import annotations
@@ -38,27 +38,18 @@ class FeasibleParams:
 
 
 @dataclass(frozen=True)
-class EventMask:
-    """mask[i, s, a] is True iff agent i's own action in the joint action a has
-    stored probability exactly 0 at s while the opponents' joint action has
-    positive probability."""
-
-    mask: np.ndarray
-
-
-@dataclass(frozen=True)
 class ImplicitCheckReport:
     passed: bool
     max_violation: float
     violations: list = field(default_factory=list)  # (agent, state, action, value, kind)
 
 
-def event_mask(policy: JointPolicy, agent_actions=None) -> EventMask:
+def event_mask(policy: JointPolicy) -> np.ndarray:
+    """(n, S, A) bool array: [i, s, a] is True iff agent i's own action in the
+    joint action a has stored probability exactly 0 at s while the opponents'
+    joint action has positive probability."""
     n = policy.n_agents
-    if agent_actions is None:
-        from .joint import agent_action_table
-
-        agent_actions = agent_action_table(policy.action_counts)
+    agent_actions = policy.agent_actions
     A = agent_actions.shape[1]
     S = policy.n_states
     mask = np.zeros((n, S, A), dtype=bool)
@@ -69,7 +60,7 @@ def event_mask(policy: JointPolicy, agent_actions=None) -> EventMask:
             if j != i:
                 opp_pos &= policy.per_agent[j][:, agent_actions[j]] > 0.0
         mask[i] = own_zero & opp_pos
-    return EventMask(mask=mask)
+    return mask
 
 
 def check_implicit(
@@ -165,8 +156,8 @@ def decompose_reward(
 
 def error_propagation_bound(
     params: FeasibleParams,
-    mask_true: EventMask,
-    mask_est: EventMask,
+    mask_true: np.ndarray,
+    mask_est: np.ndarray,
     transitions,
     transitions_hat,
 ) -> np.ndarray:
@@ -182,9 +173,7 @@ def error_propagation_bound(
     if P.shape != Phat.shape:
         raise DimensionMismatchError("transition tables differ in shape")
     gamma_free = np.abs(P - Phat) @ np.abs(params.v_fn).T  # (S, A, n)
-    mask_term = params.a_fn * np.abs(
-        mask_true.mask.astype(np.float64) - mask_est.mask.astype(np.float64)
-    )
+    mask_term = params.a_fn * (mask_true != mask_est)
     return mask_term + np.moveaxis(gamma_free, -1, 0)
 
 
@@ -192,7 +181,7 @@ def witness_reward_tables(
     game_hat: MarkovGame, policy_hat: JointPolicy, params: FeasibleParams
 ) -> np.ndarray:
     """Raw witness tables -A 1_Ehat + V - gamma Phat V (no range validation)."""
-    mask = event_mask(policy_hat, game_hat.agent_actions).mask
+    mask = event_mask(policy_hat)
     return -params.a_fn * mask + shaping(game_hat, params.v_fn)
 
 

@@ -30,8 +30,9 @@ def per_agent_rmax(rmax, n_agents: int) -> np.ndarray:
 
 
 def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
-    if np.any(rows < 0):
-        raise StochasticityError(f"{what} has negative entries")
+    # written so that NaN fails: every comparison with NaN is False
+    if not np.all(rows >= 0):
+        raise StochasticityError(f"{what} has negative or NaN entries")
     sums = rows.sum(axis=-1)
     bad = np.abs(sums - 1.0) > PROB_ATOL
     if np.any(bad):
@@ -98,11 +99,12 @@ class JointReward:
         r = per_agent_rmax(rmax, T.shape[0])
         if r.shape != (T.shape[0],):
             raise DimensionMismatchError(f"rmax shape {r.shape} != ({T.shape[0]},)")
-        if np.any(r < 0):
+        if not np.all(r >= 0):
             raise ValueError("rmax entries must be nonnegative")
+        # min and max propagate NaN, which then fails both comparisons
         lo = T.min(axis=(1, 2))
         hi = T.max(axis=(1, 2))
-        if np.any(lo < -PROB_ATOL) or np.any(hi > r + PROB_ATOL):
+        if not (np.all(lo >= -PROB_ATOL) and np.all(hi <= r + PROB_ATOL)):
             raise ValueError(
                 f"reward entries outside [0, rmax]: min {lo.min():.3e}, "
                 f"max overshoot {(hi - r).max():.3e}"
@@ -137,6 +139,8 @@ class JointPolicy:
                 )
             _check_rows_stochastic(t, f"policy table for agent {i}")
         self.per_agent = tables
+        # per-flat-action decomposition, shape (n_agents, A)
+        self.agent_actions = _frozen(agent_action_table(self.action_counts), dtype=np.int64)
 
     @property
     def n_agents(self) -> int:
@@ -150,23 +154,19 @@ class JointPolicy:
     def action_counts(self):
         return tuple(t.shape[1] for t in self.per_agent)
 
-    def joint_table(self, agent_actions=None) -> np.ndarray:
+    def joint_table(self) -> np.ndarray:
         """(S, A) table of joint probabilities (product over agents)."""
-        if agent_actions is None:
-            agent_actions = agent_action_table(self.action_counts)
-        out = np.ones((self.n_states, agent_actions.shape[1]))
+        out = np.ones((self.n_states, self.agent_actions.shape[1]))
         for j, table in enumerate(self.per_agent):
-            out *= table[:, agent_actions[j]]
+            out *= table[:, self.agent_actions[j]]
         return out
 
-    def opponent_table(self, agent: int, agent_actions=None) -> np.ndarray:
+    def opponent_table(self, agent: int) -> np.ndarray:
         """(S, A) table of pi^{-agent}(a^{-agent} | s), constant in agent's own action."""
-        if agent_actions is None:
-            agent_actions = agent_action_table(self.action_counts)
-        out = np.ones((self.n_states, agent_actions.shape[1]))
+        out = np.ones((self.n_states, self.agent_actions.shape[1]))
         for j, table in enumerate(self.per_agent):
             if j != agent:
-                out *= table[:, agent_actions[j]]
+                out *= table[:, self.agent_actions[j]]
         return out
 
     def support(self, agent: int) -> np.ndarray:

@@ -100,7 +100,7 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     ).T
     if reward_class == STATE_CLASS:
         return resolved
-    joint = policy.joint_table(game.agent_actions)
+    joint = policy.joint_table()
     U = (resolved[:, :, None] * joint).reshape(S, n_own, S, A)
     own_rows = own_action_marginal(game, policy, agent, np.broadcast_to(np.eye(A), (S, A, A)))
     states = np.arange(S)

@@ -98,8 +98,9 @@ def write_sections(path, game: MarkovGame | None = None, reward: JointReward | N
 
 def read_sections(path):
     """Dict with any of the keys game/reward/policy/provenance found in the
-    file. A malformed number or table, or a missing key (such as a [reward]
-    section that does not start with `rmax = ...`), raises ConfigError."""
+    file. A malformed number or table, a missing key (such as a [reward]
+    section that does not start with `rmax = ...`), or a table entry that is
+    missing or given more than once raises ConfigError."""
     with open(path) as fh:
         sections = _parse_sections(fh.read())
     try:
@@ -110,6 +111,30 @@ def read_sections(path):
         raise ConfigError(f"missing key {exc} in {path}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed entry in {path}: {exc}") from exc
+
+
+def _table_rows(lines, n_index: int, what: str):
+    """({index: numbers}, shape) from lines of `n_index` nonnegative integers
+    followed by numbers. The shape is the largest index plus one on each
+    axis, and every index within it must be given exactly once."""
+    rows = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) <= n_index:
+            raise ConfigError(f"[{what}] line {line!r} has no value")
+        index = tuple(int(p) for p in parts[:n_index])
+        if min(index) < 0:
+            raise ConfigError(f"[{what}] entry {index} has a negative index")
+        if index in rows:
+            raise ConfigError(f"[{what}] entry {index} is given more than once")
+        rows[index] = [float(v) for v in parts[n_index:]]
+    if not rows:
+        raise ConfigError(f"[{what}] has no entries")
+    shape = tuple(int(m) + 1 for m in np.max(list(rows), axis=0))
+    if len(rows) < np.prod(shape):
+        missing = next(index for index in np.ndindex(*shape) if index not in rows)
+        raise ConfigError(f"[{what}] has no entry {missing}")
+    return rows, shape
 
 
 def _build_sections(sections):
@@ -124,35 +149,21 @@ def _build_sections(sections):
             raise ConfigError("action_counts length does not match n")
         mu = np.array([float(v) for v in head["mu"].split()])
         A = int(np.prod(action_counts))
-        P = np.zeros((S, A, S))
-        for line in sections.get("transitions", []):
-            parts = line.split()
-            s, a = int(parts[0]), int(parts[1])
-            P[s, a] = [float(v) for v in parts[2:]]
+        rows, shape = _table_rows(sections.get("transitions", []), 2, "transitions")
+        if shape != (S, A):
+            raise ConfigError(f"[transitions] covers {shape}, expected {(S, A)}")
+        P = np.array([rows[index] for index in np.ndindex(S, A)]).reshape(S, A, S)
         out["game"] = MarkovGame(P, gamma, mu, action_counts)
     if "reward" in sections:
         lines = sections["reward"]
         rmax = np.array([float(v) for v in _kv(lines[:1], "reward")["rmax"].split()])
-        entries = []
-        for line in lines[1:]:
-            i, s, a, v = line.split()
-            entries.append((int(i), int(s), int(a), float(v)))
-        n = max(e[0] for e in entries) + 1
-        S = max(e[1] for e in entries) + 1
-        A = max(e[2] for e in entries) + 1
-        tables = np.zeros((n, S, A))
-        for i, s, a, v in entries:
-            tables[i, s, a] = v
+        rows, shape = _table_rows(lines[1:], 3, "reward")
+        # one number per entry, else the reshape fails
+        tables = np.array([rows[index] for index in np.ndindex(*shape)]).reshape(shape)
         out["reward"] = JointReward(tables, rmax)
     if "policy" in sections:
-        rows = {}
-        for line in sections["policy"]:
-            parts = line.split()
-            rows.setdefault(int(parts[0]), {})[int(parts[1])] = [float(v) for v in parts[2:]]
-        tables = []
-        for i in sorted(rows):
-            S = max(rows[i]) + 1
-            tables.append(np.array([rows[i][s] for s in range(S)]))
+        rows, (n, S) = _table_rows(sections["policy"], 2, "policy")
+        tables = [np.array([rows[i, s] for s in range(S)]) for i in range(n)]
         out["policy"] = JointPolicy(tables)
     if "provenance" in sections:
         out["provenance"] = _kv(sections["provenance"], "provenance")

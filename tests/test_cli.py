@@ -10,7 +10,8 @@ from mairl.estimation import (
     uniform_sampling,
 )
 from mairl.experiment import recover_reward, synthesize_expert
-from mairl.textio import parse_config, read_sections
+from mairl.gridworld import GridGameSpec, build_grid_game
+from mairl.textio import parse_config, read_sections, write_sections
 
 
 def test_bound_command(tmp_path, capsys):
@@ -35,7 +36,9 @@ def test_bad_config_is_exit_2(tmp_path):
     assert main(["--config", str(cfg), "bound"]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("line", ["rmax = 0", "rmax = -1", "eval_points =", "epsilon = nan"])
+@pytest.mark.parametrize(
+    "line", ["rmax = 0", "rmax = -1", "rmax = inf", "eval_points =", "variants =", "epsilon = nan"]
+)
 def test_invalid_experiment_values_are_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"[experiment]\nseeds = 0\n{line}\n")
@@ -81,6 +84,26 @@ def test_evaluate_reward_file_with_a_non_numeric_entry_is_exit_2(tmp_path, capsy
     path.write_text("[reward]\nrmax = 1 1\n0 0 0 0.5\n1 0 0 half\n")
     assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[:-1],  # the last entry is missing
+        lambda lines: lines + lines[-1:],  # the last entry is given twice
+        lambda lines: lines[:2] + ["0 0 0 nan"] + lines[3:],
+    ],
+    ids=["truncated", "doubled", "nan"],
+)
+def test_evaluate_reward_file_with_a_bad_table_is_exit_2(tmp_path, capsys, edit):
+    _, reward, _ = build_grid_game(GridGameSpec())
+    path = tmp_path / "reward.txt"
+    write_sections(path, reward=reward)
+    lines = path.read_text().splitlines()  # [reward], rmax, then one line per entry
+    path.write_text("\n".join(edit(lines)) + "\n")
+    assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "evaluate.csv").exists()
 
 
 def test_sample_on_the_default_config_names_the_round_it_needs(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl.dp import (
-    expected_advantage,
+    expected_advantage_table,
     occupancy,
     policy_evaluation,
     simulation_decomposition,
@@ -43,7 +43,7 @@ def test_monte_carlo_rollout_oracle():
     policy = random_joint_policy(rng, game)
     vb = policy_evaluation(game, reward, policy)
 
-    joint = policy.joint_table(game.agent_actions)
+    joint = policy.joint_table()
     horizon = 120  # gamma^120 ~ 2e-12, truncation negligible
     n_rollouts = 3000
     start = 0
@@ -86,25 +86,25 @@ def test_advantage_constant_reward_zero():
     policy = random_joint_policy(rng, game)
     vb = policy_evaluation(game, reward, policy)
     for agent in range(2):
-        for s in range(3):
-            for a in range(2):
-                assert abs(expected_advantage(game, reward, policy, vb, agent, s, a)) < 1e-12
+        adv = expected_advantage_table(game, policy, vb, agent)
+        assert adv.shape == (3, 2)
+        assert np.abs(adv).max() < 1e-12
 
 
 def test_advantage_matching_pennies_uniform(pennies):
     game, reward, uniform = pennies
     vb = policy_evaluation(game, reward, uniform)
     for agent in range(2):
-        for a in range(2):
-            assert abs(expected_advantage(game, reward, uniform, vb, agent, 0, a)) < 1e-12
+        adv = expected_advantage_table(game, uniform, vb, agent)
+        assert np.abs(adv[0]).max() < 1e-12
 
 
 def test_advantage_pd_defection(pd):
     # Q(C,D) - Q(D,D) = (0 + gamma*V) - (0.2 + gamma*V) = -0.2 at V = 0.4
     game, reward, dd, _ = pd
     vb = policy_evaluation(game, reward, dd)
-    adv = expected_advantage(game, reward, dd, vb, agent=0, state=0, action=0)
-    assert abs(adv - (-0.2)) < 1e-12
+    adv = expected_advantage_table(game, dd, vb, agent=0)
+    assert abs(adv[0, 0] - (-0.2)) < 1e-12
 
 
 def test_stale_values_rejected(pd):
@@ -112,7 +112,7 @@ def test_stale_values_rejected(pd):
     vb = policy_evaluation(game, reward, dd)
     stale = type(vb)(v=vb.v, q=vb.q, residual=1.0, tol=vb.tol)
     with pytest.raises(StaleValuesError):
-        expected_advantage(game, reward, dd, stale, 0, 0, 0)
+        expected_advantage_table(game, dd, stale, 0)
 
 
 def test_occupancy_absorbing_and_chain():

@@ -12,7 +12,6 @@ from mairl.equilibrium import (
     bimatrix_nash,
     matrix_ne_check,
     nash_gap,
-    nash_q_learning,
     nash_value_iteration,
 )
 from mairl.games import JointPolicy, JointReward, deterministic_policy
@@ -155,13 +154,6 @@ def test_nash_value_iteration_grid_expert():
     assert abs(res.values[1, index.start_state] - 0.9**3) < 1e-9
 
 
-def test_sampled_nash_q_learning_pd(pd):
-    game, reward, _, _ = pd
-    res = nash_q_learning(game, reward, episodes=300, seed=1, horizon=10)
-    assert np.allclose(res.policy.per_agent[0], [[0.0, 1.0]])
-    assert np.allclose(res.policy.per_agent[1], [[0.0, 1.0]])
-
-
 def test_nash_q_learning_requires_two_agents():
     rng = np.random.default_rng(0)
     game = random_markov_game(rng, 2, (2, 2, 2), 0.5)
@@ -178,8 +170,6 @@ def test_reward_that_is_not_the_games_shape_is_rejected(shape):
     policy = deterministic_policy(game.action_counts, game.n_states, [0, 0])
     with pytest.raises(DimensionMismatchError):
         nash_value_iteration(game, bad)
-    with pytest.raises(DimensionMismatchError):
-        nash_q_learning(game, bad, episodes=1, horizon=1)
     for agent in range(2):
         with pytest.raises(DimensionMismatchError):
             best_response(game, bad, policy, agent)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,8 +96,8 @@ def test_run_experiment_smoke_and_determinism(tmp_path):
     assert len(result.curve_rows) == 2  # 2 seeds x 1 eval point x 1 variant
     for row in result.curve_rows:
         assert row[5] <= 1e-9  # behavior cloning is exact on the same variant
-    curve_a = open(result.paths["curve"]).read()
-    bound_a = open(result.paths["bound"]).read()
+    curve_a = Path(result.paths["curve"]).read_text()
+    bound_a = Path(result.paths["bound"]).read_text()
     assert curve_a.splitlines()[0] == (
         "seed,variant,k,samples_total,nash_gap_mairl,nash_gap_bc,epsilon_k"
     )
@@ -108,10 +110,10 @@ def test_run_experiment_smoke_and_determinism(tmp_path):
         out_dir=str(tmp_path / "b"),
     )
     result_b = run_experiment(config_b)
-    assert open(result_b.paths["curve"]).read() == curve_a
-    assert open(result_b.paths["bound"]).read() == bound_a
+    assert Path(result_b.paths["curve"]).read_text() == curve_a
+    assert Path(result_b.paths["bound"]).read_text() == bound_a
 
-    summary = open(result.paths["summary"]).read().splitlines()
+    summary = Path(result.paths["summary"]).read_text().splitlines()
     assert summary[0].startswith("variant,k,")
     lows = [float(line.split(",")[3]) for line in summary[1:]]
     assert all(v >= 0.0 for v in lows)
@@ -152,4 +154,4 @@ def test_bound_command_matches_run_experiment(tmp_path):
     args = ["--config", str(tmp_path / "exp.cfg"), "--out-dir", str(tmp_path / "cli"), "bound"]
     assert main(args) == EXIT_OK
     cli_bound = (tmp_path / "cli" / "bound.csv").read_bytes()
-    assert cli_bound == open(result.paths["bound"], "rb").read()
+    assert cli_bound == Path(result.paths["bound"]).read_bytes()

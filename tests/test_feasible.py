@@ -23,12 +23,12 @@ from conftest import make_instance
 
 def test_event_mask_fully_mixed(pennies):
     _, _, uniform = pennies
-    assert not event_mask(uniform).mask.any()
+    assert not event_mask(uniform).any()
 
 
 def test_event_mask_deterministic_joint():
     policy = deterministic_policy((2, 2), 1, [0, 1])
-    mask = event_mask(policy).mask
+    mask = event_mask(policy)
     # agent 0: own action 1 never played, opponent action 1 played
     assert mask[0].tolist() == [[False, False, False, True]]
     # agent 1: own action 0 never played, opponent action 0 played
@@ -38,7 +38,7 @@ def test_event_mask_deterministic_joint():
 
 def test_event_mask_opponent_zero_conjunct():
     policy = JointPolicy([np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]])])
-    mask = event_mask(policy).mask
+    mask = event_mask(policy)
     # agent 1's unplayed action against a fully supported opponent
     assert mask[1, 0].tolist() == [False, True, False, True]
     # agent 0 has no zero-probability action, so nothing is flagged for it
@@ -47,7 +47,7 @@ def test_event_mask_opponent_zero_conjunct():
     # if the opponents assign zero mass to some action, joint actions through
     # it are not flagged either (the second conjunct fails)
     both = JointPolicy([np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])])
-    m2 = event_mask(both).mask
+    m2 = event_mask(both)
     assert not m2[0, 0, 3]  # own action 1 unplayed, but opponent's 1 has mass 0
     assert m2[0, 0].tolist() == [False, False, True, False]
 
@@ -88,7 +88,7 @@ def test_construct_reward_single_state_example():
     rng = np.random.default_rng(0)
     game = random_markov_game(rng, 1, (2, 2), 0.5)
     policy = deterministic_policy((2, 2), 1, [0, 0])
-    mask = event_mask(policy).mask
+    mask = event_mask(policy)
     params = FeasibleParams(a_fn=np.where(mask, 0.2, 0.0), v_fn=np.full((2, 1), 0.4))
     reward = construct_reward(game, policy, params, rmax=1.0)
     assert np.allclose(reward.tables[:, 0, 0], 0.2)
@@ -135,7 +135,7 @@ def test_round_trip_contract_on_pd(pd):
     game, reward, dd, _ = pd
     params = decompose_reward(game, dd, reward)
     back = construct_reward(game, dd, params, rmax=1.0)
-    pinned = event_mask(dd).mask | (dd.joint_table() > 0)[None, :, :]
+    pinned = event_mask(dd) | (dd.joint_table() > 0)[None, :, :]
     err = np.abs(back.tables - reward.tables)
     assert err[pinned].max() <= 1e-12
     assert check_implicit(game, back, dd).passed

@@ -53,6 +53,27 @@ def test_policy_rows_are_distributions():
     assert pol.support(1).tolist() == [[True, False]]
 
 
+def test_nan_entries_are_rejected():
+    P = np.full((2, 2, 2), 0.5)
+    P[1, 0] = [np.nan, 1.0]
+    with pytest.raises(StochasticityError):
+        MarkovGame(P, 0.9, [0.5, 0.5], (2,))
+    with pytest.raises(StochasticityError):
+        MarkovGame(np.full((2, 2, 2), 0.5), 0.9, [np.nan, 1.0], (2,))
+    with pytest.raises(ValueError):
+        MarkovGame(np.full((2, 2, 2), 0.5), np.nan, [0.5, 0.5], (2,))
+    with pytest.raises(StochasticityError):
+        JointPolicy([np.array([[np.nan, 1.0]])])
+    tables = np.full((2, 1, 4), 0.5)
+    tables[1, 0, 2] = np.nan
+    with pytest.raises(ValueError):
+        JointReward(tables, rmax=1.0)
+    with pytest.raises(ValueError):
+        JointReward(tables, rmax=np.inf)
+    with pytest.raises(ValueError):
+        JointReward(np.full((2, 1, 4), 0.5), rmax=[1.0, np.nan])
+
+
 def test_tables_are_read_only():
     game = single_state_game((2, 2), 0.5)
     with pytest.raises(ValueError):

@@ -25,12 +25,12 @@ def dense_advantage_rows(game, policy, agent, reward_class):
     per-state rewards for the "state" class."""
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
-    joint = policy.joint_table(game.agent_actions)
+    joint = policy.joint_table()
     pi_op = np.zeros((S, S * A))
     idx = np.arange(S)[:, None] * A + np.arange(A)[None, :]
     pi_op[np.repeat(np.arange(S), A), idx.ravel()] = joint.ravel()
     M = np.eye(S * A) - game.gamma * game.transitions.reshape(S * A, S) @ pi_op
-    opp = policy.opponent_table(agent, game.agent_actions)
+    opp = policy.opponent_table(agent)
     own = game.agent_actions[agent]
     W = np.zeros((S * n_own, S * A))
     cols = np.arange(A)

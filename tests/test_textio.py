@@ -69,3 +69,22 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     path.write_text("# header\n[experiment]\n\nseeds = 1 2  # two seeds\nk_max = 4\neval_points = 1\n")
     config = parse_config(path)
     assert config.seeds == (1, 2) and config.k_max == 4
+
+
+@pytest.mark.parametrize("section", ["[transitions]", "[reward]", "[policy]"])
+def test_missing_or_repeated_table_entry_is_an_error(tmp_path, section):
+    rng = np.random.default_rng(1)
+    game = random_markov_game(rng, 2, (2, 2), 0.5)
+    path = tmp_path / "bundle.txt"
+    write_sections(path, game=game, reward=random_reward(rng, game),
+                   policy=random_joint_policy(rng, game))
+    lines = path.read_text().splitlines()
+    # the first entry follows the header, or the `rmax` line in [reward]
+    first = lines.index(section) + (2 if section == "[reward]" else 1)
+    for edited, match in [
+        (lines[:first] + lines[first + 1:], "no entry"),
+        (lines[:first + 1] + lines[first:], "more than once"),
+    ]:
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ConfigError, match=match):
+            read_sections(path)
