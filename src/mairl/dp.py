@@ -105,24 +105,13 @@ def expected_advantage_table(
     return exp_q - values.v[agent][:, None]
 
 
-def occupancy(game: MarkovGame, policy: JointPolicy, start=None) -> np.ndarray:
-    """(S, A) discounted visitation w(s,a) = sum_t gamma^t Pr_t(s) pi(a|s),
-    whose entries sum to 1/(1-gamma).
-
-    `start` is the initial distribution: None uses game.mu, an integer is a
-    deterministic start state, and an array is used as given.
-    """
+def occupancy(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
+    """(S, A) discounted visitation w(s,a) = sum_t gamma^t Pr_t(s) pi(a|s)
+    from the start distribution game.mu, whose entries sum to 1/(1-gamma)."""
     _check_shapes(game, None, policy)
     S = game.n_states
-    if start is None:
-        mu = game.mu
-    elif np.isscalar(start):
-        mu = np.zeros(S)
-        mu[int(start)] = 1.0
-    else:
-        mu = np.asarray(start, dtype=np.float64)
     p_pi = transition_under(game, policy)
-    d = np.linalg.solve(np.eye(S) - game.gamma * p_pi.T, mu)
+    d = np.linalg.solve(np.eye(S) - game.gamma * p_pi.T, game.mu)
     return d[:, None] * policy.joint_table()
 
 

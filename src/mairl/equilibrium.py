@@ -35,7 +35,6 @@ MU_WEIGHTED = "mu-weighted"
 class BestResponseResult:
     """Exact deterministic best response of one agent against pi^{-i}."""
 
-    policy_i: np.ndarray  # (S, |A_i|) one-hot table
     actions: np.ndarray  # (S,) argmax actions
     value: np.ndarray  # (S,) value under (BR, pi^{-i})
     gap_per_state: np.ndarray  # value - V^{i,pi}, >= 0 up to tolerance
@@ -90,10 +89,8 @@ def best_response(
     else:  # pragma: no cover - strict improvement makes cycling impossible
         raise ConvergenceError("policy iteration failed to stabilize")
 
-    table = np.zeros((S, n_actions))
-    table[rows, actions] = 1.0
     v_pi = policy_evaluation(game, reward, policy).v[agent]
-    return BestResponseResult(policy_i=table, actions=actions, value=v, gap_per_state=v - v_pi)
+    return BestResponseResult(actions=actions, value=v, gap_per_state=v - v_pi)
 
 
 def nash_gap(

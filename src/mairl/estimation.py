@@ -2,10 +2,12 @@
 
 One sampling round queries the generative model once per (state, joint
 action) for a next state and once per state for a joint expert action, so
-after k rounds every pair count equals k. Empirical estimates fall back to
-uniform on unvisited entries. Hoeffding-style radii and the expert-support
-indicator combine into a per-pair reward uncertainty whose maximum drives
-the stopping rule; closed-form sample bounds mirror the same quantities.
+after k rounds every pair count and every state count equals k, and k is
+the only count kept. Empirical estimates are the tallies divided by k and
+fall back to uniform only before the first round (k = 0). Hoeffding-style
+radii and the expert-support indicator at k combine into the reward
+uncertainty C_k whose maximum drives the stopping rule; closed-form sample
+bounds mirror the same quantities.
 
 Draws are deterministic per (seed, round): each seed has one numpy Philox
 stream, keyed `SeedSequence(seed).generate_state(2, np.uint64)`, and round
@@ -67,16 +69,16 @@ class ConfidenceParams:
 
 
 class CountBook:
-    """Cumulative visit counts for transitions and per-agent expert actions."""
+    """Cumulative next-state and per-agent expert-action tallies after
+    `iteration` uniform rounds; every (s, a) row of `n_sas` and every state
+    row of `n_i_sa[i]` sums to `iteration`."""
 
     def __init__(self, n_states: int, action_counts):
         self.n_states = int(n_states)
         self.action_counts = tuple(int(c) for c in action_counts)
         A = joint_action_count(self.action_counts)
         self.n_sas = np.zeros((n_states, A, n_states), dtype=np.int64)
-        self.n_sa = np.zeros((n_states, A), dtype=np.int64)
         self.n_i_sa = [np.zeros((n_states, c), dtype=np.int64) for c in self.action_counts]
-        self.n_s = np.zeros(n_states, dtype=np.int64)
         self.iteration = 0
 
     @property
@@ -86,14 +88,14 @@ class CountBook:
 
 @dataclass(frozen=True)
 class EstimatedProblem:
-    """Empirical transition and expert-policy estimates with their counts."""
+    """Empirical transition and expert-policy estimates after k rounds."""
 
     p_hat: np.ndarray
     pi_hat: JointPolicy
-    counts: CountBook
+    k: int
 
     def as_game(self, gamma: float, mu) -> MarkovGame:
-        return MarkovGame(self.p_hat, gamma, mu, self.counts.action_counts)
+        return MarkovGame(self.p_hat, gamma, mu, self.pi_hat.action_counts)
 
 
 @dataclass(frozen=True)
@@ -210,23 +212,20 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
         for i, table in enumerate(counts.n_i_sa):
             flat = np.arange(S) * table.shape[1] + expert_actions[..., i]
             np.add.at(table.reshape(-1), flat.ravel(), 1)
-    counts.n_sa += rounds
-    counts.n_s += rounds
     counts.iteration += rounds
     return counts
 
 
 def estimate(counts: CountBook) -> EstimatedProblem:
-    """Maximum-likelihood estimates with uniform fallback on unvisited entries."""
-    S = counts.n_states
-    denom = counts.n_sa[:, :, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_hat = np.where(denom > 0, counts.n_sas / np.maximum(denom, 1), 1.0 / S)
-    tables = []
-    n_s = counts.n_s[:, None]
-    for i, c in enumerate(counts.action_counts):
-        tables.append(np.where(n_s > 0, counts.n_i_sa[i] / np.maximum(n_s, 1), 1.0 / c))
-    return EstimatedProblem(p_hat=p_hat, pi_hat=JointPolicy(tables), counts=counts)
+    """Maximum-likelihood estimates: the tallies divided by k, or uniform at k = 0."""
+    k = counts.iteration
+    if k == 0:
+        p_hat = np.full(counts.n_sas.shape, 1.0 / counts.n_states)
+        tables = [np.full(t.shape, 1.0 / c) for t, c in zip(counts.n_i_sa, counts.action_counts)]
+    else:
+        p_hat = counts.n_sas / k
+        tables = [t / k for t in counts.n_i_sa]
+    return EstimatedProblem(p_hat=p_hat, pi_hat=JointPolicy(tables), k=k)
 
 
 def xi_threshold(n_s, params: ConfidenceParams, n_states: int, action_counts, n_agents: int):
@@ -271,29 +270,30 @@ def _indicator(n_s, params: ConfidenceParams, n_states: int, action_counts, n_ag
     return (N <= np.maximum(1.0, xi)).astype(np.float64)
 
 
-def _c_terms(n_s, n_sa, params: ConfidenceParams, n_states: int, action_counts, n_agents: int):
-    """Indicator at counts n_s, radius at counts n_sa, and C = rmax/(1-gamma)
-    indicator + gamma radius (the indicator broadcast over n_sa's last axis)."""
-    ind = _indicator(n_s, params, n_states, action_counts, n_agents)
-    radius = transition_radius(n_sa, params, n_states, action_counts)
-    c = params.rmax / (1.0 - params.gamma) * ind[..., None] + params.gamma * radius
-    return ind, radius, c
-
-
 def _schedule(ks, params: ConfidenceParams, n_states: int, action_counts, n_agents: int):
     """epsilon_k, C_k, transition radius and indicator of the uniform schedule
-    at rounds ks, where every count after k rounds equals k."""
-    ind, radius, c = _c_terms(ks, ks[:, None], params, n_states, action_counts, n_agents)
-    return c[:, 0] / (1.0 - params.gamma), c[:, 0], radius[:, 0], ind
+    at rounds ks (an array), where every count after k rounds equals k:
+    C_k = rmax/(1-gamma) indicator + gamma radius and epsilon_k = C_k/(1-gamma)."""
+    ind = _indicator(ks, params, n_states, action_counts, n_agents)
+    radius = transition_radius(ks, params, n_states, action_counts)
+    c = params.rmax / (1.0 - params.gamma) * ind + params.gamma * radius
+    return c / (1.0 - params.gamma), c, radius, ind
 
 
 def uncertainty(counts: CountBook, params: ConfidenceParams) -> UncertaintyTable:
-    """Per-pair reward uncertainty C_k and the accuracy epsilon_k = max C_k / (1-gamma)."""
-    ind, radius, c = _c_terms(
-        counts.n_s, counts.n_sa, params, counts.n_states, counts.action_counts, counts.n_agents
+    """The `_schedule` row at k = counts.iteration, broadcast to C_k per pair
+    (S, A) and the indicator per state (S,)."""
+    k = np.array([float(counts.iteration)])
+    eps, c, radius, ind = _schedule(
+        k, params, counts.n_states, counts.action_counts, counts.n_agents
     )
-    eps = float(c.max() / (1.0 - params.gamma)) if c.size else 0.0
-    return UncertaintyTable(c, eps, ind, float(radius.max()) if radius.size else 0.0)
+    S, A = counts.n_sas.shape[:2]
+    return UncertaintyTable(
+        c=np.full((S, A), c[0]),
+        epsilon_k=float(eps[0]),
+        indicator=np.full(S, ind[0]),
+        max_transition_radius=float(radius[0]),
+    )
 
 
 @dataclass
@@ -433,34 +433,38 @@ def good_event_inequalities(
     game: MarkovGame,
     reward: JointReward,
     expert: JointPolicy,
-    problem: EstimatedProblem,
+    problems,
     params: ConfidenceParams,
-):
-    """Evaluate the four concentration inequalities for the current estimates.
+) -> list:
+    """Evaluate the four concentration inequalities for each estimated problem
+    in the sequence `problems`.
 
-    Returns four booleans: the support-mask bound with the true penalties, the
-    same with the estimated problem's penalties, and the transition bound with
-    the true and with the estimated values. The true reward must be feasible
-    for (game, expert).
+    Returns one tuple of four booleans per problem: the support-mask bound
+    with the true penalties, the same with the estimated problem's
+    penalties, and the transition bound with the true and with the estimated
+    values. Indicator and radius come from each problem's k. The true side
+    (penalties, event mask, |V|) is computed once per call. The true reward
+    must be feasible for (game, expert).
     """
     scale = params.rmax / (1.0 - params.gamma)
-    counts = problem.counts
-    ind = _indicator(counts.n_s, params, game.n_states, game.action_counts, game.n_agents)
-    radius = transition_radius(counts.n_sa, params, game.n_states, game.action_counts)
-
-    mask_diff = event_mask(expert) != event_mask(problem.pi_hat)
-
     params_true = decompose_reward(game, expert, reward)
-    game_hat = problem.as_game(game.gamma, game.mu)
-    values_hat = policy_evaluation(game_hat, reward, problem.pi_hat)
-    a_hat = np.maximum(values_hat.v[:, :, None] - values_hat.q, 0.0)
+    mask_true = event_mask(expert)
+    v_true_abs = np.abs(params_true.v_fn)
+    ks = np.array([float(problem.k) for problem in problems])
+    _, _, radii, inds = _schedule(ks, params, game.n_states, game.action_counts, game.n_agents)
+    flags = []
+    for problem, radius, ind in zip(problems, radii, inds):
+        mask_diff = mask_true != event_mask(problem.pi_hat)
+        values_hat = policy_evaluation(problem.as_game(game.gamma, game.mu), reward, problem.pi_hat)
+        a_hat = np.maximum(values_hat.v[:, :, None] - values_hat.q, 0.0)
 
-    ok1 = bool(np.all(mask_diff * params_true.a_fn <= scale * ind[None, :, None] + 1e-12))
-    ok2 = bool(np.all(mask_diff * a_hat <= scale * ind[None, :, None] + 1e-12))
+        ok1 = bool(np.all(mask_diff * params_true.a_fn <= scale * ind + 1e-12))
+        ok2 = bool(np.all(mask_diff * a_hat <= scale * ind + 1e-12))
 
-    dp_abs = np.abs(game.transitions - problem.p_hat)  # (S, A, S)
-    lhs_true = np.einsum("sat,it->isa", dp_abs, np.abs(params_true.v_fn))
-    lhs_hat = np.einsum("sat,it->isa", dp_abs, np.abs(values_hat.v))
-    ok3 = bool(np.all(lhs_true <= radius[None, :, :] + 1e-12))
-    ok4 = bool(np.all(lhs_hat <= radius[None, :, :] + 1e-12))
-    return ok1, ok2, ok3, ok4
+        dp_abs = np.abs(game.transitions - problem.p_hat)  # (S, A, S)
+        lhs_true = np.einsum("sat,it->isa", dp_abs, v_true_abs)
+        lhs_hat = np.einsum("sat,it->isa", dp_abs, np.abs(values_hat.v))
+        ok3 = bool(np.all(lhs_true <= radius + 1e-12))
+        ok4 = bool(np.all(lhs_hat <= radius + 1e-12))
+        flags.append((ok1, ok2, ok3, ok4))
+    return flags

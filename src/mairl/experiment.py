@@ -24,7 +24,7 @@ from .estimation import (
 )
 from .feasible import FeasibleParams, check_implicit, construct_reward, event_mask
 from .games import JointPolicy, MarkovGame
-from .gridworld import VARIANTS, GridGameSpec, build_grid_game, variant_spec
+from .gridworld import GOAL_REWARD, VARIANTS, GridGameSpec, build_grid_game, variant_spec
 from .reward_select import (
     DISTANCE_TO_RANDOM,
     MAX_MARGIN,
@@ -89,10 +89,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be > 0, delta in (0,1), pi_min in (0,1]")
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
-        if not GridGameSpec.goal_reward <= self.rmax < np.inf:
-            raise ConfigError(
-                f"rmax must be finite and >= the grid's goal reward {GridGameSpec.goal_reward}"
-            )
+        if not GOAL_REWARD <= self.rmax < np.inf:
+            raise ConfigError(f"rmax must be finite and >= the grid's goal reward {GOAL_REWARD}")
         if not self.variants:
             raise ConfigError("need at least one variant")
         unknown = set(self.variants) - set(VARIANTS)

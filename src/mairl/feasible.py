@@ -19,7 +19,8 @@ from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
 @dataclass(frozen=True)
 class FeasibleParams:
     """Explicit parameters: deviation penalties a_fn >= 0 (n, S, A) and
-    shaping values v_fn (n, S)."""
+    finite shaping values v_fn (n, S). A NaN penalty or a non-finite value
+    raises ValueError."""
 
     a_fn: np.ndarray
     v_fn: np.ndarray
@@ -31,8 +32,10 @@ class FeasibleParams:
             raise DimensionMismatchError(
                 f"a_fn shape {a.shape} and v_fn shape {v.shape} do not align"
             )
-        if np.any(a < 0):
+        if not np.all(a >= 0):
             raise ValueError("a_fn must be nonnegative everywhere")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("v_fn must be finite everywhere")
         object.__setattr__(self, "a_fn", a)
         object.__setattr__(self, "v_fn", v)
 

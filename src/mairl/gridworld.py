@@ -9,7 +9,8 @@ standing on its own goal is pinned there, and the goal reward is paid on
 entry only, so values stay within the goal reward.
 
 Variants: "deterministic"; "stochastic-up" (an up move from the agent's own
-start column advances only with `up_success_prob`, else the agent stays);
+start column advances only with probability UP_SUCCESS_PROB, else the agent
+stays);
 "obstacle-one" (the cell above agent 0's start is impassable);
 "obstacle-both" (the cells above both starts are impassable).
 """
@@ -28,6 +29,9 @@ _DELTAS = {UP: (0, 1), DOWN: (0, -1), LEFT: (-1, 0), RIGHT: (1, 0)}
 
 VARIANTS = ("deterministic", "stochastic-up", "obstacle-both", "obstacle-one")
 
+UP_SUCCESS_PROB = 0.5
+GOAL_REWARD = 1.0
+
 
 @dataclass(frozen=True)
 class GridGameSpec:
@@ -36,8 +40,6 @@ class GridGameSpec:
     start_positions: tuple = ((0, 0), (2, 0))
     goal_positions: tuple = ((2, 2), (0, 2))
     variant: str = "deterministic"
-    up_success_prob: float = 0.5
-    goal_reward: float = 1.0
     gamma: float = 0.9
     rmax: float = 1.0
 
@@ -52,10 +54,8 @@ class GridGameSpec:
             raise ValueError("agents cannot share a start cell")
         if self.goal_positions[0] == self.goal_positions[1]:
             raise ValueError("agents cannot share a goal cell")
-        if not 0.0 < self.up_success_prob <= 1.0:
-            raise ValueError("up_success_prob must lie in (0, 1]")
-        if not 0.0 < self.goal_reward <= self.rmax:
-            raise ValueError("goal_reward must lie in (0, rmax]")
+        if not GOAL_REWARD <= self.rmax:
+            raise ValueError(f"rmax must be >= the goal reward {GOAL_REWARD}")
 
     @property
     def obstacles(self) -> tuple:
@@ -105,13 +105,9 @@ def _move_outcomes(spec: GridGameSpec, agent: int, pos, action):
     )
     if blocked:
         return [(1.0, pos)]
-    if (
-        spec.variant == "stochastic-up"
-        and action == UP
-        and pos[0] == spec.start_positions[agent][0]
-        and spec.up_success_prob < 1.0
-    ):
-        return [(spec.up_success_prob, target), (1.0 - spec.up_success_prob, pos)]
+    own_start_column = pos[0] == spec.start_positions[agent][0]
+    if spec.variant == "stochastic-up" and action == UP and own_start_column:
+        return [(UP_SUCCESS_PROB, target), (1.0 - UP_SUCCESS_PROB, pos)]
     return [(1.0, target)]
 
 
@@ -139,9 +135,9 @@ def build_grid_game(spec: GridGameSpec):
                         q0, q1 = p0, p1
                     P[s, flat, index.state_of[(q0, q1)]] += w
                     if q0 == goals[0] and p0 != goals[0]:
-                        R[0, s, flat] += w * spec.goal_reward
+                        R[0, s, flat] += w * GOAL_REWARD
                     if q1 == goals[1] and p1 != goals[1]:
-                        R[1, s, flat] += w * spec.goal_reward
+                        R[1, s, flat] += w * GOAL_REWARD
 
     mu = np.zeros(S)
     mu[index.start_state] = 1.0

@@ -60,8 +60,6 @@ class MaxGapResult:
     reward: JointReward
     margins: np.ndarray  # achieved margin per agent
     mode: str
-    reward_class: str
-    seed: int | None
     lp_iterations: int
     projection_sweeps: int
     pinned_rows: tuple  # per agent: count of structurally-tied deviation rows
@@ -352,8 +350,6 @@ def max_gap_reward(
         reward=reward,
         margins=margins,
         mode=mode,
-        reward_class=reward_class,
-        seed=seed,
         lp_iterations=lp_iters,
         projection_sweeps=sweeps,
         pinned_rows=tuple(pinned),

@@ -99,8 +99,9 @@ def write_sections(path, game: MarkovGame | None = None, reward: JointReward | N
 def read_sections(path):
     """Dict with any of the keys game/reward/policy/provenance found in the
     file. A malformed number or table, a missing key (such as a [reward]
-    section that does not start with `rmax = ...`), or a table entry that is
-    missing or given more than once raises ConfigError."""
+    section that does not start with `rmax = ...`), a table entry that is
+    missing or given more than once, or a [policy] whose agents, states or
+    action counts differ from the file's [game] raises ConfigError."""
     with open(path) as fh:
         sections = _parse_sections(fh.read())
     try:
@@ -164,7 +165,15 @@ def _build_sections(sections):
     if "policy" in sections:
         rows, (n, S) = _table_rows(sections["policy"], 2, "policy")
         tables = [np.array([rows[i, s] for s in range(S)]) for i in range(n)]
-        out["policy"] = JointPolicy(tables)
+        policy = JointPolicy(tables)
+        shape = (policy.n_agents, policy.n_states, policy.action_counts)
+        game = out.get("game")
+        if game is not None and shape != (game.n_agents, game.n_states, game.action_counts):
+            raise ConfigError(
+                f"[policy] has (n, S, action counts) {shape}, [game] has "
+                f"{(game.n_agents, game.n_states, game.action_counts)}"
+            )
+        out["policy"] = policy
     if "provenance" in sections:
         out["provenance"] = _kv(sections["provenance"], "provenance")
     return out

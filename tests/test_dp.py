@@ -125,7 +125,7 @@ def test_occupancy_absorbing_and_chain():
     P[0, 0, 1] = 1.0
     P[1, 0, 1] = 1.0
     chain = MarkovGame(P, 0.5, [1.0, 0.0], (1,))
-    occ = occupancy(chain, JointPolicy([np.ones((2, 1))]), start=0)
+    occ = occupancy(chain, JointPolicy([np.ones((2, 1))]))
     assert np.allclose(occ[:, 0], [1.0, 1.0])
 
 
@@ -138,8 +138,9 @@ def test_occupancy_normalization_property(seed):
     gamma = float(rng.uniform(0.0, 0.95))
     game = random_markov_game(rng, S, counts, gamma)
     policy = random_joint_policy(rng, game)
-    start = int(rng.integers(S)) if rng.random() < 0.5 else None
-    occ = occupancy(game, policy, start=start)
+    if rng.random() < 0.5:  # a deterministic start state in place of the random mu
+        game = MarkovGame(game.transitions, gamma, np.eye(S)[int(rng.integers(S))], counts)
+    occ = occupancy(game, policy)
     assert occ.shape == (S, game.n_joint_actions)
     assert occ.min() >= -1e-15
     assert abs(occ.sum() - 1.0 / (1.0 - gamma)) <= 1e-9

@@ -46,8 +46,9 @@ def test_sample_round_counts_uniform_schedule():
     counts = CountBook(2, (2, 2))
     for k in range(1, 4):
         sample_round(oracle, counts)
-        assert np.all(counts.n_sa == k)
-        assert np.all(counts.n_s == k)
+        assert np.all(counts.n_sas.sum(-1) == k)
+        for i in range(2):
+            assert np.all(counts.n_i_sa[i].sum(-1) == k)
         assert counts.iteration == k
     # deterministic transitions: all mass on the known successor
     assert np.all(counts.n_sas[:, :, 1] == 3)
@@ -55,10 +56,6 @@ def test_sample_round_counts_uniform_schedule():
     # deterministic expert: every agent's count sits on its action
     assert np.all(counts.n_i_sa[0][:, 0] == 3)
     assert np.all(counts.n_i_sa[1][0] == [0, 3])
-    # bookkeeping identities
-    assert np.array_equal(counts.n_sa, counts.n_sas.sum(-1))
-    for i in range(2):
-        assert np.array_equal(counts.n_s, counts.n_i_sa[i].sum(-1))
 
 
 def test_estimate_uniform_fallback_and_frequencies():
@@ -67,10 +64,16 @@ def test_estimate_uniform_fallback_and_frequencies():
     assert np.allclose(prob.p_hat, 1 / 3)
     assert np.allclose(prob.pi_hat.per_agent[0], 1 / 2)
 
+    # three rounds: every row holds 3 tallies
+    counts.iteration = 3
+    counts.n_sas[:, :, 2] = 3
     counts.n_sas[0, 0] = [2, 1, 0]
-    counts.n_sa[0, 0] = 3
+    counts.n_i_sa[0][:, 1] = 3
     prob = estimate(counts)
+    assert prob.k == 3
     assert np.allclose(prob.p_hat[0, 0], [2 / 3, 1 / 3, 0.0])
+    assert np.allclose(prob.p_hat[1:, :], [0.0, 0.0, 1.0])
+    assert np.allclose(prob.pi_hat.per_agent[0], [0.0, 1.0])
 
     game, expert = det_game_and_expert()
     oracle = GenerativeOracle(game, expert, seed=1)
@@ -113,8 +116,7 @@ def test_uncertainty_example_value():
     assert np.allclose(table.c, expected)
     assert abs(table.epsilon_k - expected / 0.1) < 1e-9
     # radius vanishes as counts grow
-    counts.n_sa[:] = 10**12
-    counts.n_s[:] = 10**12
+    counts.iteration = 10**12
     big = uncertainty(counts, params)
     assert big.c.max() < 1e-4
 
@@ -123,8 +125,7 @@ def test_pure_expert_indicator_clears_after_one_round():
     params = _params(delta=0.5, pi_min=1.0, rmax=1.0, gamma=0.5)
     counts = CountBook(2, (2, 2))
     assert np.all(uncertainty(counts, params).indicator == 1.0)
-    counts.n_s[:] = 1
-    counts.n_sa[:] = 1
+    counts.iteration = 1
     assert np.all(uncertainty(counts, params).indicator == 0.0)
 
 
@@ -134,8 +135,7 @@ def test_uncertainty_monotone_after_threshold():
     last = None
     for k in range(1, 200):
         counts = CountBook(2, (2, 2))
-        counts.n_sa[:] = k
-        counts.n_s[:] = k
+        counts.iteration = k
         table = uncertainty(counts, params)
         if xi_cleared is None and table.indicator.max() == 0.0:
             xi_cleared = k
@@ -264,7 +264,27 @@ def test_good_event_inequalities_smoke():
     params = _params(delta=0.2, pi_min=0.25, rmax=1.0, gamma=0.8)
     oracle = GenerativeOracle(game, policy, seed=0)
     counts = CountBook(3, (2, 2))
+    problems = []
     for _ in range(5):
         sample_round(oracle, counts)
-    oks = good_event_inequalities(game, reward, policy, estimate(counts), params)
-    assert len(oks) == 4 and all(isinstance(v, bool) for v in oks)
+        problems.append(estimate(counts))
+    flags = good_event_inequalities(game, reward, policy, problems, params)
+    assert len(flags) == 5
+    for oks in flags:
+        assert len(oks) == 4 and all(isinstance(v, bool) for v in oks)
+
+
+def test_good_event_flags_do_not_change_when_the_counts_keep_sampling():
+    game, policy = make_instance(3, n_states=3, gamma=0.8)
+    reward = sample_reward_family(game, policy, 1.0, 1, seed=0)[0]
+    params = _params(delta=0.2, pi_min=0.25, rmax=1.0, gamma=0.8)
+    oracle = GenerativeOracle(game, policy, seed=0)
+    counts = CountBook(3, (2, 2))
+    sample_round(oracle, counts)
+    problem = estimate(counts)
+    p_hat = problem.p_hat.copy()
+    before = good_event_inequalities(game, reward, policy, [problem], params)
+    sample_round(oracle, counts, 10_000)
+    assert problem.k == 1 and np.array_equal(problem.p_hat, p_hat)
+    assert good_event_inequalities(game, reward, policy, [problem], params) == before
+    assert before == [(True, True, True, True)]

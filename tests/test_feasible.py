@@ -82,6 +82,14 @@ def test_construct_reward_constant_shaping():
     assert np.all(zero.tables == 0.0)
 
 
+@pytest.mark.parametrize(
+    "a_fill, v_fill", [(np.nan, 0.0), (-1.0, 0.0), (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf)]
+)
+def test_feasible_params_reject_nan_penalties_and_non_finite_values(a_fill, v_fill):
+    with pytest.raises(ValueError):
+        FeasibleParams(a_fn=np.full((1, 1, 2), a_fill), v_fn=np.full((1, 1), v_fill))
+
+
 def test_construct_reward_single_state_example():
     """Deterministic profile (a0, b0), gamma 0.5, V = 0.4, A = 0.2 on masked
     entries: reward 0.2 on the equilibrium row, 0 on masked deviations."""

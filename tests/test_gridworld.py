@@ -93,7 +93,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GridGameSpec(goal_positions=((5, 5), (0, 2)))
     with pytest.raises(ValueError):
-        GridGameSpec(goal_reward=2.0, rmax=1.0)
+        GridGameSpec(rmax=0.5)  # below the goal reward 1
 
 
 def test_mu_is_start_state():

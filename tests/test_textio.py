@@ -88,3 +88,25 @@ def test_missing_or_repeated_table_entry_is_an_error(tmp_path, section):
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(ConfigError, match=match):
             read_sections(path)
+
+
+@pytest.mark.parametrize("dropped", ["last agent", "last state"])
+def test_policy_that_does_not_fit_the_game_header_is_an_error(tmp_path, dropped):
+    rng = np.random.default_rng(2)
+    game = random_markov_game(rng, 3, (2, 3), 0.5)
+    path = tmp_path / "bundle.txt"
+    write_sections(path, game=game, policy=random_joint_policy(rng, game))
+    lines = path.read_text().splitlines()
+    cut = lines.index("[policy]") + 1
+    head, rows = lines[:cut], lines[cut:]
+    if dropped == "last agent":
+        kept = [row for row in rows if not row.startswith("1 ")]
+    else:
+        kept = [row for row in rows if row.split()[1] != "2"]
+    path.write_text("\n".join(head + kept) + "\n")
+    with pytest.raises(ConfigError, match=r"\[policy\] has"):
+        read_sections(path)
+    # without the [game] header the same rows read as a smaller policy
+    path.write_text("\n".join(["[policy]"] + kept) + "\n")
+    back = read_sections(path)["policy"]
+    assert (back.n_agents, back.n_states) == ((1, 3) if dropped == "last agent" else (2, 2))
