@@ -9,11 +9,13 @@ tuple of per-agent actions; `flat_of` and `split_of` convert between them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def joint_action_count(action_counts) -> int:
-    return int(np.prod(action_counts, dtype=np.int64))
+    return math.prod(map(int, action_counts))
 
 
 def flat_of(action_counts, per_agent) -> int:

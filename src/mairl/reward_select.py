@@ -20,6 +20,14 @@ The max-margin mode maximizes that margin by LP over a reward class:
   such structurally-tied rows are detected from the LP duals and pinned at
   zero so the margin over the remaining deviations stays meaningful.
 
+The margin LP, max t s.t. U x + t 1_margin <= 0, 0 <= x <= rmax,
+0 <= t <= rmax/(1-gamma), has one row per (s, d) and one column per reward
+entry plus t. `_margin_lp` poses it in the form with the smaller simplex
+basis: the state class (S |A_i| rows, S + 1 columns) through its (S + 1)-row
+dual, whose row multipliers, negated, are x and t and whose variables y on
+the rows of U certify the tied rows; the state-action class (S A + 1
+columns) as the primal.
+
 The distance mode then projects a seeded random target reward onto the
 margin-pinned feasible polytope (minimizing the squared distance):
 projected gradient on the dual of the projection problem plus an exact
@@ -106,43 +114,87 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     return U.reshape(S * n_own, S * A)
 
 
-def _margin_lp(U, margin_rows, rmax_i, gamma):
-    n_vars = U.shape[1] + 1
-    lhs = np.hstack([-U, -margin_rows.astype(np.float64)[:, None]])
+def _primal_margin_lp(U, margin_rows, rmax_i, gamma):
+    """The margin LP over (x, t): m rows, so an m x m simplex basis."""
+    m, n = U.shape
     lp = LinearProgram(
-        objective=np.concatenate([np.zeros(U.shape[1]), [1.0]]),
-        lhs=lhs,
-        sense=np.full(U.shape[0], GE, dtype=np.int64),
-        rhs=np.zeros(U.shape[0]),
-        lower=np.zeros(n_vars),
-        upper=np.concatenate([np.full(U.shape[1], rmax_i), [rmax_i / (1.0 - gamma)]]),
+        objective=np.concatenate([np.zeros(n), [1.0]]),
+        lhs=np.hstack([-U, -margin_rows.astype(np.float64)[:, None]]),
+        sense=np.full(m, GE, dtype=np.int64),
+        rhs=np.zeros(m),
+        lower=np.zeros(n + 1),
+        upper=np.concatenate([np.full(n, rmax_i), [rmax_i / (1.0 - gamma)]]),
     )
-    return solve_lp(lp)
+    sol = solve_lp(lp)
+    return sol.x[:-1], sol.x[-1], -sol.row_duals, sol.iterations
 
 
-def _lexicographic_margin(U, mask, live, rmax_i, gamma, max_rounds=32):
+def _dual_margin_lp(U, margin_rows, rmax_i, gamma):
+    """The margin LP's dual over (y, z, w): n + 1 rows, so an (n+1) x (n+1)
+    basis. (x, t) are its row multipliers, negated: solve_lp's multipliers
+    of GE rows are <= 0 in a maximization."""
+    m, n = U.shape
+    lhs = np.zeros((n + 1, m + n + 1))
+    lhs[:n, :m] = U.T
+    lhs[:n, m : m + n] = np.eye(n)
+    lhs[n, :m] = margin_rows
+    lhs[n, -1] = 1.0
+    lp = LinearProgram(
+        objective=-np.concatenate([np.zeros(m), np.full(n, rmax_i), [rmax_i / (1.0 - gamma)]]),
+        lhs=lhs,
+        sense=np.full(n + 1, GE, dtype=np.int64),
+        rhs=np.concatenate([np.zeros(n), [1.0]]),
+        lower=np.zeros(m + n + 1),
+        upper=np.full(m + n + 1, np.inf),
+    )
+    sol = solve_lp(lp)
+    primal = -sol.row_duals
+    return primal[:-1], primal[-1], sol.x[:m], sol.iterations
+
+
+def _margin_lp(U, margin_rows, rmax_i, gamma):
+    """max t s.t. U x + t 1_margin <= 0, 0 <= x <= rmax, 0 <= t <= T, T = rmax/(1-gamma).
+
+    Returns (x, t, y, pivots): an optimal point, the row multipliers y >= 0
+    of U x + t 1_margin <= 0 and the simplex pivots. The simplex keeps an
+    explicit inverse of its basis, so the LP is solved in whichever form has
+    the smaller one: the primal's is m x m with m = U.shape[0], its dual's
+
+        min rmax 1^T z + T w  s.t.  U^T y + z >= 0,  1_margin^T y + w >= 1,  y, z, w >= 0
+
+    is (n+1) x (n+1) with n = U.shape[1]. The state class (n = S, m = S |A_i|)
+    takes the dual; the state-action class (n = S A > m) keeps the primal.
+    """
+    m, n = U.shape
+    if m > n + 1:
+        return _dual_margin_lp(U, margin_rows, rmax_i, gamma)
+    return _primal_margin_lp(U, margin_rows, rmax_i, gamma)
+
+
+def _lexicographic_margin(U, mask, live, rmax_i, gamma):
     """Maximize the scalar margin, pinning structurally-tied rows at zero.
 
-    Returns the last round's solution, the rows still carrying the margin,
+    Returns the last round's x and t, the rows still carrying the margin,
     and the simplex pivots summed over all rounds.
 
-    When the optimum is zero, the rows carrying nonzero LP duals form a
+    When the optimum is zero, the rows carrying nonzero multipliers y form a
     certificate whose gaps sum to zero for every reward in the class; they
     are removed from the margin (kept feasible at <= 0) and the LP repeats.
+    Each repeat removes at least one row, so there are at most
+    |margin rows| + 1 rounds.
     """
     margin_rows = mask & live
-    sol = None
     pivots = 0
-    for _ in range(max_rounds):
-        sol = _margin_lp(U, margin_rows, rmax_i, gamma)
-        pivots += sol.iterations
-        if sol.x[-1] > 1e-9 or not margin_rows.any():
+    while True:
+        x, t, y, iterations = _margin_lp(U, margin_rows, rmax_i, gamma)
+        pivots += iterations
+        if t > 1e-9 or not margin_rows.any():
             break
-        cert = margin_rows & (np.abs(sol.row_duals) > 1e-9)
+        cert = margin_rows & (np.abs(y) > 1e-9)
         if not cert.any():
             break
         margin_rows = margin_rows & ~cert
-    return sol, margin_rows, pivots
+    return x, t, margin_rows, pivots
 
 
 def _violation(x, U, rhs, rmax_i):
@@ -317,11 +369,9 @@ def max_gap_reward(
         n_vars = U.shape[1]
         mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
         live = np.linalg.norm(U, axis=1) > _DEAD_ROW
-        sol, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
+        x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
         lp_iters += pivots
         pinned.append(int(np.sum(mask & live & ~margin_rows)))
-        t_star = sol.x[-1]
-        x = sol.x[:-1]
         if mode == DISTANCE_TO_RANDOM:
             target = rng.uniform(0.0, r[i], size=n_vars)
             # support rows are one-sided too: their average under the policy is

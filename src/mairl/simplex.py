@@ -8,18 +8,21 @@ rhs - L x of each row. A row whose slack can carry that residual (an LE row
 with residual >= 0, a GE row with residual <= 0) starts with its slack
 basic; only the other rows (EQ rows and rows whose residual has the wrong
 sign) get an artificial column, and phase 1 drives those to zero. With no
-artificial column (e.g. L x >= 0 with x at its lower bounds 0, as in the
-margin LP of reward selection) phase 1 is skipped and the start basis is
-already feasible for phase 2.
+artificial column (e.g. L x >= 0 with x at its lower bounds 0, as in reward
+selection's primal margin LP) phase 1 is skipped and the start basis is
+already feasible for phase 2; its dual, which the state reward class
+solves, needs one artificial.
 
 Pricing is Dantzig's rule until a run of degenerate pivots, then Bland's
 rule (smallest index) until the objective moves again, which rules out
-cycling. Problem sizes here are a few hundred rows and ~1000 columns, so the
-basis inverse is kept explicitly. Each pivot costs O(m^2) plus one pricing
-pass over the columns: the basic values move by the ratio-test step and the
-inverse by an in-place rank-1 update. Every 64 pivots (or at a tiny pivot
-element) the inverse is refactorized and the basic values are recomputed
-from the nonbasic ones, which bounds the drift of both.
+cycling. The m x m basis inverse is kept explicitly, so a caller with a
+choice poses the form with fewer rows (reward selection solves the state
+class's margin LP through its (S + 1)-row dual). Each pivot costs O(m^2)
+plus one pricing pass over the columns: the basic values move by the
+ratio-test step and the inverse by an in-place rank-1 update. Every 64
+pivots (or at a tiny pivot element) the inverse is refactorized and the
+basic values are recomputed from the nonbasic ones, which bounds the drift
+of both.
 
 Pricing and the ratio test use a fixed tolerance of 1e-9; phase 1 reports
 infeasibility when more than 1e-7 * max(1, |b|_inf) artificial mass remains.
@@ -78,7 +81,10 @@ class LPSolution:
     x: np.ndarray
     value: float
     iterations: int
-    row_duals: np.ndarray = None  # simplex multipliers of the constraint rows
+    # Simplex multipliers y of the constraint rows, with c - y L the reduced
+    # costs: at a maximum, y >= 0 on LE rows and y <= 0 on GE rows, so -y
+    # solves the dual of a maximization posed with GE rows.
+    row_duals: np.ndarray = None
 
 
 class _BoundedSimplex:

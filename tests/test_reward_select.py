@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mairl.reward_select
 import mairl.simplex
@@ -10,7 +12,10 @@ from mairl.games import JointReward
 from mairl.gridworld import GridGameSpec, build_grid_game
 from mairl.reward_select import (
     _advantage_rows,
+    _dual_margin_lp,
+    _lexicographic_margin,
     _margin_lp,
+    _primal_margin_lp,
     behavior_cloning,
     max_gap_reward,
 )
@@ -100,22 +105,151 @@ def grid_expert():
     return game, nash_value_iteration(game, reward).policy
 
 
-def test_grid_margin_lp_starts_feasible(grid_expert, monkeypatch):
-    # -U x - t m >= 0 holds at x = 0, t = 0, so the slack basis is feasible
-    # and phase 1 is skipped: one run of the core, for phase 2
-    game, policy = grid_expert
-    runs = []
-    run = mairl.simplex._BoundedSimplex.run
+def recorded_cores(monkeypatch):
+    """Shapes of the constraint matrices the simplex core starts on, and its runs."""
+    shapes, runs = [], []
+    start, run = mairl.simplex._BoundedSimplex.start, mairl.simplex._BoundedSimplex.run
 
-    def counting(self, objective):
+    def recording_start(self, *args):
+        shapes.append(self.A.shape)
+        return start(self, *args)
+
+    def recording_run(self, objective):
         runs.append(objective)
         return run(self, objective)
 
-    monkeypatch.setattr(mairl.simplex._BoundedSimplex, "run", counting)
-    U = _advantage_rows(game, policy, 0, "state")
+    monkeypatch.setattr(mairl.simplex._BoundedSimplex, "start", recording_start)
+    monkeypatch.setattr(mairl.simplex._BoundedSimplex, "run", recording_run)
+    return shapes, runs
+
+
+def test_grid_margin_lp_starts_feasible(grid_expert, monkeypatch):
+    # the state-action class keeps the primal: -U x - t m >= 0 holds at x = 0,
+    # t = 0, so the slack basis is feasible and phase 1 is skipped: one run of
+    # the core, for phase 2, on one row per deviation
+    game, policy = grid_expert
+    shapes, runs = recorded_cores(monkeypatch)
+    U = _advantage_rows(game, policy, 0, "state-action")
     mask = (policy.per_agent[0] == 0.0).ravel()
     _margin_lp(U, mask, 1.0, game.gamma)
+    assert [shape[0] for shape in shapes] == [U.shape[0]]
     assert len(runs) == 1
+
+
+def test_state_class_margin_lp_solves_the_dual(grid_expert, monkeypatch):
+    # n + 1 rows U^T y + z >= 0, 1_margin^T y + w >= 1; only the last row's
+    # slack cannot carry the start residual 1, so one artificial and phase 1
+    game, policy = grid_expert
+    shapes, runs = recorded_cores(monkeypatch)
+    U = _advantage_rows(game, policy, 0, "state")
+    m, S = U.shape
+    mask = (policy.per_agent[0] == 0.0).ravel()
+    _margin_lp(U, mask, 1.0, game.gamma)
+    structural, slacks, artificials = m + S + 1, S + 1, 1
+    assert shapes == [(S + 1, structural + slacks + artificials)]
+    assert len(runs) == 2
+
+
+def assert_margin_optimal(U, margin_rows, rmax_i, gamma, x, t, y, tol=1e-9):
+    """(x, t) is feasible for the margin LP, y >= 0, and y's dual objective
+    equals t, so both are optimal (strong duality)."""
+    cap = rmax_i / (1.0 - gamma)
+    assert np.max(U @ x + t * margin_rows, initial=-np.inf) <= tol
+    assert np.all(x >= -tol) and np.all(x <= rmax_i + tol)
+    assert -tol <= t <= cap + tol
+    assert np.all(y >= -tol)
+    y = np.maximum(y, 0.0)
+    dual_value = rmax_i * np.maximum(-U.T @ y, 0.0).sum() + cap * max(1.0 - margin_rows @ y, 0.0)
+    assert abs(dual_value - t) <= tol
+
+
+def lexicographic_rounds(U, mask, live, rmax_i, gamma, margin_lp):
+    """`_lexicographic_margin` with `margin_lp` as its LP; also returns every
+    round's (margin rows, x, t, y)."""
+    rounds = []
+
+    def recording(U, margin_rows, rmax_i, gamma):
+        x, t, y, pivots = margin_lp(U, margin_rows, rmax_i, gamma)
+        rounds.append((margin_rows, x, t, y))
+        return x, t, y, pivots
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mairl.reward_select, "_margin_lp", recording)
+        x, t, margin_rows, _ = _lexicographic_margin(U, mask, live, rmax_i, gamma)
+    return x, t, margin_rows, rounds
+
+
+def crossing_board(width, height):
+    return GridGameSpec(
+        width=width,
+        height=height,
+        start_positions=((0, 0), (width - 1, 0)),
+        goal_positions=((width - 1, height - 1), (0, height - 1)),
+    )
+
+
+# the primal's lexicographic (margin, pinned count) per agent on the 4x4
+# expert, where it takes ~13 s against the dual's ~0.4 s
+PRIMAL_4X4 = [(0.3913043478260855, 8), (0.3131868131868113, 3)]
+
+
+@pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)])
+def test_dual_margin_lp_matches_primal_on_grid_experts(width, height):
+    game, reward, _ = build_grid_game(crossing_board(width, height))
+    policy = nash_value_iteration(game, reward).policy
+    for agent in range(game.n_agents):
+        U = _advantage_rows(game, policy, agent, "state")
+        assert U.shape[0] > U.shape[1] + 1  # the state class takes the dual
+        mask = (policy.per_agent[agent] == 0.0).ravel()
+        live = np.linalg.norm(U, axis=1) > mairl.reward_select._DEAD_ROW
+        x, t, margin_rows, rounds = lexicographic_rounds(
+            U, mask, live, 1.0, game.gamma, _margin_lp
+        )
+        for rows, x_k, t_k, y_k in rounds:
+            assert_margin_optimal(U, rows, 1.0, game.gamma, x_k, t_k, y_k)
+        pinned = int(np.sum(mask & live & ~margin_rows))
+        margin = -float((U @ x)[margin_rows].max())
+        assert abs(margin - t) <= 1e-9
+        if (width, height) == (4, 4):
+            want_margin, want_pinned = PRIMAL_4X4[agent]
+        else:
+            _, want_margin, want_rows, want_rounds = lexicographic_rounds(
+                U, mask, live, 1.0, game.gamma, _primal_margin_lp
+            )
+            want_pinned = int(np.sum(mask & live & ~want_rows))
+            assert len(rounds) == len(want_rounds)
+        assert abs(margin - want_margin) <= 1e-9
+        assert pinned == want_pinned
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=14),
+    n=st.integers(min_value=1, max_value=5),
+    levels=st.sampled_from([1, 2, 8]),
+)
+def test_dual_margin_lp_matches_primal_on_random_rows(seed, m, n, levels):
+    # entries on a coarse grid make ties, zero margins and tied certificates
+    rng = np.random.default_rng(seed)
+    U = rng.integers(-levels, levels + 1, size=(m, n)) / levels
+    mask = rng.random(m) < 0.6
+    live = np.linalg.norm(U, axis=1) > mairl.reward_select._DEAD_ROW
+    rmax_i, gamma = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 0.95))
+    rows = mask & live
+    primal = _primal_margin_lp(U, rows, rmax_i, gamma)
+    dual = _dual_margin_lp(U, rows, rmax_i, gamma)
+    for x, t, y, _ in (primal, dual):
+        assert_margin_optimal(U, rows, rmax_i, gamma, x, t, y)
+    assert abs(dual[1] - primal[1]) <= 1e-9
+    # the pinned rows are the margin rows that are zero at every feasible
+    # point, so both forms pin the same rows and end on the same margin
+    _, t_dual, rows_dual, _ = lexicographic_rounds(U, mask, live, rmax_i, gamma, _dual_margin_lp)
+    _, t_primal, rows_primal, _ = lexicographic_rounds(
+        U, mask, live, rmax_i, gamma, _primal_margin_lp
+    )
+    assert abs(t_dual - t_primal) <= 1e-9
+    assert np.array_equal(rows_dual, rows_primal)
 
 
 @pytest.mark.parametrize(

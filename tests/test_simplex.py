@@ -83,6 +83,22 @@ def random_lp_cases():
         c[-1] = 1.0
         upper = np.concatenate([np.full(n, 1.0), [10.0]])
         yield A, np.full(m, GE), np.zeros(m), c, upper
+    # its dual: U^T y + z >= 0, m^T y + w >= 1, minimizing rmax 1^T z + T w;
+    # only the last row needs an artificial, and y, z, w have no upper bound
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        m = int(rng.integers(5, 41))
+        n = int(rng.integers(3, 25))
+        U = rng.normal(size=(m, n))
+        margin_rows = rng.random(m) < 0.7
+        A = np.zeros((n + 1, m + n + 1))
+        A[:n, :m] = U.T
+        A[:n, m : m + n] = np.eye(n)
+        A[n, :m] = margin_rows
+        A[n, -1] = 1.0
+        c = -np.concatenate([np.zeros(m), np.full(n, 1.0), [10.0]])
+        b = np.concatenate([np.zeros(n), [1.0]])
+        yield A, np.full(n + 1, GE), b, c, np.full(m + n + 1, np.inf)
     # mixed rows around an interior point: LE rows with rhs < 0, GE rows with
     # rhs > 0 and EQ rows start on artificials, the other rows on slacks
     for seed in range(12):
