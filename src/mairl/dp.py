@@ -1,9 +1,11 @@
 """Exact dynamic-programming primitives on Markov games.
 
 Values solve the linear Bellman system Q = R + gamma * P V, V = pi Q per
-agent. Every system is solved by one dense S x S factorization: the game
-already stores an (S, A, S) kernel, A times the size of that system.
-Discounted occupancy measures are plain (S, A) arrays. Rewards must be
+agent. Every system is solved by one dense S x S factorization of
+I - gamma P_pi, where the state kernel P_pi and the own-action kernels are
+summed from the game's successor list; P V, in Q and in reward shaping, is
+a gather over that list. Discounted occupancy measures are plain (S, A)
+arrays. Rewards must be
 (n, S, A) tables of the game and policies must match its states and action
 counts; otherwise DimensionMismatchError is raised. Opponent-expected
 advantages come as one (S, |A_i|) table per agent, and a value bundle whose
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, StaleValuesError
-from .games import JointPolicy, JointReward, MarkovGame
+from .games import JointPolicy, JointReward, MarkovGame, _gather, _scatter
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,9 @@ def _check_shapes(
 
 def transition_under(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)."""
-    joint = policy.joint_table()
-    return np.einsum("sa,sat->st", joint, game.transitions)
+    S = game.n_states
+    rows = np.arange(S)[:, None]
+    return _scatter(game.successors, game.successor_probs, policy.joint_table(), rows, S)
 
 
 def policy_evaluation(
@@ -70,7 +73,7 @@ def policy_evaluation(
     p_pi = transition_under(game, policy)
     r_pi = np.einsum("sa,isa->is", joint, reward.tables)
     v = np.linalg.solve(np.eye(game.n_states) - game.gamma * p_pi, r_pi.T).T
-    q = reward.tables + game.gamma * np.einsum("sat,it->isa", game.transitions, v)
+    q = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, v)
     residual = float(np.max(np.abs(v - np.einsum("sa,isa->is", joint, q))))
     return ValueBundle(v=v, q=q, residual=residual, tol=tol)
 
@@ -88,9 +91,20 @@ def own_action_marginal(
     return np.einsum("sf,sf...,fd->sd...", opp, table, onehot)
 
 
+def own_action_kernel(game: MarkovGame, policy: JointPolicy, agent: int) -> np.ndarray:
+    """(S, |A_i|, S) kernel sum_{a^{-i}} pi^{-i}(a^{-i}|s) P(s'|s, (a^i, a^{-i})):
+    the single-agent MDP that `agent` faces against the others' policy."""
+    S, n_own = game.n_states, game.action_counts[agent]
+    rows = np.arange(S)[:, None] * n_own + game.agent_actions[agent]
+    kernel = _scatter(
+        game.successors, game.successor_probs, policy.opponent_table(agent), rows, S * n_own
+    )
+    return kernel.reshape(S, n_own, S)
+
+
 def shaping(game: MarkovGame, v: np.ndarray) -> np.ndarray:
     """(n, S, A) potential-shaping tables V^i(s) - gamma sum_{s'} P(s'|s,a) V^i(s')."""
-    return v[:, :, None] - game.gamma * np.einsum("sat,it->isa", game.transitions, v)
+    return v[:, :, None] - game.gamma * _gather(game.successors, game.successor_probs, v)
 
 
 def expected_advantage_table(
@@ -140,8 +154,11 @@ def simulation_decomposition(
     v_hat = policy_evaluation(game_phat, reward_hat, policy).v[agent]
     lhs = v_hat - v_true
 
+    next_hat, next_true = (
+        _gather(g.successors, g.successor_probs, v_true[None])[0] for g in (game_phat, game_p)
+    )
     defect = (reward_hat.tables[agent] - reward.tables[agent]) + game_p.gamma * (
-        (game_phat.transitions - game_p.transitions) @ v_true
+        next_hat - next_true
     )
     joint = policy.joint_table()
     defect_pi = (joint * defect).sum(axis=1)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import _check_shapes, own_action_marginal, policy_evaluation
+from .dp import _check_shapes, own_action_kernel, own_action_marginal, policy_evaluation
 from .errors import ConvergenceError, DimensionMismatchError
-from .games import JointPolicy, JointReward, MarkovGame
+from .games import JointPolicy, JointReward, MarkovGame, _gather
 
 MAX_OVER_STATES = "max-over-states"
 MU_WEIGHTED = "mu-weighted"
@@ -69,7 +69,7 @@ def best_response(
     n_actions = game.action_counts[agent]
     # the single-agent MDP seen by `agent` when the others play policy^{-agent}
     r = own_action_marginal(game, policy, agent, reward.tables[agent])
-    p = own_action_marginal(game, policy, agent, game.transitions)
+    p = own_action_kernel(game, policy, agent)
 
     # switches require a strict improvement beyond float noise, which rules
     # out cycling between policies whose values tie to machine precision
@@ -259,6 +259,7 @@ class NashQResult:
     values: np.ndarray  # (2, S)
     converged: bool
     iterations: int
+    final_delta: float  # max |Q change| of the last backup; inf if none ran
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
@@ -330,7 +331,8 @@ def nash_value_iteration(
     then lexicographic), which pins down the equilibrium the iteration tracks.
     Cached pure supports are checked for all states in one pass and only the
     other states enumerate (see `_solve_stage_games`). The iteration has
-    converged once a backup moves no Q entry by 1e-8 or more. General-sum
+    converged once a backup moves no Q entry by 1e-8 or more; `final_delta`
+    reports the last backup's largest move either way. General-sum
     iteration carries no convergence guarantee; on failure the best-so-far
     policy is returned with converged=False and a warning.
     """
@@ -345,7 +347,9 @@ def nash_value_iteration(
     delta = np.inf
     for iterations in range(1, max_iters + 1):
         pol1, pol2, values = _solve_stage_games(game, q, support_cache)
-        q_next = reward.tables + game.gamma * np.einsum("sat,it->isa", game.transitions, values)
+        q_next = reward.tables + game.gamma * _gather(
+            game.successors, game.successor_probs, values
+        )
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
         if delta < 1e-8:
@@ -364,5 +368,6 @@ def nash_value_iteration(
         values=values,
         converged=converged,
         iterations=iterations,
+        final_delta=delta,
         stage_supports=list(support_cache),
     )

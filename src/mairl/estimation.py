@@ -3,8 +3,11 @@
 One sampling round queries the generative model once per (state, joint
 action) for a next state and once per state for a joint expert action, so
 after k rounds every pair count and every state count equals k, and k is
-the only count kept. Empirical estimates are the tallies divided by k and
-fall back to uniform only before the first round (k = 0). Hoeffding-style
+the only count kept. A next state can only be one of the game's successors
+of its pair, so next states are tallied per slot of the game's successor
+list (see `games`), and the estimated kernel is that list with the tallies
+divided by k as probabilities. Empirical estimates fall back to uniform,
+a list of width S, only before the first round (k = 0). Hoeffding-style
 radii and the expert-support indicator at k combine into the reward
 uncertainty C_k whose maximum drives the stopping rule; closed-form sample
 bounds mirror the same quantities.
@@ -16,12 +19,14 @@ blocks one round takes. Of a round's `random()` draws, each state takes A
 in turn to pick the next states of the A joint actions, then n to pick the
 agents' expert actions. Each uniform is inverted through a per-row jump
 table of its normalised CDF, built once per oracle, which makes the same
-float comparisons as the dense CDF at only the entries where it rises.
+float comparisons as the dense CDF at only the entries where it rises; the
+transition tables take the CDF over the successor list, whose partial sums
+at those entries are the dense ones, since adding 0.0 is exact.
 `sample_round` draws any number of rounds in chunks of bounded size, one
 `random()` call per chunk, so memory stays flat in the round count. Since
 counts depend on k alone, `uniform_sampling` takes tau from
-`stopping_time`; it returns one history row per round (LOG_COLUMNS) and
-writes no file.
+`stopping_time`, a bisection on the nonincreasing schedule epsilon_k; it
+returns one history row per round (LOG_COLUMNS) and writes no file.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from .dp import policy_evaluation
 from .errors import DimensionMismatchError
 from .feasible import decompose_reward, event_mask
-from .games import JointPolicy, JointReward, MarkovGame
+from .games import JointPolicy, JointReward, MarkovGame, _dense_kernel, _gather, _pack_positive
 from .joint import joint_action_count
 
 LOG_COLUMNS = (
@@ -70,14 +75,19 @@ class ConfidenceParams:
 
 class CountBook:
     """Cumulative next-state and per-agent expert-action tallies after
-    `iteration` uniform rounds; every (s, a) row of `n_sas` and every state
-    row of `n_i_sa[i]` sums to `iteration`."""
+    `iteration` uniform rounds.
+
+    Next states are tallied by slot of a successor list: `n_slot[s, a, j]`
+    counts draws of `successors[s, a, j]`. The book takes the sampled game's
+    list, and zero tallies of its shape, on its first `sample_round`; until
+    then both are None. Every (s, a) row of `n_slot` and every state row of
+    `n_i_sa[i]` sums to `iteration`."""
 
     def __init__(self, n_states: int, action_counts):
         self.n_states = int(n_states)
         self.action_counts = tuple(int(c) for c in action_counts)
-        A = joint_action_count(self.action_counts)
-        self.n_sas = np.zeros((n_states, A, n_states), dtype=np.int64)
+        self.successors = None
+        self.n_slot = None
         self.n_i_sa = [np.zeros((n_states, c), dtype=np.int64) for c in self.action_counts]
         self.iteration = 0
 
@@ -88,14 +98,23 @@ class CountBook:
 
 @dataclass(frozen=True)
 class EstimatedProblem:
-    """Empirical transition and expert-policy estimates after k rounds."""
+    """Empirical transition and expert-policy estimates after k rounds; the
+    transition estimate is a successor list (S, A, w) as `MarkovGame` keeps."""
 
-    p_hat: np.ndarray
+    successors: np.ndarray
+    successor_probs: np.ndarray
     pi_hat: JointPolicy
     k: int
 
+    @property
+    def p_hat(self) -> np.ndarray:
+        """The dense estimated kernel (S, A, S), read-only, built anew on every access."""
+        return _dense_kernel(self.successors, self.successor_probs)
+
     def as_game(self, gamma: float, mu) -> MarkovGame:
-        return MarkovGame(self.p_hat, gamma, mu, self.pi_hat.action_counts)
+        return MarkovGame.from_successors(
+            self.successors, self.successor_probs, gamma, mu, self.pi_hat.action_counts
+        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +143,8 @@ class GenerativeOracle:
     run of consecutive rounds is one `random()` call on a `Philox` started at
     its first round's counter, so draws depend on (seed, round) alone. Each
     uniform goes through the inverse CDF of its row, kept as a jump table
-    built in the constructor. A negative seed raises ValueError here, from
+    built in the constructor; a transition draw picks a slot of the game's
+    successor list. A negative seed raises ValueError here, from
     `SeedSequence`.
     """
 
@@ -137,7 +157,7 @@ class GenerativeOracle:
         self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         self._round_uniforms = game.n_states * (game.n_joint_actions + game.n_agents)
         self._round_blocks = -(-self._round_uniforms // 4)
-        self._transition_table = _jump_table(game.transitions)  # (S, A, w) each
+        self._transition_table = _jump_table(game.successor_probs)  # slots, (S, A, w) each
         self._action_tables = [_jump_table(table) for table in expert.per_agent]  # (S, w_i)
         width = max(t[0].shape[-1] for t in (self._transition_table, *self._action_tables))
         self._chunk_rounds = max(1, _CHUNK_ELEMENTS // (self._round_uniforms * width))
@@ -145,6 +165,12 @@ class GenerativeOracle:
     def round_samples(self, first: int, rounds: int = 1):
         """All queries of rounds first, ..., first + rounds - 1: next states
         of shape (rounds, S, A) and expert actions of shape (rounds, S, n)."""
+        slots, actions = self._round_slots(first, rounds)
+        states = np.take_along_axis(self.game.successors[None], slots[..., None], axis=-1)
+        return states[..., 0], actions
+
+    def _round_slots(self, first: int, rounds: int):
+        """`round_samples` with each next state given as its successor slot."""
         if first < 1:
             raise ValueError("rounds are numbered from 1")
         S, A = self.game.n_states, self.game.n_joint_actions
@@ -166,17 +192,10 @@ def _jump_table(p: np.ndarray):
     normalised CDF (`_cdf`) rises and its values there, padded with +inf to
     the widest row's count w. Returns (positions, values), each (..., w)."""
     cdf = _cdf(p)
-    flat = cdf.reshape(-1, cdf.shape[-1])
-    rows, cols = np.nonzero(flat > np.pad(flat[:, :-1], ((0, 0), (1, 0))))
-    per_row = np.bincount(rows, minlength=flat.shape[0])
-    slot = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
-    shape = (flat.shape[0], int(per_row.max()))
-    positions = np.zeros(shape, dtype=np.intp)
-    values = np.full(shape, np.inf)
-    positions[rows, slot] = cols
-    values[rows, slot] = flat[rows, cols]
-    lead = cdf.shape[:-1] + shape[-1:]
-    return positions.reshape(lead), values.reshape(lead)
+    rises = cdf > np.concatenate([np.zeros(cdf.shape[:-1] + (1,)), cdf[..., :-1]], axis=-1)
+    positions, values = _pack_positive(np.where(rises, cdf, 0.0))
+    values[values == 0.0] = np.inf  # a rise is above 0, so only padding is 0
+    return positions, values
 
 
 def _draw(table, u: np.ndarray) -> np.ndarray:
@@ -198,34 +217,51 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
 
     Rounds are drawn in chunks whose uniforms, times the widest jump table,
     stay under a fixed element count, so memory stays flat in `rounds`; a
-    chunk adds its samples with one `np.add.at` per table on its flat view.
-    The counts equal those of `rounds` single-round calls.
+    chunk adds its samples with one `np.bincount` per table on its flat
+    view. The counts equal those of `rounds` single-round calls. A book
+    takes the oracle's successor list on its first call and raises
+    DimensionMismatchError if a later oracle's list differs.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
-    S, A = counts.n_states, oracle.game.n_joint_actions
+    game = oracle.game
+    if counts.successors is None:
+        counts.successors = game.successors
+        counts.n_slot = np.zeros(game.successors.shape, dtype=np.int64)
+    elif not np.array_equal(counts.successors, game.successors):
+        raise DimensionMismatchError("the counts were drawn from another successor list")
     first, stop = counts.iteration + 1, counts.iteration + rounds + 1
-    sa_offsets = np.arange(S * A).reshape(S, A) * S
     for lo in range(first, stop, oracle._chunk_rounds):
-        next_states, expert_actions = oracle.round_samples(lo, min(oracle._chunk_rounds, stop - lo))
-        np.add.at(counts.n_sas.reshape(-1), (sa_offsets + next_states).ravel(), 1)
+        slots, expert_actions = oracle._round_slots(lo, min(oracle._chunk_rounds, stop - lo))
+        _tally(counts.n_slot, slots)
         for i, table in enumerate(counts.n_i_sa):
-            flat = np.arange(S) * table.shape[1] + expert_actions[..., i]
-            np.add.at(table.reshape(-1), flat.ravel(), 1)
+            _tally(table, expert_actions[..., i])
     counts.iteration += rounds
     return counts
 
 
+def _tally(table: np.ndarray, drawn: np.ndarray) -> None:
+    """Add one count to `table` (*rows, m) per entry of `drawn` (rounds, *rows):
+    each entry indexes the last axis at its row."""
+    rows = np.arange(table.size // table.shape[-1]).reshape(table.shape[:-1])
+    flat = (rows * table.shape[-1] + drawn).ravel()
+    table += np.bincount(flat, minlength=table.size).reshape(table.shape)
+
+
 def estimate(counts: CountBook) -> EstimatedProblem:
-    """Maximum-likelihood estimates: the tallies divided by k, or uniform at k = 0."""
+    """Maximum-likelihood estimates: the tallies divided by k on the book's
+    successor list, or uniform at k = 0, over all S states."""
     k = counts.iteration
     if k == 0:
-        p_hat = np.full(counts.n_sas.shape, 1.0 / counts.n_states)
+        S, A = counts.n_states, joint_action_count(counts.action_counts)
+        successors = np.broadcast_to(np.arange(S), (S, A, S))
+        probs = np.broadcast_to(1.0 / S, (S, A, S))
         tables = [np.full(t.shape, 1.0 / c) for t, c in zip(counts.n_i_sa, counts.action_counts)]
     else:
-        p_hat = counts.n_sas / k
+        successors = counts.successors
+        probs = counts.n_slot / k
         tables = [t / k for t in counts.n_i_sa]
-    return EstimatedProblem(p_hat=p_hat, pi_hat=JointPolicy(tables), k=k)
+    return EstimatedProblem(successors, probs, pi_hat=JointPolicy(tables), k=k)
 
 
 def xi_threshold(n_s, params: ConfidenceParams, n_states: int, action_counts, n_agents: int):
@@ -287,7 +323,7 @@ def uncertainty(counts: CountBook, params: ConfidenceParams) -> UncertaintyTable
     eps, c, radius, ind = _schedule(
         k, params, counts.n_states, counts.action_counts, counts.n_agents
     )
-    S, A = counts.n_sas.shape[:2]
+    S, A = counts.n_states, joint_action_count(counts.action_counts)
     return UncertaintyTable(
         c=np.full((S, A), c[0]),
         epsilon_k=float(eps[0]),
@@ -345,27 +381,52 @@ def stopping_time(
     epsilon: float,
     k_max: int = 100_000_000,
 ):
-    """Deterministic stopping round of the uniform schedule.
+    """Deterministic stopping round of the uniform schedule: the first
+    k <= k_max with epsilon_k <= epsilon / 2, or None if there is none.
 
     One round gives every pair one sample, so N_k(s,a) = N_k(s) = k everywhere
     and C_k is a function of k alone; the stopping round needs no simulation.
-    Returns None if the rule is not met within k_max.
+    epsilon_k is nonincreasing in k >= 1, so the rule, once met, stays met,
+    and a doubling bracket plus bisection finds its first round:
+
+    * the radius is (rmax/(1-gamma)) sqrt(2 log(a k^2) / k) with
+      a = 12 S prodA / delta > 12, and log(a k^2) / k has derivative
+      (2 - log(a k^2)) / k^2 < 0 from k = 1 on, since a > e^2;
+    * the indicator is 1 exactly on one run of rounds [1, N*]. A pure expert
+      (pi_min = 1) has N* = 0. Otherwise the indicator is 1 where
+      k <= max(1, xi(k)), with xi(k) = log(c k^2) / L, L = log(1/(1-pi_min))
+      and c = 4 S prodA max(n-1, 1) / delta > 4. f(k) = k - xi(k) is convex,
+      so f <= 0 on one interval. If f(1) <= 0 it contains 1. If f(1) > 0,
+      then L > log c and every m >= 2 has
+      f(m) > m - 1 - 2 log(m) / log(c) > m - 1 - log2(m) >= 0, so N* = 1.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    chunk = 65536
-    lo = 1
-    while lo <= k_max:
-        hi = min(lo + chunk - 1, k_max)
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
-        eps_k = _schedule(ks, params, n_states, action_counts, n_agents)[0]
-        hit = np.nonzero(eps_k <= epsilon / 2.0)[0]
-        if hit.size:
-            return int(ks[hit[0]])
-        lo = hi + 1
-        # eps_k is elementwise in k, so the chunk size moves only memory, not tau
-        chunk = min(chunk * 4, 1 << 18)
-    return None
+    k_max = int(k_max)
+    if k_max < 1:
+        return None
+
+    def met(ks):
+        ks = np.asarray(ks, dtype=np.float64)
+        return _schedule(ks, params, n_states, action_counts, n_agents)[0] <= epsilon / 2.0
+
+    # powers of two below k_max, then k_max: the first that meets the rule
+    # closes a bracket (lo, hi] whose lower end does not
+    ks = [1 << j for j in range(k_max.bit_length()) if 1 << j < k_max] + [k_max]
+    hits = np.flatnonzero(met(ks))
+    if not hits.size:
+        return None
+    j = int(hits[0])
+    if j == 0:
+        return ks[0]
+    lo, hi = ks[j - 1], ks[j]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if met([mid])[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -444,7 +505,9 @@ def good_event_inequalities(
     penalties, and the transition bound with the true and with the estimated
     values. Indicator and radius come from each problem's k. The true side
     (penalties, event mask, |V|) is computed once per call. The true reward
-    must be feasible for (game, expert).
+    must be feasible for (game, expert). Every problem must be estimated from
+    rounds of `game` (k >= 1), so that its successor list is the game's and
+    |P - Phat| is taken slot by slot; otherwise ValueError is raised.
     """
     scale = params.rmax / (1.0 - params.gamma)
     params_true = decompose_reward(game, expert, reward)
@@ -454,6 +517,8 @@ def good_event_inequalities(
     _, _, radii, inds = _schedule(ks, params, game.n_states, game.action_counts, game.n_agents)
     flags = []
     for problem, radius, ind in zip(problems, radii, inds):
+        if not np.array_equal(problem.successors, game.successors):
+            raise ValueError("the estimate's successor list is not the game's")
         mask_diff = mask_true != event_mask(problem.pi_hat)
         values_hat = policy_evaluation(problem.as_game(game.gamma, game.mu), reward, problem.pi_hat)
         a_hat = np.maximum(values_hat.v[:, :, None] - values_hat.q, 0.0)
@@ -461,9 +526,9 @@ def good_event_inequalities(
         ok1 = bool(np.all(mask_diff * params_true.a_fn <= scale * ind + 1e-12))
         ok2 = bool(np.all(mask_diff * a_hat <= scale * ind + 1e-12))
 
-        dp_abs = np.abs(game.transitions - problem.p_hat)  # (S, A, S)
-        lhs_true = np.einsum("sat,it->isa", dp_abs, v_true_abs)
-        lhs_hat = np.einsum("sat,it->isa", dp_abs, np.abs(values_hat.v))
+        dp_abs = np.abs(game.successor_probs - problem.successor_probs)  # (S, A, w)
+        lhs_true = _gather(game.successors, dp_abs, v_true_abs)
+        lhs_hat = _gather(game.successors, dp_abs, np.abs(values_hat.v))
         ok3 = bool(np.all(lhs_true <= radius + 1e-12))
         ok4 = bool(np.all(lhs_hat <= radius + 1e-12))
         flags.append((ok1, ok2, ok3, ok4))

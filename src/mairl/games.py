@@ -1,7 +1,16 @@
 """Finite discounted n-agent Markov games and their reward/policy tables.
 
+A game stores its transition kernel as a successor list: for each (state,
+joint action) the next states of positive probability, in ascending order,
+and their probabilities, both (S, A, w) with w the widest row's count and
+shorter rows padded with state 0 at probability 0.0. A grid row has at most
+four successors and most have one, so every layer reads this list and none
+holds an (S, A, S) table; `MarkovGame.transitions` builds that dense table
+on demand for the matrix forms that need it. `_gather` takes expectations
+under a list and `_scatter` sums it into dense rows.
+
 All probability rows must sum to one within PROB_ATOL. Tables are stored as
-read-only float64 arrays, so instances are safe to share across threads.
+read-only arrays, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -40,30 +49,87 @@ def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
         raise StochasticityError(f"{what} rows deviate from sum 1 by up to {worst:.3e}")
 
 
+def _pack_positive(P: np.ndarray):
+    """The positive entries of each row of P (..., n), left-aligned in
+    ascending position order: (positions, values), each (..., w) with w the
+    widest row's count, padded with position 0 and value 0."""
+    flat = P.reshape(-1, P.shape[-1])
+    rows, cols = np.nonzero(flat > 0)
+    per_row = np.bincount(rows, minlength=flat.shape[0])
+    slot = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
+    shape = P.shape[:-1] + (int(per_row.max()),)
+    positions = np.zeros(shape, dtype=np.intp)
+    values = np.zeros(shape)
+    positions.reshape(flat.shape[0], -1)[rows, slot] = cols
+    values.reshape(flat.shape[0], -1)[rows, slot] = flat[rows, cols]
+    return positions, values
+
+
+def _gather(successors: np.ndarray, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, S, A) table sum_w probs[s, a, w] v[i, successors[s, a, w]]: each
+    value row of v (n, S) in expectation under the successor list."""
+    return (probs * v[:, successors]).sum(axis=-1)
+
+
+def _scatter(successors, probs, weights, rows, n_rows: int) -> np.ndarray:
+    """(n_rows, S) table whose row r sums weights[s, a] probs[s, a, w] into
+    column successors[s, a, w] over every (s, a) with rows[s, a] = r.
+
+    Each entry adds its terms one by one in (s, a, w) order, starting from 0.0.
+    """
+    S = successors.shape[0]
+    index = rows[..., None] * S + successors
+    terms = weights[..., None] * probs
+    return np.bincount(index.ravel(), terms.ravel(), minlength=n_rows * S).reshape(n_rows, S)
+
+
 class MarkovGame:
     """A reward-free Markov game: state space, per-agent action sets,
     joint transition kernel, discount, and start distribution.
 
-    transitions has shape (S, A, S) with A the joint-action count; each row
-    transitions[s, a] is a distribution over next states.
+    The constructor takes a dense kernel (S, A, S) with A the joint-action
+    count, each row transitions[s, a] a distribution over next states, and
+    keeps only its successor list `successors`, `successor_probs` (S, A, w);
+    `from_successors` takes the list itself.
     """
 
     def __init__(self, transitions, gamma: float, mu, action_counts):
+        P = np.asarray(transitions, dtype=np.float64)
+        if P.ndim != 3 or P.shape[0] != P.shape[2]:
+            raise DimensionMismatchError(f"transitions shape {P.shape} is not (S, A, S)")
+        _check_rows_stochastic(P.reshape(-1, P.shape[0]), "transition table")
+        self._init(*_pack_positive(P), gamma, mu, action_counts)
+
+    @classmethod
+    def from_successors(cls, successors, probs, gamma: float, mu, action_counts) -> "MarkovGame":
+        """The game whose kernel is the successor list (successors, probs),
+        both (S, A, w): row (s, a) moves to successors[s, a, j] with
+        probability probs[s, a, j]. Entries of probability 0 are allowed, and
+        draws follow the slot order."""
+        game = cls.__new__(cls)
+        game._init(successors, probs, gamma, mu, action_counts)
+        return game
+
+    def _init(self, successors, probs, gamma, mu, action_counts):
         self.action_counts = tuple(int(c) for c in action_counts)
         if any(c <= 0 for c in self.action_counts):
             raise ValueError("action counts must be positive")
         self.n_agents = len(self.action_counts)
         self.n_joint_actions = joint_action_count(self.action_counts)
 
-        P = _frozen(transitions)
-        if P.ndim != 3 or P.shape[1] != self.n_joint_actions or P.shape[0] != P.shape[2]:
+        succ = _frozen(successors, dtype=np.intp)
+        prob = _frozen(probs)
+        if succ.ndim != 3 or succ.shape != prob.shape or succ.shape[1] != self.n_joint_actions:
             raise DimensionMismatchError(
-                f"transitions shape {P.shape} incompatible with joint action count "
-                f"{self.n_joint_actions}"
+                f"successor list shapes {succ.shape} and {prob.shape} incompatible with "
+                f"joint action count {self.n_joint_actions}"
             )
-        self.n_states = P.shape[0]
-        _check_rows_stochastic(P.reshape(-1, self.n_states), "transition table")
-        self.transitions = P
+        self.n_states = succ.shape[0]
+        if not (succ.min() >= 0 and succ.max() < self.n_states):
+            raise ValueError(f"successor indices must lie in [0, {self.n_states})")
+        _check_rows_stochastic(prob.reshape(-1, prob.shape[-1]), "transition table")
+        self.successors = succ
+        self.successor_probs = prob
 
         if not 0.0 <= gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -78,6 +144,11 @@ class MarkovGame:
         # per-flat-action decomposition, shape (n_agents, A)
         self.agent_actions = _frozen(agent_action_table(self.action_counts), dtype=np.int64)
 
+    @property
+    def transitions(self) -> np.ndarray:
+        """The dense kernel (S, A, S), read-only, built anew on every access."""
+        return _dense_kernel(self.successors, self.successor_probs)
+
     def with_transitions(self, transitions) -> "MarkovGame":
         """Same state/action structure, discount and start, different kernel."""
         return MarkovGame(transitions, self.gamma, self.mu, self.action_counts)
@@ -87,6 +158,15 @@ class MarkovGame:
             f"MarkovGame(n={self.n_agents}, S={self.n_states}, "
             f"A={self.action_counts}, gamma={self.gamma})"
         )
+
+
+def _dense_kernel(successors: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The read-only dense kernel (S, A, S) of a successor list (S, A, w)."""
+    S, A = successors.shape[:2]
+    rows = np.arange(S * A).reshape(S, A)
+    out = _scatter(successors, probs, np.ones((S, A)), rows, S * A).reshape(S, A, S)
+    out.setflags(write=False)
+    return out
 
 
 class JointReward:

@@ -112,36 +112,56 @@ def _move_outcomes(spec: GridGameSpec, agent: int, pos, action):
 
 
 def build_grid_game(spec: GridGameSpec):
-    """Joint transition tensor and entry rewards for a grid-game spec.
+    """Joint successor-list kernel and entry rewards for a grid-game spec.
 
-    Returns (game, reward, index) with index mapping states to position pairs.
+    Each (state, joint action) row lists its next states in ascending order;
+    outcomes that reach the same next state are summed in the order the
+    per-agent outcomes are enumerated. Returns (game, reward, index) with
+    index mapping states to position pairs.
     """
     index = GridIndex.build(spec)
     S = len(index.states)
     A = 16
-    P = np.zeros((S, A, S))
+    rows = []  # per (state, joint action): {next state: probability}
     R = np.zeros((2, S, A))
     goals = tuple(tuple(g) for g in spec.goal_positions)
+    cells = list(itertools.product(range(spec.width), range(spec.height)))
+    # per agent, {(cell, action): outcomes}
+    moves = [
+        {(pos, a): _move_outcomes(spec, i, pos, a) for pos in cells for a in range(4)}
+        for i in range(2)
+    ]
 
     for s, (p0, p1) in enumerate(index.states):
         for a0 in range(4):
             for a1 in range(4):
                 flat = a0 * 4 + a1
-                for (w0, q0), (w1, q1) in itertools.product(
-                    _move_outcomes(spec, 0, p0, a0), _move_outcomes(spec, 1, p1, a1)
-                ):
+                row = {}
+                for (w0, q0), (w1, q1) in itertools.product(moves[0][p0, a0], moves[1][p1, a1]):
                     w = w0 * w1
                     if q0 == q1:
                         q0, q1 = p0, p1
-                    P[s, flat, index.state_of[(q0, q1)]] += w
+                    t = index.state_of[(q0, q1)]
+                    row[t] = row.get(t, 0.0) + w
                     if q0 == goals[0] and p0 != goals[0]:
                         R[0, s, flat] += w * GOAL_REWARD
                     if q1 == goals[1] and p1 != goals[1]:
                         R[1, s, flat] += w * GOAL_REWARD
+                rows.append(sorted(row.items()))
+
+    width = max(len(row) for row in rows)
+    successors = np.zeros((S * A, width), dtype=np.intp)
+    probs = np.zeros((S * A, width))
+    for r, row in enumerate(rows):
+        for slot, (t, w) in enumerate(row):
+            successors[r, slot] = t
+            probs[r, slot] = w
 
     mu = np.zeros(S)
     mu[index.start_state] = 1.0
-    game = MarkovGame(P, spec.gamma, mu, (4, 4))
+    game = MarkovGame.from_successors(
+        successors.reshape(S, A, width), probs.reshape(S, A, width), spec.gamma, mu, (4, 4)
+    )
     reward = JointReward(R, rmax=[spec.rmax, spec.rmax])
     return game, reward, index
 

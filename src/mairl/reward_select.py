@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import own_action_marginal, transition_under
+from .dp import own_action_kernel, own_action_marginal, transition_under
 from .errors import NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
@@ -99,7 +99,7 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
     p_pi = transition_under(game, policy)
-    p_dev = own_action_marginal(game, policy, agent, game.transitions) - p_pi[:, None, :]
+    p_dev = own_action_kernel(game, policy, agent) - p_pi[:, None, :]
     # X (I - gamma P_pi)^{-1} is the transpose of a solve with the transposed system
     resolved = np.linalg.solve(
         (np.eye(S) - game.gamma * p_pi).T, game.gamma * p_dev.reshape(S * n_own, S).T

@@ -70,9 +70,10 @@ def write_sections(path, game: MarkovGame | None = None, reward: JointReward | N
         lines.append("action_counts = " + " ".join(str(c) for c in game.action_counts))
         lines.append("mu = " + " ".join(fmt(v) for v in game.mu))
         lines.append("[transitions]")
+        P = game.transitions
         for s in range(game.n_states):
             for a in range(game.n_joint_actions):
-                probs = " ".join(fmt(p) for p in game.transitions[s, a])
+                probs = " ".join(fmt(p) for p in P[s, a])
                 lines.append(f"{s} {a} {probs}")
     if reward is not None:
         lines.append("[reward]")

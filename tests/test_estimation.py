@@ -3,11 +3,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mairl.estimation import (
     LOG_COLUMNS,
     ConfidenceParams,
     _indicator,
+    _schedule,
     CountBook,
     GenerativeOracle,
     estimate,
@@ -21,6 +24,7 @@ from mairl.estimation import (
     uniform_sampling,
     xi_threshold,
 )
+from mairl.errors import DimensionMismatchError
 from mairl.experiment import sample_reward_family, write_csv
 from mairl.games import JointPolicy, MarkovGame, deterministic_policy
 from mairl.synthetic import random_markov_game
@@ -44,34 +48,53 @@ def test_sample_round_counts_uniform_schedule():
     rng_game, expert = det_game_and_expert()
     oracle = GenerativeOracle(rng_game, expert, seed=0)
     counts = CountBook(2, (2, 2))
+    assert counts.successors is None and counts.n_slot is None
     for k in range(1, 4):
         sample_round(oracle, counts)
-        assert np.all(counts.n_sas.sum(-1) == k)
+        assert np.all(counts.n_slot.sum(-1) == k)
         for i in range(2):
             assert np.all(counts.n_i_sa[i].sum(-1) == k)
         assert counts.iteration == k
-    # deterministic transitions: all mass on the known successor
-    assert np.all(counts.n_sas[:, :, 1] == 3)
-    assert np.all(counts.n_sas[:, :, 0] == 0)
+    # deterministic transitions: one slot per row, on the known successor
+    assert counts.successors is rng_game.successors
+    assert counts.n_slot.shape == (2, 4, 1)
+    assert np.all(counts.successors == 1)
+    assert np.all(counts.n_slot == 3)
     # deterministic expert: every agent's count sits on its action
     assert np.all(counts.n_i_sa[0][:, 0] == 3)
     assert np.all(counts.n_i_sa[1][0] == [0, 3])
 
 
+def test_counts_keep_the_successor_list_of_their_first_oracle():
+    game, expert = det_game_and_expert()
+    counts = CountBook(2, (2, 2))
+    sample_round(GenerativeOracle(game, expert, seed=0), counts)
+    # a copy of the same game shares the list; another kernel does not
+    same = MarkovGame(game.transitions, 0.1, [1.0, 0.0], (2, 2))
+    sample_round(GenerativeOracle(same, expert, seed=0), counts)
+    assert counts.iteration == 2
+    other = MarkovGame(np.full((2, 4, 2), 0.5), 0.1, [1.0, 0.0], (2, 2))
+    with pytest.raises(DimensionMismatchError):
+        sample_round(GenerativeOracle(other, expert, seed=0), counts)
+
+
 def test_estimate_uniform_fallback_and_frequencies():
     counts = CountBook(3, (2,))
     prob = estimate(counts)
+    assert prob.successors.shape == (3, 2, 3)
     assert np.allclose(prob.p_hat, 1 / 3)
     assert np.allclose(prob.pi_hat.per_agent[0], 1 / 2)
 
-    # three rounds: every row holds 3 tallies
+    # three rounds on a two-slot successor list: every row holds 3 tallies
     counts.iteration = 3
-    counts.n_sas[:, :, 2] = 3
-    counts.n_sas[0, 0] = [2, 1, 0]
+    counts.successors = np.tile([1, 2], (3, 2, 1))
+    counts.n_slot = np.tile([0, 3], (3, 2, 1))
+    counts.n_slot[0, 0] = [2, 1]
     counts.n_i_sa[0][:, 1] = 3
     prob = estimate(counts)
     assert prob.k == 3
-    assert np.allclose(prob.p_hat[0, 0], [2 / 3, 1 / 3, 0.0])
+    assert np.allclose(prob.successor_probs[0, 0], [2 / 3, 1 / 3])
+    assert np.allclose(prob.p_hat[0, 0], [0.0, 2 / 3, 1 / 3])
     assert np.allclose(prob.p_hat[1:, :], [0.0, 0.0, 1.0])
     assert np.allclose(prob.pi_hat.per_agent[0], [0.0, 1.0])
 
@@ -171,6 +194,53 @@ def test_stopping_time_past_a_chunk_boundary_matches_one_array_scan(epsilon):
     ) / (1.0 - params.gamma)
     assert tau > 65536  # past the first scan chunk
     assert tau == int(ks[np.argmax(eps_k <= epsilon / 2.0)])
+
+
+def _scan_stopping_time(params, n_states, action_counts, n_agents, epsilon, k_max):
+    """The former linear scan, kept as the oracle of `stopping_time`'s
+    bisection: epsilon_k in chunks of rounds, the first k that meets the rule."""
+    chunk, lo = 65536, 1
+    while lo <= k_max:
+        ks = np.arange(lo, min(lo + chunk - 1, k_max) + 1, dtype=np.float64)
+        eps_k = _schedule(ks, params, n_states, action_counts, n_agents)[0]
+        hit = np.nonzero(eps_k <= epsilon / 2.0)[0]
+        if hit.size:
+            return int(ks[hit[0]])
+        lo = int(ks[-1]) + 1
+        chunk = min(chunk * 4, 1 << 18)
+    return None
+
+
+@st.composite
+def _stopping_cases(draw):
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    params = ConfidenceParams(
+        delta=draw(st.floats(1e-6, 0.999)),
+        pi_min=draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))),
+        rmax=draw(st.floats(0.1, 5.0)),
+        gamma=draw(st.floats(0.0, 0.99)),
+    )
+    shape = (draw(st.integers(1, 50)), counts, len(counts))
+    k_max = draw(st.integers(0, 200_000))
+    if draw(st.booleans()):
+        epsilon = draw(st.floats(1e-2, 1e5))
+    else:
+        # epsilon / 2 on, or one ulp either side of, epsilon_k at some round
+        k = float(draw(st.integers(1, max(k_max, 1))))
+        eps_k = float(_schedule(np.array([k]), params, *shape)[0][0])
+        near = [eps_k, np.nextafter(eps_k, 0.0), np.nextafter(eps_k, np.inf)]
+        epsilon = 2.0 * float(draw(st.sampled_from(near)))
+    assume(epsilon > 0)
+    return params, shape, epsilon, k_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_stopping_cases())
+def test_stopping_time_bisection_matches_the_linear_scan(case):
+    params, shape, epsilon, k_max = case
+    assert stopping_time(params, *shape, epsilon, k_max=k_max) == _scan_stopping_time(
+        params, *shape, epsilon, k_max
+    )
 
 
 def test_uniform_sampling_budget_exhaustion():
@@ -288,3 +358,13 @@ def test_good_event_flags_do_not_change_when_the_counts_keep_sampling():
     assert problem.k == 1 and np.array_equal(problem.p_hat, p_hat)
     assert good_event_inequalities(game, reward, policy, [problem], params) == before
     assert before == [(True, True, True, True)]
+
+
+def test_good_event_inequalities_reject_an_estimate_off_the_game_list():
+    # the uniform estimate before any round spans all S states, and the
+    # slot-by-slot |P - Phat| needs the game's own successor list
+    game, policy = det_game_and_expert()
+    reward = sample_reward_family(game, policy, 1.0, 1, seed=0)[0]
+    problem = estimate(CountBook(2, (2, 2)))
+    with pytest.raises(ValueError):
+        good_event_inequalities(game, reward, policy, [problem], _params())

@@ -92,3 +92,29 @@ def test_deterministic_policy_and_with_transitions():
     g = random_markov_game(rng, 2, (2, 2), 0.8)
     g2 = g.with_transitions(np.full((2, 4, 2), 0.5))
     assert g2.gamma == g.gamma and g2.action_counts == g.action_counts
+
+
+def test_successor_list_validation_and_dense_round_trip():
+    P = np.zeros((2, 2, 2))
+    P[:, :, 1] = 1.0
+    P[0, 0] = [0.25, 0.75]
+    game = MarkovGame(P, 0.9, [0.5, 0.5], (2,))
+    assert game.successors.shape == (2, 2, 2)
+    assert game.successors[0, 0].tolist() == [0, 1]
+    assert game.successor_probs[0, 0].tolist() == [0.25, 0.75]
+    # shorter rows are padded with state 0 at probability 0
+    assert game.successors[1, 1].tolist() == [1, 0]
+    assert game.successor_probs[1, 1].tolist() == [1.0, 0.0]
+    assert np.array_equal(game.transitions, P)
+
+    succ, probs, mu = game.successors, game.successor_probs, [0.5, 0.5]
+    same = MarkovGame.from_successors(succ, probs, 0.9, mu, (2,))
+    assert np.array_equal(same.transitions, P)
+    with pytest.raises(ValueError):
+        MarkovGame.from_successors(succ + 1, probs, 0.9, mu, (2,))
+    with pytest.raises(StochasticityError):
+        MarkovGame.from_successors(succ, 0.5 * probs, 0.9, mu, (2,))
+    with pytest.raises(DimensionMismatchError):
+        MarkovGame.from_successors(succ[:, :, :1], probs, 0.9, mu, (2,))
+    with pytest.raises(DimensionMismatchError):
+        MarkovGame.from_successors(succ, probs, 0.9, mu, (3,))

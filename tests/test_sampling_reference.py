@@ -217,9 +217,15 @@ def test_batched_sample_round_matches_single_rounds_across_chunks():
     for _ in range(12):
         sample_round(single, ref)
     assert counts.iteration == ref.iteration == 12
-    assert np.array_equal(counts.n_sas, ref.n_sas)
+    assert np.array_equal(counts.n_slot, ref.n_slot)
     for mine, theirs in zip(counts.n_i_sa, ref.n_i_sa):
         assert np.array_equal(mine, theirs)
+    # the slot tallies, spread over next states, are the reference draws' tallies
+    S, A = game.n_states, game.n_joint_actions
+    dense = np.zeros((S, A, S), dtype=np.int64)
+    for k in range(1, 13):
+        np.add.at(dense, (*np.indices((S, A)), reference_round_samples(single, k)[0]), 1)
+    assert np.array_equal(estimate(counts).p_hat, dense / 12)
     next_states, expert_actions = batched.round_samples(3, 10)
     for i, k in enumerate(range(3, 13)):
         ref_states, ref_actions = reference_round_samples(single, k)
