@@ -13,6 +13,13 @@ for all states in one numpy pass; the remaining states (no cache, a mixed
 cache, or a pure cache that stopped being an equilibrium) run support
 enumeration one state at a time. The selected equilibrium is the one the
 per-state solver picks, so both paths give bit-identical results.
+
+Once a backup leaves every cached support unchanged and all of them are
+pure, the backups that follow are linear, and NashQ jumps to their fixed
+point, the cached one-hot profile's Q from one S x S policy evaluation
+(modified policy iteration; Puterman 1994, ch. 6). A stage check and one
+backup confirm it; otherwise plain backups go on (see
+`nash_value_iteration`).
 """
 
 from __future__ import annotations
@@ -263,15 +270,39 @@ class NashQResult:
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
+def _check_pure_supports(game, q, support_cache, tol=1e-9):
+    """The batched test of every cached pure support ((i,), (j,)) against q.
+
+    Returns the (state, i, j) index arrays of the pure caches, whether each
+    still holds, and both players' payoffs at (i, j). A support holds iff
+    max_r Q^1[s,r,j] <= Q^1[s,i,j] + tol and max_c Q^2[s,i,c] <= Q^2[s,i,j] + tol,
+    which is `_try_support`'s k = 1 test (exact for one-hot strategies).
+    """
+    a1, a2 = game.action_counts
+    S = game.n_states
+    pure = [
+        (s, c[0][0], c[1][0])
+        for s, c in enumerate(support_cache)
+        if c is not None and len(c[0]) == 1
+    ]
+    s_idx, i_idx, j_idx = np.array(pure, dtype=np.int64).reshape(-1, 3).T
+    q1 = q[0].reshape(S, a1, a2)
+    q2 = q[1].reshape(S, a1, a2)
+    v = q1[s_idx, i_idx, j_idx]
+    w = q2[s_idx, i_idx, j_idx]
+    ok = (q1[s_idx, :, j_idx].max(axis=1) <= v + tol) & (
+        q2[s_idx, i_idx, :].max(axis=1) <= w + tol
+    )
+    return s_idx, i_idx, j_idx, ok, v, w
+
+
 def _solve_stage_games(game, q, support_cache, tol=1e-9):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
-    States whose cached support is pure ((i,), (j,)) are checked in one numpy
-    pass: the support is kept iff max_r Q^1[s,r,j] <= Q^1[s,i,j] + tol and
-    max_c Q^2[s,i,c] <= Q^2[s,i,j] + tol, which is `_try_support`'s k = 1 test
-    (exact for one-hot strategies). Every other state (no cache, a mixed
-    cache, or a failed check) goes through `bimatrix_nash` warm-started from
-    its cache. The selected equilibrium is the per-state solver's, bit for bit.
+    States whose cached support is pure are checked in one numpy pass
+    (`_check_pure_supports`). Every other state (no cache, a mixed cache, or
+    a failed check) goes through `bimatrix_nash` warm-started from its cache.
+    The selected equilibrium is the per-state solver's, bit for bit.
     """
     if not np.all(np.isfinite(q)):
         raise ValueError("payoff matrices must be finite")
@@ -281,27 +312,14 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
     pol2 = np.zeros((S, a2))
     values = np.zeros((2, S))
 
-    pure = [
-        (s, c[0][0], c[1][0])
-        for s, c in enumerate(support_cache)
-        if c is not None and len(c[0]) == 1
-    ]
+    s_idx, i_idx, j_idx, ok, v, w = _check_pure_supports(game, q, support_cache, tol)
+    s_ok = s_idx[ok]
+    pol1[s_ok, i_idx[ok]] = 1.0
+    pol2[s_ok, j_idx[ok]] = 1.0
+    values[0, s_ok] = v[ok]
+    values[1, s_ok] = w[ok]
     settled = np.zeros(S, dtype=bool)
-    if pure:
-        s_idx, i_idx, j_idx = np.array(pure).T
-        q1 = q[0].reshape(S, a1, a2)
-        q2 = q[1].reshape(S, a1, a2)
-        v = q1[s_idx, i_idx, j_idx]
-        w = q2[s_idx, i_idx, j_idx]
-        ok = (q1[s_idx, :, j_idx].max(axis=1) <= v + tol) & (
-            q2[s_idx, i_idx, :].max(axis=1) <= w + tol
-        )
-        s_ok = s_idx[ok]
-        pol1[s_ok, i_idx[ok]] = 1.0
-        pol2[s_ok, j_idx[ok]] = 1.0
-        values[0, s_ok] = v[ok]
-        values[1, s_ok] = w[ok]
-        settled[s_ok] = True
+    settled[s_ok] = True
 
     for s in np.flatnonzero(~settled):
         eq = bimatrix_nash(
@@ -315,6 +333,31 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
         pol2[s] = eq.col_strategy
         values[0, s], values[1, s] = eq.payoffs
     return pol1, pol2, values
+
+
+def _jump(game, reward, pol1, pol2, support_cache):
+    """The fixed point of the backup that keeps every (pure) cached support.
+
+    With each cached support pure and held, a backup is the linear map
+    Q <- R + gamma P V, V the Q value of the cached one-hot profile at each
+    state, so its fixed point is that profile's Q = policy_evaluation(...).q.
+    Returns (Q, the confirming backup's largest move) when a stage pass on
+    Q would leave a copy of the cache unchanged and its backup moves Q by
+    less than 1e-8, else None. The pass leaves the copy unchanged iff every
+    cached support passes the batched check (a failed one is retried first
+    by `bimatrix_nash`, fails again and is replaced), so the check alone
+    decides it and no state enumerates.
+    """
+    q = policy_evaluation(game, reward, JointPolicy([pol1, pol2])).q
+    s_idx, _, _, ok, v, w = _check_pure_supports(game, q, support_cache)
+    if not ok.all():
+        return None
+    values = np.zeros((2, game.n_states))
+    values[0, s_idx] = v
+    values[1, s_idx] = w
+    q_next = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, values)
+    delta = float(np.max(np.abs(q_next - q)))
+    return (q, delta) if delta < 1e-8 else None
 
 
 def nash_value_iteration(
@@ -332,9 +375,23 @@ def nash_value_iteration(
     Cached pure supports are checked for all states in one pass and only the
     other states enumerate (see `_solve_stage_games`). The iteration has
     converged once a backup moves no Q entry by 1e-8 or more; `final_delta`
-    reports the last backup's largest move either way. General-sum
-    iteration carries no convergence guarantee; on failure the best-so-far
-    policy is returned with converged=False and a warning.
+    reports the last backup's largest move either way.
+
+    Policy-evaluation jump (modified policy iteration): when a backup leaves
+    every cached support unchanged and all of them are pure, the next
+    backups are linear until a support changes, and their fixed point is the
+    cached one-hot profile's Q, one S x S solve away. That Q is accepted,
+    and the iteration stops there, if one confirming stage pass on a copy of
+    the cache changes no support and its backup moves Q by less than 1e-8.
+    Otherwise it is discarded and plain backups continue from the last
+    iterate; the jump is tried again only after the cache changes again.
+    `iterations` counts every backup, the confirming one included, and never
+    exceeds `max_iters`. The returned policy is the profile of the last
+    stage pass on the returned Q, so an accepted jump returns the cached
+    one-hot profile; mixed supports never jump.
+
+    General-sum iteration carries no convergence guarantee; on failure the
+    best-so-far policy is returned with converged=False and a warning.
     """
     if game.n_agents != 2:
         raise ValueError("the stage-game solver is bimatrix; need exactly 2 agents")
@@ -345,7 +402,10 @@ def nash_value_iteration(
     converged = False
     iterations = 0
     delta = np.inf
-    for iterations in range(1, max_iters + 1):
+    jump_ready = False  # the cache changed since the last jump was tried
+    while iterations < max_iters:
+        iterations += 1
+        before = list(support_cache)
         pol1, pol2, values = _solve_stage_games(game, q, support_cache)
         q_next = reward.tables + game.gamma * _gather(
             game.successors, game.successor_probs, values
@@ -355,6 +415,18 @@ def nash_value_iteration(
         if delta < 1e-8:
             converged = True
             break
+        if support_cache != before:
+            jump_ready = True
+        elif jump_ready and iterations < max_iters and all(
+            len(rows) == 1 for rows, _ in support_cache
+        ):
+            jump_ready = False
+            iterations += 1
+            jumped = _jump(game, reward, pol1, pol2, support_cache)
+            if jumped is not None:
+                q, delta = jumped
+                converged = True
+                break
     if not converged:
         warnings.warn(
             f"Nash value iteration did not converge within {max_iters} backups "

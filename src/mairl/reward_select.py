@@ -32,7 +32,14 @@ The distance mode then projects a seeded random target reward onto the
 margin-pinned feasible polytope (minimizing the squared distance):
 projected gradient on the dual of the projection problem plus an exact
 active-set polish, with the LP vertex as the feasibility-preserving
-fallback. `MaxGapResult.projection_paths` reports, per agent, which point
+fallback. `max_gap_reward` first stages every agent (rows U, margin LP,
+target draw, in agent order), keeping only U's live rows, and then runs one
+gradient loop for all agents (`_dual_gradient`): the elementwise steps act
+in place on stacked buffers, while each agent keeps its own two
+matrix-vector products, stop and sweep count, so every agent's iterates are
+bit for bit those of a loop over that agent alone. The sweep cap
+(MAX_SWEEPS), check interval, stop and polish tolerances are module
+constants. `MaxGapResult.projection_paths` reports, per agent, which point
 came back:
 
 * "polished": the exact projection from the active-set polish;
@@ -44,6 +51,7 @@ came back:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +69,14 @@ STATE_ACTION_CLASS = "state-action"
 STATE_CLASS = "state"
 
 _DEAD_ROW = 1e-9
+# projection: the gradient sweep cap, the sweep interval of each iterate's
+# feasibility check, the violation that ends the sweeps, the feasibility
+# tolerance of a polished or blended point, and the polish's solve cap
+MAX_SWEEPS = 8000
+CHECK_EVERY = 25
+SWEEP_TOL = 1e-8
+PROJECTION_TOL = 1e-10
+POLISH_ROUNDS = 60
 
 
 @dataclass
@@ -99,10 +115,12 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
     p_pi = transition_under(game, policy)
-    p_dev = own_action_kernel(game, policy, agent) - p_pi[:, None, :]
+    p_dev = own_action_kernel(game, policy, agent)
+    p_dev -= p_pi[:, None, :]
+    p_dev *= game.gamma
     # X (I - gamma P_pi)^{-1} is the transpose of a solve with the transposed system
     resolved = np.linalg.solve(
-        (np.eye(S) - game.gamma * p_pi).T, game.gamma * p_dev.reshape(S * n_own, S).T
+        (np.eye(S) - game.gamma * p_pi).T, p_dev.reshape(S * n_own, S).T
     ).T
     if reward_class == STATE_CLASS:
         return resolved
@@ -197,18 +215,18 @@ def _lexicographic_margin(U, mask, live, rmax_i, gamma):
     return x, t, margin_rows, pivots
 
 
-def _violation(x, U, rhs, rmax_i):
-    slack = U @ x - rhs
+def _violation(x, slack, rmax_i):
+    """Largest violation of {U x <= rhs, 0 <= x <= rmax}, given slack = U x - rhs."""
     return max(float(np.max(slack)), float(np.max(-x)), float(np.max(x - rmax_i)))
 
 
-def _polish_projection(target, x, U, rhs, rmax_i, tol, max_rounds=60):
+def _polish_projection(target, x, U, rhs, rmax_i):
     """Exact projection onto the face suggested by an approximate solution.
 
     Fixes near-bound coordinates, treats near-active rows as equalities, and
     solves the KKT system of the equality-constrained projection. Violated
-    rows/coordinates are added and the solve repeats; additions are monotone,
-    so the loop terminates.
+    rows/coordinates are added and the solve repeats, for at most
+    POLISH_ROUNDS solves; additions are monotone, so the loop terminates.
     Returns None if no feasible polish is found.
     """
     n = x.size
@@ -217,7 +235,8 @@ def _polish_projection(target, x, U, rhs, rmax_i, tol, max_rounds=60):
     active_rows = set(np.nonzero(vals >= rhs - eps_id)[0].tolist())
     fix_lo = set(np.nonzero(x <= eps_id)[0].tolist())
     fix_hi = set(np.nonzero(x >= rmax_i - eps_id)[0].tolist())
-    for _ in range(max_rounds):
+    tol = PROJECTION_TOL
+    for _ in range(POLISH_ROUNDS):
         fixed = np.zeros(n, dtype=bool)
         fixed_vals = np.zeros(n)
         for j in fix_lo:
@@ -241,11 +260,10 @@ def _polish_projection(target, x, U, rhs, rmax_i, tol, max_rounds=60):
             xf = z
         cand = fixed_vals.copy()
         cand[free] = xf
-        viol = _violation(cand, U, rhs, rmax_i)
-        if viol <= tol:
+        vals = U @ cand
+        if _violation(cand, vals - rhs, rmax_i) <= tol:
             return np.clip(cand, 0.0, rmax_i)
         grew = False
-        vals = U @ cand
         for r in np.nonzero(vals > rhs + tol)[0]:
             if r not in active_rows:
                 active_rows.add(int(r))
@@ -263,19 +281,9 @@ def _polish_projection(target, x, U, rhs, rmax_i, tol, max_rounds=60):
     return None
 
 
-def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000):
-    """Feasible near-projection of `target` onto {0 <= x <= rmax, U x <= rhs}.
-
-    Accelerated projected gradient on the dual (multipliers for the rows, box
-    kept implicit) tracks the best-feasibility primal iterate; an exact
-    active-set polish is attempted, and when the near-active face is too
-    degenerate for it, the iterate is blended toward the strictly feasible
-    `anchor` just enough to restore exact feasibility. Returns (point,
-    iterations, path) with path "polished", "blended" or "vertex"; on
-    "vertex" no feasible projection was found and the point is `anchor`."""
+def _step_size(U):
+    """1 / (1.01 L), L the power-iteration estimate of the largest eigenvalue of U U^T."""
     m = U.shape[0]
-    if m == 0:
-        return np.clip(target, 0.0, rmax_i), 0, "polished"
     gram_scale = 1.0
     v = np.ones(m) / np.sqrt(m)
     for _ in range(30):
@@ -285,31 +293,110 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
             break
         gram_scale = nv
         v /= nv
-    step = 1.0 / max(gram_scale * 1.01, 1e-12)
+    return 1.0 / max(gram_scale * 1.01, 1e-12)
 
-    lam = np.zeros(m)
-    lam_prev = lam.copy()
-    t_acc = 1.0
-    x = np.clip(target, 0.0, rmax_i)
+
+def _dual_gradient(problems):
+    """Accelerated projected gradient on the duals of all `problems` at once.
+
+    Returns (sweeps, best) per problem: the sweeps it ran and its
+    best-feasibility primal iterate. One loop serves every problem: the
+    multipliers, primal iterates and gradients live in stacked (k, max rows)
+    and (k, n) buffers updated in place, and a problem with fewer rows is
+    padded with rhs = 0 and gradient 0, so its multipliers stay 0 there. Each
+    problem keeps its own two matrix-vector products (on its C-contiguous U
+    and on U.T), written into its own buffer slices, so its iterates are bit
+    for bit those of a loop over that problem alone. A problem stops at its
+    own check, every CHECK_EVERY sweeps, once its iterate violates no
+    constraint by more than SWEEP_TOL; its rows are then zeroed and stay 0.
+    """
+    k = len(problems)
+    rows = [p[1].shape[0] for p in problems]
+    targets = np.stack([p[0] for p in problems])
+    # per-problem scalars spread over full rows: a broadcast column costs
+    # more per call than the elementwise work itself
+    rmax = np.repeat([[p[4]] for p in problems], targets.shape[1], axis=1)
+    steps = np.repeat([[_step_size(p[1])] for p in problems], max(rows), axis=1)
+    rhs = np.zeros_like(steps)
+    for j, p in enumerate(problems):
+        rhs[j, : rows[j]] = p[2]
+    lam = np.zeros_like(rhs)
+    lam_prev = np.zeros_like(rhs)
+    mom = np.zeros_like(rhs)
+    grad = np.zeros_like(rhs)
+    back = np.empty_like(targets)  # U^T mom per problem
+    x = np.clip(targets, 0.0, rmax)
     best = x.copy()
-    best_viol = _violation(x, U, rhs, rmax_i)
-    it = 0
-    for it in range(1, max_iters + 1):
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-        mom = lam + ((t_acc - 1.0) / t_next) * (lam - lam_prev)
-        x = np.clip(target - U.T @ mom, 0.0, rmax_i)
-        grad = U @ x - rhs
-        lam_prev = lam
-        lam = np.maximum(mom + step * grad, 0.0)
+    # per problem: (matrix, vector, out) of its two products, on buffer slices
+    to_primal = [(p[1].T, mom[j, : rows[j]], back[j]) for j, p in enumerate(problems)]
+    to_rows = [(p[1], x[j], grad[j, : rows[j]]) for j, p in enumerate(problems)]
+    best_viol = [_violation(x[j], p[1] @ x[j] - p[2], p[4]) for j, p in enumerate(problems)]
+    sweeps = [MAX_SWEEPS] * k
+    running = list(range(k))
+    t_acc = 1.0
+    for it in range(1, MAX_SWEEPS + 1):
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
+        np.subtract(lam, lam_prev, out=mom)
+        mom *= (t_acc - 1.0) / t_next
+        mom += lam
+        for j in running:
+            Ut, mom_j, back_j = to_primal[j]
+            np.matmul(Ut, mom_j, out=back_j)
+        np.subtract(targets, back, out=x)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, rmax, out=x)
+        for j in running:
+            U, x_j, grad_j = to_rows[j]
+            np.matmul(U, x_j, out=grad_j)
+        grad -= rhs
+        stopped = []
+        if it % CHECK_EVERY == 0:
+            for j in running:
+                viol = _violation(x[j], grad[j, : rows[j]], problems[j][4])
+                if viol < best_viol[j]:
+                    best_viol[j] = viol
+                    best[j] = x[j]
+                if viol <= SWEEP_TOL:
+                    sweeps[j] = it
+                    stopped.append(j)
+        grad *= steps
+        grad += mom
+        lam_prev, lam = lam, lam_prev
+        np.maximum(grad, 0.0, out=lam)
         t_acc = t_next
-        if it % 25 == 0:
-            viol = _violation(x, U, rhs, rmax_i)
-            if viol < best_viol:
-                best_viol = viol
-                best = x.copy()
-            if viol <= 1e-8:
-                break
-    polished = _polish_projection(target, best, U, rhs, rmax_i, tol)
+        for j in stopped:
+            running.remove(j)
+            for buf in (lam, lam_prev, grad, rhs):
+                buf[j] = 0.0
+        if not running:
+            break
+    return sweeps, best
+
+
+def _distance_project(problems):
+    """Feasible near-projections of each `target` onto {0 <= x <= rmax, U x <= rhs}.
+
+    `problems` holds one (target, U, rhs, anchor, rmax_i) per agent, with U
+    C-contiguous and every target of the same length. Accelerated projected
+    gradient on the dual (multipliers for the rows, box kept implicit; see
+    `_dual_gradient`) tracks the best-feasibility primal iterate; an exact
+    active-set polish is attempted, and when the near-active face is too
+    degenerate for it, the iterate is blended toward the strictly feasible
+    `anchor` just enough to restore exact feasibility. Returns one (point,
+    sweeps, path) per problem, path "polished", "blended" or "vertex"; on
+    "vertex" no feasible projection was found and the point is `anchor`."""
+    out = [(np.clip(p[0], 0.0, p[4]), 0, "polished") for p in problems]
+    gradient = [j for j, p in enumerate(problems) if p[1].shape[0] > 0]
+    if gradient:
+        sweeps, best = _dual_gradient([problems[j] for j in gradient])
+        for j, it, point in zip(gradient, sweeps, best):
+            out[j] = _finish_projection(*problems[j], point, it)
+    return out
+
+
+def _finish_projection(target, U, rhs, anchor, rmax_i, best, it):
+    """Polish `best`, else blend it toward `anchor`, else return `anchor`."""
+    polished = _polish_projection(target, best, U, rhs, rmax_i)
     if polished is not None:
         return polished, it, "polished"
     # blend toward the strictly feasible anchor until every row holds exactly
@@ -324,7 +411,7 @@ def _distance_project(target, U, rhs, anchor, rmax_i, tol=1e-10, max_iters=8000)
     if theta >= 1.0 or not np.isfinite(theta):
         return anchor, it, "vertex"
     blended = (1.0 - 1.05 * theta) * best + 1.05 * min(theta, 1.0 / 1.05) * anchor
-    if _violation(blended, U, rhs, rmax_i) <= tol:
+    if _violation(blended, U @ blended - rhs, rmax_i) <= PROJECTION_TOL:
         return np.clip(blended, 0.0, rmax_i), it, "blended"
     return anchor, it, "vertex"
 
@@ -356,36 +443,50 @@ def max_gap_reward(
         raise ValueError("rmax must be positive")
 
     S, A = game.n_states, game.n_joint_actions
-    tables = np.zeros((game.n_agents, S, A))
-    margins = np.zeros(game.n_agents)
-    lp_iters = 0
-    sweeps = 0
-    pinned = []
-    paths = []
     rng = np.random.default_rng(seed) if seed is not None else None
-
+    lp_iters = 0
+    pinned = []
+    staged = []  # per agent: live rows of U, live, rows carrying the margin, LP x, U's layout
+    problems = []  # per agent in distance mode: target, live rows of U, rhs, LP x, rmax
     for i in range(game.n_agents):
         U = _advantage_rows(game, policy, i, reward_class)
-        n_vars = U.shape[1]
         mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
         live = np.linalg.norm(U, axis=1) > _DEAD_ROW
         x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
         lp_iters += pivots
         pinned.append(int(np.sum(mask & live & ~margin_rows)))
+        carrying = margin_rows & live
+        U_live = U[live]
+        staged.append((U_live, live, carrying, x, "F" if U.flags.f_contiguous else "C"))
         if mode == DISTANCE_TO_RANDOM:
-            target = rng.uniform(0.0, r[i], size=n_vars)
+            target = rng.uniform(0.0, r[i], size=U.shape[1])
             # support rows are one-sided too: their average under the policy is
             # zero identically, so <= 0 on each forces equality at any
             # feasible point
-            rhs = np.where(margin_rows & live, -max(t_star - 1e-6, 0.0), 0.0)
-            x, s_i, path = _distance_project(target, U[live], rhs[live], x, r[i])
-            sweeps += s_i
-            paths.append(path)
+            rhs = np.where(carrying[live], -max(t_star - 1e-6, 0.0), 0.0)
+            problems.append((target, U_live, rhs, x, r[i]))
+        del U  # only the live rows stay alive through the other agents' LPs
+
+    points = [x for _, _, _, x, _ in staged]
+    sweeps = 0
+    paths = ()
+    if mode == DISTANCE_TO_RANDOM:
+        projected = _distance_project(problems)
+        points = [point for point, _, _ in projected]
+        sweeps = sum(it for _, it, _ in projected)
+        paths = tuple(path for _, _, path in projected)
+
+    tables = np.zeros((game.n_agents, S, A))
+    margins = np.zeros(game.n_agents)
+    for i, ((U_live, live, carrying, _, order), x) in enumerate(zip(staged, points)):
         # a state-class x has one entry per state and broadcasts over joint actions
         tables[i] = np.clip(x, 0.0, r[i]).reshape(S, -1)
-        vals = U @ x
-        if (margin_rows & live).any():
-            margins[i] = float(-vals[margin_rows & live].max())
+        if carrying.any():
+            # the live rows back in U's shape and memory layout: each row's
+            # product then has the bits of that row of U @ x
+            full = np.zeros((live.size, x.size), order=order)
+            full[live] = U_live
+            margins[i] = float(-(full @ x)[carrying].max())
         else:
             margins[i] = r[i] / (1.0 - game.gamma)
 
@@ -403,7 +504,7 @@ def max_gap_reward(
         lp_iterations=lp_iters,
         projection_sweeps=sweeps,
         pinned_rows=tuple(pinned),
-        projection_paths=tuple(paths),
+        projection_paths=paths,
     )
 
 
