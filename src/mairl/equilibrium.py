@@ -9,10 +9,12 @@ reward whose tables are not the game's (n, S, A).
 
 A NashQ backup solves one stage game per state, warm-started from the support
 that state selected in the previous backup. Cached pure supports are checked
-for all states in one numpy pass; the remaining states (no cache, a mixed
-cache, or a pure cache that stopped being an equilibrium) run support
-enumeration one state at a time. The selected equilibrium is the one the
-per-state solver picks, so both paths give bit-identical results.
+for all states in one numpy pass. A second pass gives every state with no
+cache, or with a pure cache that stopped being an equilibrium, its first
+pure equilibrium in enumeration order. Only the remaining states (a mixed
+cache, or no pure equilibrium) run support enumeration, one state at a
+time. The selected equilibrium is the one the per-state solver picks, so
+every path gives bit-identical results.
 
 Once a backup leaves every cached support unchanged and all of them are
 pure, the backups that follow are linear, and NashQ jumps to their fixed
@@ -270,56 +272,70 @@ class NashQResult:
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
-def _check_pure_supports(game, q, support_cache, tol=1e-9):
-    """The batched test of every cached pure support ((i,), (j,)) against q.
-
-    Returns the (state, i, j) index arrays of the pure caches, whether each
-    still holds, and both players' payoffs at (i, j). A support holds iff
-    max_r Q^1[s,r,j] <= Q^1[s,i,j] + tol and max_c Q^2[s,i,c] <= Q^2[s,i,j] + tol,
-    which is `_try_support`'s k = 1 test (exact for one-hot strategies).
-    """
-    a1, a2 = game.action_counts
-    S = game.n_states
+def _pure_caches(support_cache):
+    """The (state, i, j) index arrays of the cached pure supports ((i,), (j,))."""
     pure = [
         (s, c[0][0], c[1][0])
         for s, c in enumerate(support_cache)
         if c is not None and len(c[0]) == 1
     ]
-    s_idx, i_idx, j_idx = np.array(pure, dtype=np.int64).reshape(-1, 3).T
-    q1 = q[0].reshape(S, a1, a2)
-    q2 = q[1].reshape(S, a1, a2)
-    v = q1[s_idx, i_idx, j_idx]
-    w = q2[s_idx, i_idx, j_idx]
-    ok = (q1[s_idx, :, j_idx].max(axis=1) <= v + tol) & (
-        q2[s_idx, i_idx, :].max(axis=1) <= w + tol
+    return np.array(pure, dtype=np.int64).reshape(-1, 3).T
+
+
+def _pure_equilibria(q1, q2, tol=1e-9):
+    """Which pure profiles (i, j) are equilibria of the stage games q1, q2
+    (..., a1, a2): max_r Q^1[r,j] <= Q^1[i,j] + tol and
+    max_c Q^2[i,c] <= Q^2[i,j] + tol, which is `_try_support`'s k = 1 test
+    (exact for one-hot strategies)."""
+    return (q1.max(axis=-2, keepdims=True) <= q1 + tol) & (
+        q2.max(axis=-1, keepdims=True) <= q2 + tol
     )
-    return s_idx, i_idx, j_idx, ok, v, w
 
 
 def _solve_stage_games(game, q, support_cache, tol=1e-9):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
-    States whose cached support is pure are checked in one numpy pass
-    (`_check_pure_supports`). Every other state (no cache, a mixed cache, or
-    a failed check) goes through `bimatrix_nash` warm-started from its cache.
-    The selected equilibrium is the per-state solver's, bit for bit.
+    Two numpy passes settle every state they can at a pure equilibrium
+    (`_pure_equilibria`). The first keeps each cached pure support that
+    still holds. The second gives each state with no cache, or whose pure
+    cache failed, its first pure equilibrium in C order, the order of
+    `bimatrix_nash`'s size-1 enumeration; `bimatrix_nash` would retry the
+    failed support, fail again and enumerate to the same one. Only states
+    with a mixed cache, or with no pure equilibrium, call `bimatrix_nash`,
+    warm-started from their cache. The selected equilibrium is the
+    per-state solver's, bit for bit.
     """
     if not np.all(np.isfinite(q)):
         raise ValueError("payoff matrices must be finite")
     a1, a2 = game.action_counts
     S = game.n_states
+    q1 = q[0].reshape(S, a1, a2)
+    q2 = q[1].reshape(S, a1, a2)
     pol1 = np.zeros((S, a1))
     pol2 = np.zeros((S, a2))
     values = np.zeros((2, S))
 
-    s_idx, i_idx, j_idx, ok, v, w = _check_pure_supports(game, q, support_cache, tol)
-    s_ok = s_idx[ok]
-    pol1[s_ok, i_idx[ok]] = 1.0
-    pol2[s_ok, j_idx[ok]] = 1.0
-    values[0, s_ok] = v[ok]
-    values[1, s_ok] = w[ok]
+    holds = _pure_equilibria(q1, q2, tol)
+    s_idx, i_idx, j_idx = _pure_caches(support_cache)
+    ok = holds[s_idx, i_idx, j_idx]
+    open_ = np.array([c is None or len(c[0]) == 1 for c in support_cache], dtype=bool)
+    open_[s_idx[ok]] = False
+    s_new = np.flatnonzero(open_)
+    first = holds[s_new].reshape(s_new.size, a1 * a2)
+    found = first.any(axis=1)
+    s_new = s_new[found]
+    i_new, j_new = np.divmod(first[found].argmax(axis=1), a2)
+    for s, i, j in zip(s_new.tolist(), i_new.tolist(), j_new.tolist()):
+        support_cache[s] = ((i,), (j,))
+    s_pure = np.concatenate([s_idx[ok], s_new])
+    i_pure = np.concatenate([i_idx[ok], i_new])
+    j_pure = np.concatenate([j_idx[ok], j_new])
+    pol1[s_pure, i_pure] = 1.0
+    pol2[s_pure, j_pure] = 1.0
+    values[0, s_pure] = q1[s_pure, i_pure, j_pure]
+    values[1, s_pure] = q2[s_pure, i_pure, j_pure]
     settled = np.zeros(S, dtype=bool)
-    settled[s_ok] = True
+    settled[s_pure] = True
 
     for s in np.flatnonzero(~settled):
         eq = bimatrix_nash(
@@ -344,17 +360,18 @@ def _jump(game, reward, pol1, pol2, support_cache):
     Returns (Q, the confirming backup's largest move) when a stage pass on
     Q would leave a copy of the cache unchanged and its backup moves Q by
     less than 1e-8, else None. The pass leaves the copy unchanged iff every
-    cached support passes the batched check (a failed one is retried first
-    by `bimatrix_nash`, fails again and is replaced), so the check alone
-    decides it and no state enumerates.
+    cached support still holds (a failed one is replaced, by another pure
+    equilibrium or by `bimatrix_nash`'s), so that test alone decides it and
+    no state enumerates.
     """
     q = policy_evaluation(game, reward, JointPolicy([pol1, pol2])).q
-    s_idx, _, _, ok, v, w = _check_pure_supports(game, q, support_cache)
-    if not ok.all():
+    a1, a2 = game.action_counts
+    payoffs = q.reshape(2, game.n_states, a1, a2)
+    s_idx, i_idx, j_idx = _pure_caches(support_cache)
+    if not _pure_equilibria(*payoffs)[s_idx, i_idx, j_idx].all():
         return None
     values = np.zeros((2, game.n_states))
-    values[0, s_idx] = v
-    values[1, s_idx] = w
+    values[:, s_idx] = payoffs[:, s_idx, i_idx, j_idx]
     q_next = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, values)
     delta = float(np.max(np.abs(q_next - q)))
     return (q, delta) if delta < 1e-8 else None
@@ -372,8 +389,10 @@ def nash_value_iteration(
     the support a state selected in the previous backup if it is still an
     equilibrium, else the first support in the fixed enumeration order (size,
     then lexicographic), which pins down the equilibrium the iteration tracks.
-    Cached pure supports are checked for all states in one pass and only the
-    other states enumerate (see `_solve_stage_games`). The iteration has
+    Cached pure supports are checked for all states in one numpy pass,
+    states without a valid one take their first pure equilibrium in a
+    second, and only the rest enumerate (see `_solve_stage_games`). The
+    iteration has
     converged once a backup moves no Q entry by 1e-8 or more; `final_delta`
     reports the last backup's largest move either way.
 

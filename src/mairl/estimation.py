@@ -22,9 +22,18 @@ table of its normalised CDF, built once per oracle, which makes the same
 float comparisons as the dense CDF at only the entries where it rises; the
 transition tables take the CDF over the successor list, whose partial sums
 at those entries are the dense ones, since adding 0.0 is exact.
-`sample_round` draws any number of rounds in chunks of bounded size, one
-`random()` call per chunk, so memory stays flat in the round count. Since
-counts depend on k alone, `uniform_sampling` takes tau from
+
+A row whose jump table has one rise (one positive-mass outcome) is fixed:
+every uniform draws that outcome, so a fixed row takes no uniform and no
+comparison, though its position in the round's block stays reserved, and
+the random rows read the same uniforms whatever the other rows are. An
+oracle with no random row (a deterministic game with a pure expert, such as
+every grid NashQ expert) builds no generator. `sample_round` adds `rounds`
+to each fixed row's slot at once and draws the random rows' rounds in
+chunks of bounded size, one `random()` call per chunk, so memory stays flat
+in the round count.
+
+Since counts depend on k alone, `uniform_sampling` takes tau from
 `stopping_time`, a bisection on the nonincreasing schedule epsilon_k; it
 returns one history row per round (LOG_COLUMNS) and writes no file.
 """
@@ -127,8 +136,8 @@ class UncertaintyTable:
     max_transition_radius: float
 
 
-# per-chunk bound on uniforms times the widest jump table, so memory stays
-# flat in rounds
+# per-chunk bound on the uniforms drawn and on the random rows' jump-table
+# comparisons, so memory stays flat in rounds
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -144,8 +153,11 @@ class GenerativeOracle:
     its first round's counter, so draws depend on (seed, round) alone. Each
     uniform goes through the inverse CDF of its row, kept as a jump table
     built in the constructor; a transition draw picks a slot of the game's
-    successor list. A negative seed raises ValueError here, from
-    `SeedSequence`.
+    successor list. The constructor splits every table into fixed rows, with
+    one outcome, which take no uniform (their positions in the block stay
+    reserved), and random rows, which read theirs; with no random row there
+    is no `random()` call at all. A negative seed raises ValueError here,
+    from `SeedSequence`.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -157,28 +169,44 @@ class GenerativeOracle:
         self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         self._round_uniforms = game.n_states * (game.n_joint_actions + game.n_agents)
         self._round_blocks = -(-self._round_uniforms // 4)
-        self._transition_table = _jump_table(game.successor_probs)  # slots, (S, A, w) each
-        self._action_tables = [_jump_table(table) for table in expert.per_agent]  # (S, w_i)
-        width = max(t[0].shape[-1] for t in (self._transition_table, *self._action_tables))
-        self._chunk_rounds = max(1, _CHUNK_ELEMENTS // (self._round_uniforms * width))
+        S, A, n = game.n_states, game.n_joint_actions, game.n_agents
+        columns = np.arange(self._round_uniforms).reshape(S, A + n)
+        # one table per draw kind: next-state slots of the (S, A) pairs, then
+        # each agent's expert actions at the S states
+        tables = [game.successor_probs, *expert.per_agent]
+        row_columns = [columns[:, :A], *(columns[:, A + i] for i in range(n))]
+        splits = [_split(_jump_table(t), c) for t, c in zip(tables, row_columns)]
+        self._fixed = [fixed for fixed, _ in splits]  # (rows, outcomes) per table
+        self._random = [random for _, random in splits]  # (rows, columns, jump table)
+        comparisons = sum(table[0].size for _, _, table in self._random)
+        self._has_random = comparisons > 0
+        per_round = max(4 * self._round_blocks, comparisons)
+        self._chunk_rounds = max(1, _CHUNK_ELEMENTS // per_round)
 
     def round_samples(self, first: int, rounds: int = 1):
         """All queries of rounds first, ..., first + rounds - 1: next states
         of shape (rounds, S, A) and expert actions of shape (rounds, S, n)."""
-        slots, actions = self._round_slots(first, rounds)
-        states = np.take_along_axis(self.game.successors[None], slots[..., None], axis=-1)
-        return states[..., 0], actions
-
-    def _round_slots(self, first: int, rounds: int):
-        """`round_samples` with each next state given as its successor slot."""
         if first < 1:
             raise ValueError("rounds are numbered from 1")
-        S, A = self.game.n_states, self.game.n_joint_actions
+        S, A, n = self.game.n_states, self.game.n_joint_actions, self.game.n_agents
+        drawn = [np.empty((rounds, S * A), dtype=np.intp)]  # successor slots
+        drawn += [np.empty((rounds, S), dtype=np.intp) for _ in range(n)]
+        for out, (rows, outcomes) in zip(drawn, self._fixed):
+            out[:, rows] = outcomes
+        for out, (rows, _, _), draws in zip(drawn, self._random, self._random_draws(first, rounds)):
+            out[:, rows] = draws
+        slots = drawn[0].reshape(rounds, S, A, 1)
+        states = np.take_along_axis(self.game.successors[None], slots, axis=-1)
+        return states[..., 0], np.stack(drawn[1:], axis=-1)
+
+    def _random_draws(self, first: int, rounds: int):
+        """Each table's random-row draws in rounds first, ..., first + rounds - 1,
+        of shape (rounds, random rows); an empty list if no row is random."""
+        if not self._has_random:
+            return []
         bits = np.random.Philox(key=self._key, counter=(first - 1) * self._round_blocks)
         u = np.random.Generator(bits).random((rounds, 4 * self._round_blocks))
-        u = u[:, : self._round_uniforms].reshape(rounds, S, A + self.game.n_agents)
-        actions = [_draw(table, u[..., A + i]) for i, table in enumerate(self._action_tables)]
-        return _draw(self._transition_table, u[..., :A]), np.stack(actions, axis=-1)
+        return [_draw(table, u[:, columns]) for _, columns, table in self._random]
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -211,16 +239,33 @@ def _draw(table, u: np.ndarray) -> np.ndarray:
     return positions[(*np.indices(positions.shape[:-1], sparse=True), rises)]
 
 
+def _split(table, columns: np.ndarray):
+    """Split a jump table of rows (*rows, w) into fixed rows, with one rise
+    (one positive-mass outcome, drawn whatever the uniform), and random rows.
+    `columns` (*rows) holds each row's uniform column in a round's block.
+    Rows are flat indices. Returns ((fixed rows, their outcomes), (random
+    rows, their columns, their jump table (R, w)))."""
+    positions, values = (a.reshape(-1, a.shape[-1]) for a in table)
+    fixed = np.isfinite(values).sum(axis=-1) == 1
+    rows, outcomes = np.flatnonzero(fixed), positions[fixed, 0]
+    random = np.flatnonzero(~fixed)
+    return (rows, outcomes), (random, columns.ravel()[random], (positions[random], values[random]))
+
+
 def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -> CountBook:
     """`rounds` uniform rounds: in each, every (s,a) is sampled once and
     every agent is observed once per state.
 
-    Rounds are drawn in chunks whose uniforms, times the widest jump table,
-    stay under a fixed element count, so memory stays flat in `rounds`; a
-    chunk adds its samples with one `np.bincount` per table on its flat
-    view. The counts equal those of `rounds` single-round calls. A book
-    takes the oracle's successor list on its first call and raises
-    DimensionMismatchError if a later oracle's list differs.
+    Each fixed row (one outcome, see `GenerativeOracle`) gets `rounds` added
+    to its one slot in a single indexed add per table, with no draw. The
+    random rows' rounds are drawn in chunks whose uniforms, and whose
+    jump-table comparisons, stay under a fixed element count, so memory
+    stays flat in `rounds`; a chunk adds its samples with one `np.bincount`
+    per table over the random rows. An oracle with no random row costs
+    O(S A) per call, whatever `rounds` is. The counts equal those of
+    `rounds` single-round calls. A book takes the oracle's successor list on
+    its first call and raises DimensionMismatchError if a later oracle's
+    list differs.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
@@ -230,22 +275,26 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
         counts.n_slot = np.zeros(game.successors.shape, dtype=np.int64)
     elif not np.array_equal(counts.successors, game.successors):
         raise DimensionMismatchError("the counts were drawn from another successor list")
+    tables = [counts.n_slot, *counts.n_i_sa]
+    for table, (rows, outcomes) in zip(tables, oracle._fixed):
+        table.reshape(-1, table.shape[-1])[rows, outcomes] += rounds
     first, stop = counts.iteration + 1, counts.iteration + rounds + 1
-    for lo in range(first, stop, oracle._chunk_rounds):
-        slots, expert_actions = oracle._round_slots(lo, min(oracle._chunk_rounds, stop - lo))
-        _tally(counts.n_slot, slots)
-        for i, table in enumerate(counts.n_i_sa):
-            _tally(table, expert_actions[..., i])
+    if oracle._has_random:
+        for lo in range(first, stop, oracle._chunk_rounds):
+            draws = oracle._random_draws(lo, min(oracle._chunk_rounds, stop - lo))
+            for table, (rows, _, _), drawn in zip(tables, oracle._random, draws):
+                _tally(table, rows, drawn)
     counts.iteration += rounds
     return counts
 
 
-def _tally(table: np.ndarray, drawn: np.ndarray) -> None:
-    """Add one count to `table` (*rows, m) per entry of `drawn` (rounds, *rows):
-    each entry indexes the last axis at its row."""
-    rows = np.arange(table.size // table.shape[-1]).reshape(table.shape[:-1])
-    flat = (rows * table.shape[-1] + drawn).ravel()
-    table += np.bincount(flat, minlength=table.size).reshape(table.shape)
+def _tally(table: np.ndarray, rows: np.ndarray, drawn: np.ndarray) -> None:
+    """Add one count to `table` (*rows, m) per entry of `drawn` (rounds, R):
+    each entry indexes the last axis at its flat row `rows[r]`."""
+    m = table.shape[-1]
+    flat = (np.arange(rows.size) * m + drawn).ravel()
+    counts = np.bincount(flat, minlength=rows.size * m).reshape(rows.size, m)
+    table.reshape(-1, m)[rows] += counts
 
 
 def estimate(counts: CountBook) -> EstimatedProblem:

@@ -233,6 +233,145 @@ def test_batched_sample_round_matches_single_rounds_across_chunks():
         assert np.array_equal(expert_actions[i], ref_actions)
 
 
+def _mixed_oracles():
+    """Oracles whose tables mix fixed rows (one outcome) and random rows: the
+    3x3 board with stochastic up-moves and its pure NashQ expert, and a
+    random game with some (s, a) rows forced to one successor and an expert
+    that is pure on some states and mixed on the others."""
+    game, reward, _ = gridworld.build_grid_game(_board(3, 3, "stochastic-up"))
+    expert = equilibrium.nash_value_iteration(game, reward).policy
+    oracles = [GenerativeOracle(game, expert, seed=6)]
+    rng = np.random.default_rng(9)
+    n_states, action_counts = 6, (2, 3)
+    dense = random_markov_game(rng, n_states, action_counts, 0.8)
+    transitions = dense.transitions.copy()
+    forced = rng.random(transitions.shape[:2]) < 0.5
+    transitions[forced] = np.eye(n_states)[rng.integers(n_states, size=int(forced.sum()))]
+    game = MarkovGame(transitions, 0.8, dense.mu, action_counts)
+    tables = []
+    for c in action_counts:
+        table = rng.dirichlet(np.ones(c), n_states)
+        pure = np.arange(n_states) % 2 == 0
+        table[pure] = np.eye(c)[rng.integers(c, size=int(pure.sum()))]
+        tables.append(table)
+    oracles.append(GenerativeOracle(game, JointPolicy(tables), seed=8))
+    return oracles
+
+
+def _reference_tallies(oracle, first, rounds):
+    """Dense next-state counts (S, A, S) and per-agent expert-action counts
+    of the reference draws of rounds first, ..., first + rounds - 1."""
+    game = oracle.game
+    S, A = game.n_states, game.n_joint_actions
+    dense = np.zeros((S, A, S), dtype=np.int64)
+    actions = [np.zeros((S, c), dtype=np.int64) for c in game.action_counts]
+    for k in range(first, first + rounds):
+        next_states, expert_actions = reference_round_samples(oracle, k)
+        np.add.at(dense, (*np.indices((S, A)), next_states), 1)
+        for i, table in enumerate(actions):
+            np.add.at(table, (np.arange(S), expert_actions[:, i]), 1)
+    return dense, actions
+
+
+def _spread(counts):
+    """The slot tallies of a book as dense next-state counts (S, A, S)."""
+    S, A, _ = counts.successors.shape
+    dense = np.zeros((S, A, S), dtype=np.int64)
+    np.add.at(dense, (*np.indices(counts.successors.shape)[:2], counts.successors), counts.n_slot)
+    return dense
+
+
+def test_mixed_oracles_have_fixed_and_random_rows():
+    up, forced = _mixed_oracles()
+    # stochastic up-moves make some transition rows random; the pure expert
+    # makes every action row fixed
+    assert up._fixed[0][0].size and up._random[0][0].size
+    assert all(rows.size == 0 for rows, _, _ in up._random[1:])
+    for (fixed, _), (random, _, _) in zip(forced._fixed, forced._random):
+        assert fixed.size and random.size
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 37])
+def test_mixed_oracles_match_reference_across_chunks(rounds):
+    for oracle in _mixed_oracles():
+        oracle._chunk_rounds = 4  # rounds 3, ... span chunks of 4 and a remainder
+        next_states, expert_actions = oracle.round_samples(3, rounds)
+        assert next_states.shape[0] == expert_actions.shape[0] == rounds
+        for i, k in enumerate(range(3, 3 + rounds)):
+            ref_states, ref_actions = reference_round_samples(oracle, k)
+            assert np.array_equal(next_states[i], ref_states)
+            assert np.array_equal(expert_actions[i], ref_actions)
+        game = oracle.game
+        counts = CountBook(game.n_states, game.action_counts)
+        sample_round(oracle, counts, 2)
+        sample_round(oracle, counts, rounds)
+        dense, actions = _reference_tallies(oracle, 1, 2 + rounds)
+        assert counts.iteration == 2 + rounds
+        assert np.array_equal(_spread(counts), dense)
+        for mine, theirs in zip(counts.n_i_sa, actions):
+            assert np.array_equal(mine, theirs)
+
+
+def test_mixed_oracles_uniform_sampling_matches_per_round_reference():
+    params = ConfidenceParams(delta=0.1, pi_min=0.2, rmax=1.0, gamma=0.9)
+    for oracle in _mixed_oracles():
+        oracle._chunk_rounds = 7
+        run = uniform_sampling(oracle, params, 1.0, 30)
+        ref_problem, ref_unc, ref_tau, ref_converged, ref_history = reference_uniform_sampling(
+            oracle, params, 1.0, 30
+        )
+        assert (run.tau, run.converged) == (ref_tau, ref_converged) == (30, False)
+        assert [row[:-1] for row in run.history] == ref_history
+        assert run.problem.p_hat.tobytes() == ref_problem.p_hat.tobytes()
+        dense, actions = _reference_tallies(oracle, 1, 30)
+        assert np.array_equal(run.problem.p_hat, dense / 30)
+        per_agent = zip(run.problem.pi_hat.per_agent, ref_problem.pi_hat.per_agent, actions)
+        for mine, ref, tally in per_agent:
+            assert mine.tobytes() == ref.tobytes() == (tally / 30).tobytes()
+        assert run.uncertainty.c.tobytes() == ref_unc.c.tobytes()
+
+
+class _CountingGenerator:
+    """Stands in for `np.random.Generator`, counting `random` calls."""
+
+    calls = 0
+    _inner_type = np.random.Generator
+
+    def __init__(self, bits):
+        self._inner = self._inner_type(bits)
+
+    def random(self, *args, **kwargs):
+        type(self).calls += 1
+        return self._inner.random(*args, **kwargs)
+
+
+def test_all_fixed_oracle_draws_no_uniform(monkeypatch):
+    oracle = GenerativeOracle(*_nashq_expert(3, 3), seed=2)
+    assert not oracle._has_random
+    want_states, want_actions = reference_round_samples(oracle, 5)
+    monkeypatch.setattr(_CountingGenerator, "calls", 0)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    # the counter sees a mixed oracle's draws
+    mixed = _mixed_oracles()[1]
+    sample_round(mixed, CountBook(mixed.game.n_states, mixed.game.action_counts), 3)
+    assert _CountingGenerator.calls > 0
+    monkeypatch.setattr(_CountingGenerator, "calls", 0)
+    game, k = oracle.game, 100_000
+    counts = sample_round(oracle, CountBook(game.n_states, game.action_counts), k)
+    next_states, expert_actions = oracle.round_samples(5, 3)
+    assert _CountingGenerator.calls == 0
+    assert np.array_equal(next_states, np.broadcast_to(want_states, next_states.shape))
+    assert np.array_equal(expert_actions, np.broadcast_to(want_actions, expert_actions.shape))
+    # each fixed slot holds all k draws of its row, every other slot none
+    rows, outcomes = oracle._fixed[0]
+    assert rows.size == game.n_states * game.n_joint_actions
+    slots = counts.n_slot.reshape(rows.size, -1)
+    assert np.all(slots[rows, outcomes] == k) and slots.sum() == k * rows.size
+    for table, (rows, outcomes) in zip(counts.n_i_sa, oracle._fixed[1:]):
+        assert rows.size == game.n_states
+        assert np.all(table[rows, outcomes] == k) and table.sum() == k * rows.size
+
+
 def _toy_problem():
     rng = np.random.default_rng(42)
     game = random_markov_game(rng, 2, (2, 2), 0.5)

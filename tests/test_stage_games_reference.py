@@ -3,9 +3,11 @@
 `reference_solve_stage_games` is the former `_solve_stage_games`: one
 warm-started `bimatrix_nash` call per state. It is kept here as a test
 oracle; NashQ run with it patched in must return exactly what NashQ returns
-with the batched pure-support check.
+with the batched passes (the cached pure-support check, then the first pure
+equilibrium of every state left without a valid cache).
 """
 
+import itertools
 import warnings
 from unittest import mock
 
@@ -128,6 +130,46 @@ def test_random_games_match_reference(seed, n_states, a1, a2):
     assert_same_result(got, want)
 
 
+@st.composite
+def _stage_stacks(draw):
+    """Stacks of stage games with payoffs in {0, 1, 2}, so that ties are
+    dense, and a cache per state: none, any pure support or any mixed one."""
+    n_states = draw(st.integers(min_value=1, max_value=4))
+    a1 = draw(st.integers(min_value=1, max_value=4))
+    a2 = draw(st.integers(min_value=1, max_value=4))
+    size = 2 * n_states * a1 * a2
+    payoffs = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=size, max_size=size))
+    q = np.array(payoffs, dtype=np.float64).reshape(2, n_states, a1 * a2)
+    supports = [None] + [
+        (rows, cols)
+        for k in range(1, min(a1, a2) + 1)
+        for rows in itertools.combinations(range(a1), k)
+        for cols in itertools.combinations(range(a2), k)
+    ]
+    cache = draw(st.lists(st.sampled_from(supports), min_size=n_states, max_size=n_states))
+    return q, (a1, a2), cache
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_stage_stacks())
+def test_stage_pass_matches_reference_on_tied_integer_games(stack):
+    q, action_counts, cache = stack
+    game = random_markov_game(np.random.default_rng(0), q.shape[1], action_counts, 0.9)
+    want_cache, got_cache = list(cache), list(cache)
+    try:
+        want = reference_solve_stage_games(game, q, want_cache)
+    except RuntimeError:
+        # a degenerate game may have no equilibrium with equal-size supports;
+        # the batched pass must then fail the same way
+        with pytest.raises(RuntimeError):
+            equilibrium._solve_stage_games(game, q, got_cache)
+        return
+    got = equilibrium._solve_stage_games(game, q, got_cache)
+    assert got_cache == want_cache
+    for mine, theirs in zip(got, want):
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def _chain_game():
     """Three states, 2x2 actions, gamma 0.9, starting in state 0. There the
     joint action (0, 0) pays 0.5 to both and ends in the absorbing state 2,
@@ -153,18 +195,17 @@ def test_cached_pure_support_that_stops_being_an_equilibrium(monkeypatch):
     log = logged_calls(monkeypatch)
     with pytest.warns(RuntimeWarning):
         early = equilibrium.nash_value_iteration(game, reward, max_iters=3)
-    # first backup: every state enumerates from no cache; the pure supports
-    # it selects then hold for the next backups without a solver call
-    assert log.hints == [None] * game.n_states
+    # first backup: from Q = 0 every state takes its first pure equilibrium,
+    # ((0,), (0,)), in the pass; the supports then hold for the next backups
+    assert log.hints == []
     assert early.stage_supports[0] == ((0,), (0,))
-    log.hints.clear()
     got = equilibrium.nash_value_iteration(game, reward)
     assert_same_result(got, want)
-    # later, state 0's cached (0, 0) stops being an equilibrium: the miss goes
-    # to bimatrix_nash, which retries the cached support before enumerating
-    assert log.hints[: game.n_states] == [None] * game.n_states
-    assert log.hints[game.n_states :] == [((0,), (0,))]
-    assert got.converged and got.stage_supports[0] != ((0,), (0,))
+    # later, state 0's cached (0, 0) stops being an equilibrium; the pass
+    # moves it to the next pure equilibrium in enumeration order, (0, 1),
+    # where bimatrix_nash would retry (0, 0) and then enumerate to the same
+    assert log.hints == []
+    assert got.converged and got.stage_supports[0] == ((0,), (1,))
 
 
 def test_batched_pass_settles_only_valid_pure_caches(monkeypatch):
@@ -176,7 +217,9 @@ def test_batched_pass_settles_only_valid_pure_caches(monkeypatch):
     want = reference_solve_stage_games(game, q, want_cache)
     log = logged_calls(monkeypatch)
     got = equilibrium._solve_stage_games(game, q, cache)
-    assert log.hints == [((0,), (0,))]  # state 0 only; the others settle in the pass
+    # state 0's cache fails and the pass takes its first pure equilibrium,
+    # (1, 0); the others keep their caches, and no state calls the solver
+    assert log.hints == []
     assert cache == want_cache == [((1,), (0,)), ((0,), (0,)), ((0,), (0,))]
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()
@@ -190,24 +233,30 @@ def test_mixed_stage_equilibria_take_the_per_state_path(monkeypatch):
     assert_same_result(got, want)
     assert got.stage_supports == [((0, 1), (0, 1))]
     assert np.allclose(got.policy.per_agent[0], 0.5)
-    # every backup after the first warm-starts the single state from its mixed cache
-    assert len(log.hints) == got.iterations + 1
-    assert all(hint == ((0, 1), (0, 1)) for hint in log.hints[2:])
+    # the first backup settles Q = 0 at the pure ((0,), (0,)) in the pass; on
+    # the second that cache fails and the game has no pure equilibrium, so
+    # bimatrix_nash retries it and enumerates; every later stage pass, the
+    # returned profile's included, warm-starts from the mixed cache
+    assert len(log.hints) == got.iterations
+    assert log.hints[0] == ((0,), (0,))
+    assert all(hint == ((0, 1), (0, 1)) for hint in log.hints[1:])
 
 
 def test_all_zero_first_backup(monkeypatch):
-    """From Q = 0 every stage game is a tie; enumeration picks ((0,), (0,))
-    everywhere, and the batched pass then keeps it with no solver call."""
+    """From Q = 0 every stage game is a tie; the first-pure pass picks
+    ((0,), (0,)) everywhere, as enumeration does, and the batched check then
+    keeps it; neither calls the solver."""
     game, _, _ = build_grid_game(GridGameSpec())
     q = np.zeros((2, game.n_states, game.n_joint_actions))
     cache = [None] * game.n_states
     want_cache = [None] * game.n_states
     want = reference_solve_stage_games(game, q, want_cache)
+    log = logged_calls(monkeypatch)
     got = equilibrium._solve_stage_games(game, q, cache)
+    assert log.hints == []
     assert cache == want_cache == [((0,), (0,))] * game.n_states
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()
-    log = logged_calls(monkeypatch)
     again = equilibrium._solve_stage_games(game, q, cache)
     assert log.hints == []
     for mine, theirs in zip(again, want):
