@@ -9,28 +9,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .equilibrium import nash_gap
 from .errors import ConfigError, ConvergenceError, DimensionMismatchError
-from .estimation import (
-    LOG_COLUMNS,
-    CountBook,
-    GenerativeOracle,
-    sample_round,
-    uniform_sampling,
-)
+from .estimation import LOG_COLUMNS, GenerativeOracle, uniform_sampling
 from .experiment import (
     BOUND_COLUMNS,
     ExperimentConfig,
     bound_row,
-    recover_reward,
     run_experiment,
-    synthesize_expert,
+    seed_curve,
+    set_up,
     transfer_gaps,
-    transfer_variants,
     write_csv,
 )
-from .gridworld import GridGameSpec, build_grid_game
+from .gridworld import build_grid_game
 from .reward_select import behavior_cloning
 from .textio import parse_config, read_sections, write_sections
 
@@ -50,25 +44,24 @@ def _load_config(args) -> ExperimentConfig:
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 
 
 def cmd_gen_expert(config: ExperimentConfig) -> int:
-    _, game, reward, result = synthesize_expert(config)
+    setup = set_up(config.grid_spec())
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "expert.txt")
-    write_sections(path, game=game, reward=reward, policy=result.policy)
-    gap = nash_gap(game, reward, result.policy).gap
+    write_sections(path, game=setup.game, reward=setup.reward, policy=setup.expert)
+    gap = nash_gap(setup.game, setup.reward, setup.expert).gap
     print(f"expert written to {path} (equilibrium gap {gap:.3e})")
     return EXIT_OK
 
 
 def cmd_sample(config: ExperimentConfig) -> int:
-    _, game, _, result = synthesize_expert(config)
-    oracle = GenerativeOracle(game, result.policy, seed=config.seeds[0])
+    setup = set_up(config.grid_spec())
+    game = setup.game
+    oracle = GenerativeOracle(game, setup.expert, seed=config.seeds[0])
     os.makedirs(config.out_dir, exist_ok=True)
     run = uniform_sampling(oracle, config.confidence_params(), config.epsilon, config.k_max)
     log_path = os.path.join(config.out_dir, "run_log.csv")
@@ -89,12 +82,9 @@ def cmd_sample(config: ExperimentConfig) -> int:
 
 
 def cmd_recover(config: ExperimentConfig) -> int:
-    _, game, _, result = synthesize_expert(config)
     seed = config.seeds[0]
-    oracle = GenerativeOracle(game, result.policy, seed=seed)
-    counts = CountBook(game.n_states, game.action_counts)
-    sample_round(oracle, counts, config.k_max)
-    _, recovered = recover_reward(config, counts, game.mu, seed)
+    at_k_max = replace(config, eval_points=(config.k_max,))
+    recovered, _ = next(seed_curve(set_up(config.grid_spec()), at_k_max, seed))
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "recovered_reward.txt")
     write_sections(
@@ -114,7 +104,7 @@ def cmd_recover(config: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
-    base, game, det_reward, result = synthesize_expert(config)
+    setup = set_up(config.grid_spec(), config.variants)
     path = reward_path or os.path.join(config.out_dir, "recovered_reward.txt")
     if not os.path.exists(path):
         raise ConfigError(f"recovered reward not found at {path}; run `recover` first")
@@ -122,11 +112,10 @@ def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
     if "reward" not in sections:
         raise ConfigError(f"{path} has no [reward] section")
     recovered = sections["reward"]
-    bc_policy = behavior_cloning(result.policy)
+    bc_policy = behavior_cloning(setup.expert)
     rows = []
-    altered = transfer_variants(base, config.variants)
     try:
-        for name, gap_mairl, gap_bc in transfer_gaps(altered, recovered, bc_policy):
+        for name, gap_mairl, gap_bc in transfer_gaps(setup.variants, recovered, bc_policy):
             rows.append((name, gap_mairl, gap_bc))
             print(f"{name}: mairl gap {gap_mairl:.6g}, bc gap {gap_bc:.6g}")
     except DimensionMismatchError as exc:
@@ -149,8 +138,7 @@ def cmd_experiment(config: ExperimentConfig) -> int:
 
 
 def cmd_bound(config: ExperimentConfig) -> int:
-    spec = GridGameSpec(variant="deterministic", gamma=config.gamma, rmax=config.rmax)
-    game, _, _ = build_grid_game(spec)
+    game, _, _ = build_grid_game(config.grid_spec())
     row = bound_row(config, game)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "bound.csv")

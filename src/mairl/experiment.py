@@ -1,5 +1,13 @@
 """End-to-end pipeline: expert synthesis, sampling, recovery, transfer,
 and the sup-inf optimality check over sampled reward families.
+
+The grid pipeline has two pieces. `set_up` takes the board as a
+`GridGameSpec` argument and builds its game, its NashQ expert and the named
+transfer variants. `seed_curve` runs one seed on that set-up: it samples up
+to each eval point, estimates, selects a reward and yields the seed's curve
+rows. `run_experiment` and every `mairl` subcommand call them on the 3x3
+board of `ExperimentConfig.grid_spec()`; any other board is built by the
+caller and passed in.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .estimation import (
     uncertainty,
 )
 from .feasible import FeasibleParams, check_implicit, construct_reward, event_mask
-from .games import JointPolicy, MarkovGame
+from .games import JointPolicy, JointReward, MarkovGame
 from .gridworld import GOAL_REWARD, VARIANTS, GridGameSpec, build_grid_game, variant_spec
 from .reward_select import (
     DISTANCE_TO_RANDOM,
@@ -106,12 +114,18 @@ class ExperimentConfig:
             raise ConfigError("eval points must be >= 1 and <= k_max")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError("seeds must be non-negative")
+        if len(set(self.seeds)) < len(self.seeds) or len(set(self.variants)) < len(self.variants):
+            raise ConfigError("seeds and variants must not repeat")
 
     def confidence_params(self) -> ConfidenceParams:
         """The sampling layer's confidence parameters under this config."""
         return ConfidenceParams(
             delta=self.delta, pi_min=self.pi_min, rmax=self.rmax, gamma=self.gamma
         )
+
+    def grid_spec(self) -> GridGameSpec:
+        """The deterministic 3x3 board under this config's gamma and rmax."""
+        return GridGameSpec(variant="deterministic", gamma=self.gamma, rmax=self.rmax)
 
 
 def _fmt(x) -> str:
@@ -244,18 +258,32 @@ class ExperimentResult:
     paths: dict = field(default_factory=dict)
 
 
-def synthesize_expert(config: ExperimentConfig):
-    """The deterministic grid under `config`, its reward and its NashQ expert.
+@dataclass(frozen=True)
+class GridSetup:
+    """A board's game and true reward, its NashQ expert, and (name, game,
+    true reward) of each transfer variant."""
 
-    Returns (spec, game, reward, NashQResult); raises ConvergenceError when
-    Nash value iteration does not converge.
+    game: MarkovGame
+    reward: JointReward
+    expert: JointPolicy
+    variants: tuple
+
+
+def set_up(spec: GridGameSpec, variants=()) -> GridSetup:
+    """Build the board `spec`, synthesize its NashQ expert, then build each
+    named variant of the board, in order.
+
+    Raises ConvergenceError when Nash value iteration does not converge.
     """
-    spec = GridGameSpec(variant="deterministic", gamma=config.gamma, rmax=config.rmax)
     game, reward, _ = build_grid_game(spec)
     result = nash_value_iteration(game, reward)
     if not result.converged:
         raise ConvergenceError("expert synthesis did not converge on the deterministic grid")
-    return spec, game, reward, result
+    altered = []
+    for name in variants:
+        alt_game, alt_reward, _ = build_grid_game(variant_spec(spec, name))
+        altered.append((name, alt_game, alt_reward))
+    return GridSetup(game, reward, result.policy, tuple(altered))
 
 
 def bound_row(config: ExperimentConfig, game: MarkovGame) -> tuple:
@@ -280,33 +308,6 @@ def bound_row(config: ExperimentConfig, game: MarkovGame) -> tuple:
     )
 
 
-def recover_reward(config: ExperimentConfig, counts: CountBook, mu, seed: int):
-    """Estimate the problem from `counts` (discount config.gamma, start `mu`)
-    and select a reward on it in the config's mode and reward class.
-
-    Returns (EstimatedProblem, MaxGapResult).
-    """
-    problem = estimate(counts)
-    recovered = max_gap_reward(
-        problem.as_game(config.gamma, mu),
-        problem.pi_hat,
-        config.rmax,
-        mode=config.mode,
-        seed=seed if config.mode == DISTANCE_TO_RANDOM else None,
-        reward_class=config.reward_class,
-    )
-    return problem, recovered
-
-
-def transfer_variants(base: GridGameSpec, variants) -> list:
-    """(name, game, true reward) of each named variant of the board `base`, in order."""
-    out = []
-    for name in variants:
-        game, reward, _ = build_grid_game(variant_spec(base, name))
-        out.append((name, game, reward))
-    return out
-
-
 def transfer_gaps(altered, reward, bc_policy):
     """Yield (name, MAIRL gap, cloning gap) per (name, game, true reward) in
     `altered`: the equilibrium of the recovered `reward`, recomputed by Nash
@@ -319,63 +320,71 @@ def transfer_gaps(altered, reward, bc_policy):
         yield name, gap_mairl, gap_bc
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Synthesize the expert on the deterministic grid, sample, recover,
-    transfer to each altered variant, and emit curve/bound/summary CSVs.
+def seed_curve(setup: GridSetup, config: ExperimentConfig, seed: int):
+    """One seed of the experiment on `setup`: per eval point of `config`, in
+    increasing order, yield (MaxGapResult, curve rows).
 
-    Per seed and eval point, the recovered reward (max-gap selection on the
-    estimated problem) is transported to each variant by recomputing its
-    equilibrium there, and both it and behavior cloning are scored by the
-    equilibrium gap under the true reward of that variant. The rounds between
-    consecutive eval points are drawn in one `sample_round` call. Package errors
-    (MairlError) and singular linear systems are recorded per seed and the
-    run continues; any other exception propagates.
+    The rounds since the previous eval point are drawn in one `sample_round`
+    call from the expert's generative oracle. The estimated problem
+    (discount config.gamma) gets a reward selected in the config's mode and
+    reward class; that reward and behavior cloning are scored on each of
+    `setup.variants` by `transfer_gaps`, one CURVE_COLUMNS row per variant.
+    The rows of an eval point are yielded together once all are scored.
     """
-    base, det_game, _, expert_result = synthesize_expert(config)
-    expert = expert_result.policy
-
-    altered = transfer_variants(base, config.variants)
-
+    game = setup.game
+    oracle = GenerativeOracle(game, setup.expert, seed=seed)
+    counts = CountBook(game.n_states, game.action_counts)
     params = config.confidence_params()
+    for k in sorted(set(config.eval_points)):
+        sample_round(oracle, counts, k - counts.iteration)
+        problem = estimate(counts)
+        recovered = max_gap_reward(
+            problem.as_game(config.gamma, game.mu),
+            problem.pi_hat,
+            config.rmax,
+            mode=config.mode,
+            seed=seed if config.mode == DISTANCE_TO_RANDOM else None,
+            reward_class=config.reward_class,
+        )
+        epsilon_k = uncertainty(counts, params).epsilon_k
+        samples_total = k * game.n_states * (game.n_joint_actions + 1)
+        gaps = transfer_gaps(setup.variants, recovered.reward, behavior_cloning(problem.pi_hat))
+        yield recovered, [
+            (seed, name, k, samples_total, gap_mairl, gap_bc, epsilon_k)
+            for name, gap_mairl, gap_bc in gaps
+        ]
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run `seed_curve` for every seed of `config` on the 3x3 board
+    (`config.grid_spec()`) and its variants, and write curve/bound/summary CSVs.
+
+    Package errors (MairlError) and singular linear systems are recorded per
+    seed and the run goes on to the next seed, keeping the rows of the eval
+    points the failed seed finished; any other exception propagates.
+    """
+    setup = set_up(config.grid_spec(), config.variants)
     curve_rows = []
     errors = []
-    eval_points = sorted(set(config.eval_points))
     for seed in config.seeds:
-        oracle = GenerativeOracle(det_game, expert, seed=seed)
-        counts = CountBook(det_game.n_states, det_game.action_counts)
         try:
-            for k in eval_points:
-                sample_round(oracle, counts, k - counts.iteration)
-                problem, recovered = recover_reward(config, counts, det_game.mu, seed)
-                unc = uncertainty(counts, params)
-                bc_policy = behavior_cloning(problem.pi_hat)
-                samples_total = k * det_game.n_states * (det_game.n_joint_actions + 1)
-                for name, gap_mairl, gap_bc in transfer_gaps(
-                    altered, recovered.reward, bc_policy
-                ):
-                    curve_rows.append(
-                        (seed, name, k, samples_total, gap_mairl, gap_bc, unc.epsilon_k)
-                    )
+            for _, rows in seed_curve(setup, config, seed):
+                curve_rows.extend(rows)
         except (MairlError, np.linalg.LinAlgError) as exc:
             errors.append((seed, repr(exc)))
 
-    result = ExperimentResult(
-        curve_rows=curve_rows,
-        bound_row=bound_row(config, det_game),
-        errors=errors,
-    )
-    os.makedirs(config.out_dir, exist_ok=True)
-    curve_path = os.path.join(config.out_dir, "curve.csv")
-    bound_path = os.path.join(config.out_dir, "bound.csv")
-    summary_path = os.path.join(config.out_dir, "summary.csv")
-    write_csv(curve_path, CURVE_COLUMNS, curve_rows)
-    write_csv(bound_path, BOUND_COLUMNS, [result.bound_row])
-    write_csv(summary_path, SUMMARY_COLUMNS, _summarize(curve_rows, config))
-    result.paths = {"curve": curve_path, "bound": bound_path, "summary": summary_path}
+    result = ExperimentResult(curve_rows, bound_row(config, setup.game), errors)
+    tables = {
+        "curve": (CURVE_COLUMNS, curve_rows),
+        "bound": (BOUND_COLUMNS, [result.bound_row]),
+        "summary": (SUMMARY_COLUMNS, _summarize(curve_rows, config)),
+    }
     if errors:
-        err_path = os.path.join(config.out_dir, "errors.csv")
-        write_csv(err_path, ("seed", "error"), errors)
-        result.paths["errors"] = err_path
+        tables["errors"] = (("seed", "error"), errors)
+    os.makedirs(config.out_dir, exist_ok=True)
+    for name, (columns, rows) in tables.items():
+        result.paths[name] = os.path.join(config.out_dir, f"{name}.csv")
+        write_csv(result.paths[name], columns, rows)
     return result
 
 

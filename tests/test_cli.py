@@ -1,15 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from mairl.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
-from mairl.estimation import (
-    LOG_COLUMNS,
-    ConfidenceParams,
-    CountBook,
-    GenerativeOracle,
-    sample_round,
-    uniform_sampling,
-)
-from mairl.experiment import recover_reward, synthesize_expert
+from mairl.estimation import LOG_COLUMNS, GenerativeOracle, uniform_sampling
+from mairl.experiment import seed_curve, set_up
 from mairl.gridworld import GridGameSpec, build_grid_game
 from mairl.textio import parse_config, read_sections, write_sections
 
@@ -37,11 +32,22 @@ def test_bad_config_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["rmax = 0", "rmax = -1", "rmax = inf", "eval_points =", "variants =", "epsilon = nan"]
+    "line",
+    [
+        "rmax = 0",
+        "rmax = -1",
+        "rmax = inf",
+        "eval_points =",
+        "variants =",
+        "epsilon = nan",
+        "variants = deterministic deterministic",
+        "seeds = 0 0",
+    ],
 )
 def test_invalid_experiment_values_are_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"[experiment]\nseeds = 0\n{line}\n")
+    seeds = "" if line.startswith("seeds") else "seeds = 0\n"
+    cfg.write_text(f"[experiment]\n{seeds}{line}\n")
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "experiment"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -126,12 +132,9 @@ def test_sample_writes_one_log_row_per_round(tmp_path):
     cfg.write_text(f"[experiment]\nseeds = 3\nepsilon = 100\nout_dir = {tmp_path}\n")
     assert main(["--config", str(cfg), "sample"]) == EXIT_OK
     config = parse_config(str(cfg))
-    _, game, _, result = synthesize_expert(config)
-    params = ConfidenceParams(
-        delta=config.delta, pi_min=config.pi_min, rmax=config.rmax, gamma=config.gamma
-    )
-    oracle = GenerativeOracle(game, result.policy, seed=3)
-    run = uniform_sampling(oracle, params, config.epsilon, config.k_max)
+    setup = set_up(config.grid_spec())
+    oracle = GenerativeOracle(setup.game, setup.expert, seed=3)
+    run = uniform_sampling(oracle, config.confidence_params(), config.epsilon, config.k_max)
     lines = (tmp_path / "run_log.csv").read_text().splitlines()
     assert lines[0] == ",".join(LOG_COLUMNS)
     assert run.converged and len(lines) == 1 + run.tau
@@ -158,14 +161,11 @@ def test_recover_then_evaluate(tmp_path, capsys):
     assert "reward" in bundle and "provenance" in bundle
     provenance = bundle["provenance"]
     assert provenance["mode"] == "distance-to-random"
-    # LP pivots and projection sweeps are reported apart, each as the solver counted it
+    # LP pivots and projection sweeps are reported apart, each as the solver
+    # counted it; the reference samples the k_max rounds one eval point at a time
     config = parse_config(str(cfg))
-    _, game, _, result = synthesize_expert(config)
-    oracle = GenerativeOracle(game, result.policy, seed=0)
-    counts = CountBook(game.n_states, game.action_counts)
-    for _ in range(config.k_max):
-        sample_round(oracle, counts)
-    _, recovered = recover_reward(config, counts, game.mu, 0)
+    every_round = replace(config, eval_points=tuple(range(1, config.k_max + 1)))
+    *_, (recovered, _) = seed_curve(set_up(config.grid_spec()), every_round, 0)
     assert int(provenance["lp_pivots"]) == recovered.lp_iterations > 0
     assert int(provenance["projection_sweeps"]) == recovered.projection_sweeps
     assert "solver_iterations" not in provenance

@@ -11,8 +11,11 @@ from mairl.experiment import (
     optimality_check,
     run_experiment,
     sample_reward_family,
+    seed_curve,
+    set_up,
 )
 from mairl.feasible import check_implicit
+from mairl.gridworld import GridGameSpec
 from mairl.synthetic import random_reward
 from mairl.textio import write_config
 
@@ -63,6 +66,15 @@ def test_experiment_config_validation():
         ExperimentConfig(mode="other")
     with pytest.raises(ConfigError):
         ExperimentConfig(reward_class="other")
+
+
+@pytest.mark.parametrize(
+    "repeat", [{"seeds": (0, 0)}, {"variants": ("deterministic", "deterministic")}]
+)
+def test_experiment_config_rejects_repeated_seeds_and_variants(repeat):
+    # a repeated seed would count twice in the summary's mean and 2-sigma band
+    with pytest.raises(ConfigError, match="repeat"):
+        ExperimentConfig(**repeat)
 
 
 @pytest.mark.parametrize("rmax", [0.0, -1.0, 0.5, float("nan")])
@@ -138,6 +150,26 @@ def test_run_experiment_records_package_errors_per_seed(tmp_path, monkeypatch):
     )
 
 
+def test_run_experiment_keeps_the_eval_points_a_failed_seed_finished(tmp_path, monkeypatch):
+    select = mairl.experiment.max_gap_reward
+    calls = []
+
+    def fails_on_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # seed 0 at k = 2
+            raise NotFeasibleError("no feasible reward")
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(mairl.experiment, "max_gap_reward", fails_on_second_call)
+    config = ExperimentConfig(
+        seeds=(0, 1), k_max=2, eval_points=(1, 2), variants=("deterministic",),
+        out_dir=str(tmp_path),
+    )
+    result = run_experiment(config)
+    assert [(row[0], row[2]) for row in result.curve_rows] == [(0, 1), (1, 1), (1, 2)]
+    assert result.errors == [(0, "NotFeasibleError('no feasible reward')")]
+
+
 def test_run_experiment_lets_programming_errors_raise(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
@@ -155,3 +187,26 @@ def test_bound_command_matches_run_experiment(tmp_path):
     assert main(args) == EXIT_OK
     cli_bound = (tmp_path / "cli" / "bound.csv").read_bytes()
     assert cli_bound == Path(result.paths["bound"]).read_bytes()
+
+
+def test_seed_curve_on_the_4x3_board():
+    """The per-seed pipeline on a board other than the CLI's 3x3, with the
+    criterion-8 settings at k = 1. The literals are the rows the benchmark's
+    own composition of the pipeline gave on this board; the recovered reward
+    beats cloning on obstacle-one (0.19 against 0.9^3)."""
+    board = GridGameSpec(
+        width=4, height=3, start_positions=((0, 0), (3, 0)), goal_positions=((3, 2), (0, 2))
+    )
+    config = ExperimentConfig(
+        seeds=(0, 1, 2), epsilon=1.0, delta=0.1, pi_min=1.0, k_max=1, eval_points=(1,),
+        gamma=0.9, rmax=1.0, mode="distance-to-random", reward_class="state",
+    )
+    setup = set_up(board, ("deterministic", "obstacle-one"))
+    for seed in config.seeds:
+        rows = [row for _, rows in seed_curve(setup, config, seed) for row in rows]
+        assert rows == [
+            (seed, "deterministic", 1, 2244, 2.4671622769447924e-16, 2.4671622769447924e-16,
+             448.97070581414664),
+            (seed, "obstacle-one", 1, 2244, 0.18999999999999995, 0.7290000000000001,
+             448.97070581414664),
+        ]

@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl import dp, equilibrium
-from mairl.estimation import CountBook, GenerativeOracle, sample_round
-from mairl.experiment import ExperimentConfig, recover_reward
+from mairl.experiment import ExperimentConfig, seed_curve, set_up
 from mairl.games import JointPolicy, _gather
 from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game, variant_spec
 from mairl.synthetic import matching_pennies, random_markov_game, random_reward
@@ -101,14 +100,10 @@ def recovered_rewards():
     config = ExperimentConfig(
         seeds=(0,), k_max=1, eval_points=(1,), mode="distance-to-random", reward_class="state"
     )
-    out = {}
-    for name, spec in BOARDS.items():
-        game, reward, _ = build_grid_game(spec)
-        expert = equilibrium.nash_value_iteration(game, reward).policy
-        counts = CountBook(game.n_states, game.action_counts)
-        sample_round(GenerativeOracle(game, expert, seed=0), counts)
-        out[name] = recover_reward(config, counts, game.mu, 0)[1].reward
-    return out
+    return {
+        name: next(seed_curve(set_up(spec), config, 0))[0].reward
+        for name, spec in BOARDS.items()
+    }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

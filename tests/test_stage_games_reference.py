@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl import equilibrium
-from mairl.estimation import CountBook, GenerativeOracle, sample_round
-from mairl.experiment import ExperimentConfig, recover_reward, synthesize_expert
+from mairl.experiment import ExperimentConfig, seed_curve, set_up
 from mairl.games import JointReward, MarkovGame
 from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game, variant_spec
 from mairl.synthetic import matching_pennies, random_markov_game, random_reward
@@ -102,10 +101,8 @@ def test_recovered_reward_transfer_matches_reference(variant):
         variants=("deterministic", "obstacle-one"), gamma=0.9, rmax=1.0,
         mode="distance-to-random", reward_class="state",
     )
-    spec, game, _, expert = synthesize_expert(config)
-    counts = CountBook(game.n_states, game.action_counts)
-    sample_round(GenerativeOracle(game, expert.policy, seed=0), counts)
-    _, recovered = recover_reward(config, counts, game.mu, 0)
+    spec = config.grid_spec()
+    recovered, _ = next(seed_curve(set_up(spec), config, 0))
     alt_game, _, _ = build_grid_game(variant_spec(spec, variant))
     want = reference_nash_value_iteration(alt_game, recovered.reward)
     assert_same_result(equilibrium.nash_value_iteration(alt_game, recovered.reward), want)
