@@ -3,13 +3,17 @@
 Synthesizes a NashQ expert on the deterministic 3x3 grid, recovers a reward
 from generative samples, then transports both the reward (by recomputing
 its equilibrium) and the cloned policy to altered dynamics and scores them
-under the true reward of each variant.
+under the true reward of each variant. The walk-through is one seed of the
+experiment pipeline (`experiment.set_up`, then `experiment.seed_curve`).
 """
+
+import dataclasses
 
 import numpy as np
 
 import mairl
-from mairl.gridworld import GridGameSpec, build_grid_game, variant_spec
+from mairl import experiment
+from mairl.gridworld import build_grid_game, variant_spec
 
 ACTIONS = ["up", "down", "left", "right"]
 
@@ -29,46 +33,33 @@ def show_path(game, index, policy, steps=6):
 
 
 def main():
-    base = GridGameSpec()
-    game, reward, index = build_grid_game(base)
+    config = mairl.ExperimentConfig(
+        seeds=(0, 1, 2), k_max=500, eval_points=(500,),
+        variants=("deterministic", "stochastic-up", "obstacle-one"),
+        reward_class="state", out_dir="demo_results",
+    )
+    spec = config.grid_spec()
+    setup = experiment.set_up(spec, config.variants)
+    game, reward, expert = setup.game, setup.reward, setup.expert
     print(f"board: {game.n_states} states, {game.n_joint_actions} joint actions")
-
-    expert_res = mairl.nash_value_iteration(game, reward)
-    expert = expert_res.policy
-    print(f"expert synthesis converged in {expert_res.iterations} backups; "
-          f"gap = {mairl.nash_gap(game, reward, expert).gap:.1e}")
-    show_path(game, index, expert)
+    print(f"expert synthesized by NashQ; gap = {mairl.nash_gap(game, reward, expert).gap:.1e}")
+    show_path(game, build_grid_game(spec)[2], expert)
 
     print("\nrecovering a reward from 500 sampling rounds (state reward class) ...")
-    oracle = mairl.GenerativeOracle(game, expert, seed=0)
-    counts = mairl.CountBook(game.n_states, game.action_counts)
-    mairl.sample_round(oracle, counts, 500)
-    problem = mairl.estimate(counts)
-    est_game = problem.as_game(base.gamma, game.mu)
-    recovered = mairl.max_gap_reward(est_game, problem.pi_hat, base.rmax,
-                                     mode="distance-to-random", seed=0,
-                                     reward_class="state")
+    recovered, rows = next(experiment.seed_curve(setup, config, seed=0))
     print(f"margins per agent: {np.round(recovered.margins, 3)} "
           f"(structurally tied deviation rows pinned: {recovered.pinned_rows})")
 
-    clone = mairl.behavior_cloning(problem.pi_hat)
-    for variant in ("deterministic", "stochastic-up", "obstacle-one"):
-        alt_game, alt_reward, alt_index = build_grid_game(variant_spec(base, variant))
-        transported = mairl.nash_value_iteration(alt_game, recovered.reward).policy
-        gap_mairl = mairl.nash_gap(alt_game, alt_reward, transported).gap
-        gap_bc = mairl.nash_gap(alt_game, alt_reward, clone).gap
+    for _, variant, _, _, gap_mairl, gap_bc, _ in rows:
         print(f"\n[{variant}] recovered-reward gap {gap_mairl:.3f} vs cloning {gap_bc:.3f}")
-        if variant == "obstacle-one":
-            print("  cloned agent 0 walks into the obstacle forever; "
-                  "the recovered reward re-plans:")
-            show_path(alt_game, alt_index, transported)
+    alt_game, _, alt_index = build_grid_game(variant_spec(spec, "obstacle-one"))
+    transported = mairl.nash_value_iteration(alt_game, recovered.reward).policy
+    print("  cloned agent 0 walks into the obstacle forever; "
+          "the recovered reward re-plans:")
+    show_path(alt_game, alt_index, transported)
 
     print("\nfull multi-seed experiment (writes curve.csv / bound.csv / summary.csv):")
-    config = mairl.ExperimentConfig(
-        seeds=(0, 1, 2), k_max=500, eval_points=(500,),
-        variants=("deterministic", "obstacle-one"),
-        reward_class="state", out_dir="demo_results",
-    )
+    config = dataclasses.replace(config, variants=("deterministic", "obstacle-one"))
     result = mairl.run_experiment(config)
     for name, path in result.paths.items():
         print(f"  {name}: {path}")

@@ -13,8 +13,9 @@ for all states in one numpy pass. A second pass gives every state with no
 cache, or with a pure cache that stopped being an equilibrium, its first
 pure equilibrium in enumeration order. Only the remaining states (a mixed
 cache, or no pure equilibrium) run support enumeration, one state at a
-time. The selected equilibrium is the one the per-state solver picks, so
-every path gives bit-identical results.
+time. Both passes and `bimatrix_nash` test pure profiles with one helper,
+`_pure_equilibria`, so the selected equilibrium is the one the per-state
+solver picks, and every path gives bit-identical results.
 
 Once a backup leaves every cached support unchanged and all of them are
 pure, the backups that follow are linear, and NashQ jumps to their fixed
@@ -165,45 +166,38 @@ class BimatrixEquilibrium:
 
 
 def _try_support(a, b, rows, cols, tol):
-    """Solve the indifference system on a candidate support pair; None if invalid."""
+    """Solve the indifference system on a candidate support pair of size
+    k >= 2; None if invalid. Pure profiles are `_pure_equilibria`'s."""
     k = len(rows)
-    if k == 1:
-        i, j = rows[0], cols[0]
-        x = np.zeros(a.shape[0])
-        y = np.zeros(a.shape[1])
-        x[i] = 1.0
-        y[j] = 1.0
-        v, w = a[i, j], b[i, j]
-    else:
-        # y makes the row player indifferent across `rows`; x the column player
-        # across `cols` (Nisan et al., Algorithm 3.4 layout).
-        lhs_y = np.zeros((k + 1, k + 1))
-        lhs_y[:k, :k] = a[np.ix_(rows, cols)]
-        lhs_y[:k, k] = -1.0
-        lhs_y[k, :k] = 1.0
-        lhs_x = np.zeros((k + 1, k + 1))
-        lhs_x[:k, :k] = b[np.ix_(rows, cols)].T
-        lhs_x[:k, k] = -1.0
-        lhs_x[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            sol_y = np.linalg.solve(lhs_y, rhs)
-            sol_x = np.linalg.solve(lhs_x, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.all(np.isfinite(sol_x)) and np.all(np.isfinite(sol_y))):
-            return None
-        if np.any(sol_x[:k] < -tol) or np.any(sol_y[:k] < -tol):
-            return None
-        x = np.zeros(a.shape[0])
-        y = np.zeros(a.shape[1])
-        x[list(rows)] = np.clip(sol_x[:k], 0.0, None)
-        y[list(cols)] = np.clip(sol_y[:k], 0.0, None)
-        x /= x.sum()
-        y /= y.sum()
-        # the row-indifference system carries the row player's value and vice versa
-        v, w = sol_y[k], sol_x[k]
+    # y makes the row player indifferent across `rows`; x the column player
+    # across `cols` (Nisan et al., Algorithm 3.4 layout).
+    lhs_y = np.zeros((k + 1, k + 1))
+    lhs_y[:k, :k] = a[np.ix_(rows, cols)]
+    lhs_y[:k, k] = -1.0
+    lhs_y[k, :k] = 1.0
+    lhs_x = np.zeros((k + 1, k + 1))
+    lhs_x[:k, :k] = b[np.ix_(rows, cols)].T
+    lhs_x[:k, k] = -1.0
+    lhs_x[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol_y = np.linalg.solve(lhs_y, rhs)
+        sol_x = np.linalg.solve(lhs_x, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(sol_x)) and np.all(np.isfinite(sol_y))):
+        return None
+    if np.any(sol_x[:k] < -tol) or np.any(sol_y[:k] < -tol):
+        return None
+    x = np.zeros(a.shape[0])
+    y = np.zeros(a.shape[1])
+    x[list(rows)] = np.clip(sol_x[:k], 0.0, None)
+    y[list(cols)] = np.clip(sol_y[:k], 0.0, None)
+    x /= x.sum()
+    y /= y.sum()
+    # the row-indifference system carries the row player's value and vice versa
+    v, w = sol_y[k], sol_x[k]
     # no profitable pure deviation for either player
     row_payoffs = a @ y
     col_payoffs = x @ b
@@ -213,12 +207,20 @@ def _try_support(a, b, rows, cols, tol):
         return None
     if np.max(np.abs(col_payoffs[list(cols)] - w)) > 10 * tol:
         return None
-    return BimatrixEquilibrium(
-        row_strategy=x,
-        col_strategy=y,
-        payoffs=(float(x @ a @ y), float(x @ b @ y)),
-        supports=(tuple(rows), tuple(cols)),
-    )
+    return _profile(a, b, x, y, rows, cols)
+
+
+def _profile(a, b, x, y, rows, cols):
+    """Strategies x, y with payoffs (x a y, x b y) on supports (rows, cols)."""
+    payoffs = (float(x @ a @ y), float(x @ b @ y))
+    return BimatrixEquilibrium(x, y, payoffs, (tuple(rows), tuple(cols)))
+
+
+def _pure_profile(a, b, i, j):
+    """The pure profile (i, j): one-hot strategies, payoffs (a[i, j], b[i, j])."""
+    x = np.eye(a.shape[0])[i]
+    y = np.eye(a.shape[1])[j]
+    return _profile(a, b, x, y, (i,), (j,))
 
 
 def bimatrix_nash(payoff_row, payoff_col, tol: float = 1e-9, first_supports=None):
@@ -226,8 +228,10 @@ def bimatrix_nash(payoff_row, payoff_col, tol: float = 1e-9, first_supports=None
 
     Candidate supports are ordered by total size, then lexicographically, and
     the first support pair whose indifference system yields nonnegative
-    probabilities with no profitable pure deviation is returned. An optional
-    `first_supports` hint is tried before the enumeration (cache warm start).
+    probabilities with no profitable pure deviation is returned; the size-1
+    pairs are tested at once (`_pure_equilibria`), in C order. An optional
+    `first_supports` hint is tried first (cache warm start); a pure hint is
+    kept if it is an equilibrium.
     """
     a = np.asarray(payoff_row, dtype=np.float64)
     b = np.asarray(payoff_col, dtype=np.float64)
@@ -236,15 +240,18 @@ def bimatrix_nash(payoff_row, payoff_col, tol: float = 1e-9, first_supports=None
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("payoff matrices must be finite")
 
-    if first_supports is not None:
-        rows, cols = first_supports
-        if len(rows) == len(cols):
-            hit = _try_support(a, b, tuple(rows), tuple(cols), tol)
-            if hit is not None:
-                return hit
-
+    rows, cols = first_supports or ((), ())
+    if len(rows) == len(cols) > 1:
+        hit = _try_support(a, b, tuple(rows), tuple(cols), tol)
+        if hit is not None:
+            return hit
+    holds = _pure_equilibria(a, b, tol)
+    if len(rows) == len(cols) == 1 and holds[rows[0], cols[0]]:
+        return _pure_profile(a, b, rows[0], cols[0])
     m, n = a.shape
-    for k in range(1, min(m, n) + 1):
+    if holds.any():
+        return _pure_profile(a, b, *divmod(int(holds.argmax()), n))
+    for k in range(2, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
                 hit = _try_support(a, b, rows, cols, tol)
@@ -285,8 +292,8 @@ def _pure_caches(support_cache):
 def _pure_equilibria(q1, q2, tol=1e-9):
     """Which pure profiles (i, j) are equilibria of the stage games q1, q2
     (..., a1, a2): max_r Q^1[r,j] <= Q^1[i,j] + tol and
-    max_c Q^2[i,c] <= Q^2[i,j] + tol, which is `_try_support`'s k = 1 test
-    (exact for one-hot strategies)."""
+    max_c Q^2[i,c] <= Q^2[i,j] + tol, the deviation test of a size-1
+    support (exact for one-hot strategies)."""
     return (q1.max(axis=-2, keepdims=True) <= q1 + tol) & (
         q2.max(axis=-1, keepdims=True) <= q2 + tol
     )
@@ -298,12 +305,11 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
     Two numpy passes settle every state they can at a pure equilibrium
     (`_pure_equilibria`). The first keeps each cached pure support that
     still holds. The second gives each state with no cache, or whose pure
-    cache failed, its first pure equilibrium in C order, the order of
-    `bimatrix_nash`'s size-1 enumeration; `bimatrix_nash` would retry the
-    failed support, fail again and enumerate to the same one. Only states
-    with a mixed cache, or with no pure equilibrium, call `bimatrix_nash`,
-    warm-started from their cache. The selected equilibrium is the
-    per-state solver's, bit for bit.
+    cache failed, its first pure equilibrium in C order, as `bimatrix_nash`
+    would after rejecting the failed hint. Only states with a mixed cache,
+    or with no pure equilibrium, call `bimatrix_nash`, warm-started from
+    their cache. The selected equilibrium is the per-state solver's, bit
+    for bit.
     """
     if not np.all(np.isfinite(q)):
         raise ValueError("payoff matrices must be finite")

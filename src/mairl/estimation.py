@@ -28,10 +28,10 @@ every uniform draws that outcome, so a fixed row takes no uniform and no
 comparison, though its position in the round's block stays reserved, and
 the random rows read the same uniforms whatever the other rows are. An
 oracle with no random row (a deterministic game with a pure expert, such as
-every grid NashQ expert) builds no generator. `sample_round` adds `rounds`
-to each fixed row's slot at once and draws the random rows' rounds in
-chunks of bounded size, one `random()` call per chunk, so memory stays flat
-in the round count.
+every grid NashQ expert) builds no generator. `sample_round`, the one draw
+path, hands draws out only as tallies: it adds `rounds` to each fixed row's
+slot at once and draws the random rows' rounds in chunks of bounded size,
+one `random()` call per chunk, so memory stays flat in the round count.
 
 Since counts depend on k alone, `uniform_sampling` takes tau from
 `stopping_time`, a bisection on the nonincreasing schedule epsilon_k; it
@@ -156,8 +156,9 @@ class GenerativeOracle:
     successor list. The constructor splits every table into fixed rows, with
     one outcome, which take no uniform (their positions in the block stay
     reserved), and random rows, which read theirs; with no random row there
-    is no `random()` call at all. A negative seed raises ValueError here,
-    from `SeedSequence`.
+    is no `random()` call at all. Draws leave the oracle only as
+    `sample_round`'s tallies. A negative seed raises ValueError here, from
+    `SeedSequence`.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -182,22 +183,6 @@ class GenerativeOracle:
         self._has_random = comparisons > 0
         per_round = max(4 * self._round_blocks, comparisons)
         self._chunk_rounds = max(1, _CHUNK_ELEMENTS // per_round)
-
-    def round_samples(self, first: int, rounds: int = 1):
-        """All queries of rounds first, ..., first + rounds - 1: next states
-        of shape (rounds, S, A) and expert actions of shape (rounds, S, n)."""
-        if first < 1:
-            raise ValueError("rounds are numbered from 1")
-        S, A, n = self.game.n_states, self.game.n_joint_actions, self.game.n_agents
-        drawn = [np.empty((rounds, S * A), dtype=np.intp)]  # successor slots
-        drawn += [np.empty((rounds, S), dtype=np.intp) for _ in range(n)]
-        for out, (rows, outcomes) in zip(drawn, self._fixed):
-            out[:, rows] = outcomes
-        for out, (rows, _, _), draws in zip(drawn, self._random, self._random_draws(first, rounds)):
-            out[:, rows] = draws
-        slots = drawn[0].reshape(rounds, S, A, 1)
-        states = np.take_along_axis(self.game.successors[None], slots, axis=-1)
-        return states[..., 0], np.stack(drawn[1:], axis=-1)
 
     def _random_draws(self, first: int, rounds: int):
         """Each table's random-row draws in rounds first, ..., first + rounds - 1,
@@ -263,13 +248,16 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
     stays flat in `rounds`; a chunk adds its samples with one `np.bincount`
     per table over the random rows. An oracle with no random row costs
     O(S A) per call, whatever `rounds` is. The counts equal those of
-    `rounds` single-round calls. A book takes the oracle's successor list on
-    its first call and raises DimensionMismatchError if a later oracle's
-    list differs.
+    `rounds` single-round calls. Negative `rounds` (ValueError) and a book
+    not shaped for the game (DimensionMismatchError) raise before any tally.
+    A book takes the oracle's successor list on its first call and raises
+    DimensionMismatchError if a later oracle's list differs.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
     game = oracle.game
+    if (counts.n_states, counts.action_counts) != (game.n_states, game.action_counts):
+        raise DimensionMismatchError("the counts do not match the oracle's game")
     if counts.successors is None:
         counts.successors = game.successors
         counts.n_slot = np.zeros(game.successors.shape, dtype=np.int64)

@@ -31,10 +31,13 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
 
 def per_agent_rmax(rmax, n_agents: int) -> np.ndarray:
     """`rmax` as a float64 array with one entry per agent; a scalar or a
-    length-1 value is repeated n_agents times, any other shape is kept."""
+    length-1 value is repeated n_agents times, any other shape but
+    (n_agents,) raises DimensionMismatchError."""
     r = np.atleast_1d(np.asarray(rmax, dtype=np.float64))
     if r.shape == (1,):
         r = np.repeat(r, n_agents)
+    if r.shape != (n_agents,):
+        raise DimensionMismatchError(f"rmax shape {r.shape} != ({n_agents},)")
     return r
 
 
@@ -177,8 +180,6 @@ class JointReward:
         if T.ndim != 3:
             raise DimensionMismatchError(f"reward tables must be (n, S, A), got {T.shape}")
         r = per_agent_rmax(rmax, T.shape[0])
-        if r.shape != (T.shape[0],):
-            raise DimensionMismatchError(f"rmax shape {r.shape} != ({T.shape[0]},)")
         if not np.all(r >= 0):
             raise ValueError("rmax entries must be nonnegative")
         # min and max propagate NaN, which then fails both comparisons

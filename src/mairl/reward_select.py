@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import own_action_kernel, own_action_marginal, transition_under
+from .dp import _check_shapes, own_action_kernel, own_action_marginal, transition_under
 from .errors import NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
@@ -433,11 +433,14 @@ def max_gap_reward(
     margin pinned at its maximum minus 1e-6, and reports per agent whether
     the projection was polished, blended or fell back to the LP vertex.
     Works on the true model or on an estimated problem converted to a game.
+    A policy or per-agent rmax not shaped for the game raises
+    DimensionMismatchError before any LP runs.
     """
     if mode not in (MAX_MARGIN, DISTANCE_TO_RANDOM):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == DISTANCE_TO_RANDOM and seed is None:
         raise ValueError("distance-to-random mode needs a seed for the target reward")
+    _check_shapes(game, None, policy)
     r = per_agent_rmax(rmax, game.n_agents)
     if np.any(r <= 0):
         raise ValueError("rmax must be positive")

@@ -121,6 +121,49 @@ def test_bimatrix_no_profitable_deviation(seed):
     assert np.max(eq.row_strategy @ b) <= col_val + 1e-9
 
 
+@st.composite
+def _stage_games(draw):
+    """(a, b) of shape 1-4 x 1-4, with float payoffs or tied payoffs in {0, 1, 2}."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    entries = draw(st.sampled_from([floats, st.sampled_from([0.0, 1.0, 2.0])]))
+    a, b = (np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))) for _ in "ab")
+    return a.reshape(m, n), b.reshape(m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(game=_stage_games(), data=st.data())
+def test_bimatrix_selects_the_hint_then_the_first_pure_equilibrium(game, data):
+    a, b = game
+    m, n = a.shape
+    # a pure equilibrium: neither player gains more than tol by a pure deviation
+    pure = [
+        (i, j)
+        for i in range(m)
+        for j in range(n)
+        if a[:, j].max() <= a[i, j] + 1e-9 and b[i, :].max() <= b[i, j] + 1e-9
+    ]
+    eq = bimatrix_nash(a, b)
+    if not pure:
+        assert min(len(eq.supports[0]), len(eq.supports[1])) >= 2
+        return
+    _assert_pure_profile(eq, a, b, *pure[0])
+    i, j = data.draw(st.sampled_from(pure), label="hint")
+    _assert_pure_profile(bimatrix_nash(a, b, first_supports=((i,), (j,))), a, b, i, j)
+    # a pure hint that fails falls back to the first pure equilibrium
+    failing = [(i, j) for i in range(m) for j in range(n) if (i, j) not in pure]
+    if failing:
+        i, j = data.draw(st.sampled_from(failing), label="failing hint")
+        _assert_pure_profile(bimatrix_nash(a, b, first_supports=((i,), (j,))), a, b, *pure[0])
+
+
+def _assert_pure_profile(eq, a, b, i, j):
+    assert eq.supports == ((i,), (j,))
+    assert eq.row_strategy.tolist() == np.eye(a.shape[0])[i].tolist()
+    assert eq.col_strategy.tolist() == np.eye(a.shape[1])[j].tolist()
+    assert eq.payoffs == (a[i, j], b[i, j])
+
+
 def test_nash_value_iteration_pd(pd):
     game, reward, _, _ = pd
     res = nash_value_iteration(game, reward)

@@ -30,6 +30,7 @@ from mairl.games import JointPolicy, MarkovGame, deterministic_policy
 from mairl.synthetic import random_markov_game
 
 from conftest import make_instance
+from test_sampling_reference import pipeline_round_samples
 
 
 def _params(delta=0.5, pi_min=0.5, rmax=1.0, gamma=0.9):
@@ -76,6 +77,30 @@ def test_counts_keep_the_successor_list_of_their_first_oracle():
     other = MarkovGame(np.full((2, 4, 2), 0.5), 0.1, [1.0, 0.0], (2, 2))
     with pytest.raises(DimensionMismatchError):
         sample_round(GenerativeOracle(other, expert, seed=0), counts)
+
+
+@pytest.mark.parametrize("n_states, action_counts", [(3, (3, 3)), (5, (2, 2)), (2, (2, 2))])
+def test_sample_round_rejects_a_book_of_another_shape(n_states, action_counts):
+    # a 3-state (2, 2) oracle; unchecked, these books would tally silently,
+    # fail later in estimate, or raise IndexError mid-tally
+    game, expert = make_instance(0, n_states=3, action_counts=(2, 2))
+    counts = CountBook(n_states, action_counts)
+    with pytest.raises(DimensionMismatchError):
+        sample_round(GenerativeOracle(game, expert, seed=0), counts)
+    assert counts.iteration == 0 and counts.successors is None and counts.n_slot is None
+    assert all(not t.any() for t in counts.n_i_sa)
+
+
+def test_negative_rounds_raise_and_leave_the_book_unchanged():
+    game, expert = make_instance(1, n_states=3, action_counts=(2, 2))
+    oracle = GenerativeOracle(game, expert, seed=0)
+    counts = sample_round(oracle, CountBook(3, (2, 2)), 2)
+    before = [counts.n_slot.copy(), *(t.copy() for t in counts.n_i_sa)]
+    with pytest.raises(ValueError):
+        sample_round(oracle, counts, rounds=-1)
+    assert counts.iteration == 2
+    for table, old in zip((counts.n_slot, *counts.n_i_sa), before):
+        assert np.array_equal(table, old)
 
 
 def test_estimate_uniform_fallback_and_frequencies():
@@ -269,10 +294,10 @@ def test_oracle_is_deterministic_per_seed():
     expert = JointPolicy([rng.dirichlet(np.ones(2), 3), rng.dirichlet(np.ones(2), 3)])
     o1 = GenerativeOracle(game, expert, seed=9)
     o2 = GenerativeOracle(game, expert, seed=9)
-    s1, e1 = o1.round_samples(17)
-    s2, e2 = o2.round_samples(17)
+    s1, e1 = pipeline_round_samples(o1, 17)
+    s2, e2 = pipeline_round_samples(o2, 17)
     assert np.array_equal(s1, s2) and np.array_equal(e1, e2)
-    s3, _ = o1.round_samples(18)
+    s3, _ = pipeline_round_samples(o1, 18)
     assert not np.array_equal(s1, s3)  # astronomically unlikely to collide
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import mairl.reward_select
 import mairl.simplex
 from mairl.equilibrium import matrix_ne_check, nash_gap, nash_value_iteration
+from mairl.errors import DimensionMismatchError
 from mairl.estimation import CountBook, estimate
 from mairl.feasible import check_implicit
 from mairl.games import JointReward
@@ -311,6 +312,18 @@ def test_distance_mode_seeded_and_feasible(pd):
     assert check_implicit(game, a.reward, dd, tol=1e-8).passed
     with pytest.raises(ValueError):
         max_gap_reward(game, dd, rmax=1.0, mode="distance-to-random")
+
+
+def test_mismatched_policy_and_rmax_raise_before_any_lp(pd, monkeypatch):
+    game, _, dd, _ = pd
+    calls = []
+    monkeypatch.setattr(mairl.reward_select, "_lexicographic_margin", lambda *a: calls.append(a))
+    _, wider = make_instance(0, n_states=1, action_counts=(2, 3))
+    _, longer = make_instance(0, n_states=2, action_counts=(2, 2))
+    for policy, rmax in ((wider, 1.0), (longer, 1.0), (dd, [1.0, 1.0, 1.0]), (dd, [[1.0, 1.0]])):
+        with pytest.raises(DimensionMismatchError):
+            max_gap_reward(game, policy, rmax=rmax)
+    assert calls == []
 
 
 def test_feasibility_never_empty_on_random_instances():

@@ -7,8 +7,11 @@ by state, A uniforms through the dense normalised CDF (`_inverse_cdf`) for
 next states, then one `rng.choice` per agent for expert actions.
 `reference_uniform_sampling` is the former per-round loop that re-ran
 `estimate` and `uncertainty` after every round to find tau. They are kept
-here as test oracles for the jump-table draw, the batched
-`GenerativeOracle.round_samples`, `sample_round` and `uniform_sampling`.
+here as test oracles for the jump-table draw, `sample_round` and
+`uniform_sampling`. Draws reach callers only as `sample_round`'s tallies,
+so `pipeline_round_samples` reads round k's draws back off the tallies of
+one `sample_round` call, and batched calls are checked by their tallies
+against the reference draws' (`_reference_tallies`).
 """
 
 import numpy as np
@@ -56,6 +59,23 @@ def reference_round_samples(oracle: GenerativeOracle, k: int):
                 game.action_counts[i], p=oracle.expert.per_agent[i][s]
             )
     return next_states, expert_actions
+
+
+def pipeline_round_samples(oracle: GenerativeOracle, k: int):
+    """Round k's next states (S, A) and expert actions (S, n) as
+    `sample_round` draws them: one round on a fresh book set to iteration
+    k - 1, so that the call draws round k. A round adds one count to one
+    slot of every (s, a) row and to one action per agent per state, so each
+    row's one count is its draw."""
+    game = oracle.game
+    counts = CountBook(game.n_states, game.action_counts)
+    counts.iteration = k - 1
+    sample_round(oracle, counts)
+    for table in (counts.n_slot, *counts.n_i_sa):
+        assert np.all(table.sum(axis=-1) == 1)
+    slots = counts.n_slot.argmax(axis=-1)[..., None]
+    next_states = np.take_along_axis(counts.successors, slots, axis=-1)[..., 0]
+    return next_states, np.stack([t.argmax(axis=-1) for t in counts.n_i_sa], axis=-1)
 
 
 def reference_uniform_sampling(oracle, params, epsilon_target, k_max):
@@ -124,11 +144,11 @@ def _random_oracles(count=24):
 @pytest.mark.parametrize("k", [1, 2, 50])
 def test_round_samples_match_reference_on_grids_and_random_games(k):
     for oracle in _grid_oracles() + _random_oracles():
-        next_states, expert_actions = oracle.round_samples(k)
+        next_states, expert_actions = pipeline_round_samples(oracle, k)
         ref_states, ref_actions = reference_round_samples(oracle, k)
         assert next_states.dtype == ref_states.dtype and expert_actions.dtype == ref_actions.dtype
-        assert np.array_equal(next_states, ref_states[None])
-        assert np.array_equal(expert_actions, ref_actions[None])
+        assert np.array_equal(next_states, ref_states)
+        assert np.array_equal(expert_actions, ref_actions)
 
 
 def test_nashq_grid_draws_do_not_depend_on_the_seed():
@@ -138,9 +158,10 @@ def test_nashq_grid_draws_do_not_depend_on_the_seed():
     for width, height in ((3, 3), (4, 3), (4, 4)):
         game, expert = _nashq_expert(width, height)
         oracles = [GenerativeOracle(game, expert, seed=seed) for seed in (0, 1)]
-        draws = [oracle.round_samples(1, 5) for oracle in oracles]
-        assert np.array_equal(draws[0][0], draws[1][0])
-        assert np.array_equal(draws[0][1], draws[1][1])
+        for k in range(1, 6):
+            draws = [pipeline_round_samples(oracle, k) for oracle in oracles]
+            assert np.array_equal(draws[0][0], draws[1][0])
+            assert np.array_equal(draws[0][1], draws[1][1])
 
 
 def test_inverse_cdf_caps_a_short_row_at_its_last_positive_mass_state():
@@ -161,13 +182,13 @@ def test_out_of_range_seed_and_round_index_raise():
     with pytest.raises(ValueError):
         GenerativeOracle(game, policy, seed=-1)  # at construction, not at the first draw
     oracle = GenerativeOracle(game, policy, seed=0)
-    for k in (-1, 0):
-        with pytest.raises(ValueError):
-            oracle.round_samples(k)
     # rounds are not bounded above: round k starts at counter (k - 1) B
-    next_states, _ = oracle.round_samples(2**40, 2)
-    assert next_states.shape == (2, game.n_states, game.n_joint_actions)
-    assert np.array_equal(next_states[1], reference_round_samples(oracle, 2**40 + 1)[0])
+    next_states, _ = pipeline_round_samples(oracle, 2**40 + 1)
+    assert next_states.shape == (game.n_states, game.n_joint_actions)
+    assert np.array_equal(next_states, reference_round_samples(oracle, 2**40 + 1)[0])
+    counts = CountBook(game.n_states, game.action_counts)
+    counts.iteration = 2**40 - 1
+    _assert_reference_tallies(sample_round(oracle, counts, 2), oracle, 2**40, 2)
 
 
 _MASS = st.one_of(st.just(0.0), st.just(1e-17), st.floats(min_value=1e-300, max_value=1.0))
@@ -226,11 +247,10 @@ def test_batched_sample_round_matches_single_rounds_across_chunks():
     for k in range(1, 13):
         np.add.at(dense, (*np.indices((S, A)), reference_round_samples(single, k)[0]), 1)
     assert np.array_equal(estimate(counts).p_hat, dense / 12)
-    next_states, expert_actions = batched.round_samples(3, 10)
-    for i, k in enumerate(range(3, 13)):
-        ref_states, ref_actions = reference_round_samples(single, k)
-        assert np.array_equal(next_states[i], ref_states)
-        assert np.array_equal(expert_actions[i], ref_actions)
+    # the 10-round call alone tallies the reference draws of rounds 3..12
+    later = CountBook(4, (2, 3))
+    later.iteration = 2
+    _assert_reference_tallies(sample_round(batched, later, 10), single, 3, 10)
 
 
 def _mixed_oracles():
@@ -281,6 +301,15 @@ def _spread(counts):
     return dense
 
 
+def _assert_reference_tallies(counts, oracle, first, rounds):
+    """The book's tallies are those of the reference draws of rounds
+    first, ..., first + rounds - 1."""
+    dense, actions = _reference_tallies(oracle, first, rounds)
+    assert np.array_equal(_spread(counts), dense)
+    for mine, theirs in zip(counts.n_i_sa, actions):
+        assert np.array_equal(mine, theirs)
+
+
 def test_mixed_oracles_have_fixed_and_random_rows():
     up, forced = _mixed_oracles()
     # stochastic up-moves make some transition rows random; the pure expert
@@ -295,21 +324,17 @@ def test_mixed_oracles_have_fixed_and_random_rows():
 def test_mixed_oracles_match_reference_across_chunks(rounds):
     for oracle in _mixed_oracles():
         oracle._chunk_rounds = 4  # rounds 3, ... span chunks of 4 and a remainder
-        next_states, expert_actions = oracle.round_samples(3, rounds)
-        assert next_states.shape[0] == expert_actions.shape[0] == rounds
-        for i, k in enumerate(range(3, 3 + rounds)):
+        for k in range(3, 3 + rounds):
+            next_states, expert_actions = pipeline_round_samples(oracle, k)
             ref_states, ref_actions = reference_round_samples(oracle, k)
-            assert np.array_equal(next_states[i], ref_states)
-            assert np.array_equal(expert_actions[i], ref_actions)
+            assert np.array_equal(next_states, ref_states)
+            assert np.array_equal(expert_actions, ref_actions)
         game = oracle.game
         counts = CountBook(game.n_states, game.action_counts)
         sample_round(oracle, counts, 2)
         sample_round(oracle, counts, rounds)
-        dense, actions = _reference_tallies(oracle, 1, 2 + rounds)
         assert counts.iteration == 2 + rounds
-        assert np.array_equal(_spread(counts), dense)
-        for mine, theirs in zip(counts.n_i_sa, actions):
-            assert np.array_equal(mine, theirs)
+        _assert_reference_tallies(counts, oracle, 1, 2 + rounds)
 
 
 def test_mixed_oracles_uniform_sampling_matches_per_round_reference():
@@ -358,10 +383,11 @@ def test_all_fixed_oracle_draws_no_uniform(monkeypatch):
     monkeypatch.setattr(_CountingGenerator, "calls", 0)
     game, k = oracle.game, 100_000
     counts = sample_round(oracle, CountBook(game.n_states, game.action_counts), k)
-    next_states, expert_actions = oracle.round_samples(5, 3)
+    draws = [pipeline_round_samples(oracle, r) for r in (5, 6, 7)]
     assert _CountingGenerator.calls == 0
-    assert np.array_equal(next_states, np.broadcast_to(want_states, next_states.shape))
-    assert np.array_equal(expert_actions, np.broadcast_to(want_actions, expert_actions.shape))
+    for next_states, expert_actions in draws:
+        assert np.array_equal(next_states, want_states)
+        assert np.array_equal(expert_actions, want_actions)
     # each fixed slot holds all k draws of its row, every other slot none
     rows, outcomes = oracle._fixed[0]
     assert rows.size == game.n_states * game.n_joint_actions

@@ -200,7 +200,7 @@ def test_cached_pure_support_that_stops_being_an_equilibrium(monkeypatch):
     assert_same_result(got, want)
     # later, state 0's cached (0, 0) stops being an equilibrium; the pass
     # moves it to the next pure equilibrium in enumeration order, (0, 1),
-    # where bimatrix_nash would retry (0, 0) and then enumerate to the same
+    # where bimatrix_nash would reject the hint (0, 0) and pick the same
     assert log.hints == []
     assert got.converged and got.stage_supports[0] == ((0,), (1,))
 
@@ -232,7 +232,7 @@ def test_mixed_stage_equilibria_take_the_per_state_path(monkeypatch):
     assert np.allclose(got.policy.per_agent[0], 0.5)
     # the first backup settles Q = 0 at the pure ((0,), (0,)) in the pass; on
     # the second that cache fails and the game has no pure equilibrium, so
-    # bimatrix_nash retries it and enumerates; every later stage pass, the
+    # bimatrix_nash rejects it and enumerates; every later stage pass, the
     # returned profile's included, warm-starts from the mixed cache
     assert len(log.hints) == got.iterations
     assert log.hints[0] == ((0,), (0,))
