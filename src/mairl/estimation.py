@@ -23,26 +23,33 @@ float comparisons as the dense CDF at only the entries where it rises; the
 transition tables take the CDF over the successor list, whose partial sums
 at those entries are the dense ones, since adding 0.0 is exact.
 
-A row whose jump table has one rise (one positive-mass outcome) is fixed:
+A row whose normalised CDF rises once (one positive-mass outcome) is fixed:
 every uniform draws that outcome, so a fixed row takes no uniform and no
 comparison, though its position in the round's block stays reserved, and
-the random rows read the same uniforms whatever the other rows are. An
-oracle with no random row (a deterministic game with a pure expert, such as
-every grid NashQ expert) builds no generator. `sample_round`, the one draw
-path, hands draws out only as tallies: it adds `rounds` to each fixed row's
-slot at once and draws the random rows' rounds in chunks of bounded size,
-one `random()` call per chunk, so memory stays flat in the round count.
+the random rows read the same uniforms whatever the other rows are. A row
+with one positive entry is fixed without a jump table, so only the other
+rows get one. An oracle with no random row (a deterministic game with a
+pure expert, such as every grid NashQ expert) builds no jump table and no
+generator. `sample_round`, the one draw path, hands draws out only as
+tallies: it adds `rounds` to each fixed row's slot at once and draws the
+random rows' rounds in chunks of bounded size, one `random()` call per
+chunk, so memory stays flat in the round count.
 
 Since counts depend on k alone, `uniform_sampling` takes tau from
-`stopping_time`, a bisection on the nonincreasing schedule epsilon_k; it
-returns one history row per round (LOG_COLUMNS) and writes no file.
+`stopping_time`, a bisection on the nonincreasing schedule epsilon_k. Its
+history (LOG_COLUMNS) is a `SamplingHistory`: one row per round, computed
+from the schedule when read, so a run to tau costs numpy work on the random
+rows and O(1) Python objects, whatever tau is. It writes no file.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,10 +162,10 @@ class GenerativeOracle:
     built in the constructor; a transition draw picks a slot of the game's
     successor list. The constructor splits every table into fixed rows, with
     one outcome, which take no uniform (their positions in the block stay
-    reserved), and random rows, which read theirs; with no random row there
-    is no `random()` call at all. Draws leave the oracle only as
-    `sample_round`'s tallies. A negative seed raises ValueError here, from
-    `SeedSequence`.
+    reserved), and random rows, which read theirs (`_split`); only random
+    rows keep a jump table, and with no random row there is no `random()`
+    call at all. Draws leave the oracle only as `sample_round`'s tallies. A
+    negative seed raises ValueError here, from `SeedSequence`.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -176,7 +183,7 @@ class GenerativeOracle:
         # each agent's expert actions at the S states
         tables = [game.successor_probs, *expert.per_agent]
         row_columns = [columns[:, :A], *(columns[:, A + i] for i in range(n))]
-        splits = [_split(_jump_table(t), c) for t, c in zip(tables, row_columns)]
+        splits = [_split(t, c) for t, c in zip(tables, row_columns)]
         self._fixed = [fixed for fixed, _ in splits]  # (rows, outcomes) per table
         self._random = [random for _, random in splits]  # (rows, columns, jump table)
         comparisons = sum(table[0].size for _, _, table in self._random)
@@ -224,17 +231,38 @@ def _draw(table, u: np.ndarray) -> np.ndarray:
     return positions[(*np.indices(positions.shape[:-1], sparse=True), rises)]
 
 
-def _split(table, columns: np.ndarray):
-    """Split a jump table of rows (*rows, w) into fixed rows, with one rise
-    (one positive-mass outcome, drawn whatever the uniform), and random rows.
-    `columns` (*rows) holds each row's uniform column in a round's block.
-    Rows are flat indices. Returns ((fixed rows, their outcomes), (random
-    rows, their columns, their jump table (R, w)))."""
-    positions, values = (a.reshape(-1, a.shape[-1]) for a in table)
-    fixed = np.isfinite(values).sum(axis=-1) == 1
-    rows, outcomes = np.flatnonzero(fixed), positions[fixed, 0]
-    random = np.flatnonzero(~fixed)
-    return (rows, outcomes), (random, columns.ravel()[random], (positions[random], values[random]))
+def _split(p: np.ndarray, columns: np.ndarray):
+    """Split the rows of a probability table p (*rows, n) into fixed rows,
+    with one rise of the normalised CDF (one positive-mass outcome, drawn
+    whatever the uniform), and random rows. `columns` (*rows) holds each
+    row's uniform column in a round's block. Rows are flat indices. Returns
+    ((fixed rows, their outcomes), (random rows, their columns, their jump
+    table (R, w))).
+
+    A row with one positive entry is fixed at it without a jump table; only
+    the others are passed to `_jump_table`, where a row whose other entries
+    are too small to move the CDF has one rise and is fixed too. Either way
+    the outcome is the row's first positive entry, where its CDF first rises.
+    """
+    p = p.reshape(-1, p.shape[-1])
+    # each row's count of positive entries and its first one, by a loop over
+    # the few columns: reductions along a short last axis cost per row
+    count, first = np.zeros((2, p.shape[0]), dtype=np.intp)
+    for j in reversed(range(p.shape[1])):
+        positive = p[:, j] > 0
+        count += positive
+        first[positive] = j
+    fixed = count == 1
+    rest = np.flatnonzero(~fixed)
+    if rest.size:
+        positions, values = _jump_table(p[rest])
+    else:  # the width a table of fixed rows only would have
+        positions, values = np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1))
+    one_rise = np.isfinite(values).sum(axis=-1) == 1
+    fixed[rest[one_rise]] = True
+    rows, keep = np.flatnonzero(fixed), ~one_rise
+    random, table = rest[keep], (positions[keep], values[keep])
+    return (rows, first[rows]), (random, columns.ravel()[random], table)
 
 
 def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -> CountBook:
@@ -369,13 +397,54 @@ def uncertainty(counts: CountBook, params: ConfidenceParams) -> UncertaintyTable
     )
 
 
+# rounds per `_schedule` call when a history is iterated
+_HISTORY_CHUNK = 1 << 12
+
+
+class SamplingHistory(Sequence):
+    """The history rows (LOG_COLUMNS) of rounds 1, ..., len of a uniform
+    sampling run, computed from `_schedule` when they are read.
+
+    Row k - 1 is (k, epsilon_k, max C_k, max transition radius, indicator
+    active states, wall time), with Python int and float values; every row
+    carries the same wall time. Indexing takes one `_schedule` call (a
+    slice takes one over its rounds) and iteration takes one per chunk of
+    `_HISTORY_CHUNK` rounds, so nothing of the run's length is stored."""
+
+    def __init__(self, rounds: int, params: ConfidenceParams, shape, wall_time_ms: float):
+        self._rounds = int(rounds)
+        self._params = params
+        self._shape = tuple(shape)  # (n_states, action_counts, n_agents)
+        self._wall_ms = float(wall_time_ms)
+
+    def __len__(self) -> int:
+        return self._rounds
+
+    def __getitem__(self, index):
+        rounds = range(1, self._rounds + 1)[index]  # IndexError out of range
+        if isinstance(rounds, range):  # a slice
+            return self._rows(np.arange(rounds.start, rounds.stop, rounds.step))
+        return self._rows(np.array([rounds]))[0]
+
+    def __iter__(self):
+        for lo in range(1, self._rounds + 1, _HISTORY_CHUNK):
+            yield from self._rows(np.arange(lo, min(lo + _HISTORY_CHUNK, self._rounds + 1)))
+
+    def _rows(self, ks: np.ndarray) -> list:
+        """The rows of rounds ks (an int array)."""
+        eps, c, radius, ind = _schedule(ks.astype(np.float64), self._params, *self._shape)
+        active = (self._shape[0] * ind).astype(np.int64)
+        columns = (ks.tolist(), eps.tolist(), c.tolist(), radius.tolist(), active.tolist())
+        return list(zip(*columns, itertools.repeat(self._wall_ms)))
+
+
 @dataclass
 class UniformSamplingResult:
     problem: EstimatedProblem
     uncertainty: UncertaintyTable
     tau: int
     converged: bool
-    history: list = field(default_factory=list)  # rows matching LOG_COLUMNS
+    history: SamplingHistory  # rows matching LOG_COLUMNS, read on demand
 
 
 def uniform_sampling(
@@ -389,11 +458,17 @@ def uniform_sampling(
     tau is `stopping_time`'s first such k (every count after k rounds equals
     k); one `sample_round` call draws the tau rounds and the estimates are
     taken once. If k_max runs out first, converged is False, with the
-    estimates after k_max rounds. Every history row's wall_time_ms is the
-    elapsed time at the end of that call, the batch that drew its round.
+    estimates after k_max rounds. The history holds one row per round drawn
+    (a `SamplingHistory`, whose rows are computed when read); every row's
+    wall_time_ms is the elapsed time at the end of that call, the batch that
+    drew its round. A k_max that is not a non-negative integer (a float
+    included) and a non-positive epsilon_target raise ValueError before any
+    draw.
     """
     if not epsilon_target > 0:
         raise ValueError("epsilon_target must be positive")
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
     game = oracle.game
     shape = (game.n_states, game.action_counts, game.n_agents)
     tau = stopping_time(params, *shape, epsilon_target, k_max=int(k_max))
@@ -401,11 +476,7 @@ def uniform_sampling(
     start = time.perf_counter()
     sample_round(oracle, counts, int(k_max) if tau is None else tau)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    ks = np.arange(1, counts.iteration + 1, dtype=np.float64)
-    history = [
-        (int(k), float(e), float(c), float(r), int(game.n_states * i), wall_ms)
-        for k, e, c, r, i in zip(ks, *_schedule(ks, params, *shape))
-    ]
+    history = SamplingHistory(counts.iteration, params, shape, wall_ms)
     problem, unc = estimate(counts), uncertainty(counts, params)
     return UniformSamplingResult(problem, unc, counts.iteration, tau is not None, history)
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -217,7 +218,7 @@ def _lexicographic_margin(U, mask, live, rmax_i, gamma):
 
 def _violation(x, slack, rmax_i):
     """Largest violation of {U x <= rhs, 0 <= x <= rmax}, given slack = U x - rhs."""
-    return max(float(np.max(slack)), float(np.max(-x)), float(np.max(x - rmax_i)))
+    return max(float(slack.max()), float(-x.min()), float(x.max() - rmax_i))
 
 
 def _polish_projection(target, x, U, rhs, rmax_i):
@@ -305,10 +306,11 @@ def _dual_gradient(problems):
     and (k, n) buffers updated in place, and a problem with fewer rows is
     padded with rhs = 0 and gradient 0, so its multipliers stay 0 there. Each
     problem keeps its own two matrix-vector products (on its C-contiguous U
-    and on U.T), written into its own buffer slices, so its iterates are bit
-    for bit those of a loop over that problem alone. A problem stops at its
-    own check, every CHECK_EVERY sweeps, once its iterate violates no
-    constraint by more than SWEEP_TOL; its rows are then zeroed and stay 0.
+    and on U.T), bound once as `ndarray.dot(v, out)` calls into its own
+    buffer slices, so its iterates are bit for bit those of a loop over that
+    problem alone. A problem stops at its own check, every CHECK_EVERY
+    sweeps, once its iterate violates no constraint by more than SWEEP_TOL;
+    its rows are then zeroed and stay 0.
     """
     k = len(problems)
     rows = [p[1].shape[0] for p in problems]
@@ -327,9 +329,9 @@ def _dual_gradient(problems):
     back = np.empty_like(targets)  # U^T mom per problem
     x = np.clip(targets, 0.0, rmax)
     best = x.copy()
-    # per problem: (matrix, vector, out) of its two products, on buffer slices
-    to_primal = [(p[1].T, mom[j, : rows[j]], back[j]) for j, p in enumerate(problems)]
-    to_rows = [(p[1], x[j], grad[j, : rows[j]]) for j, p in enumerate(problems)]
+    # per problem: its two products, bound to their buffer slices
+    to_primal = [partial(p[1].T.dot, mom[j, : rows[j]], back[j]) for j, p in enumerate(problems)]
+    to_rows = [partial(p[1].dot, x[j], grad[j, : rows[j]]) for j, p in enumerate(problems)]
     best_viol = [_violation(x[j], p[1] @ x[j] - p[2], p[4]) for j, p in enumerate(problems)]
     sweeps = [MAX_SWEEPS] * k
     running = list(range(k))
@@ -340,14 +342,12 @@ def _dual_gradient(problems):
         mom *= (t_acc - 1.0) / t_next
         mom += lam
         for j in running:
-            Ut, mom_j, back_j = to_primal[j]
-            np.matmul(Ut, mom_j, out=back_j)
+            to_primal[j]()
         np.subtract(targets, back, out=x)
         np.maximum(x, 0.0, out=x)
         np.minimum(x, rmax, out=x)
         for j in running:
-            U, x_j, grad_j = to_rows[j]
-            np.matmul(U, x_j, out=grad_j)
+            to_rows[j]()
         grad -= rhs
         stopped = []
         if it % CHECK_EVERY == 0:

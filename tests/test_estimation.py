@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mairl.estimation import (
+    _HISTORY_CHUNK,
     LOG_COLUMNS,
     ConfidenceParams,
     _indicator,
@@ -25,7 +28,7 @@ from mairl.estimation import (
     xi_threshold,
 )
 from mairl.errors import DimensionMismatchError
-from mairl.experiment import sample_reward_family, write_csv
+from mairl.experiment import ExperimentConfig, sample_reward_family, set_up, write_csv
 from mairl.games import JointPolicy, MarkovGame, deterministic_policy
 from mairl.synthetic import random_markov_game
 
@@ -274,6 +277,64 @@ def test_uniform_sampling_budget_exhaustion():
     oracle = GenerativeOracle(game, expert, seed=4)
     run = uniform_sampling(oracle, params, epsilon_target=1e-3, k_max=5)
     assert not run.converged and run.tau == 5
+
+
+@pytest.mark.parametrize("k_max", [-1, 2.7, np.inf])
+def test_uniform_sampling_rejects_a_k_max_that_is_no_round_count(k_max, monkeypatch):
+    game, expert = det_game_and_expert()
+    oracle = GenerativeOracle(game, expert, seed=4)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before checking k_max")
+
+    monkeypatch.setattr("mairl.estimation.sample_round", no_draws)
+    with pytest.raises(ValueError, match="k_max"):
+        uniform_sampling(oracle, _params(pi_min=1.0), epsilon_target=1e-3, k_max=k_max)
+
+
+def _schedule_row(k, params, shape, wall_ms):
+    """The history row of round k from one `_schedule` call on that round alone."""
+    eps, c, radius, ind = _schedule(np.array([float(k)]), params, *shape)
+    return (k, float(eps[0]), float(c[0]), float(radius[0]), int(shape[0] * ind[0]), wall_ms)
+
+
+def test_history_of_a_run_to_the_3x3_stopping_round_is_read_on_demand():
+    # the deterministic 3x3 board at epsilon = 1: millions of rounds, each
+    # query fixed, so the run costs no more than its set-up
+    config = ExperimentConfig()
+    setup = set_up(config.grid_spec())
+    game, params = setup.game, config.confidence_params()
+    shape = (game.n_states, game.action_counts, game.n_agents)
+    oracle = GenerativeOracle(game, setup.expert, seed=0)
+    tracemalloc.start()
+    try:
+        run = uniform_sampling(oracle, params, config.epsilon, 10**8)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        history = run.history
+        head = list(itertools.islice(history, 2 * _HISTORY_CHUNK + 3))
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.converged and run.tau == len(history) == 2_685_541
+    # a list of all its rows would take hundreds of MB; reading a few chunks
+    # holds those rows and one chunk's schedule arrays
+    assert run_peak < 2**20 and read_peak < 8 * 2**20
+    wall_ms = history[0][-1]
+    assert isinstance(wall_ms, float)
+    for k in (1, _HISTORY_CHUNK, _HISTORY_CHUNK + 1, run.tau):
+        want = _schedule_row(k, params, shape, wall_ms)
+        for row in (history[k - 1], history[k - 1 - run.tau]):
+            assert row == want
+            assert [type(v) for v in row] == [type(v) for v in want]
+    # iteration, indexing and slicing agree across chunk boundaries
+    boundary = range(_HISTORY_CHUNK - 2, 2 * _HISTORY_CHUNK + 3)
+    assert [head[i] for i in boundary] == [history[i] for i in boundary]
+    assert head == history[: len(head)]
+    assert history[-3:] == [history[run.tau - 3], history[run.tau - 2], history[run.tau - 1]]
+    assert history[1:9:4] == [history[1], history[5]]
+    for index in (run.tau, -run.tau - 1):
+        with pytest.raises(IndexError):
+            history[index]
 
 
 def test_run_log_columns(tmp_path):

@@ -6,8 +6,10 @@ counter=(k - 1) B))`, B = ceil(S (A + n) / 4) blocks per round, read state
 by state, A uniforms through the dense normalised CDF (`_inverse_cdf`) for
 next states, then one `rng.choice` per agent for expert actions.
 `reference_uniform_sampling` is the former per-round loop that re-ran
-`estimate` and `uncertainty` after every round to find tau. They are kept
-here as test oracles for the jump-table draw, `sample_round` and
+`estimate` and `uncertainty` after every round to find tau.
+`reference_split` is the former oracle construction, a jump table of every
+row split into fixed and random rows. They are kept here as test oracles for
+the jump-table draw, the oracle's row split, `sample_round` and
 `uniform_sampling`. Draws reach callers only as `sample_round`'s tallies,
 so `pipeline_round_samples` reads round k's draws back off the tallies of
 one `sample_round` call, and batched calls are checked by their tallies
@@ -27,6 +29,7 @@ from mairl.estimation import (
     _cdf,
     _draw,
     _jump_table,
+    _split,
     estimate,
     sample_round,
     uncertainty,
@@ -76,6 +79,39 @@ def pipeline_round_samples(oracle: GenerativeOracle, k: int):
     slots = counts.n_slot.argmax(axis=-1)[..., None]
     next_states = np.take_along_axis(counts.successors, slots, axis=-1)[..., 0]
     return next_states, np.stack([t.argmax(axis=-1) for t in counts.n_i_sa], axis=-1)
+
+
+def reference_split(p: np.ndarray, columns: np.ndarray):
+    """The jump table of every row of p (*rows, n), split into fixed rows (one
+    rise) and random rows: ((rows, outcomes), (rows, columns, table))."""
+    positions, values = (a.reshape(-1, a.shape[-1]) for a in _jump_table(p))
+    fixed = np.isfinite(values).sum(axis=-1) == 1
+    rows, outcomes = np.flatnonzero(fixed), positions[fixed, 0]
+    random = np.flatnonzero(~fixed)
+    return (rows, outcomes), (random, columns.ravel()[random], (positions[random], values[random]))
+
+
+def reference_oracle_split(oracle: GenerativeOracle):
+    """`reference_split` of each of the oracle's tables: (fixed, random) lists."""
+    game = oracle.game
+    S, A, n = game.n_states, game.n_joint_actions, game.n_agents
+    columns = np.arange(S * (A + n)).reshape(S, A + n)
+    tables = [game.successor_probs, *oracle.expert.per_agent]
+    row_columns = [columns[:, :A], *(columns[:, A + i] for i in range(n))]
+    splits = [reference_split(t, c) for t, c in zip(tables, row_columns)]
+    return [fixed for fixed, _ in splits], [random for _, random in splits]
+
+
+def _assert_same_arrays(mine, ref):
+    """Nested tuples/lists of arrays equal in type, dtype, shape and values."""
+    if isinstance(ref, np.ndarray):
+        assert isinstance(mine, np.ndarray)
+        assert (mine.dtype, mine.shape) == (ref.dtype, ref.shape)
+        assert np.array_equal(mine, ref)
+    else:
+        assert type(mine) is type(ref) and len(mine) == len(ref)
+        for a, b in zip(mine, ref):
+            _assert_same_arrays(a, b)
 
 
 def reference_uniform_sampling(oracle, params, epsilon_target, k_max):
@@ -308,6 +344,51 @@ def _assert_reference_tallies(counts, oracle, first, rounds):
     assert np.array_equal(_spread(counts), dense)
     for mine, theirs in zip(counts.n_i_sa, actions):
         assert np.array_equal(mine, theirs)
+
+
+def test_oracle_split_matches_the_jump_table_split_of_every_row():
+    oracles = [GenerativeOracle(*_nashq_expert(w, h), seed=0) for w, h in ((3, 3), (4, 3), (4, 4))]
+    oracles += _mixed_oracles() + _grid_oracles() + _random_oracles()
+    for oracle in oracles:
+        fixed, random = reference_oracle_split(oracle)
+        _assert_same_arrays(oracle._fixed, fixed)
+        _assert_same_arrays(oracle._random, random)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_states=st.integers(min_value=1, max_value=6),
+    action_counts=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=3),
+)
+def test_oracle_split_matches_the_jump_table_split_on_random_games(seed, n_states, action_counts):
+    game, policy = make_instance(seed, n_states, tuple(action_counts), gamma=0.7)
+    oracle = GenerativeOracle(game, policy, seed=seed)
+    fixed, random = reference_oracle_split(oracle)
+    _assert_same_arrays(oracle._fixed, fixed)
+    _assert_same_arrays(oracle._random, random)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_probability_tables())
+def test_split_matches_the_jump_table_split_on_tiny_masses(table):
+    columns = np.arange(table.shape[0]) * 3
+    _assert_same_arrays(_split(table, columns), reference_split(table, columns))
+
+
+def test_split_keeps_a_row_fixed_when_its_second_mass_cannot_move_the_cdf():
+    # 1 + 1e-17 == 1: the first row's CDF rises once though it has two
+    # positive entries; the third row's tiny first entry is a rise of its own
+    table = np.array([[1.0, 1e-17, 0.0], [0.0, 1.0, 0.0], [1e-17, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    columns = np.array([7, 8, 9, 10])
+    (rows, outcomes), (random, random_columns, _) = _split(table, columns)
+    assert rows.tolist() == [0, 1] and outcomes.tolist() == [0, 1]
+    assert random.tolist() == [2, 3] and random_columns.tolist() == [9, 10]
+    _assert_same_arrays(_split(table, columns), reference_split(table, columns))
+    # a table of fixed rows only keeps the width-1 empty random table
+    (rows, _), random_part = _split(table[:2], columns[:2])
+    assert rows.tolist() == [0, 1] and random_part[2][0].shape == (0, 1)
+    _assert_same_arrays(_split(table[:2], columns[:2]), reference_split(table[:2], columns[:2]))
 
 
 def test_mixed_oracles_have_fixed_and_random_rows():
