@@ -18,6 +18,7 @@ from .experiment import (
     BOUND_COLUMNS,
     ExperimentConfig,
     bound_row,
+    output_path,
     run_experiment,
     seed_curve,
     set_up,
@@ -50,8 +51,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_gen_expert(config: ExperimentConfig) -> int:
     setup = set_up(config.grid_spec())
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "expert.txt")
+    path = output_path(config, "expert.txt")
     write_sections(path, game=setup.game, reward=setup.reward, policy=setup.expert)
     gap = nash_gap(setup.game, setup.reward, setup.expert).gap
     print(f"expert written to {path} (equilibrium gap {gap:.3e})")
@@ -62,11 +62,10 @@ def cmd_sample(config: ExperimentConfig) -> int:
     setup = set_up(config.grid_spec())
     game = setup.game
     oracle = GenerativeOracle(game, setup.expert, seed=config.seeds[0])
-    os.makedirs(config.out_dir, exist_ok=True)
+    log_path = output_path(config, "run_log.csv")
     run = uniform_sampling(oracle, config.confidence_params(), config.epsilon, config.k_max)
-    log_path = os.path.join(config.out_dir, "run_log.csv")
     write_csv(log_path, LOG_COLUMNS, run.history)
-    est_path = os.path.join(config.out_dir, "estimated.txt")
+    est_path = output_path(config, "estimated.txt")
     write_sections(
         est_path,
         game=run.problem.as_game(config.gamma, game.mu),
@@ -85,8 +84,7 @@ def cmd_recover(config: ExperimentConfig) -> int:
     seed = config.seeds[0]
     at_k_max = replace(config, eval_points=(config.k_max,))
     recovered, _ = next(seed_curve(set_up(config.grid_spec()), at_k_max, seed))
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "recovered_reward.txt")
+    path = output_path(config, "recovered_reward.txt")
     write_sections(
         path,
         reward=recovered.reward,
@@ -120,8 +118,7 @@ def cmd_evaluate(config: ExperimentConfig, reward_path: str | None) -> int:
             print(f"{name}: mairl gap {gap_mairl:.6g}, bc gap {gap_bc:.6g}")
     except DimensionMismatchError as exc:
         raise ConfigError(f"the reward in {path} does not fit the grid: {exc}") from exc
-    os.makedirs(config.out_dir, exist_ok=True)
-    out = os.path.join(config.out_dir, "evaluate.csv")
+    out = output_path(config, "evaluate.csv")
     write_csv(out, ("variant", "nash_gap_mairl", "nash_gap_bc"), rows)
     print(f"written to {out}")
     return EXIT_OK
@@ -140,8 +137,7 @@ def cmd_experiment(config: ExperimentConfig) -> int:
 def cmd_bound(config: ExperimentConfig) -> int:
     game, _, _ = build_grid_game(config.grid_spec())
     row = bound_row(config, game)
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "bound.csv")
+    path = output_path(config, "bound.csv")
     write_csv(path, BOUND_COLUMNS, [row])
     print(f"theoretical bound {row[-2]:.6g}; empirical tau {row[-1]}")
     return EXIT_OK

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import DimensionMismatchError, StaleValuesError
 from .games import JointPolicy, JointReward, MarkovGame, _gather, _scatter
 
+# the Bellman residual a fresh value bundle may carry
+_RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ValueBundle:
@@ -62,12 +65,9 @@ def transition_under(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     return _scatter(game.successors, game.successor_probs, policy.joint_table(), rows, S)
 
 
-def policy_evaluation(
-    game: MarkovGame, reward: JointReward, policy: JointPolicy, tol: float = 1e-10
-) -> ValueBundle:
-    """Solve (I - gamma P_pi) V^i = R^i_pi per agent; Q from one Bellman backup."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def policy_evaluation(game: MarkovGame, reward: JointReward, policy: JointPolicy) -> ValueBundle:
+    """Solve (I - gamma P_pi) V^i = R^i_pi per agent; Q from one Bellman
+    backup. The bundle carries the fixed tolerance _RESIDUAL_TOL."""
     _check_shapes(game, reward, policy)
     joint = policy.joint_table()
     p_pi = transition_under(game, policy)
@@ -75,7 +75,7 @@ def policy_evaluation(
     v = np.linalg.solve(np.eye(game.n_states) - game.gamma * p_pi, r_pi.T).T
     q = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, v)
     residual = float(np.max(np.abs(v - np.einsum("sa,isa->is", joint, q))))
-    return ValueBundle(v=v, q=q, residual=residual, tol=tol)
+    return ValueBundle(v=v, q=q, residual=residual, tol=_RESIDUAL_TOL)
 
 
 def own_action_marginal(

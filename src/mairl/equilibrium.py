@@ -18,11 +18,14 @@ time. Both passes and `bimatrix_nash` test pure profiles with one helper,
 solver picks, and every path gives bit-identical results.
 
 Once a backup leaves every cached support unchanged and all of them are
-pure, the backups that follow are linear, and NashQ jumps to their fixed
-point, the cached one-hot profile's Q from one S x S policy evaluation
+pure, NashQ jumps to the fixed point of the linear backup that keeps those
+supports, the cached one-hot profile's Q from one S x S policy evaluation
 (modified policy iteration; Puterman 1994, ch. 6). A stage check and one
 backup confirm it; otherwise plain backups go on (see
-`nash_value_iteration`).
+`nash_value_iteration`). A confirmed jump ends on an equilibrium of the
+backup, but not always on plain iteration's: plain backups from the same
+iterate may switch a support before they settle, and then converge to
+another equilibrium.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from .games import JointPolicy, JointReward, MarkovGame, _gather
 
 MAX_OVER_STATES = "max-over-states"
 MU_WEIGHTED = "mu-weighted"
+
+# a stage-game profile is an equilibrium when no pure deviation gains more
+# than this, and a support's mix may dip this far below 0
+_STAGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,47 +172,51 @@ class BimatrixEquilibrium:
     supports: tuple  # (row support, col support), as sorted tuples
 
 
-def _try_support(a, b, rows, cols, tol):
-    """Solve the indifference system on a candidate support pair of size
-    k >= 2; None if invalid. Pure profiles are `_pure_equilibria`'s."""
-    k = len(rows)
-    # y makes the row player indifferent across `rows`; x the column player
-    # across `cols` (Nisan et al., Algorithm 3.4 layout).
-    lhs_y = np.zeros((k + 1, k + 1))
-    lhs_y[:k, :k] = a[np.ix_(rows, cols)]
-    lhs_y[:k, k] = -1.0
-    lhs_y[k, :k] = 1.0
-    lhs_x = np.zeros((k + 1, k + 1))
-    lhs_x[:k, :k] = b[np.ix_(rows, cols)].T
-    lhs_x[:k, k] = -1.0
-    lhs_x[k, :k] = 1.0
+def _indifferent_mix(block, support, n):
+    """(mix, value): the strategy over `n` actions, on `support`, that makes
+    the opponent indifferent across the rows of the k x k `block` (the
+    opponent's payoffs, one row per opponent action), and that common
+    payoff; None if the system is singular or not finite, or the mix is
+    negative beyond _STAGE_TOL."""
+    k = len(support)
+    lhs = np.zeros((k + 1, k + 1))
+    lhs[:k, :k] = block
+    lhs[:k, k] = -1.0
+    lhs[k, :k] = 1.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
     try:
-        sol_y = np.linalg.solve(lhs_y, rhs)
-        sol_x = np.linalg.solve(lhs_x, rhs)
+        sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not (np.all(np.isfinite(sol_x)) and np.all(np.isfinite(sol_y))):
+    if not np.all(np.isfinite(sol)) or np.any(sol[:k] < -_STAGE_TOL):
         return None
-    if np.any(sol_x[:k] < -tol) or np.any(sol_y[:k] < -tol):
+    mix = np.zeros(n)
+    mix[list(support)] = np.clip(sol[:k], 0.0, None)
+    mix /= mix.sum()
+    return mix, sol[k]
+
+
+def _try_support(a, b, rows, cols):
+    """Solve the indifference system on a candidate support pair of size
+    k >= 2; None if invalid. Pure profiles are `_pure_equilibria`'s."""
+    # y makes the row player indifferent across `rows` and carries its value
+    # v; x the column player across `cols`, with its value w (Nisan et al.,
+    # Algorithm 3.4 layout)
+    block = np.ix_(rows, cols)
+    row_side = _indifferent_mix(a[block], cols, a.shape[1])
+    col_side = _indifferent_mix(b[block].T, rows, a.shape[0])
+    if row_side is None or col_side is None:
         return None
-    x = np.zeros(a.shape[0])
-    y = np.zeros(a.shape[1])
-    x[list(rows)] = np.clip(sol_x[:k], 0.0, None)
-    y[list(cols)] = np.clip(sol_y[:k], 0.0, None)
-    x /= x.sum()
-    y /= y.sum()
-    # the row-indifference system carries the row player's value and vice versa
-    v, w = sol_y[k], sol_x[k]
+    (y, v), (x, w) = row_side, col_side
     # no profitable pure deviation for either player
     row_payoffs = a @ y
     col_payoffs = x @ b
-    if np.max(row_payoffs) > v + tol or np.max(col_payoffs) > w + tol:
+    if np.max(row_payoffs) > v + _STAGE_TOL or np.max(col_payoffs) > w + _STAGE_TOL:
         return None
-    if np.max(np.abs(row_payoffs[list(rows)] - v)) > 10 * tol:
+    if np.max(np.abs(row_payoffs[list(rows)] - v)) > 10 * _STAGE_TOL:
         return None
-    if np.max(np.abs(col_payoffs[list(cols)] - w)) > 10 * tol:
+    if np.max(np.abs(col_payoffs[list(cols)] - w)) > 10 * _STAGE_TOL:
         return None
     return _profile(a, b, x, y, rows, cols)
 
@@ -223,7 +234,7 @@ def _pure_profile(a, b, i, j):
     return _profile(a, b, x, y, (i,), (j,))
 
 
-def bimatrix_nash(payoff_row, payoff_col, tol: float = 1e-9, first_supports=None):
+def bimatrix_nash(payoff_row, payoff_col, first_supports=None):
     """One exact equilibrium of a finite two-player game by support enumeration.
 
     Candidate supports are ordered by total size, then lexicographically, and
@@ -242,10 +253,10 @@ def bimatrix_nash(payoff_row, payoff_col, tol: float = 1e-9, first_supports=None
 
     rows, cols = first_supports or ((), ())
     if len(rows) == len(cols) > 1:
-        hit = _try_support(a, b, tuple(rows), tuple(cols), tol)
+        hit = _try_support(a, b, tuple(rows), tuple(cols))
         if hit is not None:
             return hit
-    holds = _pure_equilibria(a, b, tol)
+    holds = _pure_equilibria(a, b)
     if len(rows) == len(cols) == 1 and holds[rows[0], cols[0]]:
         return _pure_profile(a, b, rows[0], cols[0])
     m, n = a.shape
@@ -254,7 +265,7 @@ def bimatrix_nash(payoff_row, payoff_col, tol: float = 1e-9, first_supports=None
     for k in range(2, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                hit = _try_support(a, b, rows, cols, tol)
+                hit = _try_support(a, b, rows, cols)
                 if hit is not None:
                     return hit
     raise RuntimeError(
@@ -289,17 +300,17 @@ def _pure_caches(support_cache):
     return np.array(pure, dtype=np.int64).reshape(-1, 3).T
 
 
-def _pure_equilibria(q1, q2, tol=1e-9):
+def _pure_equilibria(q1, q2):
     """Which pure profiles (i, j) are equilibria of the stage games q1, q2
     (..., a1, a2): max_r Q^1[r,j] <= Q^1[i,j] + tol and
-    max_c Q^2[i,c] <= Q^2[i,j] + tol, the deviation test of a size-1
-    support (exact for one-hot strategies)."""
-    return (q1.max(axis=-2, keepdims=True) <= q1 + tol) & (
-        q2.max(axis=-1, keepdims=True) <= q2 + tol
+    max_c Q^2[i,c] <= Q^2[i,j] + tol, tol = _STAGE_TOL, the deviation
+    test of a size-1 support (exact for one-hot strategies)."""
+    return (q1.max(axis=-2, keepdims=True) <= q1 + _STAGE_TOL) & (
+        q2.max(axis=-1, keepdims=True) <= q2 + _STAGE_TOL
     )
 
 
-def _solve_stage_games(game, q, support_cache, tol=1e-9):
+def _solve_stage_games(game, q, support_cache):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
     Two numpy passes settle every state they can at a pure equilibrium
@@ -321,7 +332,7 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
     pol2 = np.zeros((S, a2))
     values = np.zeros((2, S))
 
-    holds = _pure_equilibria(q1, q2, tol)
+    holds = _pure_equilibria(q1, q2)
     s_idx, i_idx, j_idx = _pure_caches(support_cache)
     ok = holds[s_idx, i_idx, j_idx]
     open_ = np.array([c is None or len(c[0]) == 1 for c in support_cache], dtype=bool)
@@ -347,7 +358,6 @@ def _solve_stage_games(game, q, support_cache, tol=1e-9):
         eq = bimatrix_nash(
             q[0, s].reshape(a1, a2),
             q[1, s].reshape(a1, a2),
-            tol=tol,
             first_supports=support_cache[s],
         )
         support_cache[s] = eq.supports
@@ -403,13 +413,17 @@ def nash_value_iteration(
     reports the last backup's largest move either way.
 
     Policy-evaluation jump (modified policy iteration): when a backup leaves
-    every cached support unchanged and all of them are pure, the next
-    backups are linear until a support changes, and their fixed point is the
-    cached one-hot profile's Q, one S x S solve away. That Q is accepted,
-    and the iteration stops there, if one confirming stage pass on a copy of
-    the cache changes no support and its backup moves Q by less than 1e-8.
+    every cached support unchanged and all of them are pure, the backup that
+    keeps those supports is linear, and its fixed point is the cached
+    one-hot profile's Q, one S x S solve away. That Q is accepted, and the
+    iteration stops there, if one confirming stage pass on a copy of the
+    cache changes no support and its backup moves Q by less than 1e-8.
     Otherwise it is discarded and plain backups continue from the last
     iterate; the jump is tried again only after the cache changes again.
+    An accepted Q is a fixed point of the backup, yet plain iteration need
+    not reach it: its later backups may switch a support on the way and
+    converge to another equilibrium, so the jump can select another
+    equilibrium than plain backups would.
     `iterations` counts every backup, the confirming one included, and never
     exceeds `max_iters`. The returned policy is the profile of the last
     stage pass on the returned Q, so an accepted jump returns the cached

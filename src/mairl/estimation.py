@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import policy_evaluation
+from .dp import _check_shapes, policy_evaluation
 from .errors import DimensionMismatchError
 from .feasible import decompose_reward, event_mask
 from .games import JointPolicy, JointReward, MarkovGame, _dense_kernel, _gather, _pack_positive
@@ -169,8 +169,7 @@ class GenerativeOracle:
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
-        if expert.n_states != game.n_states or expert.action_counts != game.action_counts:
-            raise DimensionMismatchError("expert policy does not match the game")
+        _check_shapes(game, None, expert)
         self.game = game
         self.expert = expert
         self.seed = int(seed)
@@ -193,9 +192,7 @@ class GenerativeOracle:
 
     def _random_draws(self, first: int, rounds: int):
         """Each table's random-row draws in rounds first, ..., first + rounds - 1,
-        of shape (rounds, random rows); an empty list if no row is random."""
-        if not self._has_random:
-            return []
+        of shape (rounds, random rows). Call only if some row is random."""
         bits = np.random.Philox(key=self._key, counter=(first - 1) * self._round_blocks)
         u = np.random.Generator(bits).random((rounds, 4 * self._round_blocks))
         return [_draw(table, u[:, columns]) for _, columns, table in self._random]

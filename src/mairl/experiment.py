@@ -128,7 +128,10 @@ class ExperimentConfig:
         return GridGameSpec(variant="deterministic", gamma=self.gamma, rmax=self.rmax)
 
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
+    """The one number format of every output file: an integer as itself, a
+    float with 17 significant digits (which round-trips IEEE doubles
+    bit-exactly), anything else by str."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float):
@@ -136,11 +139,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def output_path(config: ExperimentConfig, name: str) -> str:
+    """The path of file `name` in config.out_dir, creating the directory."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    return os.path.join(config.out_dir, name)
+
+
 def write_csv(path, columns, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +390,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     if errors:
         tables["errors"] = (("seed", "error"), errors)
-    os.makedirs(config.out_dir, exist_ok=True)
     for name, (columns, rows) in tables.items():
-        result.paths[name] = os.path.join(config.out_dir, f"{name}.csv")
+        result.paths[name] = output_path(config, f"{name}.csv")
         write_csv(result.paths[name], columns, rows)
     return result
 

@@ -166,10 +166,11 @@ def error_propagation_bound(
 ) -> np.ndarray:
     """Entrywise reward-recovery bound under model/policy estimation error.
 
-    bound[i,s,a] = A^i(s,a) |1_E - 1_Ehat| + gamma-free transition part
-    sum_{s'} |V^i(s')| |P - Phat|(s'|s,a), scaled by gamma. Reusing (A, V)
-    under (Phat, Ehat) realizes the bound: that witness reward differs from
-    the original by at most bound, entrywise.
+    bound[i,s,a] = A^i(s,a) |1_E - 1_Ehat| + sum_{s'} |V^i(s')| |P - Phat|(s'|s,a),
+    with no gamma on the transition term. Reusing (A, V) under (Phat, Ehat)
+    gives a witness reward that differs from the original by at most
+    A |1_E - 1_Ehat| + gamma sum_{s'} |V| |P - Phat|, entrywise, so the
+    bound holds with a factor 1/gamma to spare on its transition term.
     """
     P = np.asarray(transitions, dtype=np.float64)
     Phat = np.asarray(transitions_hat, dtype=np.float64)

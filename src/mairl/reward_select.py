@@ -230,27 +230,20 @@ def _polish_projection(target, x, U, rhs, rmax_i):
     POLISH_ROUNDS solves; additions are monotone, so the loop terminates.
     Returns None if no feasible polish is found.
     """
-    n = x.size
     eps_id = 1e-7 * max(1.0, rmax_i)
-    vals = U @ x
-    active_rows = set(np.nonzero(vals >= rhs - eps_id)[0].tolist())
-    fix_lo = set(np.nonzero(x <= eps_id)[0].tolist())
-    fix_hi = set(np.nonzero(x >= rmax_i - eps_id)[0].tolist())
+    active = U @ x >= rhs - eps_id
+    lo = x <= eps_id
+    hi = x >= rmax_i - eps_id
     tol = PROJECTION_TOL
     for _ in range(POLISH_ROUNDS):
-        fixed = np.zeros(n, dtype=bool)
-        fixed_vals = np.zeros(n)
-        for j in fix_lo:
-            fixed[j] = True
-        for j in fix_hi:
-            fixed[j] = True
-            fixed_vals[j] = rmax_i
+        fixed = lo | hi
+        fixed_vals = np.where(hi, rmax_i, 0.0)
         free = ~fixed
-        rows = sorted(active_rows)
+        rows = np.flatnonzero(active)
         C = U[rows][:, free]
         d = rhs[rows] - U[rows][:, fixed] @ fixed_vals[fixed]
         z = target[free]
-        if rows:
+        if rows.size:
             gram = C @ C.T
             try:
                 mu = np.linalg.solve(gram, C @ z - d)
@@ -264,21 +257,10 @@ def _polish_projection(target, x, U, rhs, rmax_i):
         vals = U @ cand
         if _violation(cand, vals - rhs, rmax_i) <= tol:
             return np.clip(cand, 0.0, rmax_i)
-        grew = False
-        for r in np.nonzero(vals > rhs + tol)[0]:
-            if r not in active_rows:
-                active_rows.add(int(r))
-                grew = True
-        for j in np.nonzero(cand < -tol)[0]:
-            if j not in fix_lo:
-                fix_lo.add(int(j))
-                grew = True
-        for j in np.nonzero(cand > rmax_i + tol)[0]:
-            if j not in fix_hi:
-                fix_hi.add(int(j))
-                grew = True
-        if not grew:
+        grown = (active | (vals > rhs + tol), lo | (cand < -tol), hi | (cand > rmax_i + tol))
+        if all(np.array_equal(g, m) for g, m in zip(grown, (active, lo, hi))):
             return None
+        active, lo, hi = grown
     return None
 
 
@@ -458,15 +440,14 @@ def max_gap_reward(
         x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
         lp_iters += pivots
         pinned.append(int(np.sum(mask & live & ~margin_rows)))
-        carrying = margin_rows & live
         U_live = U[live]
-        staged.append((U_live, live, carrying, x, "F" if U.flags.f_contiguous else "C"))
+        staged.append((U_live, live, margin_rows, x, "F" if U.flags.f_contiguous else "C"))
         if mode == DISTANCE_TO_RANDOM:
             target = rng.uniform(0.0, r[i], size=U.shape[1])
             # support rows are one-sided too: their average under the policy is
             # zero identically, so <= 0 on each forces equality at any
             # feasible point
-            rhs = np.where(carrying[live], -max(t_star - 1e-6, 0.0), 0.0)
+            rhs = np.where(margin_rows[live], -max(t_star - 1e-6, 0.0), 0.0)
             problems.append((target, U_live, rhs, x, r[i]))
         del U  # only the live rows stay alive through the other agents' LPs
 

@@ -16,12 +16,8 @@ import typing
 import numpy as np
 
 from .errors import ConfigError
-from .experiment import ExperimentConfig
+from .experiment import ExperimentConfig, fmt
 from .games import JointPolicy, JointReward, MarkovGame
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _parse_sections(text: str):
@@ -92,7 +88,7 @@ def write_sections(path, game: MarkovGame | None = None, reward: JointReward | N
     if provenance is not None:
         lines.append("[provenance]")
         for key, value in provenance.items():
-            lines.append(f"{key} = {fmt(value) if isinstance(value, float) else value}")
+            lines.append(f"{key} = {fmt(value)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -223,10 +219,7 @@ def write_config(path, config: ExperimentConfig) -> None:
     lines = ["[experiment]"]
     for name, kind in _config_fields():
         value = getattr(config, name)
-        if typing.get_origin(kind) is tuple:
-            value = " ".join(str(v) for v in value)
-        elif kind is float:
-            value = fmt(value)
-        lines.append(f"{name} = {value}")
+        items = value if typing.get_origin(kind) is tuple else (value,)
+        lines.append(f"{name} = " + " ".join(fmt(v) for v in items))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -74,7 +74,7 @@ def test_iterative_branch_matches_closed_form():
     game = MarkovGame(P, 0.9, np.full(S, 1 / S), (1,))
     reward = JointReward(np.full((1, S, 1), 0.5), rmax=[1.0])
     policy = JointPolicy([np.ones((S, 1))])
-    vb = policy_evaluation(game, reward, policy, tol=1e-10)
+    vb = policy_evaluation(game, reward, policy)
     assert np.allclose(vb.v, 5.0, atol=1e-9)
     assert vb.residual <= 1e-10
 

@@ -82,6 +82,16 @@ def test_counts_keep_the_successor_list_of_their_first_oracle():
         sample_round(GenerativeOracle(other, expert, seed=0), counts)
 
 
+@pytest.mark.parametrize("n_states, action_counts", [(3, (2, 2)), (2, (2, 3)), (2, (3, 2))])
+def test_oracle_rejects_an_expert_of_another_shape(n_states, action_counts):
+    # the 2-state (2, 2) game; unchecked, a pure expert of another shape
+    # would build an oracle that draws from rows the game does not have
+    game, _ = det_game_and_expert()
+    expert = deterministic_policy(action_counts, n_states, [0, 1])
+    with pytest.raises(DimensionMismatchError):
+        GenerativeOracle(game, expert, seed=0)
+
+
 @pytest.mark.parametrize("n_states, action_counts", [(3, (3, 3)), (5, (2, 2)), (2, (2, 2))])
 def test_sample_round_rejects_a_book_of_another_shape(n_states, action_counts):
     # a 3-state (2, 2) oracle; unchecked, these books would tally silently,

@@ -1,11 +1,17 @@
 """Bit-equality of the one projection loop over all agents against the
-per-agent loop it replaced.
+per-agent loop it replaced, and of the active-set polish against its
+set-based form.
 
 `reference_distance_project` is the former `_distance_project`: accelerated
 projected gradient on one agent's dual, then the polish / blend / vertex
 ending. It is kept here as the test oracle. `_distance_project` run on
 several agents at once must return, per agent, exactly the point, sweep
 count and path the oracle returns for that agent alone.
+
+`reference_polish_projection` is the former `_polish_projection`, which kept
+its active rows and fixed coordinates as Python index sets grown element by
+element. `_polish_projection` keeps them as boolean masks and must return
+exactly its point, or None where it does.
 """
 
 import numpy as np
@@ -22,6 +28,59 @@ from mairl.gridworld import GridGameSpec, build_grid_game
 def _violation(x, U, rhs, rmax_i):
     slack = U @ x - rhs
     return max(float(np.max(slack)), float(np.max(-x)), float(np.max(x - rmax_i)))
+
+
+def reference_polish_projection(target, x, U, rhs, rmax_i):
+    n = x.size
+    eps_id = 1e-7 * max(1.0, rmax_i)
+    vals = U @ x
+    active_rows = set(np.nonzero(vals >= rhs - eps_id)[0].tolist())
+    fix_lo = set(np.nonzero(x <= eps_id)[0].tolist())
+    fix_hi = set(np.nonzero(x >= rmax_i - eps_id)[0].tolist())
+    tol = reward_select.PROJECTION_TOL
+    for _ in range(reward_select.POLISH_ROUNDS):
+        fixed = np.zeros(n, dtype=bool)
+        fixed_vals = np.zeros(n)
+        for j in fix_lo:
+            fixed[j] = True
+        for j in fix_hi:
+            fixed[j] = True
+            fixed_vals[j] = rmax_i
+        free = ~fixed
+        rows = sorted(active_rows)
+        C = U[rows][:, free]
+        d = rhs[rows] - U[rows][:, fixed] @ fixed_vals[fixed]
+        z = target[free]
+        if rows:
+            gram = C @ C.T
+            try:
+                mu = np.linalg.solve(gram, C @ z - d)
+            except np.linalg.LinAlgError:
+                mu = np.linalg.lstsq(gram, C @ z - d, rcond=None)[0]
+            xf = z - C.T @ mu
+        else:
+            xf = z
+        cand = fixed_vals.copy()
+        cand[free] = xf
+        vals = U @ cand
+        if reward_select._violation(cand, vals - rhs, rmax_i) <= tol:
+            return np.clip(cand, 0.0, rmax_i)
+        grew = False
+        for r in np.nonzero(vals > rhs + tol)[0]:
+            if r not in active_rows:
+                active_rows.add(int(r))
+                grew = True
+        for j in np.nonzero(cand < -tol)[0]:
+            if j not in fix_lo:
+                fix_lo.add(int(j))
+                grew = True
+        for j in np.nonzero(cand > rmax_i + tol)[0]:
+            if j not in fix_hi:
+                fix_hi.add(int(j))
+                grew = True
+        if not grew:
+            return None
+    return None
 
 
 def reference_distance_project(target, U, rhs, anchor, rmax_i):
@@ -63,7 +122,7 @@ def reference_distance_project(target, U, rhs, anchor, rmax_i):
                 best = x.copy()
             if viol <= 1e-8:
                 break
-    polished = reward_select._polish_projection(target, best, U, rhs, rmax_i)
+    polished = reference_polish_projection(target, best, U, rhs, rmax_i)
     if polished is not None:
         return polished, it, "polished"
     excess = np.maximum(U @ best - rhs, 0.0)
@@ -135,6 +194,77 @@ def test_unequal_rows_an_empty_agent_and_an_early_stop():
     got = assert_matches_reference(problems)
     want = [reward_select.CHECK_EVERY, reward_select.MAX_SWEEPS, 0]
     assert [sweeps for _, sweeps, _ in got] == want
+
+
+def polish_problem(rng, m, n):
+    """(target, x, U, rhs, rmax) with m >= 1 rows on n variables. About a
+    third of x's coordinates sit at each bound, half the rows are active at
+    x, and the target may leave the box, so the polish both fixes and frees
+    coordinates."""
+    rmax = float(rng.uniform(0.5, 2.0))
+    U = rng.standard_normal((m, n))
+    kind = rng.integers(0, 3, size=n)
+    x = np.where(kind == 0, 0.0, np.where(kind == 1, rmax, rng.uniform(0.0, rmax, size=n)))
+    rhs = U @ x + rng.uniform(-0.5, 0.5, size=m) * (rng.random(m) < 0.5)
+    return rng.uniform(-0.5 * rmax, 1.5 * rmax, size=n), x, U, rhs, rmax
+
+
+def assert_polish_matches_reference(problem):
+    got = reward_select._polish_projection(*problem)
+    want = reference_polish_projection(*problem)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=9),
+    n=st.integers(min_value=1, max_value=7),
+    rounds=st.sampled_from([1, 2, 3, 5, reward_select.POLISH_ROUNDS]),
+)
+def test_polish_matches_reference(seed, m, n, rounds):
+    with pytest.MonkeyPatch.context() as patch:
+        # a short cap makes runs that use up every round common; both read it
+        patch.setattr(reward_select, "POLISH_ROUNDS", rounds)
+        assert_polish_matches_reference(polish_problem(np.random.default_rng(seed), m, n))
+
+
+def test_polish_outcomes_match_reference(monkeypatch):
+    """On fixed problems under a cap of 2 rounds, each way the polish ends
+    occurs, bit-equal to the reference: a polished point, None once no row
+    or bound is left to add, and None after using up POLISH_ROUNDS (the
+    reference would go on under a larger cap). `_violation` runs once per
+    round, so counting its calls counts rounds."""
+    rounds = [0]
+    violation = reward_select._violation
+
+    def counting(*args):
+        rounds[0] += 1
+        return violation(*args)
+
+    def rounds_used(problem, cap):
+        monkeypatch.setattr(reward_select, "POLISH_ROUNDS", cap)
+        rounds[0] = 0
+        reference_polish_projection(*problem)
+        return rounds[0]
+
+    monkeypatch.setattr(reward_select, "_violation", counting)
+    seen = set()
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        problem = polish_problem(rng, int(rng.integers(1, 10)), int(rng.integers(1, 8)))
+        monkeypatch.setattr(reward_select, "POLISH_ROUNDS", 2)
+        want = assert_polish_matches_reference(problem)
+        if want is not None:
+            seen.add("polished")
+        elif rounds_used(problem, 3) > 2:
+            seen.add("rounds used up")
+        else:
+            seen.add("stuck")
+    assert seen == {"polished", "stuck", "rounds used up"}
 
 
 def test_grid_expert_projection_matches_reference():

@@ -30,7 +30,7 @@ BOARDS = {
 }
 
 
-def reference_solve_stage_games(game, q, support_cache, tol=1e-9):
+def reference_solve_stage_games(game, q, support_cache):
     a1, a2 = game.action_counts
     S = game.n_states
     pol1 = np.zeros((S, a1))
@@ -40,7 +40,6 @@ def reference_solve_stage_games(game, q, support_cache, tol=1e-9):
         eq = equilibrium.bimatrix_nash(
             q[0, s].reshape(a1, a2),
             q[1, s].reshape(a1, a2),
-            tol=tol,
             first_supports=support_cache[s],
         )
         support_cache[s] = eq.supports

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mairl.errors import ConfigError
-from mairl.experiment import ExperimentConfig
+from mairl.experiment import ExperimentConfig, write_csv
 from mairl.synthetic import random_joint_policy, random_markov_game, random_reward
 from mairl.textio import fmt, parse_config, read_sections, write_config, write_sections
 
@@ -31,6 +31,17 @@ def test_bit_exact_round_trip(tmp_path):
 def test_fmt_is_shortest_faithful():
     for x in [1 / 3, 0.1, 1e-17, 123456.789012345678, np.pi]:
         assert float(fmt(x)) == x
+
+
+def test_csv_rows_and_provenance_write_the_same_bytes(tmp_path):
+    values = [7, np.int64(7), "text", 0.1, np.float64(0.1), -0.0, 1e-300]
+    want = ["7", "7", "text", "0.10000000000000001", "0.10000000000000001", "-0", "1e-300"]
+    keys = [f"c{i}" for i in range(len(values))]
+    write_csv(tmp_path / "row.csv", keys, [values])
+    assert (tmp_path / "row.csv").read_text() == ",".join(keys) + "\n" + ",".join(want) + "\n"
+    write_sections(tmp_path / "prov.txt", provenance=dict(zip(keys, values)))
+    lines = [f"{key} = {text}" for key, text in zip(keys, want)]
+    assert (tmp_path / "prov.txt").read_text() == "\n".join(["[provenance]", *lines]) + "\n"
 
 
 def test_config_round_trip(tmp_path):
