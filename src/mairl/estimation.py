@@ -29,14 +29,16 @@ comparison, though its position in the round's block stays reserved, and
 the random rows read the same uniforms whatever the other rows are. A row
 with one positive entry is fixed without a jump table, so only the other
 rows get one. An oracle with no random row (a deterministic game with a
-pure expert, such as every grid NashQ expert) builds no jump table and no
-generator. `sample_round`, the one draw path, hands draws out only as
-tallies: it adds `rounds` to each fixed row's slot at once and draws the
-random rows' rounds in chunks of bounded size, one `random()` call per
-chunk, so memory stays flat in the round count.
+pure expert, such as every grid NashQ expert) builds no jump table, no
+generator and no key. `sample_round`, the one draw path, hands draws out
+only as tallies: it adds `rounds` to each fixed row's slot at once, one
+1-D indexed add per table at slots found when the oracle is built, and
+draws the random rows' rounds in chunks of bounded size, one `random()`
+call per chunk, so memory stays flat in the round count.
 
 Since counts depend on k alone, `uniform_sampling` takes tau from
-`stopping_time`, a bisection on the nonincreasing schedule epsilon_k. Its
+`stopping_time`, a search on the nonincreasing schedule epsilon_k that
+tests a batch of rounds per `_schedule` call. Its
 history (LOG_COLUMNS) is a `SamplingHistory`: one row per round, computed
 from the schedule when read, so a run to tau costs numpy work on the random
 rows and O(1) Python objects, whatever tau is. It writes no file.
@@ -164,8 +166,11 @@ class GenerativeOracle:
     one outcome, which take no uniform (their positions in the block stay
     reserved), and random rows, which read theirs (`_split`); only random
     rows keep a jump table, and with no random row there is no `random()`
-    call at all. Draws leave the oracle only as `sample_round`'s tallies. A
-    negative seed raises ValueError here, from `SeedSequence`.
+    call at all, and no key: the seed is hashed by `SeedSequence` only when
+    some row is random. Each fixed row's flat slot in its table is kept, so
+    its tallies take one indexed add per table. Draws leave the oracle only
+    as `sample_round`'s tallies. A negative seed raises ValueError here,
+    whether or not a key is built.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -173,7 +178,8 @@ class GenerativeOracle:
         self.game = game
         self.expert = expert
         self.seed = int(seed)
-        self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed!r}")
         self._round_uniforms = game.n_states * (game.n_joint_actions + game.n_agents)
         self._round_blocks = -(-self._round_uniforms // 4)
         S, A, n = game.n_states, game.n_joint_actions, game.n_agents
@@ -184,9 +190,15 @@ class GenerativeOracle:
         row_columns = [columns[:, :A], *(columns[:, A + i] for i in range(n))]
         splits = [_split(t, c) for t, c in zip(tables, row_columns)]
         self._fixed = [fixed for fixed, _ in splits]  # (rows, outcomes) per table
+        # each fixed row's flat slot in its (rows, outcomes) table
+        self._fixed_slots = [
+            rows * t.shape[-1] + outcomes for t, (rows, outcomes) in zip(tables, self._fixed)
+        ]
         self._random = [random for _, random in splits]  # (rows, columns, jump table)
         comparisons = sum(table[0].size for _, _, table in self._random)
         self._has_random = comparisons > 0
+        if self._has_random:
+            self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         per_round = max(4 * self._round_blocks, comparisons)
         self._chunk_rounds = max(1, _CHUNK_ELEMENTS // per_round)
 
@@ -240,8 +252,16 @@ def _split(p: np.ndarray, columns: np.ndarray):
     the others are passed to `_jump_table`, where a row whose other entries
     are too small to move the CDF has one rise and is fixed too. Either way
     the outcome is the row's first positive entry, where its CDF first rises.
+    When every row has exactly one positive entry, one `np.nonzero` pass
+    finds them all.
     """
     p = p.reshape(-1, p.shape[-1])
+    rows, outcomes = np.nonzero(p > 0)
+    if np.array_equal(rows, np.arange(p.shape[0])):  # one positive entry per row
+        # no random row, and the width-1 table that fixed rows alone would have
+        none = rows[:0]
+        table = np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1))
+        return (rows, outcomes), (none, columns.ravel()[none], table)
     # each row's count of positive entries and its first one, by a loop over
     # the few columns: reductions along a short last axis cost per row
     count, first = np.zeros((2, p.shape[0]), dtype=np.intp)
@@ -250,11 +270,8 @@ def _split(p: np.ndarray, columns: np.ndarray):
         count += positive
         first[positive] = j
     fixed = count == 1
-    rest = np.flatnonzero(~fixed)
-    if rest.size:
-        positions, values = _jump_table(p[rest])
-    else:  # the width a table of fixed rows only would have
-        positions, values = np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1))
+    rest = np.flatnonzero(~fixed)  # not empty: some row has another count
+    positions, values = _jump_table(p[rest])
     one_rise = np.isfinite(values).sum(axis=-1) == 1
     fixed[rest[one_rise]] = True
     rows, keep = np.flatnonzero(fixed), ~one_rise
@@ -289,8 +306,8 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
     elif not np.array_equal(counts.successors, game.successors):
         raise DimensionMismatchError("the counts were drawn from another successor list")
     tables = [counts.n_slot, *counts.n_i_sa]
-    for table, (rows, outcomes) in zip(tables, oracle._fixed):
-        table.reshape(-1, table.shape[-1])[rows, outcomes] += rounds
+    for table, slots in zip(tables, oracle._fixed_slots):
+        table.reshape(-1)[slots] += rounds
     first, stop = counts.iteration + 1, counts.iteration + rounds + 1
     if oracle._has_random:
         for lo in range(first, stop, oracle._chunk_rounds):
@@ -478,6 +495,10 @@ def uniform_sampling(
     return UniformSamplingResult(problem, unc, counts.iteration, tau is not None, history)
 
 
+# rounds that `stopping_time` tests per `_schedule` call
+_SEARCH_BATCH = 1 << 12
+
+
 def stopping_time(
     params: ConfidenceParams,
     n_states: int,
@@ -492,7 +513,9 @@ def stopping_time(
     One round gives every pair one sample, so N_k(s,a) = N_k(s) = k everywhere
     and C_k is a function of k alone; the stopping round needs no simulation.
     epsilon_k is nonincreasing in k >= 1, so the rule, once met, stays met,
-    and a doubling bracket plus bisection finds its first round:
+    and a search that tests `_SEARCH_BATCH` rounds per `_schedule` call finds
+    its first round in at most ceil(log(k_max + 1) / log(_SEARCH_BATCH + 1))
+    calls (one up to k_max = 4096, three at 10^8):
 
     * the radius is (rmax/(1-gamma)) sqrt(2 log(a k^2) / k) with
       a = 12 S prodA / delta > 12, and log(a k^2) / k has derivative
@@ -508,30 +531,22 @@ def stopping_time(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     k_max = int(k_max)
-    if k_max < 1:
-        return None
-
-    def met(ks):
-        ks = np.asarray(ks, dtype=np.float64)
-        return _schedule(ks, params, n_states, action_counts, n_agents)[0] <= epsilon / 2.0
-
-    # powers of two below k_max, then k_max: the first that meets the rule
-    # closes a bracket (lo, hi] whose lower end does not
-    ks = [1 << j for j in range(k_max.bit_length()) if 1 << j < k_max] + [k_max]
-    hits = np.flatnonzero(met(ks))
-    if not hits.size:
-        return None
-    j = int(hits[0])
-    if j == 0:
-        return ks[0]
-    lo, hi = ks[j - 1], ks[j]
+    # (lo, hi] holds the answer, lo = 0 or a round that misses the rule and
+    # hi = k_max + 1 or one that meets it; each call tests up to
+    # _SEARCH_BATCH evenly spaced rounds inside and keeps the gap around the
+    # first that meets it, so the last call tests every round left
+    lo, hi = 0, k_max + 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if met([mid])[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        step = -(-(hi - lo) // (_SEARCH_BATCH + 1))
+        ks = np.arange(lo + step, hi, step)
+        eps = _schedule(ks.astype(np.float64), params, n_states, action_counts, n_agents)[0]
+        hits = np.flatnonzero(eps <= epsilon / 2.0)
+        first = int(hits[0]) if hits.size else ks.size  # index of the first round met
+        if first:
+            lo = int(ks[first - 1])
+        if first < ks.size:
+            hi = int(ks[first])
+    return hi if hi <= k_max else None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ caller and passed in.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -110,6 +111,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown reward class {self.reward_class!r}")
         if not self.eval_points:
             raise ConfigError("need at least one eval point")
+        # a float seed would draw its int's stream under its own label
+        if not all(
+            isinstance(v, numbers.Integral) for v in (*self.seeds, self.k_max, *self.eval_points)
+        ):
+            raise ConfigError("seeds, k_max and eval points must be integers")
         if any(k < 1 for k in self.eval_points) or self.k_max < max(self.eval_points):
             raise ConfigError("eval points must be >= 1 and <= k_max")
         if any(seed < 0 for seed in self.seeds):
@@ -128,15 +134,20 @@ class ExperimentConfig:
         return GridGameSpec(variant="deterministic", gamma=self.gamma, rmax=self.rmax)
 
 
+def _conversion(kind: type) -> str:
+    """The %-conversion of `fmt`'s rule for values of type `kind`."""
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, float):
+        return "%.17g"
+    return "%s"
+
+
 def fmt(x) -> str:
     """The one number format of every output file: an integer as itself, a
     float with 17 significant digits (which round-trips IEEE doubles
     bit-exactly), anything else by str."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return _conversion(type(x)) % (x,)
 
 
 def output_path(config: ExperimentConfig, name: str) -> str:
@@ -146,10 +157,18 @@ def output_path(config: ExperimentConfig, name: str) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
+    """Write `columns` and then `rows`, each value in `fmt`'s format. A row
+    is formatted by one %-format string, built once per tuple of value types."""
+    formats = {}
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            line = formats.get(kinds)
+            if line is None:
+                line = formats[kinds] = ",".join(map(_conversion, kinds)) + "\n"
+            fh.write(line % row)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,12 @@ def per_agent_rmax(rmax, n_agents: int) -> np.ndarray:
 
 
 def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
-    # written so that NaN fails: every comparison with NaN is False
-    if not np.all(rows >= 0):
+    # two passes over the table, its min and its row sums; min propagates
+    # NaN, which then fails the comparison, as every comparison with NaN does
+    if rows.size and not rows.min() >= 0:
         raise StochasticityError(f"{what} has negative or NaN entries")
-    sums = rows.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > PROB_ATOL
-    if np.any(bad):
-        worst = float(np.max(np.abs(sums - 1.0)))
+    worst = float(np.abs(rows.sum(axis=-1) - 1.0).max(initial=0.0))
+    if worst > PROB_ATOL:
         raise StochasticityError(f"{what} rows deviate from sum 1 by up to {worst:.3e}")
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mairl import estimation
 from mairl.estimation import (
     _HISTORY_CHUNK,
     LOG_COLUMNS,
@@ -279,6 +280,43 @@ def test_stopping_time_bisection_matches_the_linear_scan(case):
     assert stopping_time(params, *shape, epsilon, k_max=k_max) == _scan_stopping_time(
         params, *shape, epsilon, k_max
     )
+
+
+def _counting_schedule(monkeypatch):
+    """Patch `_schedule` to record the round count of each call; returns the record."""
+    calls = []
+    schedule = estimation._schedule
+
+    def counting(ks, *args):
+        calls.append(len(ks))
+        return schedule(ks, *args)
+
+    monkeypatch.setattr(estimation, "_schedule", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k_max, most", [(500, 3), (10**8, 5)])
+def test_stopping_time_tests_a_batch_of_rounds_per_schedule_call(k_max, most, monkeypatch):
+    # the 4x4 board (240 states, 4 x 4 joint actions) at epsilon = 100 with
+    # the grid's defaults, as the certify-4x4 benchmark runs it
+    params, shape = _params(delta=0.1, pi_min=1.0, rmax=1.0, gamma=0.9), (240, (4, 4), 2)
+    want = _scan_stopping_time(params, *shape, 100.0, k_max)
+    calls = _counting_schedule(monkeypatch)
+    assert stopping_time(params, *shape, 100.0, k_max=k_max) == want == 150
+    assert 1 <= len(calls) <= most
+    assert max(calls) <= estimation._SEARCH_BATCH
+
+
+def test_stopping_time_of_the_3x3_board_at_epsilon_1_matches_the_scan(monkeypatch):
+    config = ExperimentConfig()
+    game = set_up(config.grid_spec()).game
+    params, shape = config.confidence_params(), (game.n_states, game.action_counts, game.n_agents)
+    want = _scan_stopping_time(params, *shape, config.epsilon, 10**8)
+    calls = _counting_schedule(monkeypatch)
+    assert stopping_time(params, *shape, config.epsilon, k_max=10**8) == want == 2_685_541
+    assert len(calls) <= 5
+    # one round short of tau there is no stopping round
+    assert stopping_time(params, *shape, config.epsilon, k_max=want - 1) is None
 
 
 def test_uniform_sampling_budget_exhaustion():

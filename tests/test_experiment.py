@@ -95,6 +95,21 @@ def test_experiment_config_rejects_a_negative_seed():
         ExperimentConfig(seeds=(0, -1))
 
 
+@pytest.mark.parametrize(
+    "field", [{"seeds": (0, 0.5)}, {"k_max": 5.5}, {"eval_points": (1, 2.0)}, {"k_max": None}]
+)
+def test_experiment_config_rejects_a_count_that_is_not_an_integer(field):
+    # a seed of 0.5 would draw seed 0's stream; k_max = 5.5 would be written
+    # to a config file that parse_config rejects
+    with pytest.raises(ConfigError, match="integers"):
+        ExperimentConfig(**field)
+
+
+def test_experiment_config_takes_numpy_integers():
+    config = ExperimentConfig(seeds=(np.int64(2),), k_max=np.int32(50), eval_points=(np.uint8(1),))
+    assert config.k_max == 50
+
+
 def test_run_experiment_smoke_and_determinism(tmp_path):
     config = ExperimentConfig(
         seeds=(0, 1),

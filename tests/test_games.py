@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from mairl.errors import DimensionMismatchError, StochasticityError
-from mairl.games import JointPolicy, JointReward, MarkovGame, deterministic_policy
+from mairl.games import (
+    PROB_ATOL,
+    JointPolicy,
+    JointReward,
+    MarkovGame,
+    _check_rows_stochastic,
+    deterministic_policy,
+)
 from mairl.synthetic import random_markov_game, single_state_game
 
 
@@ -15,6 +22,29 @@ def test_transition_rows_must_be_stochastic():
     P[0, 0, 1] = 1.1
     with pytest.raises(StochasticityError):
         MarkovGame(P, 0.9, [0.5, 0.5], (2,))
+
+
+def test_row_check_names_each_fault():
+    def check(rows):
+        _check_rows_stochastic(np.asarray(rows, dtype=np.float64), "table")
+
+    # a negative entry is named even where its row sums to 1, NaN wherever it is
+    for rows in ([[0.5, 0.5], [1.1, -0.1]], [[np.nan, 1.0]], [[-np.inf, 1.0]], [[1.0], [np.nan]]):
+        with pytest.raises(StochasticityError, match="table has negative or NaN entries"):
+            check(rows)
+    check([[-0.0, 1.0]])  # -0.0 is not negative
+    off = 3 * PROB_ATOL
+    deviation = r"table rows deviate from sum 1 by up to 3\.000e-12"
+    with pytest.raises(StochasticityError, match=deviation):
+        check([[0.5, 0.5], [0.5, 0.5 + off], [0.5, 0.5 - off / 3]])
+    with pytest.raises(StochasticityError, match="deviate from sum 1 by up to inf"):
+        check([[np.inf, 0.0]])
+    with pytest.raises(StochasticityError, match="deviate from sum 1 by up to 1.000e"):
+        check(np.zeros((2, 0)))  # rows with no entries sum to 0
+    # within PROB_ATOL, and tables with no rows, pass
+    check([[0.5, 0.5 + PROB_ATOL / 2], [1.0, 0.0]])
+    check(np.zeros((0, 3)))
+    check(np.zeros((0, 0)))
 
 
 def test_mu_and_gamma_validation():

@@ -451,6 +451,31 @@ class _CountingGenerator:
         return self._inner.random(*args, **kwargs)
 
 
+def test_all_fixed_oracle_builds_no_seed_sequence(monkeypatch):
+    game, expert = _nashq_expert(3, 3)
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting_seed_sequence(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    # the counter sees a mixed oracle's key
+    mixed = _mixed_oracles()[1]
+    assert mixed._has_random and built
+    built.clear()
+    oracle = GenerativeOracle(game, expert, seed=2)
+    assert not oracle._has_random
+    sample_round(oracle, CountBook(game.n_states, game.action_counts), 1000)
+    params = ConfidenceParams(delta=0.1, pi_min=1.0, rmax=1.0, gamma=0.9)
+    assert uniform_sampling(oracle, params, 100.0, 500).converged
+    # a negative seed raises at construction, though no key would be built
+    with pytest.raises(ValueError, match="seed"):
+        GenerativeOracle(game, expert, seed=-1)
+    assert built == []
+
+
 def test_all_fixed_oracle_draws_no_uniform(monkeypatch):
     oracle = GenerativeOracle(*_nashq_expert(3, 3), seed=2)
     assert not oracle._has_random

@@ -44,6 +44,37 @@ def test_csv_rows_and_provenance_write_the_same_bytes(tmp_path):
     assert (tmp_path / "prov.txt").read_text() == "\n".join(["[provenance]", *lines]) + "\n"
 
 
+def _value_by_value_fmt(x) -> str:
+    """The output format rule applied to one value at a time."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def test_csv_row_formats_write_the_bytes_of_the_value_by_value_rule(tmp_path):
+    mixed = [
+        3, np.int64(-4), np.uint8(200), True, np.True_, "a b", np.float32(0.1),
+        float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, np.float64(1 / 3), None,
+    ]
+    rng = np.random.default_rng(0)
+    # rows of one type signature, rows of others, and rows of other lengths,
+    # interleaved so that each cached format is used more than once
+    rows = [mixed, mixed[::-1], (1, 2.5), [np.int32(5), np.float64(-2.0)], mixed[3:9]]
+    rows += [tuple(rng.permutation(np.array(mixed, dtype=object))) for _ in range(20)]
+    rows += rows[:5] + [(), ("",)]
+    write_csv(tmp_path / "rows.csv", ("x", "y"), rows)
+    want = "".join(",".join(_value_by_value_fmt(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "rows.csv").read_text() == "x,y\n" + want
+    for v in mixed:
+        assert fmt(v) == _value_by_value_fmt(v)
+    row = ",".join(map(fmt, mixed))
+    assert row == (
+        "3,-4,200,1,True,a b,0.1,nan,inf,-inf,-0,9.9999999999999694e-311,0.33333333333333331,None"
+    )
+
+
 def test_config_round_trip(tmp_path):
     config = ExperimentConfig(seeds=(3, 4), epsilon=0.25, k_max=10,
                               eval_points=(1, 10), variants=("deterministic",),
