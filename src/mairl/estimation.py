@@ -189,10 +189,9 @@ class GenerativeOracle:
         tables = [game.successor_probs, *expert.per_agent]
         row_columns = [columns[:, :A], *(columns[:, A + i] for i in range(n))]
         splits = [_split(t, c) for t, c in zip(tables, row_columns)]
-        self._fixed = [fixed for fixed, _ in splits]  # (rows, outcomes) per table
         # each fixed row's flat slot in its (rows, outcomes) table
         self._fixed_slots = [
-            rows * t.shape[-1] + outcomes for t, (rows, outcomes) in zip(tables, self._fixed)
+            rows * t.shape[-1] + outcomes for t, ((rows, outcomes), _) in zip(tables, splits)
         ]
         self._random = [random for _, random in splits]  # (rows, columns, jump table)
         comparisons = sum(table[0].size for _, _, table in self._random)
@@ -201,6 +200,12 @@ class GenerativeOracle:
             self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         per_round = max(4 * self._round_blocks, comparisons)
         self._chunk_rounds = max(1, _CHUNK_ELEMENTS // per_round)
+
+    @property
+    def _fixed(self):
+        """Each table's fixed rows and their outcomes, read off the slots."""
+        tables = [self.game.successor_probs, *self.expert.per_agent]
+        return [divmod(slots, t.shape[-1]) for slots, t in zip(self._fixed_slots, tables)]
 
     def _random_draws(self, first: int, rounds: int):
         """Each table's random-row draws in rounds first, ..., first + rounds - 1,
@@ -252,25 +257,20 @@ def _split(p: np.ndarray, columns: np.ndarray):
     the others are passed to `_jump_table`, where a row whose other entries
     are too small to move the CDF has one rise and is fixed too. Either way
     the outcome is the row's first positive entry, where its CDF first rises.
-    When every row has exactly one positive entry, one `np.nonzero` pass
-    finds them all.
+    One `np.nonzero` pass finds every row's positive entries; every row of a
+    stochastic table has one, so a pass with one entry per row leaves no
+    random row.
     """
     p = p.reshape(-1, p.shape[-1])
-    rows, outcomes = np.nonzero(p > 0)
-    if np.array_equal(rows, np.arange(p.shape[0])):  # one positive entry per row
-        # no random row, and the width-1 table that fixed rows alone would have
-        none = rows[:0]
+    rows, outcomes = np.nonzero(p > 0)  # in row order
+    if rows.size == p.shape[0]:  # the width-1 empty table of fixed rows alone
         table = np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1))
-        return (rows, outcomes), (none, columns.ravel()[none], table)
-    # each row's count of positive entries and its first one, by a loop over
-    # the few columns: reductions along a short last axis cost per row
-    count, first = np.zeros((2, p.shape[0]), dtype=np.intp)
-    for j in reversed(range(p.shape[1])):
-        positive = p[:, j] > 0
-        count += positive
-        first[positive] = j
+        return (rows, outcomes), (rows[:0], columns.ravel()[:0], table)
+    # each row's count of positive entries and its first one
+    count = np.bincount(rows, minlength=p.shape[0])
+    first = outcomes[np.searchsorted(rows, np.arange(p.shape[0]))]
     fixed = count == 1
-    rest = np.flatnonzero(~fixed)  # not empty: some row has another count
+    rest = np.flatnonzero(~fixed)  # not empty: some row has more than one
     positions, values = _jump_table(p[rest])
     one_rise = np.isfinite(values).sum(axis=-1) == 1
     fixed[rest[one_rise]] = True
@@ -411,8 +411,9 @@ def uncertainty(counts: CountBook, params: ConfidenceParams) -> UncertaintyTable
     )
 
 
-# rounds per `_schedule` call when a history is iterated
-_HISTORY_CHUNK = 1 << 12
+# rounds per `_schedule` call, when a history is iterated and when
+# `stopping_time` searches
+_SCHEDULE_CHUNK = 1 << 12
 
 
 class SamplingHistory(Sequence):
@@ -423,7 +424,7 @@ class SamplingHistory(Sequence):
     active states, wall time), with Python int and float values; every row
     carries the same wall time. Indexing takes one `_schedule` call (a
     slice takes one over its rounds) and iteration takes one per chunk of
-    `_HISTORY_CHUNK` rounds, so nothing of the run's length is stored."""
+    `_SCHEDULE_CHUNK` rounds, so nothing of the run's length is stored."""
 
     def __init__(self, rounds: int, params: ConfidenceParams, shape, wall_time_ms: float):
         self._rounds = int(rounds)
@@ -441,8 +442,8 @@ class SamplingHistory(Sequence):
         return self._rows(np.array([rounds]))[0]
 
     def __iter__(self):
-        for lo in range(1, self._rounds + 1, _HISTORY_CHUNK):
-            yield from self._rows(np.arange(lo, min(lo + _HISTORY_CHUNK, self._rounds + 1)))
+        for lo in range(1, self._rounds + 1, _SCHEDULE_CHUNK):
+            yield from self._rows(np.arange(lo, min(lo + _SCHEDULE_CHUNK, self._rounds + 1)))
 
     def _rows(self, ks: np.ndarray) -> list:
         """The rows of rounds ks (an int array)."""
@@ -495,10 +496,6 @@ def uniform_sampling(
     return UniformSamplingResult(problem, unc, counts.iteration, tau is not None, history)
 
 
-# rounds that `stopping_time` tests per `_schedule` call
-_SEARCH_BATCH = 1 << 12
-
-
 def stopping_time(
     params: ConfidenceParams,
     n_states: int,
@@ -513,8 +510,8 @@ def stopping_time(
     One round gives every pair one sample, so N_k(s,a) = N_k(s) = k everywhere
     and C_k is a function of k alone; the stopping round needs no simulation.
     epsilon_k is nonincreasing in k >= 1, so the rule, once met, stays met,
-    and a search that tests `_SEARCH_BATCH` rounds per `_schedule` call finds
-    its first round in at most ceil(log(k_max + 1) / log(_SEARCH_BATCH + 1))
+    and a search that tests `_SCHEDULE_CHUNK` rounds per `_schedule` call finds
+    its first round in at most ceil(log(k_max + 1) / log(_SCHEDULE_CHUNK + 1))
     calls (one up to k_max = 4096, three at 10^8):
 
     * the radius is (rmax/(1-gamma)) sqrt(2 log(a k^2) / k) with
@@ -533,11 +530,11 @@ def stopping_time(
     k_max = int(k_max)
     # (lo, hi] holds the answer, lo = 0 or a round that misses the rule and
     # hi = k_max + 1 or one that meets it; each call tests up to
-    # _SEARCH_BATCH evenly spaced rounds inside and keeps the gap around the
+    # _SCHEDULE_CHUNK evenly spaced rounds inside and keeps the gap around the
     # first that meets it, so the last call tests every round left
     lo, hi = 0, k_max + 1
     while hi - lo > 1:
-        step = -(-(hi - lo) // (_SEARCH_BATCH + 1))
+        step = -(-(hi - lo) // (_SCHEDULE_CHUNK + 1))
         ks = np.arange(lo + step, hi, step)
         eps = _schedule(ks.astype(np.float64), params, n_states, action_counts, n_agents)[0]
         hits = np.flatnonzero(eps <= epsilon / 2.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mairl import estimation
 from mairl.estimation import (
-    _HISTORY_CHUNK,
+    _SCHEDULE_CHUNK,
     LOG_COLUMNS,
     ConfidenceParams,
     _indicator,
@@ -237,7 +237,7 @@ def test_stopping_time_past_a_chunk_boundary_matches_one_array_scan(epsilon):
 
 def _scan_stopping_time(params, n_states, action_counts, n_agents, epsilon, k_max):
     """The former linear scan, kept as the oracle of `stopping_time`'s
-    bisection: epsilon_k in chunks of rounds, the first k that meets the rule."""
+    search: epsilon_k in chunks of rounds, the first k that meets the rule."""
     chunk, lo = 65536, 1
     while lo <= k_max:
         ks = np.arange(lo, min(lo + chunk - 1, k_max) + 1, dtype=np.float64)
@@ -304,7 +304,7 @@ def test_stopping_time_tests_a_batch_of_rounds_per_schedule_call(k_max, most, mo
     calls = _counting_schedule(monkeypatch)
     assert stopping_time(params, *shape, 100.0, k_max=k_max) == want == 150
     assert 1 <= len(calls) <= most
-    assert max(calls) <= estimation._SEARCH_BATCH
+    assert max(calls) <= _SCHEDULE_CHUNK
 
 
 def test_stopping_time_of_the_3x3_board_at_epsilon_1_matches_the_scan(monkeypatch):
@@ -359,7 +359,7 @@ def test_history_of_a_run_to_the_3x3_stopping_round_is_read_on_demand():
         run = uniform_sampling(oracle, params, config.epsilon, 10**8)
         run_peak = tracemalloc.get_traced_memory()[1]
         history = run.history
-        head = list(itertools.islice(history, 2 * _HISTORY_CHUNK + 3))
+        head = list(itertools.islice(history, 2 * _SCHEDULE_CHUNK + 3))
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,13 +369,13 @@ def test_history_of_a_run_to_the_3x3_stopping_round_is_read_on_demand():
     assert run_peak < 2**20 and read_peak < 8 * 2**20
     wall_ms = history[0][-1]
     assert isinstance(wall_ms, float)
-    for k in (1, _HISTORY_CHUNK, _HISTORY_CHUNK + 1, run.tau):
+    for k in (1, _SCHEDULE_CHUNK, _SCHEDULE_CHUNK + 1, run.tau):
         want = _schedule_row(k, params, shape, wall_ms)
         for row in (history[k - 1], history[k - 1 - run.tau]):
             assert row == want
             assert [type(v) for v in row] == [type(v) for v in want]
     # iteration, indexing and slicing agree across chunk boundaries
-    boundary = range(_HISTORY_CHUNK - 2, 2 * _HISTORY_CHUNK + 3)
+    boundary = range(_SCHEDULE_CHUNK - 2, 2 * _SCHEDULE_CHUNK + 3)
     assert [head[i] for i in boundary] == [history[i] for i in boundary]
     assert head == history[: len(head)]
     assert history[-3:] == [history[run.tau - 3], history[run.tau - 2], history[run.tau - 1]]
