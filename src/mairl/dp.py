@@ -2,14 +2,15 @@
 
 Values solve the linear Bellman system Q = R + gamma * P V, V = pi Q per
 agent. Every system is solved by one dense S x S factorization of
-I - gamma P_pi, where the state kernel P_pi and the own-action kernels are
-summed from the game's successor list; P V, in Q and in reward shaping, is
-a gather over that list. Discounted occupancy measures are plain (S, A)
-arrays. Rewards must be
-(n, S, A) tables of the game and policies must match its states and action
-counts; otherwise DimensionMismatchError is raised. Opponent-expected
-advantages come as one (S, |A_i|) table per agent, and a value bundle whose
-Bellman residual exceeds its tolerance raises StaleValuesError there.
+I - gamma P_pi. Every S x S kernel, the policy's P_pi and an agent's pure
+reply against the others' policy alike, is summed from the game's successor
+list; P V, in Q and in reward shaping, is a gather over that list
+(`_expected_next`). Discounted occupancy measures are plain (S, A) arrays.
+Rewards must be (n, S, A) tables of the game and policies must match its
+states and action counts; otherwise DimensionMismatchError is raised.
+Opponent-expected advantages come as one (S, |A_i|) table per agent, and a
+value bundle whose Bellman residual exceeds its tolerance raises
+StaleValuesError there.
 """
 
 from __future__ import annotations
@@ -58,11 +59,27 @@ def _check_shapes(
             )
 
 
+def _expected_next(game: MarkovGame, v: np.ndarray) -> np.ndarray:
+    """(..., S, A) table P V: sum_{s'} P(s'|s,a) v[..., s'] per value row of v (..., S)."""
+    return _gather(game.successors, game.successor_probs, v)
+
+
+def _weighted_kernel(game: MarkovGame, weights: np.ndarray) -> np.ndarray:
+    """S x S kernel sum_a weights[s, a] P(s'|s,a) for (S, A) weights."""
+    S = game.n_states
+    return _scatter(game.successors, game.successor_probs, weights, np.arange(S)[:, None], S)
+
+
 def transition_under(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)."""
-    S = game.n_states
-    rows = np.arange(S)[:, None]
-    return _scatter(game.successors, game.successor_probs, policy.joint_table(), rows, S)
+    return _weighted_kernel(game, policy.joint_table())
+
+
+def _reply_kernel(game: MarkovGame, policy: JointPolicy, agent: int, actions) -> np.ndarray:
+    """S x S kernel sum_{a^{-i}} pi^{-i}(a^{-i}|s) P(s'|s, (actions[s], a^{-i})) of
+    the pure reply `actions` (S,) of `agent`, or of one own action everywhere."""
+    mask = game.agent_actions[agent] == np.asarray(actions)[..., None]
+    return _weighted_kernel(game, np.where(mask, policy.opponent_table(agent), 0.0))
 
 
 def policy_evaluation(game: MarkovGame, reward: JointReward, policy: JointPolicy) -> ValueBundle:
@@ -73,7 +90,7 @@ def policy_evaluation(game: MarkovGame, reward: JointReward, policy: JointPolicy
     p_pi = transition_under(game, policy)
     r_pi = np.einsum("sa,isa->is", joint, reward.tables)
     v = np.linalg.solve(np.eye(game.n_states) - game.gamma * p_pi, r_pi.T).T
-    q = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, v)
+    q = reward.tables + game.gamma * _expected_next(game, v)
     residual = float(np.max(np.abs(v - np.einsum("sa,isa->is", joint, q))))
     return ValueBundle(v=v, q=q, residual=residual, tol=_RESIDUAL_TOL)
 
@@ -91,20 +108,9 @@ def own_action_marginal(
     return np.einsum("sf,sf...,fd->sd...", opp, table, onehot)
 
 
-def own_action_kernel(game: MarkovGame, policy: JointPolicy, agent: int) -> np.ndarray:
-    """(S, |A_i|, S) kernel sum_{a^{-i}} pi^{-i}(a^{-i}|s) P(s'|s, (a^i, a^{-i})):
-    the single-agent MDP that `agent` faces against the others' policy."""
-    S, n_own = game.n_states, game.action_counts[agent]
-    rows = np.arange(S)[:, None] * n_own + game.agent_actions[agent]
-    kernel = _scatter(
-        game.successors, game.successor_probs, policy.opponent_table(agent), rows, S * n_own
-    )
-    return kernel.reshape(S, n_own, S)
-
-
 def shaping(game: MarkovGame, v: np.ndarray) -> np.ndarray:
     """(n, S, A) potential-shaping tables V^i(s) - gamma sum_{s'} P(s'|s,a) V^i(s')."""
-    return v[:, :, None] - game.gamma * _gather(game.successors, game.successor_probs, v)
+    return v[:, :, None] - game.gamma * _expected_next(game, v)
 
 
 def expected_advantage_table(
@@ -154,9 +160,7 @@ def simulation_decomposition(
     v_hat = policy_evaluation(game_phat, reward_hat, policy).v[agent]
     lhs = v_hat - v_true
 
-    next_hat, next_true = (
-        _gather(g.successors, g.successor_probs, v_true[None])[0] for g in (game_phat, game_p)
-    )
+    next_hat, next_true = (_expected_next(g, v_true) for g in (game_phat, game_p))
     defect = (reward_hat.tables[agent] - reward.tables[agent]) + game_p.gamma * (
         next_hat - next_true
     )

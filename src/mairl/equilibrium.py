@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import _check_shapes, own_action_kernel, own_action_marginal, policy_evaluation
+from .dp import _check_shapes, _expected_next, _reply_kernel, own_action_marginal, policy_evaluation
 from .errors import ConvergenceError, DimensionMismatchError
-from .games import JointPolicy, JointReward, MarkovGame, _gather
+from .games import JointPolicy, JointReward, MarkovGame
 
 MAX_OVER_STATES = "max-over-states"
 MU_WEIGHTED = "mu-weighted"
@@ -83,20 +83,19 @@ def best_response(
     """
     _check_shapes(game, reward, policy)
     S = game.n_states
-    n_actions = game.action_counts[agent]
-    # the single-agent MDP seen by `agent` when the others play policy^{-agent}
+    # the single-agent MDP seen by `agent` when the others play policy^{-agent}:
+    # opponent-expected rewards, and each reply's S x S kernel and P V
     r = own_action_marginal(game, policy, agent, reward.tables[agent])
-    p = own_action_kernel(game, policy, agent)
 
     # switches require a strict improvement beyond float noise, which rules
     # out cycling between policies whose values tie to machine precision
     switch_tol = 1e-11 * (1.0 + np.abs(r).max() / max(1.0 - game.gamma, 1e-12))
     actions = np.zeros(S, dtype=np.int64)
     rows = np.arange(S)
-    for _ in range(4 * S * n_actions + 64):
-        p_pol = p[rows, actions]
+    for _ in range(4 * S * game.action_counts[agent] + 64):
+        p_pol = _reply_kernel(game, policy, agent, actions)
         v = np.linalg.solve(np.eye(S) - game.gamma * p_pol, r[rows, actions])
-        q = r + game.gamma * p @ v
+        q = r + game.gamma * own_action_marginal(game, policy, agent, _expected_next(game, v))
         # lowest action index within the tolerance window of the maximum
         greedy = np.argmax(q >= q.max(axis=1, keepdims=True) - switch_tol, axis=1)
         improving = q[rows, greedy] > q[rows, actions] + switch_tol
@@ -126,11 +125,8 @@ def nash_gap(
         raise ValueError(f"unknown initial_state_mode {initial_state_mode!r}")
     gaps = np.zeros(game.n_agents)
     for i in range(game.n_agents):
-        br = best_response(game, reward, policy, i)
-        if initial_state_mode == MAX_OVER_STATES:
-            gaps[i] = np.max(br.gap_per_state)
-        else:
-            gaps[i] = float(game.mu @ br.gap_per_state)
+        gain = best_response(game, reward, policy, i).gap_per_state
+        gaps[i] = np.max(gain) if initial_state_mode == MAX_OVER_STATES else game.mu @ gain
     gaps = np.maximum(gaps, 0.0)
     return NashGapReport(
         per_agent_gap=gaps, gap=float(gaps.max()), initial_state_mode=initial_state_mode
@@ -388,7 +384,7 @@ def _jump(game, reward, pol1, pol2, support_cache):
         return None
     values = np.zeros((2, game.n_states))
     values[:, s_idx] = payoffs[:, s_idx, i_idx, j_idx]
-    q_next = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, values)
+    q_next = reward.tables + game.gamma * _expected_next(game, values)
     delta = float(np.max(np.abs(q_next - q)))
     return (q, delta) if delta < 1e-8 else None
 
@@ -446,9 +442,7 @@ def nash_value_iteration(
         iterations += 1
         before = list(support_cache)
         pol1, pol2, values = _solve_stage_games(game, q, support_cache)
-        q_next = reward.tables + game.gamma * _gather(
-            game.successors, game.successor_probs, values
-        )
+        q_next = reward.tables + game.gamma * _expected_next(game, values)
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
         if delta < 1e-8:

@@ -169,17 +169,17 @@ class GenerativeOracle:
     call at all, and no key: the seed is hashed by `SeedSequence` only when
     some row is random. Each fixed row's flat slot in its table is kept, so
     its tallies take one indexed add per table. Draws leave the oracle only
-    as `sample_round`'s tallies. A negative seed raises ValueError here,
-    whether or not a key is built.
+    as `sample_round`'s tallies. A seed that is not a non-negative integer
+    (a float included) raises ValueError here, whether or not a key is built.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
         _check_shapes(game, None, expert)
         self.game = game
         self.expert = expert
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed!r}")
         self._round_uniforms = game.n_states * (game.n_joint_actions + game.n_agents)
         self._round_blocks = -(-self._round_uniforms // 4)
         S, A, n = game.n_states, game.n_joint_actions, game.n_agents
@@ -290,13 +290,13 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
     stays flat in `rounds`; a chunk adds its samples with one `np.bincount`
     per table over the random rows. An oracle with no random row costs
     O(S A) per call, whatever `rounds` is. The counts equal those of
-    `rounds` single-round calls. Negative `rounds` (ValueError) and a book
-    not shaped for the game (DimensionMismatchError) raise before any tally.
-    A book takes the oracle's successor list on its first call and raises
-    DimensionMismatchError if a later oracle's list differs.
+    `rounds` single-round calls. Negative or non-integer `rounds` (ValueError)
+    and a book not shaped for the game (DimensionMismatchError) raise before
+    any tally. A book takes the oracle's successor list on its first call
+    and raises DimensionMismatchError if a later oracle's list differs.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
+    if not isinstance(rounds, numbers.Integral) or rounds < 0:
+        raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
     game = oracle.game
     if (counts.n_states, counts.action_counts) != (game.n_states, game.action_counts):
         raise DimensionMismatchError("the counts do not match the oracle's game")
@@ -476,17 +476,14 @@ def uniform_sampling(
     estimates after k_max rounds. The history holds one row per round drawn
     (a `SamplingHistory`, whose rows are computed when read); every row's
     wall_time_ms is the elapsed time at the end of that call, the batch that
-    drew its round. A k_max that is not a non-negative integer (a float
-    included) and a non-positive epsilon_target raise ValueError before any
-    draw.
+    drew its round. A non-positive epsilon_target and a k_max that
+    `stopping_time` refuses raise ValueError before any draw.
     """
     if not epsilon_target > 0:
         raise ValueError("epsilon_target must be positive")
-    if not isinstance(k_max, numbers.Integral) or k_max < 0:
-        raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
     game = oracle.game
     shape = (game.n_states, game.action_counts, game.n_agents)
-    tau = stopping_time(params, *shape, epsilon_target, k_max=int(k_max))
+    tau = stopping_time(params, *shape, epsilon_target, k_max=k_max)
     counts = CountBook(game.n_states, game.action_counts)
     start = time.perf_counter()
     sample_round(oracle, counts, int(k_max) if tau is None else tau)
@@ -506,6 +503,7 @@ def stopping_time(
 ):
     """Deterministic stopping round of the uniform schedule: the first
     k <= k_max with epsilon_k <= epsilon / 2, or None if there is none.
+    A non-positive epsilon or a negative or non-integer k_max raises ValueError.
 
     One round gives every pair one sample, so N_k(s,a) = N_k(s) = k everywhere
     and C_k is a function of k alone; the stopping round needs no simulation.
@@ -527,6 +525,8 @@ def stopping_time(
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
     k_max = int(k_max)
     # (lo, hi] holds the answer, lo = 0 or a round that misses the rule and
     # hi = k_max + 1 or one that meets it; each call tests up to

@@ -68,9 +68,9 @@ def _pack_positive(P: np.ndarray):
 
 
 def _gather(successors: np.ndarray, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(n, S, A) table sum_w probs[s, a, w] v[i, successors[s, a, w]]: each
-    value row of v (n, S) in expectation under the successor list."""
-    return (probs * v[:, successors]).sum(axis=-1)
+    """(..., S, A) table sum_w probs[s, a, w] v[..., successors[s, a, w]]: each
+    value row of v (..., S) in expectation under the successor list."""
+    return (probs * v[..., successors]).sum(axis=-1)
 
 
 def _scatter(successors, probs, weights, rows, n_rows: int) -> np.ndarray:

@@ -57,7 +57,7 @@ from functools import partial
 
 import numpy as np
 
-from .dp import _check_shapes, own_action_kernel, own_action_marginal, transition_under
+from .dp import _check_shapes, _reply_kernel, own_action_marginal, transition_under
 from .errors import NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
@@ -116,9 +116,9 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
     p_pi = transition_under(game, policy)
-    p_dev = own_action_kernel(game, policy, agent)
-    p_dev -= p_pi[:, None, :]
-    p_dev *= game.gamma
+    p_dev = np.empty((S, n_own, S))
+    for d in range(n_own):  # gamma (P_d - P_pi), one own action d at a time
+        p_dev[:, d] = (_reply_kernel(game, policy, agent, d) - p_pi) * game.gamma
     # X (I - gamma P_pi)^{-1} is the transpose of a solve with the transposed system
     resolved = np.linalg.solve(
         (np.eye(S) - game.gamma * p_pi).T, p_dev.reshape(S * n_own, S).T
@@ -416,7 +416,8 @@ def max_gap_reward(
     the projection was polished, blended or fell back to the LP vertex.
     Works on the true model or on an estimated problem converted to a game.
     A policy or per-agent rmax not shaped for the game raises
-    DimensionMismatchError before any LP runs.
+    DimensionMismatchError, and an rmax entry that is not positive and
+    finite ValueError, before any LP runs.
     """
     if mode not in (MAX_MARGIN, DISTANCE_TO_RANDOM):
         raise ValueError(f"unknown mode {mode!r}")
@@ -424,8 +425,8 @@ def max_gap_reward(
         raise ValueError("distance-to-random mode needs a seed for the target reward")
     _check_shapes(game, None, policy)
     r = per_agent_rmax(rmax, game.n_agents)
-    if np.any(r <= 0):
-        raise ValueError("rmax must be positive")
+    if not np.all((r > 0) & (r < np.inf)):
+        raise ValueError("rmax must be positive and finite")
 
     S, A = game.n_states, game.n_joint_actions
     rng = np.random.default_rng(seed) if seed is not None else None

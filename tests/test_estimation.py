@@ -110,8 +110,9 @@ def test_negative_rounds_raise_and_leave_the_book_unchanged():
     oracle = GenerativeOracle(game, expert, seed=0)
     counts = sample_round(oracle, CountBook(3, (2, 2)), 2)
     before = [counts.n_slot.copy(), *(t.copy() for t in counts.n_i_sa)]
-    with pytest.raises(ValueError):
-        sample_round(oracle, counts, rounds=-1)
+    for rounds in (-1, 2.5):
+        with pytest.raises(ValueError, match="rounds"):
+            sample_round(oracle, counts, rounds=rounds)
     assert counts.iteration == 2
     for table, old in zip((counts.n_slot, *counts.n_i_sa), before):
         assert np.array_equal(table, old)
@@ -338,6 +339,8 @@ def test_uniform_sampling_rejects_a_k_max_that_is_no_round_count(k_max, monkeypa
     monkeypatch.setattr("mairl.estimation.sample_round", no_draws)
     with pytest.raises(ValueError, match="k_max"):
         uniform_sampling(oracle, _params(pi_min=1.0), epsilon_target=1e-3, k_max=k_max)
+    with pytest.raises(ValueError, match="k_max"):
+        stopping_time(_params(pi_min=1.0), game.n_states, game.action_counts, 2, 1e-3, k_max)
 
 
 def _schedule_row(k, params, shape, wall_ms):

@@ -8,6 +8,11 @@ normalised CDF. On grids whose rows have one successor (w = 1: the
 deterministic and obstacle variants) every result must be bit-identical;
 on random games (w = S) and stochastic-up (w = 4) the sum order differs,
 so they agree within 1e-12.
+
+Best responses and advantage rows once read one (S, |A_i|, S) own-action
+kernel, scattered from the list in one pass; that kernel and the policy
+iteration on it are kept here as the oracle of the S x S reply kernels that
+replaced them, and every result must match it bit for bit.
 """
 
 import functools
@@ -19,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mairl import dp, equilibrium, estimation, experiment, gridworld
+from mairl import dp, equilibrium, estimation, experiment, gridworld, reward_select
 from mairl.estimation import EstimatedProblem, GenerativeOracle
-from mairl.games import JointPolicy, MarkovGame, _gather, deterministic_policy
+from mairl.games import JointPolicy, MarkovGame, _gather, _scatter, deterministic_policy
 from mairl.synthetic import random_joint_policy, random_markov_game, random_reward
 
 from test_sampling_reference import pipeline_round_samples, reference_round_samples
@@ -81,6 +86,48 @@ def _dense_own_action_kernel(game, policy, agent):
     )
 
 
+def _scatter_own_action_kernel(game, policy, agent):
+    """(S, |A_i|, S) kernel sum_{a^{-i}} pi^{-i}(a^{-i}|s) P(s'|s, (a^i, a^{-i})),
+    scattered from the list into rows (s, a^i) in one pass."""
+    S, n_own = game.n_states, game.action_counts[agent]
+    rows = np.arange(S)[:, None] * n_own + game.agent_actions[agent]
+    kernel = _scatter(
+        game.successors, game.successor_probs, policy.opponent_table(agent), rows, S * n_own
+    )
+    return kernel.reshape(S, n_own, S)
+
+
+def _dense_best_response(game, reward, policy, agent):
+    """Policy iteration on the own-action kernel: (actions, value, gap_per_state)."""
+    S = game.n_states
+    n_actions = game.action_counts[agent]
+    r = dp.own_action_marginal(game, policy, agent, reward.tables[agent])
+    p = _scatter_own_action_kernel(game, policy, agent)
+    switch_tol = 1e-11 * (1.0 + np.abs(r).max() / max(1.0 - game.gamma, 1e-12))
+    actions = np.zeros(S, dtype=np.int64)
+    rows = np.arange(S)
+    for _ in range(4 * S * n_actions + 64):
+        p_pol = p[rows, actions]
+        v = np.linalg.solve(np.eye(S) - game.gamma * p_pol, r[rows, actions])
+        q = r + game.gamma * p @ v
+        greedy = np.argmax(q >= q.max(axis=1, keepdims=True) - switch_tol, axis=1)
+        improving = q[rows, greedy] > q[rows, actions] + switch_tol
+        if not improving.any():
+            break
+        actions = np.where(improving, greedy, actions)
+    v_pi = dp.policy_evaluation(game, reward, policy).v[agent]
+    return actions, v, v - v_pi
+
+
+def _assert_best_responses_match_the_dense_oracle(game, reward, policy):
+    for agent in range(game.n_agents):
+        got = equilibrium.best_response(game, reward, policy, agent)
+        actions, value, gap = _dense_best_response(game, reward, policy, agent)
+        assert got.actions.tobytes() == actions.tobytes()
+        assert got.value.tobytes() == value.tobytes()
+        assert got.gap_per_state.tobytes() == gap.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=games(), seed=st.integers(0, 2**32 - 1))
 def test_gather_backup_and_shaping_match_the_dense_einsum(case, seed):
@@ -98,9 +145,83 @@ def test_state_and_own_action_kernels_match_the_dense_sums(case):
     P = game.transitions
     want = np.einsum("sa,sat->st", policy.joint_table(), P)
     _check(exact, dp.transition_under(game, policy), want)
+    rows = np.arange(game.n_states)
+    rng = np.random.default_rng(0)
     for agent in range(game.n_agents):
-        got = dp.own_action_kernel(game, policy, agent)
-        _check(exact, got, _dense_own_action_kernel(game, policy, agent))
+        dense = _dense_own_action_kernel(game, policy, agent)
+        scattered = _scatter_own_action_kernel(game, policy, agent)
+        _check(exact, scattered, dense)
+        # the advantage rows' P_d: one reply kernel per own action, all states alike
+        for d in range(game.action_counts[agent]):
+            got = dp._reply_kernel(game, policy, agent, d)
+            assert np.array_equal(got, scattered[:, d])
+        # best_response's kernel: one own action per state
+        actions = rng.integers(0, game.action_counts[agent], game.n_states)
+        got = dp._reply_kernel(game, policy, agent, actions)
+        assert np.array_equal(got, scattered[rows, actions])
+        _check(exact, got, dense[rows, actions])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=games())
+def test_best_response_matches_the_own_action_kernel_policy_iteration(case):
+    game, reward, policy, _ = case
+    _assert_best_responses_match_the_dense_oracle(game, reward, policy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=games())
+def test_state_class_advantage_rows_match_the_own_action_kernel(case):
+    """U = gamma (P_d - P_pi) (I - gamma P_pi)^{-1} with P_d the kernel above."""
+    game, _, policy, _ = case
+    S = game.n_states
+    p_pi = dp.transition_under(game, policy)
+    system = (np.eye(S) - game.gamma * p_pi).T
+    for agent in range(game.n_agents):
+        p_dev = (_scatter_own_action_kernel(game, policy, agent) - p_pi[:, None, :]) * game.gamma
+        want = np.linalg.solve(system, p_dev.reshape(-1, S).T).T
+        got = reward_select._advantage_rows(game, policy, agent, reward_select.STATE_CLASS)
+        assert got.tobytes() == want.tobytes()
+
+
+# crossing-goals boards: starts in the bottom corners, goals diagonally opposite
+BOARDS = {
+    f"{w}x{h}": gridworld.GridGameSpec(
+        width=w,
+        height=h,
+        start_positions=((0, 0), (w - 1, 0)),
+        goal_positions=((w - 1, h - 1), (0, h - 1)),
+    )
+    for w, h in ((3, 3), (4, 3), (4, 4))
+}
+
+
+@pytest.mark.parametrize("board", BOARDS)
+def test_best_responses_on_the_transfer_sweep_match_the_dense_oracle(board):
+    """Each variant of the board under its true reward and the state-class
+    rewards recovered in both modes after one round: the best responses to
+    the variant's NashQ policy of that reward and to behavior cloning,
+    scored under the variant's true reward and under that reward."""
+    setup = experiment.set_up(BOARDS[board], gridworld.VARIANTS)
+    game, expert = setup.game, setup.expert
+    counts = estimation.CountBook(game.n_states, game.action_counts)
+    estimation.sample_round(GenerativeOracle(game, expert, seed=0), counts)
+    problem = estimation.estimate(counts)
+    estimated = problem.as_game(game.gamma, game.mu)
+    recovered = [
+        reward_select.max_gap_reward(
+            estimated, problem.pi_hat, 1.0, mode=mode, seed=0, reward_class="state"
+        ).reward
+        for mode in (reward_select.MAX_MARGIN, reward_select.DISTANCE_TO_RANDOM)
+    ]
+    cloning = reward_select.behavior_cloning(problem.pi_hat)
+    for _, alt_game, alt_reward in setup.variants:
+        for reward in (alt_reward, *recovered):
+            transferred = equilibrium.nash_value_iteration(alt_game, reward).policy
+            scores = (alt_reward,) if reward is alt_reward else (alt_reward, reward)
+            for policy in (transferred, cloning):
+                for score in scores:
+                    _assert_best_responses_match_the_dense_oracle(alt_game, score, policy)
 
 
 @settings(max_examples=60, deadline=None)

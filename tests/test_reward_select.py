@@ -323,6 +323,9 @@ def test_mismatched_policy_and_rmax_raise_before_any_lp(pd, monkeypatch):
     for policy, rmax in ((wider, 1.0), (longer, 1.0), (dd, [1.0, 1.0, 1.0]), (dd, [[1.0, 1.0]])):
         with pytest.raises(DimensionMismatchError):
             max_gap_reward(game, policy, rmax=rmax)
+    for rmax in (0.0, np.nan, np.inf, [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="rmax"):
+            max_gap_reward(game, dd, rmax=rmax)
     assert calls == []
 
 

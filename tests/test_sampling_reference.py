@@ -215,8 +215,9 @@ def test_inverse_cdf_caps_a_short_row_at_its_last_positive_mass_state():
 
 def test_out_of_range_seed_and_round_index_raise():
     game, policy = make_instance(0)
-    with pytest.raises(ValueError):
-        GenerativeOracle(game, policy, seed=-1)  # at construction, not at the first draw
+    for seed in (-1, 0.7, 2.0):  # at construction, not at the first draw
+        with pytest.raises(ValueError, match="seed"):
+            GenerativeOracle(game, policy, seed=seed)
     oracle = GenerativeOracle(game, policy, seed=0)
     # rounds are not bounded above: round k starts at counter (k - 1) B
     next_states, _ = pipeline_round_samples(oracle, 2**40 + 1)
