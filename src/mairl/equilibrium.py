@@ -70,18 +70,9 @@ class MatrixNECheck:
     worst_violation: float
 
 
-def best_response(
-    game: MarkovGame,
-    reward: JointReward,
-    policy: JointPolicy,
-    agent: int,
-) -> BestResponseResult:
-    """Exactly optimal deterministic reply via policy iteration.
-
-    Ties are broken toward the lowest action index, so the result is
-    reproducible across runs.
-    """
-    _check_shapes(game, reward, policy)
+def _reply(game: MarkovGame, reward: JointReward, policy: JointPolicy, agent: int):
+    """(actions, value) of `agent`'s exactly optimal deterministic reply to
+    policy^{-agent}, by policy iteration with ties toward the lowest action."""
     S = game.n_states
     # the single-agent MDP seen by `agent` when the others play policy^{-agent}:
     # opponent-expected rewards, and each reply's S x S kernel and P V
@@ -104,7 +95,22 @@ def best_response(
         actions = np.where(improving, greedy, actions)
     else:  # pragma: no cover - strict improvement makes cycling impossible
         raise ConvergenceError("policy iteration failed to stabilize")
+    return actions, v
 
+
+def best_response(
+    game: MarkovGame,
+    reward: JointReward,
+    policy: JointPolicy,
+    agent: int,
+) -> BestResponseResult:
+    """Exactly optimal deterministic reply via policy iteration.
+
+    Ties are broken toward the lowest action index, so the result is
+    reproducible across runs.
+    """
+    _check_shapes(game, reward, policy)
+    actions, v = _reply(game, reward, policy, agent)
     v_pi = policy_evaluation(game, reward, policy).v[agent]
     return BestResponseResult(actions=actions, value=v, gap_per_state=v - v_pi)
 
@@ -119,13 +125,15 @@ def nash_gap(
 
     The default aggregates the per-state deviation gain by its maximum over
     states (the per-state equilibrium reading); "mu-weighted" averages under
-    the start distribution instead.
+    the start distribution instead. V(policy) is evaluated once for all
+    agents.
     """
     if initial_state_mode not in (MAX_OVER_STATES, MU_WEIGHTED):
         raise ValueError(f"unknown initial_state_mode {initial_state_mode!r}")
+    v_pi = policy_evaluation(game, reward, policy).v
     gaps = np.zeros(game.n_agents)
     for i in range(game.n_agents):
-        gain = best_response(game, reward, policy, i).gap_per_state
+        gain = _reply(game, reward, policy, i)[1] - v_pi[i]
         gaps[i] = np.max(gain) if initial_state_mode == MAX_OVER_STATES else game.mu @ gain
     gaps = np.maximum(gaps, 0.0)
     return NashGapReport(

@@ -32,33 +32,48 @@ The distance mode then projects a seeded random target reward onto the
 margin-pinned feasible polytope (minimizing the squared distance):
 projected gradient on the dual of the projection problem plus an exact
 active-set polish, with the LP vertex as the feasibility-preserving
-fallback. `max_gap_reward` first stages every agent (rows U, margin LP,
-target draw, in agent order), keeping only U's live rows, and then runs one
-gradient loop for all agents (`_dual_gradient`): the elementwise steps act
-in place on stacked buffers, while each agent keeps its own two
-matrix-vector products, stop and sweep count, so every agent's iterates are
-bit for bit those of a loop over that agent alone. The sweep cap
-(MAX_SWEEPS), check interval, stop and polish tolerances are module
-constants. `MaxGapResult.projection_paths` reports, per agent, which point
-came back:
+fallback. The sweep cap (MAX_SWEEPS), check interval, stop and polish
+tolerances are module constants. `MaxGapResult.projection_paths` reports,
+per agent, which point came back:
 
 * "polished": the exact projection from the active-set polish;
 * "blended": the best gradient iterate, moved toward the LP vertex just
   enough to satisfy every row (not moved at all if it already did);
 * "vertex": the max-margin LP vertex itself, because neither of the above
   was feasible.
+
+Agent i's constraints bind only agent i's reward, so selection splits by
+agent. `max_gap_reward` draws every agent's target first, in agent order
+(the seeded generator feeds nothing else), and then runs one body,
+`_select_agents`, on contiguous groups of agents. For its group, the body
+stages every agent (rows U, margin LP), keeping only U's live rows, then
+runs one gradient loop for all of them (`_dual_gradient`): the elementwise
+steps act in place on stacked buffers, while each agent keeps its own two
+matrix-vector products, stop and sweep count, so every agent's iterates are
+bit for bit those of a loop over that agent alone. Last, it reads each
+agent's margin back through U's full shape. There are min(agents, usable
+CPUs) groups. With two or more, the last group runs in the caller and every
+other group in a forked child process, which sends its agents' points,
+margins and counters back through a pipe, or the exception it raised. The
+call forks only where `os.fork` exists and the process runs one OS thread:
+a process with a BLAS thread pool, or with a second Python thread, runs
+every agent in the caller, as does a machine with one CPU. Each agent's
+work is the same on either path, so the outputs have the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .dp import _check_shapes, _reply_kernel, own_action_marginal, transition_under
-from .errors import NotFeasibleError
+from .errors import MairlError, NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
 from .simplex import GE, LinearProgram, solve_lp
@@ -111,8 +126,6 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     so U = gamma (P_d - P_pi) (I - gamma P_pi)^{-1} acts on x directly and
     nothing of size S*A is built.
     """
-    if reward_class not in (STATE_ACTION_CLASS, STATE_CLASS):
-        raise ValueError(f"unknown reward class {reward_class!r}")
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
     p_pi = transition_under(game, policy)
@@ -398,6 +411,134 @@ def _finish_projection(target, U, rhs, anchor, rmax_i, best, it):
     return anchor, it, "vertex"
 
 
+def _select_agents(game, policy, r, reward_class, targets, agents):
+    """The selection of each agent in `agents`: one (x, margin, pivots,
+    pinned, sweeps, path) per agent, path None in max-margin mode.
+
+    Every agent is staged first (rows U, margin LP), keeping only U's live
+    rows; then one `_distance_project` call projects the targets of all of
+    them, unless `targets` is None (max-margin mode)."""
+    staged = []  # per agent: live rows of U, live, rows carrying the margin, LP x, U's layout
+    problems = []  # per agent in distance mode: target, live rows of U, rhs, LP x, rmax
+    for i in agents:
+        U = _advantage_rows(game, policy, i, reward_class)
+        mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
+        live = np.linalg.norm(U, axis=1) > _DEAD_ROW
+        x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
+        pinned = int(np.sum(mask & live & ~margin_rows))
+        U_live = U[live]
+        order = "F" if U.flags.f_contiguous else "C"
+        staged.append((U_live, live, margin_rows, x, order, pivots, pinned))
+        if targets is not None:
+            # support rows are one-sided too: their average under the policy is
+            # zero identically, so <= 0 on each forces equality at any
+            # feasible point
+            rhs = np.where(margin_rows[live], -max(t_star - 1e-6, 0.0), 0.0)
+            problems.append((targets[i], U_live, rhs, x, r[i]))
+        del U  # only the live rows stay alive through the other agents' LPs
+
+    if targets is None:
+        projected = [(x, 0, None) for _, _, _, x, _, _, _ in staged]
+    else:
+        projected = _distance_project(problems)
+    selected = []
+    for i, (U_live, live, carrying, _, order, pivots, pinned), (x, sweeps, path) in zip(
+        agents, staged, projected
+    ):
+        if carrying.any():
+            # the live rows back in U's shape and memory layout: each row's
+            # product then has the bits of that row of U @ x
+            full = np.zeros((live.size, x.size), order=order)
+            full[live] = U_live
+            margin = float(-(full @ x)[carrying].max())
+        else:
+            margin = r[i] / (1.0 - game.gamma)
+        selected.append((x, margin, pivots, pinned, sweeps, path))
+    return selected
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which bounds the agent groups."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread, so that forking it is safe."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _child(select, group, write_end):
+    """In a forked child: send the pickled outcome of select(group) and exit.
+
+    It never returns into the caller's frames, and `os._exit` flushes none of
+    the stdio or file buffers it inherited. Status 0 means the whole outcome
+    was written; an outcome that cannot be pickled leaves with status 1."""
+    status = 1
+    try:
+        try:
+            outcome = (True, select(group))
+        except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
+            outcome = (False, exc)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(select, groups):
+    """select(group) for every group, concatenated in group order: the last
+    group in the caller, each other one in a forked child that sends its
+    outcome back through a pipe.
+
+    A child's exception is raised again here; a child that exits without an
+    outcome raises MairlError. On every way out, a pipe not yet read is
+    closed and its child killed, and every child is reaped."""
+    pending = {}  # child pid -> read end of its pipe, in group order
+    try:
+        for group in groups[:-1]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _child(select, group, write_end)
+            os.close(write_end)
+            pending[pid] = open(read_end, "rb")
+        own = select(groups[-1])
+        selected = []
+        for (pid, pipe), group in zip(list(pending.items()), groups):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            if status != 0 or not data:
+                raise MairlError(
+                    f"reward selection of agents {group} exited with status {status} "
+                    f"and no result"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            selected.extend(value)
+        return selected + own
+    finally:
+        for pid, pipe in pending.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
 def max_gap_reward(
     game: MarkovGame,
     policy: JointPolicy,
@@ -423,58 +564,30 @@ def max_gap_reward(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == DISTANCE_TO_RANDOM and seed is None:
         raise ValueError("distance-to-random mode needs a seed for the target reward")
+    if reward_class not in (STATE_ACTION_CLASS, STATE_CLASS):
+        raise ValueError(f"unknown reward class {reward_class!r}")
     _check_shapes(game, None, policy)
     r = per_agent_rmax(rmax, game.n_agents)
     if not np.all((r > 0) & (r < np.inf)):
         raise ValueError("rmax must be positive and finite")
 
-    S, A = game.n_states, game.n_joint_actions
-    rng = np.random.default_rng(seed) if seed is not None else None
-    lp_iters = 0
-    pinned = []
-    staged = []  # per agent: live rows of U, live, rows carrying the margin, LP x, U's layout
-    problems = []  # per agent in distance mode: target, live rows of U, rhs, LP x, rmax
-    for i in range(game.n_agents):
-        U = _advantage_rows(game, policy, i, reward_class)
-        mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
-        live = np.linalg.norm(U, axis=1) > _DEAD_ROW
-        x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
-        lp_iters += pivots
-        pinned.append(int(np.sum(mask & live & ~margin_rows)))
-        U_live = U[live]
-        staged.append((U_live, live, margin_rows, x, "F" if U.flags.f_contiguous else "C"))
-        if mode == DISTANCE_TO_RANDOM:
-            target = rng.uniform(0.0, r[i], size=U.shape[1])
-            # support rows are one-sided too: their average under the policy is
-            # zero identically, so <= 0 on each forces equality at any
-            # feasible point
-            rhs = np.where(margin_rows[live], -max(t_star - 1e-6, 0.0), 0.0)
-            problems.append((target, U_live, rhs, x, r[i]))
-        del U  # only the live rows stay alive through the other agents' LPs
-
-    points = [x for _, _, _, x, _ in staged]
-    sweeps = 0
-    paths = ()
+    n, S, A = game.n_agents, game.n_states, game.n_joint_actions
+    targets = None
     if mode == DISTANCE_TO_RANDOM:
-        projected = _distance_project(problems)
-        points = [point for point, _, _ in projected]
-        sweeps = sum(it for _, it, _ in projected)
-        paths = tuple(path for _, _, path in projected)
+        rng = np.random.default_rng(seed)
+        size = S if reward_class == STATE_CLASS else S * A
+        targets = [rng.uniform(0.0, r[i], size=size) for i in range(n)]
+    select = partial(_select_agents, game, policy, r, reward_class, targets)
+    groups = [part.tolist() for part in np.array_split(np.arange(n), min(n, _usable_cpus()))]
+    if len(groups) > 1 and hasattr(os, "fork") and _single_threaded():
+        selected = _forked(select, groups)
+    else:
+        selected = select(range(n))
 
-    tables = np.zeros((game.n_agents, S, A))
-    margins = np.zeros(game.n_agents)
-    for i, ((U_live, live, carrying, _, order), x) in enumerate(zip(staged, points)):
+    tables = np.zeros((n, S, A))
+    for i, (x, *_) in enumerate(selected):
         # a state-class x has one entry per state and broadcasts over joint actions
         tables[i] = np.clip(x, 0.0, r[i]).reshape(S, -1)
-        if carrying.any():
-            # the live rows back in U's shape and memory layout: each row's
-            # product then has the bits of that row of U @ x
-            full = np.zeros((live.size, x.size), order=order)
-            full[live] = U_live
-            margins[i] = float(-(full @ x)[carrying].max())
-        else:
-            margins[i] = r[i] / (1.0 - game.gamma)
-
     reward = JointReward(tables, r)
     report = check_implicit(game, reward, policy, tol=1e-8)
     if not report.passed:
@@ -482,14 +595,15 @@ def max_gap_reward(
             f"selected reward fails the feasibility check "
             f"(max violation {report.max_violation:.3e})"
         )
+    _, margins, pivots, pinned, sweeps, paths = zip(*selected)
     return MaxGapResult(
         reward=reward,
-        margins=margins,
+        margins=np.array(margins),
         mode=mode,
-        lp_iterations=lp_iters,
-        projection_sweeps=sweeps,
-        pinned_rows=tuple(pinned),
-        projection_paths=paths,
+        lp_iterations=sum(pivots),
+        projection_sweeps=sum(sweeps),
+        pinned_rows=pinned,
+        projection_paths=paths if mode == DISTANCE_TO_RANDOM else (),
     )
 
 

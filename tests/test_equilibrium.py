@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mairl.equilibrium
 from mairl.dp import policy_evaluation
 from mairl.errors import DimensionMismatchError
 from mairl.equilibrium import (
@@ -67,6 +68,30 @@ def test_nash_gap_examples(pd):
     assert nash_gap(game, flat, cc).gap < 1e-10
     mu_rep = nash_gap(game, reward, cc, initial_state_mode="mu-weighted")
     assert abs(mu_rep.gap - 0.8) < 1e-12  # single state: both modes agree
+
+
+def test_nash_gap_evaluates_the_policy_once(monkeypatch):
+    """One policy evaluation serves every agent's gap, and each gap has the
+    bits of that agent's `best_response` gap, in both modes."""
+    rng = np.random.default_rng(4)
+    game = random_markov_game(rng, 5, (2, 3), 0.8)
+    reward = random_reward(rng, game)
+    policy = random_joint_policy(rng, game)
+    brs = [best_response(game, reward, policy, i).gap_per_state for i in range(2)]
+    calls = []
+    evaluate = mairl.equilibrium.policy_evaluation
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(mairl.equilibrium, "policy_evaluation", counting)
+    for mode, aggregate in (("max-over-states", np.max), ("mu-weighted", game.mu.__matmul__)):
+        calls.clear()
+        got = nash_gap(game, reward, policy, initial_state_mode=mode).per_agent_gap
+        assert len(calls) == 1
+        want = np.maximum([aggregate(gain) for gain in brs], 0.0)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_matrix_ne_check_examples(pd):

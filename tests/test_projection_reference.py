@@ -305,6 +305,8 @@ def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(reward_select, "_distance_project", recording)
+    # one group, so every projection runs in this process, where the recorder sees it
+    monkeypatch.setattr(reward_select, "_usable_cpus", lambda: 1)
     res = reward_select.max_gap_reward(
         est_game, problem.pi_hat, 1.0, mode="distance-to-random", seed=1, reward_class="state"
     )

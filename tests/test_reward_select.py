@@ -92,6 +92,8 @@ def test_lp_iterations_count_every_lexicographic_round(monkeypatch):
         return sol
 
     monkeypatch.setattr(mairl.reward_select, "solve_lp", counting)
+    # one group, so every LP runs in this process, where the recorder sees it
+    monkeypatch.setattr(mairl.reward_select, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(0)
     game = random_markov_game(rng, 4, (2, 2), 0.6)
     policy = random_joint_policy(rng, game, deterministic=True)
