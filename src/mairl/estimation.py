@@ -17,19 +17,17 @@ stream, keyed `SeedSequence(seed).generate_state(2, np.uint64)`, and round
 k reads its own range of counter blocks, starting at (k - 1) times the
 blocks one round takes. Of a round's `random()` draws, each state takes A
 in turn to pick the next states of the A joint actions, then n to pick the
-agents' expert actions. Each uniform is inverted through a per-row jump
-table of its normalised CDF, built once per oracle, which makes the same
-float comparisons as the dense CDF at only the entries where it rises; the
-transition tables take the CDF over the successor list, whose partial sums
-at those entries are the dense ones, since adding 0.0 is exact.
+agents' expert actions. Each uniform is inverted by sequential search on
+its row's normalised CDF, taken once per oracle; a transition row's CDF is
+over its successor list, whose partial sums are the dense ones at the
+listed states, since adding 0.0 is exact.
 
-A row whose normalised CDF rises once (one positive-mass outcome) is fixed:
-every uniform draws that outcome, so a fixed row takes no uniform and no
-comparison, though its position in the round's block stays reserved, and
-the random rows read the same uniforms whatever the other rows are. A row
-with one positive entry is fixed without a jump table, so only the other
-rows get one. An oracle with no random row (a deterministic game with a
-pure expert, such as every grid NashQ expert) builds no jump table, no
+A row whose normalised CDF is already 1 at its first positive entry is
+fixed: every uniform draws that outcome, so a fixed row takes no uniform
+and no comparison, though its position in the round's block stays
+reserved, and the random rows read the same uniforms whatever the other
+rows are. An oracle with no random row (a deterministic game with a pure
+expert, such as every grid NashQ expert) takes no CDF and builds no
 generator and no key. `sample_round`, the one draw path, hands draws out
 only as tallies: it adds `rounds` to each fixed row's slot at once, one
 1-D indexed add per table at slots found when the oracle is built, and
@@ -58,7 +56,7 @@ import numpy as np
 from .dp import _check_shapes, policy_evaluation
 from .errors import DimensionMismatchError
 from .feasible import decompose_reward, event_mask
-from .games import JointPolicy, JointReward, MarkovGame, _dense_kernel, _gather, _pack_positive
+from .games import JointPolicy, JointReward, MarkovGame, _dense_kernel, _gather
 from .joint import joint_action_count
 
 LOG_COLUMNS = (
@@ -85,8 +83,8 @@ class ConfidenceParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.pi_min <= 1.0:
             raise ValueError("pi_min must lie in (0, 1]")
-        if self.rmax < 0:
-            raise ValueError("rmax must be nonnegative")
+        if not 0.0 <= self.rmax < math.inf:
+            raise ValueError("rmax must be nonnegative and finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
 
@@ -145,7 +143,7 @@ class UncertaintyTable:
     max_transition_radius: float
 
 
-# per-chunk bound on the uniforms drawn and on the random rows' jump-table
+# per-chunk bound on the uniforms drawn and on the random rows' CDF
 # comparisons, so memory stays flat in rounds
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -159,18 +157,17 @@ class GenerativeOracle:
     `random()` draws, of which the first S (A + n) are used: per state, A
     transition uniforms in flat joint-action order, then one per agent. Any
     run of consecutive rounds is one `random()` call on a `Philox` started at
-    its first round's counter, so draws depend on (seed, round) alone. Each
-    uniform goes through the inverse CDF of its row, kept as a jump table
-    built in the constructor; a transition draw picks a slot of the game's
-    successor list. The constructor splits every table into fixed rows, with
-    one outcome, which take no uniform (their positions in the block stay
-    reserved), and random rows, which read theirs (`_split`); only random
-    rows keep a jump table, and with no random row there is no `random()`
-    call at all, and no key: the seed is hashed by `SeedSequence` only when
-    some row is random. Each fixed row's flat slot in its table is kept, so
-    its tallies take one indexed add per table. Draws leave the oracle only
-    as `sample_round`'s tallies. A seed that is not a non-negative integer
-    (a float included) raises ValueError here, whether or not a key is built.
+    its first round's counter, so draws depend on (seed, round) alone. The
+    constructor splits every table (`_split`) into fixed rows, with one
+    outcome, which take no uniform (their positions in the block stay
+    reserved), and random rows, which keep their normalised CDF and invert
+    their uniforms on it; a transition draw picks a slot of the game's
+    successor list. With no random row there is no `random()` call and no
+    key: the seed is hashed by `SeedSequence` only when some row is random.
+    Each fixed row's flat slot in its table is kept, so its tallies take one
+    indexed add per table. Draws leave the oracle only as `sample_round`'s
+    tallies. A seed that is not a non-negative integer (a float included)
+    raises ValueError here, whether or not a key is built.
     """
 
     def __init__(self, game: MarkovGame, expert: JointPolicy, seed: int = 0):
@@ -193,8 +190,8 @@ class GenerativeOracle:
         self._fixed_slots = [
             rows * t.shape[-1] + outcomes for t, ((rows, outcomes), _) in zip(tables, splits)
         ]
-        self._random = [random for _, random in splits]  # (rows, columns, jump table)
-        comparisons = sum(table[0].size for _, _, table in self._random)
+        self._random = [random for _, random in splits]  # (rows, columns, CDF rows)
+        comparisons = sum(cdf.size for _, _, cdf in self._random)
         self._has_random = comparisons > 0
         if self._has_random:
             self._key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
@@ -212,7 +209,7 @@ class GenerativeOracle:
         of shape (rounds, random rows). Call only if some row is random."""
         bits = np.random.Philox(key=self._key, counter=(first - 1) * self._round_blocks)
         u = np.random.Generator(bits).random((rounds, 4 * self._round_blocks))
-        return [_draw(table, u[:, columns]) for _, columns, table in self._random]
+        return [_draw(cdf, u[:, columns]) for _, columns, cdf in self._random]
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -221,62 +218,40 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf / cdf[..., -1:]
 
 
-def _jump_table(p: np.ndarray):
-    """Inverse-CDF table of each row of p (..., n): the positions where the
-    normalised CDF (`_cdf`) rises and its values there, padded with +inf to
-    the widest row's count w. Returns (positions, values), each (..., w)."""
-    cdf = _cdf(p)
-    rises = cdf > np.concatenate([np.zeros(cdf.shape[:-1] + (1,)), cdf[..., :-1]], axis=-1)
-    positions, values = _pack_positive(np.where(rises, cdf, 0.0))
-    values[values == 0.0] = np.inf  # a rise is above 0, so only padding is 0
-    return positions, values
-
-
-def _draw(table, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws for uniforms u (..., *rows): the first outcome whose
-    normalised CDF exceeds u, i.e. `searchsorted(cdf, u, side="right")`.
-
-    Exact: the rises counted are the dense CDF's comparisons at its distinct
-    values, and a normalised CDF ends at 1 > u, so the last positive-mass
-    outcome caps the draw.
-    """
-    positions, values = table
-    rises = (u[..., None] >= values).sum(axis=-1)
-    return positions[(*np.indices(positions.shape[:-1], sparse=True), rises)]
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws for uniforms u (..., *rows) on normalised CDF rows
+    (*rows, n): the first outcome whose CDF exceeds u, i.e.
+    `searchsorted(cdf, u, side="right")`. A normalised CDF ends at 1 > u, so
+    the last positive-mass outcome caps the draw."""
+    return (u[..., None] >= cdf).sum(axis=-1)
 
 
 def _split(p: np.ndarray, columns: np.ndarray):
     """Split the rows of a probability table p (*rows, n) into fixed rows,
-    with one rise of the normalised CDF (one positive-mass outcome, drawn
-    whatever the uniform), and random rows. `columns` (*rows) holds each
-    row's uniform column in a round's block. Rows are flat indices. Returns
-    ((fixed rows, their outcomes), (random rows, their columns, their jump
-    table (R, w))).
+    drawn at their first positive entry whatever the uniform, and random
+    rows. `columns` (*rows) holds each row's uniform column in a round's
+    block; rows are flat indices. Returns ((fixed rows, their outcomes),
+    (random rows, their columns, their normalised CDF (R, n))).
 
-    A row with one positive entry is fixed at it without a jump table; only
-    the others are passed to `_jump_table`, where a row whose other entries
-    are too small to move the CDF has one rise and is fixed too. Either way
-    the outcome is the row's first positive entry, where its CDF first rises.
-    One `np.nonzero` pass finds every row's positive entries; every row of a
-    stochastic table has one, so a pass with one entry per row leaves no
-    random row.
+    A row is fixed when its normalised CDF is already 1 at its first positive
+    entry: a row with one positive entry, or whose other entries are too
+    small to move the CDF. One `np.nonzero` pass finds every row's positive
+    entries, and only rows with more than one take a CDF.
     """
     p = p.reshape(-1, p.shape[-1])
     rows, outcomes = np.nonzero(p > 0)  # in row order
-    if rows.size == p.shape[0]:  # the width-1 empty table of fixed rows alone
-        table = np.zeros((0, 1), dtype=np.intp), np.zeros((0, 1))
-        return (rows, outcomes), (rows[:0], columns.ravel()[:0], table)
+    if rows.size == p.shape[0]:  # one positive entry per row: no random row
+        return (rows, outcomes), (rows[:0], columns.ravel()[:0], np.zeros((0, p.shape[-1])))
     # each row's count of positive entries and its first one
     count = np.bincount(rows, minlength=p.shape[0])
     first = outcomes[np.searchsorted(rows, np.arange(p.shape[0]))]
-    fixed = count == 1
-    rest = np.flatnonzero(~fixed)  # not empty: some row has more than one
-    positions, values = _jump_table(p[rest])
-    one_rise = np.isfinite(values).sum(axis=-1) == 1
-    fixed[rest[one_rise]] = True
-    rows, keep = np.flatnonzero(fixed), ~one_rise
-    random, table = rest[keep], (positions[keep], values[keep])
-    return (rows, first[rows]), (random, columns.ravel()[random], table)
+    rest = np.flatnonzero(count > 1)  # not empty: some row has more than one
+    cdf = _cdf(p[rest])
+    moves = cdf[np.arange(rest.size), first[rest]] < 1.0
+    fixed = np.ones(p.shape[0], dtype=bool)
+    fixed[rest[moves]] = False
+    rows, random = np.flatnonzero(fixed), rest[moves]
+    return (rows, first[rows]), (random, columns.ravel()[random], cdf[moves])
 
 
 def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -> CountBook:
@@ -285,15 +260,15 @@ def sample_round(oracle: GenerativeOracle, counts: CountBook, rounds: int = 1) -
 
     Each fixed row (one outcome, see `GenerativeOracle`) gets `rounds` added
     to its one slot in a single indexed add per table, with no draw. The
-    random rows' rounds are drawn in chunks whose uniforms, and whose
-    jump-table comparisons, stay under a fixed element count, so memory
-    stays flat in `rounds`; a chunk adds its samples with one `np.bincount`
-    per table over the random rows. An oracle with no random row costs
-    O(S A) per call, whatever `rounds` is. The counts equal those of
-    `rounds` single-round calls. Negative or non-integer `rounds` (ValueError)
-    and a book not shaped for the game (DimensionMismatchError) raise before
-    any tally. A book takes the oracle's successor list on its first call
-    and raises DimensionMismatchError if a later oracle's list differs.
+    random rows' rounds are drawn in chunks whose uniforms, and whose CDF
+    comparisons, stay under a fixed element count, so memory stays flat in
+    `rounds`; a chunk adds its samples with one `np.bincount` per table over
+    the random rows. An oracle with no random row costs O(S A) per call,
+    whatever `rounds` is. The counts equal those of `rounds` single-round
+    calls. Negative or non-integer `rounds` (ValueError) and a book not
+    shaped for the game (DimensionMismatchError) raise before any tally. A
+    book takes the oracle's successor list on its first call and raises
+    DimensionMismatchError if a later oracle's list differs.
     """
     if not isinstance(rounds, numbers.Integral) or rounds < 0:
         raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")

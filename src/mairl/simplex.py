@@ -47,7 +47,8 @@ _BASIC = 2
 
 @dataclass
 class LinearProgram:
-    """Dense LP data; `sense` entries are -1 (<=), 0 (=), +1 (>=)."""
+    """Dense LP data; `sense` entries are -1 (<=), 0 (=), +1 (>=). Every
+    coefficient and right-hand side is finite; a bound may be infinite, not NaN."""
 
     objective: np.ndarray
     lhs: np.ndarray
@@ -70,8 +71,10 @@ class LinearProgram:
             raise ValueError("sense/rhs length does not match constraint rows")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds length does not match variable count")
-        if not np.all(np.isfinite(self.lhs)) or not np.all(np.isfinite(self.objective)):
-            raise ValueError("coefficients must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (self.lhs, self.objective, self.rhs)):
+            raise ValueError("coefficients and right-hand sides must be finite")
+        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+            raise ValueError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 

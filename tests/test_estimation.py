@@ -171,6 +171,15 @@ def test_transition_radius_examples():
         )
 
 
+@pytest.mark.parametrize("rmax", [math.nan, math.inf, -1.0])
+def test_confidence_params_reject_an_rmax_that_is_no_finite_scale(rmax):
+    # a NaN rmax made every radius NaN, so the stopping rule never held;
+    # an infinite one made epsilon_k NaN
+    with pytest.raises(ValueError, match="rmax"):
+        _params(rmax=rmax)
+    assert _params(rmax=0.0).rmax == 0.0
+
+
 def test_uncertainty_example_value():
     params = _params(delta=0.5, pi_min=0.5, rmax=1.0, gamma=0.9)
     counts = CountBook(2, (2, 2))  # N = 0 everywhere: indicator active, N+ = 1

@@ -7,9 +7,11 @@ by state, A uniforms through the dense normalised CDF (`_inverse_cdf`) for
 next states, then one `rng.choice` per agent for expert actions.
 `reference_uniform_sampling` is the former per-round loop that re-ran
 `estimate` and `uncertainty` after every round to find tau.
-`reference_split` is the former oracle construction, a jump table of every
-row split into fixed and random rows. They are kept here as test oracles for
-the jump-table draw, the oracle's row split, `sample_round` and
+`reference_split` is the former oracle construction, a jump table
+(`_jump_table`: the positions where a row's normalised CDF rises and its
+values there) of every row split into fixed rows (one rise) and random rows,
+and `_jump_draw` is the former draw on it. They are kept here as test
+oracles for the CDF draw, the oracle's row split, `sample_round` and
 `uniform_sampling`. Draws reach callers only as `sample_round`'s tallies,
 so `pipeline_round_samples` reads round k's draws back off the tallies of
 one `sample_round` call, and batched calls are checked by their tallies
@@ -28,14 +30,13 @@ from mairl.estimation import (
     GenerativeOracle,
     _cdf,
     _draw,
-    _jump_table,
     _split,
     estimate,
     sample_round,
     uncertainty,
     uniform_sampling,
 )
-from mairl.games import JointPolicy, MarkovGame
+from mairl.games import JointPolicy, MarkovGame, _pack_positive
 from mairl.synthetic import random_markov_game
 
 from conftest import make_instance
@@ -81,6 +82,25 @@ def pipeline_round_samples(oracle: GenerativeOracle, k: int):
     return next_states, np.stack([t.argmax(axis=-1) for t in counts.n_i_sa], axis=-1)
 
 
+def _jump_table(p: np.ndarray):
+    """Inverse-CDF table of each row of p (..., n): the positions where the
+    normalised CDF (`_cdf`) rises and its values there, padded with +inf to
+    the widest row's count w. Returns (positions, values), each (..., w)."""
+    cdf = _cdf(p)
+    rises = cdf > np.concatenate([np.zeros(cdf.shape[:-1] + (1,)), cdf[..., :-1]], axis=-1)
+    positions, values = _pack_positive(np.where(rises, cdf, 0.0))
+    values[values == 0.0] = np.inf  # a rise is above 0, so only padding is 0
+    return positions, values
+
+
+def _jump_draw(table, u: np.ndarray) -> np.ndarray:
+    """Draws for uniforms u (..., *rows) on jump tables (*rows, w): the
+    position of the first rise whose CDF value exceeds u."""
+    positions, values = table
+    rises = (u[..., None] >= values).sum(axis=-1)
+    return positions[(*np.indices(positions.shape[:-1], sparse=True), rises)]
+
+
 def reference_split(p: np.ndarray, columns: np.ndarray):
     """The jump table of every row of p (*rows, n), split into fixed rows (one
     rise) and random rows: ((rows, outcomes), (rows, columns, table))."""
@@ -91,15 +111,25 @@ def reference_split(p: np.ndarray, columns: np.ndarray):
     return (rows, outcomes), (random, columns.ravel()[random], (positions[random], values[random]))
 
 
-def reference_oracle_split(oracle: GenerativeOracle):
-    """`reference_split` of each of the oracle's tables: (fixed, random) lists."""
+def _assert_matches_reference_split(split, ref, p):
+    """A `_split` result has the fixed rows, outcomes, random rows and
+    columns of the reference split `ref` of p, and keeps the normalised CDF
+    (`_cdf`) of its random rows as their table."""
+    (fixed, (rows, columns, cdf)), (ref_fixed, (ref_rows, ref_columns, _)) = split, ref
+    _assert_same_arrays((fixed, (rows, columns)), (ref_fixed, (ref_rows, ref_columns)))
+    _assert_same_arrays(cdf, _cdf(p.reshape(-1, p.shape[-1])[rows]))
+
+
+def _assert_oracle_matches_reference_split(oracle: GenerativeOracle):
+    """`_assert_matches_reference_split` on each of the oracle's tables."""
     game = oracle.game
     S, A, n = game.n_states, game.n_joint_actions, game.n_agents
     columns = np.arange(S * (A + n)).reshape(S, A + n)
     tables = [game.successor_probs, *oracle.expert.per_agent]
     row_columns = [columns[:, :A], *(columns[:, A + i] for i in range(n))]
-    splits = [reference_split(t, c) for t, c in zip(tables, row_columns)]
-    return [fixed for fixed, _ in splits], [random for _, random in splits]
+    splits = zip(oracle._fixed, oracle._random)
+    for split, p, c in zip(splits, tables, row_columns):
+        _assert_matches_reference_split(split, reference_split(p, c), p)
 
 
 def _assert_same_arrays(mine, ref):
@@ -189,8 +219,8 @@ def test_round_samples_match_reference_on_grids_and_random_games(k):
 
 def test_nashq_grid_draws_do_not_depend_on_the_seed():
     # every row of the deterministic grids and their pure NashQ experts has
-    # one outcome (jump-table width 1), so no draw reads its uniform and the
-    # grid results stay the same under any change of stream layout
+    # one outcome, so no draw reads its uniform and the grid results stay
+    # the same under any change of stream layout
     for width, height in ((3, 3), (4, 3), (4, 4)):
         game, expert = _nashq_expert(width, height)
         oracles = [GenerativeOracle(game, expert, seed=seed) for seed in (0, 1)]
@@ -249,9 +279,10 @@ def test_jump_table_draw_matches_dense_cdf_draw(table, seed):
     u = np.random.default_rng(seed).random((7, table.shape[0]))
     ties = np.where(cdf < 1.0, cdf, 0.0).T
     u = np.vstack([u, ties, np.nextafter(ties, 0.0)])
-    draws = _draw(_jump_table(table), u)
+    draws = _draw(cdf, u)
     assert draws.dtype == np.intp
     assert np.array_equal(draws, _inverse_cdf(cdf, u))
+    assert np.array_equal(draws, _jump_draw(_jump_table(table), u))
 
 
 def test_jump_table_caps_a_short_row_at_its_last_positive_mass_state():
@@ -261,8 +292,9 @@ def test_jump_table_caps_a_short_row_at_its_last_positive_mass_state():
     assert positions.tolist() == [[0, 1], [2, 0]]
     assert values[1, 1] == np.inf
     u = np.array([[1.0 - 1e-13, 0.3], [0.25, 0.0], [0.75, 1.0 - 1e-13]])
-    assert _draw((positions, values), u).tolist() == [[1, 2], [0, 2], [1, 2]]
-    assert np.array_equal(_draw((positions, values), u), _inverse_cdf(_cdf(table), u))
+    assert _jump_draw((positions, values), u).tolist() == [[1, 2], [0, 2], [1, 2]]
+    assert _draw(_cdf(table), u).tolist() == [[1, 2], [0, 2], [1, 2]]
+    assert np.array_equal(_jump_draw((positions, values), u), _inverse_cdf(_cdf(table), u))
 
 
 def test_batched_sample_round_matches_single_rounds_across_chunks():
@@ -351,9 +383,7 @@ def test_oracle_split_matches_the_jump_table_split_of_every_row():
     oracles = [GenerativeOracle(*_nashq_expert(w, h), seed=0) for w, h in ((3, 3), (4, 3), (4, 4))]
     oracles += _mixed_oracles() + _grid_oracles() + _random_oracles()
     for oracle in oracles:
-        fixed, random = reference_oracle_split(oracle)
-        _assert_same_arrays(oracle._fixed, fixed)
-        _assert_same_arrays(oracle._random, random)
+        _assert_oracle_matches_reference_split(oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,17 +394,14 @@ def test_oracle_split_matches_the_jump_table_split_of_every_row():
 )
 def test_oracle_split_matches_the_jump_table_split_on_random_games(seed, n_states, action_counts):
     game, policy = make_instance(seed, n_states, tuple(action_counts), gamma=0.7)
-    oracle = GenerativeOracle(game, policy, seed=seed)
-    fixed, random = reference_oracle_split(oracle)
-    _assert_same_arrays(oracle._fixed, fixed)
-    _assert_same_arrays(oracle._random, random)
+    _assert_oracle_matches_reference_split(GenerativeOracle(game, policy, seed=seed))
 
 
 @settings(max_examples=200, deadline=None)
 @given(table=_probability_tables())
 def test_split_matches_the_jump_table_split_on_tiny_masses(table):
     columns = np.arange(table.shape[0]) * 3
-    _assert_same_arrays(_split(table, columns), reference_split(table, columns))
+    _assert_matches_reference_split(_split(table, columns), reference_split(table, columns), table)
 
 
 def test_split_keeps_a_row_fixed_when_its_second_mass_cannot_move_the_cdf():
@@ -385,11 +412,12 @@ def test_split_keeps_a_row_fixed_when_its_second_mass_cannot_move_the_cdf():
     (rows, outcomes), (random, random_columns, _) = _split(table, columns)
     assert rows.tolist() == [0, 1] and outcomes.tolist() == [0, 1]
     assert random.tolist() == [2, 3] and random_columns.tolist() == [9, 10]
-    _assert_same_arrays(_split(table, columns), reference_split(table, columns))
-    # a table of fixed rows only keeps the width-1 empty random table
+    _assert_matches_reference_split(_split(table, columns), reference_split(table, columns), table)
+    # a table of fixed rows only keeps the empty CDF of its width
     (rows, _), random_part = _split(table[:2], columns[:2])
-    assert rows.tolist() == [0, 1] and random_part[2][0].shape == (0, 1)
-    _assert_same_arrays(_split(table[:2], columns[:2]), reference_split(table[:2], columns[:2]))
+    assert rows.tolist() == [0, 1] and random_part[2].shape == (0, 3)
+    fixed_only = _split(table[:2], columns[:2])
+    _assert_matches_reference_split(fixed_only, reference_split(table[:2], columns[:2]), table[:2])
 
 
 def test_mixed_oracles_have_fixed_and_random_rows():

@@ -57,6 +57,21 @@ def test_free_variables_rejected():
         solve_lp(lp([1], np.zeros((0, 1)), [], [], [-np.inf], [np.inf]))
 
 
+@pytest.mark.parametrize(
+    "rhs, lower, upper",
+    [
+        ([np.nan], [0], [1]),  # solved to x = 1 and reported optimal
+        ([np.inf], [0], [1]),
+        ([-np.inf], [0], [1]),
+        ([1], [0], [np.nan]),  # solved to x = 0
+        ([1], [np.nan], [1]),  # raised InfeasibleLPError
+    ],
+)
+def test_non_finite_rhs_and_nan_bounds_rejected(rhs, lower, upper):
+    with pytest.raises(ValueError, match="finite|NaN"):
+        lp([1], [[1]], [LE], rhs, lower, upper)
+
+
 def random_lp_cases():
     """(lhs, sense, rhs, objective, upper) with lower bounds 0."""
     # small dense rows of every sense
