@@ -570,13 +570,16 @@ def policy_estimation_threshold(n_agents: int, delta: float, pi_min: float) -> i
     """Smallest integer N with (n-1)(1-pi_min)^N <= delta.
 
     Callers that need at least one observation should clamp the result to 1;
-    the raw threshold is 0 when delta >= n-1 or pi_min = 1.
+    the raw threshold is 0 when delta >= n-1 or pi_min = 1. A pi_min
+    outside (0, 1] raises ValueError, as in `ConfidenceParams`.
     """
     if n_agents < 2:
         raise ValueError("need at least two agents")
     if not 0.0 < delta:
         raise ValueError("delta must be positive")
-    if pi_min >= 1.0:
+    if not 0.0 < pi_min <= 1.0:
+        raise ValueError("pi_min must lie in (0, 1]")
+    if pi_min == 1.0:
         return 0
     value = (math.log(1.0 / delta) + math.log(n_agents - 1)) / math.log(1.0 / (1.0 - pi_min))
     return max(0, math.ceil(value - 1e-12))

@@ -242,7 +242,11 @@ class JointPolicy:
         return out
 
     def opponent_table(self, agent: int) -> np.ndarray:
-        """(S, A) table of pi^{-agent}(a^{-agent} | s), constant in agent's own action."""
+        """(S, A) table of pi^{-agent}(a^{-agent} | s), constant in agent's own action.
+
+        A negative agent counts from the last, as in `per_agent`; an agent
+        outside [-n, n) raises IndexError."""
+        agent = range(self.n_agents)[agent]
         out = np.ones((self.n_states, self.agent_actions.shape[1]))
         for j, table in enumerate(self.per_agent):
             if j != agent:
@@ -258,12 +262,16 @@ class JointPolicy:
 
 
 def deterministic_policy(action_counts, n_states, actions) -> JointPolicy:
-    """Build the pure joint policy playing actions[i][s] (or a constant per agent)."""
+    """Build the pure joint policy playing actions[i][s] (or a constant per agent).
+
+    An action outside [0, count) raises ValueError naming the agent."""
     tables = []
     for i, count in enumerate(action_counts):
         a = np.asarray(actions[i])
         if a.ndim == 0:
             a = np.full(n_states, int(a))
+        if np.any((a < 0) | (a >= count)):
+            raise ValueError(f"actions of agent {i} must lie in [0, {count})")
         t = np.zeros((n_states, count))
         t[np.arange(n_states), a] = 1.0
         tables.append(t)

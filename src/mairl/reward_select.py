@@ -44,21 +44,17 @@ per agent, which point came back:
 
 Agent i's constraints bind only agent i's reward, so selection splits by
 agent. `max_gap_reward` draws every agent's target first, in agent order
-(the seeded generator feeds nothing else), and then runs one body,
-`_select_agents`, on contiguous groups of agents. For its group, the body
-stages every agent (rows U, margin LP), keeping only U's live rows, then
-runs one gradient loop for all of them (`_dual_gradient`): the elementwise
-steps act in place on stacked buffers, while each agent keeps its own two
-matrix-vector products, stop and sweep count, so every agent's iterates are
-bit for bit those of a loop over that agent alone. Last, it reads each
-agent's margin back through U's full shape. There are min(agents, usable
-CPUs) groups. With two or more, the last group runs in the caller and every
-other group in a forked child process, which sends its agents' points,
-margins and counters back through a pipe, or the exception it raised. The
-call forks only where `os.fork` exists and the process runs one OS thread:
-a process with a BLAS thread pool, or with a second Python thread, runs
-every agent in the caller, as does a machine with one CPU. Each agent's
-work is the same on either path, so the outputs have the same bits.
+(the seeded generator feeds nothing else), and then runs one body per
+agent, `_select_agent`: rows U, margin LP, in distance mode the projection
+onto U's live rows, and the margin read off the full U. The agents are
+split into min(agents, usable CPUs) contiguous groups. With two or more,
+the last group runs in the caller and every other group in a forked child
+process, which sends its agents' points, margins and counters back through
+a pipe, or the exception it raised. The call forks only where `os.fork`
+exists and the process runs one OS thread: a process with a BLAS thread
+pool, or with a second Python thread, runs every agent in the caller, one
+after another, as does a machine with one CPU. Each agent's work is the
+same on either path, so the outputs have the same bits.
 """
 
 from __future__ import annotations
@@ -292,105 +288,72 @@ def _step_size(U):
     return 1.0 / max(gram_scale * 1.01, 1e-12)
 
 
-def _dual_gradient(problems):
-    """Accelerated projected gradient on the duals of all `problems` at once.
+def _dual_gradient(target, U, rhs, rmax_i):
+    """Accelerated projected gradient on the dual of one projection problem.
 
-    Returns (sweeps, best) per problem: the sweeps it ran and its
-    best-feasibility primal iterate. One loop serves every problem: the
-    multipliers, primal iterates and gradients live in stacked (k, max rows)
-    and (k, n) buffers updated in place, and a problem with fewer rows is
-    padded with rhs = 0 and gradient 0, so its multipliers stay 0 there. Each
-    problem keeps its own two matrix-vector products (on its C-contiguous U
-    and on U.T), bound once as `ndarray.dot(v, out)` calls into its own
-    buffer slices, so its iterates are bit for bit those of a loop over that
-    problem alone. A problem stops at its own check, every CHECK_EVERY
-    sweeps, once its iterate violates no constraint by more than SWEEP_TOL;
-    its rows are then zeroed and stay 0.
+    Returns (sweeps, best): the sweeps run and the best-feasibility primal
+    iterate. The multipliers, primal iterate and gradient live in buffers
+    updated in place, and the two matrix-vector products, bound once as
+    `ndarray.dot(v, out)` calls on the C-contiguous U and on U.T, write into
+    them. The loop stops at a check, every CHECK_EVERY sweeps, once its
+    iterate violates no constraint by more than SWEEP_TOL, and otherwise
+    after MAX_SWEEPS.
     """
-    k = len(problems)
-    rows = [p[1].shape[0] for p in problems]
-    targets = np.stack([p[0] for p in problems])
-    # per-problem scalars spread over full rows: a broadcast column costs
+    # the step and rmax spread over full rows: a numpy scalar operand costs
     # more per call than the elementwise work itself
-    rmax = np.repeat([[p[4]] for p in problems], targets.shape[1], axis=1)
-    steps = np.repeat([[_step_size(p[1])] for p in problems], max(rows), axis=1)
-    rhs = np.zeros_like(steps)
-    for j, p in enumerate(problems):
-        rhs[j, : rows[j]] = p[2]
+    steps = np.full_like(rhs, _step_size(U))
+    rmax = np.full_like(target, rmax_i)
     lam = np.zeros_like(rhs)
     lam_prev = np.zeros_like(rhs)
     mom = np.zeros_like(rhs)
     grad = np.zeros_like(rhs)
-    back = np.empty_like(targets)  # U^T mom per problem
-    x = np.clip(targets, 0.0, rmax)
+    back = np.empty_like(target)  # U^T mom
+    x = np.clip(target, 0.0, rmax_i)
     best = x.copy()
-    # per problem: its two products, bound to their buffer slices
-    to_primal = [partial(p[1].T.dot, mom[j, : rows[j]], back[j]) for j, p in enumerate(problems)]
-    to_rows = [partial(p[1].dot, x[j], grad[j, : rows[j]]) for j, p in enumerate(problems)]
-    best_viol = [_violation(x[j], p[1] @ x[j] - p[2], p[4]) for j, p in enumerate(problems)]
-    sweeps = [MAX_SWEEPS] * k
-    running = list(range(k))
+    best_viol = _violation(x, U @ x - rhs, rmax_i)
+    to_primal = partial(U.T.dot, mom, back)
+    to_rows = partial(U.dot, x, grad)
     t_acc = 1.0
     for it in range(1, MAX_SWEEPS + 1):
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
         np.subtract(lam, lam_prev, out=mom)
         mom *= (t_acc - 1.0) / t_next
         mom += lam
-        for j in running:
-            to_primal[j]()
-        np.subtract(targets, back, out=x)
+        to_primal()
+        np.subtract(target, back, out=x)
         np.maximum(x, 0.0, out=x)
         np.minimum(x, rmax, out=x)
-        for j in running:
-            to_rows[j]()
+        to_rows()
         grad -= rhs
-        stopped = []
         if it % CHECK_EVERY == 0:
-            for j in running:
-                viol = _violation(x[j], grad[j, : rows[j]], problems[j][4])
-                if viol < best_viol[j]:
-                    best_viol[j] = viol
-                    best[j] = x[j]
-                if viol <= SWEEP_TOL:
-                    sweeps[j] = it
-                    stopped.append(j)
+            viol = _violation(x, grad, rmax_i)
+            if viol < best_viol:
+                best_viol = viol
+                best[:] = x
+            if viol <= SWEEP_TOL:
+                return it, best
         grad *= steps
         grad += mom
         lam_prev, lam = lam, lam_prev
         np.maximum(grad, 0.0, out=lam)
         t_acc = t_next
-        for j in stopped:
-            running.remove(j)
-            for buf in (lam, lam_prev, grad, rhs):
-                buf[j] = 0.0
-        if not running:
-            break
-    return sweeps, best
+    return MAX_SWEEPS, best
 
 
-def _distance_project(problems):
-    """Feasible near-projections of each `target` onto {0 <= x <= rmax, U x <= rhs}.
+def _distance_project(target, U, rhs, anchor, rmax_i):
+    """A feasible near-projection of `target` onto {0 <= x <= rmax, U x <= rhs}.
 
-    `problems` holds one (target, U, rhs, anchor, rmax_i) per agent, with U
-    C-contiguous and every target of the same length. Accelerated projected
-    gradient on the dual (multipliers for the rows, box kept implicit; see
-    `_dual_gradient`) tracks the best-feasibility primal iterate; an exact
-    active-set polish is attempted, and when the near-active face is too
-    degenerate for it, the iterate is blended toward the strictly feasible
-    `anchor` just enough to restore exact feasibility. Returns one (point,
-    sweeps, path) per problem, path "polished", "blended" or "vertex"; on
-    "vertex" no feasible projection was found and the point is `anchor`."""
-    out = [(np.clip(p[0], 0.0, p[4]), 0, "polished") for p in problems]
-    gradient = [j for j, p in enumerate(problems) if p[1].shape[0] > 0]
-    if gradient:
-        sweeps, best = _dual_gradient([problems[j] for j in gradient])
-        for j, it, point in zip(gradient, sweeps, best):
-            out[j] = _finish_projection(*problems[j], point, it)
-    return out
-
-
-def _finish_projection(target, U, rhs, anchor, rmax_i, best, it):
-    """Polish `best`, else blend it toward `anchor`, else return `anchor`."""
+    U is C-contiguous. Accelerated projected gradient on the dual
+    (multipliers for the rows, box kept implicit; see `_dual_gradient`)
+    tracks the best-feasibility primal iterate; an exact active-set polish
+    is attempted, and when the near-active face is too degenerate for it,
+    the iterate is blended toward the strictly feasible `anchor` just enough
+    to restore exact feasibility. Returns (point, sweeps, path), path
+    "polished", "blended" or "vertex"; on "vertex" no feasible projection
+    was found and the point is `anchor`."""
+    if U.shape[0] == 0:
+        return np.clip(target, 0.0, rmax_i), 0, "polished"
+    it, best = _dual_gradient(target, U, rhs, rmax_i)
     polished = _polish_projection(target, best, U, rhs, rmax_i)
     if polished is not None:
         return polished, it, "polished"
@@ -411,50 +374,30 @@ def _finish_projection(target, U, rhs, anchor, rmax_i, best, it):
     return anchor, it, "vertex"
 
 
-def _select_agents(game, policy, r, reward_class, targets, agents):
-    """The selection of each agent in `agents`: one (x, margin, pivots,
-    pinned, sweeps, path) per agent, path None in max-margin mode.
+def _select_agent(game, policy, r, reward_class, targets, i):
+    """Agent i's selection: (x, margin, pivots, pinned, sweeps, path), path
+    None in max-margin mode (`targets` None).
 
-    Every agent is staged first (rows U, margin LP), keeping only U's live
-    rows; then one `_distance_project` call projects the targets of all of
-    them, unless `targets` is None (max-margin mode)."""
-    staged = []  # per agent: live rows of U, live, rows carrying the margin, LP x, U's layout
-    problems = []  # per agent in distance mode: target, live rows of U, rhs, LP x, rmax
-    for i in agents:
-        U = _advantage_rows(game, policy, i, reward_class)
-        mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
-        live = np.linalg.norm(U, axis=1) > _DEAD_ROW
-        x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
-        pinned = int(np.sum(mask & live & ~margin_rows))
-        U_live = U[live]
-        order = "F" if U.flags.f_contiguous else "C"
-        staged.append((U_live, live, margin_rows, x, order, pivots, pinned))
-        if targets is not None:
-            # support rows are one-sided too: their average under the policy is
-            # zero identically, so <= 0 on each forces equality at any
-            # feasible point
-            rhs = np.where(margin_rows[live], -max(t_star - 1e-6, 0.0), 0.0)
-            problems.append((targets[i], U_live, rhs, x, r[i]))
-        del U  # only the live rows stay alive through the other agents' LPs
-
-    if targets is None:
-        projected = [(x, 0, None) for _, _, _, x, _, _, _ in staged]
+    Builds the rows U, solves the lexicographic margin LP and, in distance
+    mode, projects agent i's target onto U's live rows; the margin is read
+    off the full U."""
+    U = _advantage_rows(game, policy, i, reward_class)
+    mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
+    live = np.linalg.norm(U, axis=1) > _DEAD_ROW
+    x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
+    pinned = int(np.sum(mask & live & ~margin_rows))
+    sweeps, path = 0, None
+    if targets is not None:
+        # support rows are one-sided too: their average under the policy is
+        # zero identically, so <= 0 on each forces equality at any feasible point
+        rhs = np.where(margin_rows[live], -max(t_star - 1e-6, 0.0), 0.0)
+        x, sweeps, path = _distance_project(targets[i], U[live], rhs, x, r[i])
+    if margin_rows.any():
+        # over the full U: a product over U[live] alone can differ in the last bit
+        margin = float(-(U @ x)[margin_rows].max())
     else:
-        projected = _distance_project(problems)
-    selected = []
-    for i, (U_live, live, carrying, _, order, pivots, pinned), (x, sweeps, path) in zip(
-        agents, staged, projected
-    ):
-        if carrying.any():
-            # the live rows back in U's shape and memory layout: each row's
-            # product then has the bits of that row of U @ x
-            full = np.zeros((live.size, x.size), order=order)
-            full[live] = U_live
-            margin = float(-(full @ x)[carrying].max())
-        else:
-            margin = r[i] / (1.0 - game.gamma)
-        selected.append((x, margin, pivots, pinned, sweeps, path))
-    return selected
+        margin = r[i] / (1.0 - game.gamma)
+    return x, margin, pivots, pinned, sweeps, path
 
 
 def _usable_cpus() -> int:
@@ -577,7 +520,11 @@ def max_gap_reward(
         rng = np.random.default_rng(seed)
         size = S if reward_class == STATE_CLASS else S * A
         targets = [rng.uniform(0.0, r[i], size=size) for i in range(n)]
-    select = partial(_select_agents, game, policy, r, reward_class, targets)
+    agent = partial(_select_agent, game, policy, r, reward_class, targets)
+
+    def select(group):
+        return [agent(i) for i in group]
+
     groups = [part.tolist() for part in np.array_split(np.arange(n), min(n, _usable_cpus()))]
     if len(groups) > 1 and hasattr(os, "fork") and _single_threaded():
         selected = _forked(select, groups)

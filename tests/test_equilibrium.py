@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mairl.equilibrium
-from mairl.dp import policy_evaluation
+from mairl.dp import (
+    _reply_kernel,
+    expected_advantage_table,
+    own_action_marginal,
+    policy_evaluation,
+)
 from mairl.errors import DimensionMismatchError
 from mairl.equilibrium import (
     best_response,
@@ -23,6 +28,34 @@ from mairl.synthetic import (
     random_reward,
     single_state_game,
 )
+
+
+def test_negative_agent_reads_the_last_agent():
+    """Agent -1 is agent n - 1, as in `per_agent`, `reward.tables` and
+    `game.agent_actions`; its opponents are not every agent."""
+    rng = np.random.default_rng(0)
+    game = random_markov_game(rng, 3, (2, 3), 0.8)
+    reward = random_reward(rng, game)
+    policy = random_joint_policy(rng, game)
+    last = game.n_agents - 1
+    assert policy.opponent_table(-1).tobytes() == policy.opponent_table(last).tobytes()
+    neg, pos = best_response(game, reward, policy, -1), best_response(game, reward, policy, last)
+    assert neg.actions.tolist() == pos.actions.tolist() == [1, 0, 2]
+    assert neg.value.tobytes() == pos.value.tobytes()
+    assert neg.gap_per_state.tobytes() == pos.gap_per_state.tobytes()
+    values = policy_evaluation(game, reward, policy)
+    table = reward.tables[last]
+    for got, want in [
+        (expected_advantage_table(game, policy, values, -1),
+         expected_advantage_table(game, policy, values, last)),
+        (own_action_marginal(game, policy, -1, table),
+         own_action_marginal(game, policy, last, table)),
+        (_reply_kernel(game, policy, -1, 1), _reply_kernel(game, policy, last, 1)),
+    ]:
+        assert got.tobytes() == want.tobytes()
+    for agent in (game.n_agents, -game.n_agents - 1):
+        with pytest.raises(IndexError):
+            policy.opponent_table(agent)
 
 
 def test_best_response_pd(pd):

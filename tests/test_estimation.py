@@ -457,6 +457,9 @@ def test_policy_estimation_threshold():
     assert policy_estimation_threshold(3, 0.1, 1.0) == 0
     with pytest.raises(ValueError):
         policy_estimation_threshold(1, 0.1, 0.5)
+    for pi_min in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="pi_min"):
+            policy_estimation_threshold(2, 0.1, pi_min)
 
 
 def test_estimator_consistency_long_run():

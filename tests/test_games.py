@@ -124,6 +124,15 @@ def test_deterministic_policy_and_with_transitions():
     assert g2.gamma == g.gamma and g2.action_counts == g.action_counts
 
 
+@pytest.mark.parametrize(
+    "actions, agent", [([[-1, 0], 2], 0), ([2, 0], 0), ([[0, 1], 3], 1), ([[0, 1], -1], 1)]
+)
+def test_deterministic_policy_rejects_actions_out_of_range(actions, agent):
+    """A negative action would otherwise play the agent's last action."""
+    with pytest.raises(ValueError, match=f"agent {agent}"):
+        deterministic_policy((2, 3), 2, actions)
+
+
 def test_successor_list_validation_and_dense_round_trip():
     P = np.zeros((2, 2, 2))
     P[:, :, 1] = 1.0

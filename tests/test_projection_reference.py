@@ -1,12 +1,12 @@
-"""Bit-equality of the one projection loop over all agents against the
-per-agent loop it replaced, and of the active-set polish against its
-set-based form.
+"""Bit-equality of the projection and of the active-set polish against
+their former forms.
 
-`reference_distance_project` is the former `_distance_project`: accelerated
-projected gradient on one agent's dual, then the polish / blend / vertex
-ending. It is kept here as the test oracle. `_distance_project` run on
-several agents at once must return, per agent, exactly the point, sweep
-count and path the oracle returns for that agent alone.
+`reference_distance_project` is an earlier `_distance_project`: accelerated
+projected gradient on one agent's dual with a fresh array per step, then the
+polish / blend / vertex ending. It is kept here as the test oracle.
+`_distance_project`, whose loop updates its buffers in place, must return
+exactly the point, sweep count and path the oracle returns for the same
+problem.
 
 `reference_polish_projection` is the former `_polish_projection`, which kept
 its active rows and fixed coordinates as Python index sets grown element by
@@ -142,8 +142,7 @@ def reference_distance_project(target, U, rhs, anchor, rmax_i):
 
 
 def assert_matches_reference(problems):
-    got = reward_select._distance_project(problems)
-    assert len(got) == len(problems)
+    got = [reward_select._distance_project(*problem) for problem in problems]
     for (point, sweeps, path), problem in zip(got, problems):
         want_point, want_sweeps, want_path = reference_distance_project(*problem)
         assert point.tobytes() == want_point.tobytes()
@@ -183,7 +182,7 @@ def test_random_problems_match_reference(seed, n, agents):
 
 
 def test_unequal_rows_an_empty_agent_and_an_early_stop():
-    """At the real cap: one agent stops at its first check, one runs all
+    """At the real cap: one problem stops at its first check, one runs all
     MAX_SWEEPS sweeps on more rows, and one has no live row at all."""
     rng = np.random.default_rng(7)
     problems = [
@@ -287,9 +286,10 @@ def test_grid_expert_projection_matches_reference():
 
 
 def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
-    """`max_gap_reward` keeps only each agent's live rows, yet its margins
-    are -(U @ x) over the full U at the carrying rows, bit for bit: on this
-    board the product of the live rows alone differs in the last bit."""
+    """`max_gap_reward` projects onto each agent's live rows only, yet its
+    margins are -(U @ x) over the full U at the carrying rows, bit for bit:
+    on this board the product of the live rows alone differs in the last
+    bit. Each `_distance_project` call projects one agent's target."""
     game, reward, _ = build_grid_game(GridGameSpec())
     expert = nash_value_iteration(game, reward).policy
     counts = CountBook(game.n_states, game.action_counts)
@@ -299,9 +299,9 @@ def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
     points = []
     project = reward_select._distance_project
 
-    def recording(problems):
-        out = project(problems)
-        points.extend(point for point, _, _ in out)
+    def recording(*problem):
+        out = project(*problem)
+        points.append(out[0])
         return out
 
     monkeypatch.setattr(reward_select, "_distance_project", recording)
@@ -310,6 +310,7 @@ def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
     res = reward_select.max_gap_reward(
         est_game, problem.pi_hat, 1.0, mode="distance-to-random", seed=1, reward_class="state"
     )
+    assert len(points) == est_game.n_agents
     for agent, x in enumerate(points):
         U = reward_select._advantage_rows(est_game, problem.pi_hat, agent, "state")
         mask = (problem.pi_hat.per_agent[agent] == 0.0).ravel()
