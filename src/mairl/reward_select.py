@@ -17,8 +17,12 @@ The max-margin mode maximizes that margin by LP over a reward class:
 * "state": one entry per state, broadcast over joint actions. Deviations
   through identical dynamics are then indistinguishable, and route ties in
   the expert can make small sets of deviation gaps sum to zero identically;
-  such structurally-tied rows are detected from the LP duals and pinned at
-  zero so the margin over the remaining deviations stays meaningful.
+  such structurally-tied rows are pinned at zero (kept feasible, without a
+  margin) so the margin over the remaining deviations stays meaningful.
+  Most are antipodal pairs, U[r1] = -c U[r2] with c > 0, found before the
+  first LP by matching rounded unit rows (`_antipodal_rows`); any other tied
+  set is found from the LP duals (`_lexicographic_margin`). On the grids the
+  pairs are all of them, so each agent solves one LP.
 
 The margin LP, max t s.t. U x + t 1_margin <= 0, 0 <= x <= rmax,
 0 <= t <= rmax/(1-gamma), has one row per (s, d) and one column per reward
@@ -54,7 +58,10 @@ a pipe, or the exception it raised. The call forks only where `os.fork`
 exists and the process runs one OS thread: a process with a BLAS thread
 pool, or with a second Python thread, runs every agent in the caller, one
 after another, as does a machine with one CPU. Each agent's work is the
-same on either path, so the outputs have the same bits.
+same on either path, so at one BLAS thread count the outputs have the same
+bits. Between thread counts they can differ: the thread count changes the
+rounding of BLAS products and with it the simplex's pivots. A run that is
+compared or reproduced bit for bit should pin OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations
@@ -81,6 +88,7 @@ STATE_ACTION_CLASS = "state-action"
 STATE_CLASS = "state"
 
 _DEAD_ROW = 1e-9
+_PIN_BLOCK_BYTES = 2**20  # the slice of U that `_antipodal_rows` normalises at once
 # projection: the gradient sweep cap, the sweep interval of each iterate's
 # feasibility check, the violation that ends the sweeps, the feasibility
 # tolerance of a polished or blended point, and the polish's solve cap
@@ -199,6 +207,39 @@ def _margin_lp(U, margin_rows, rmax_i, gamma):
     return _primal_margin_lp(U, margin_rows, rmax_i, gamma)
 
 
+def _unit_rows(U, norms, rows):
+    """Rows `rows` of U over their norms, rounded to 9 digits; adding 0.0
+    turns -0.0 into 0.0, so that equal rows have equal bytes."""
+    return np.round(U[rows] / norms[rows, None], 9) + 0.0
+
+
+def _antipodal_rows(U, rows, norms):
+    """The rows among `rows` with an antipodal partner among them:
+    U[r1] = -c U[r2] with c > 0, matched on their rounded unit rows.
+
+    Both gaps of such a pair cannot be negative at once (U[r2] x <= -t and
+    -c U[r2] x <= -t force t <= 0), so neither carries a margin. Each row's
+    bytes, and its negation's, are hashed _PIN_BLOCK_BYTES of U at a time,
+    so no second copy of U is held; a match of hashes is confirmed on the
+    bytes themselves."""
+    idx = np.flatnonzero(rows)
+    block = max(1, _PIN_BLOCK_BYTES // (U.itemsize * max(1, U.shape[1])))
+    by_hash = {}  # hash of a unit row's bytes -> its rows
+    negated = []  # per row of idx, the hash of its negated unit row's bytes
+    for start in range(0, idx.size, block):
+        part = idx[start : start + block]
+        unit = _unit_rows(U, norms, part)
+        for r, u, neg in zip(part, unit, 0.0 - unit):
+            by_hash.setdefault(hash(u.tobytes()), []).append(r)
+            negated.append(hash(neg.tobytes()))
+    pinned = np.zeros_like(rows)
+    for r, key in zip(idx, negated):
+        if key in by_hash:
+            neg = 0.0 - _unit_rows(U, norms, [r])
+            pinned[r] = any(np.array_equal(_unit_rows(U, norms, [p]), neg) for p in by_hash[key])
+    return pinned
+
+
 def _lexicographic_margin(U, mask, live, rmax_i, gamma):
     """Maximize the scalar margin, pinning structurally-tied rows at zero.
 
@@ -209,7 +250,11 @@ def _lexicographic_margin(U, mask, live, rmax_i, gamma):
     certificate whose gaps sum to zero for every reward in the class; they
     are removed from the margin (kept feasible at <= 0) and the LP repeats.
     Each repeat removes at least one row, so there are at most
-    |margin rows| + 1 rounds.
+    |margin rows| + 1 rounds. Each antipodal pair is such a certificate, at
+    one cold LP apiece; `_select_agent` pins the pairs beforehand
+    (`_antipodal_rows`) and leaves this loop the certificates that are not
+    pairs. Called alone on the whole mask, it finds the pairs itself; on the
+    grids it then ends on the same rows, x and t, bit for bit.
     """
     margin_rows = mask & live
     pivots = 0
@@ -340,6 +385,22 @@ def _dual_gradient(target, U, rhs, rmax_i):
     return MAX_SWEEPS, best
 
 
+def _aligned_rows(U, rows):
+    """U[rows] as a C-contiguous copy that starts on a 64-byte boundary.
+
+    The projection's matrix-vector products return the same bits at any
+    offset, but over a matrix 16 bytes past a 32-byte boundary they take
+    ~20% longer (4x3 live rows, 363 x 132, OpenBLAS at 1 thread), and where
+    malloc puts a plain U[rows] moves with every allocation made before it."""
+    idx = np.flatnonzero(rows)
+    size = idx.size * U.shape[1]
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // buf.itemsize
+    out = buf[start : start + size].reshape(idx.size, U.shape[1])
+    # "clip" writes straight into out; the default mode would buffer a copy
+    return np.take(U, idx, axis=0, out=out, mode="clip")
+
+
 def _distance_project(target, U, rhs, anchor, rmax_i):
     """A feasible near-projection of `target` onto {0 <= x <= rmax, U x <= rhs}.
 
@@ -378,20 +439,25 @@ def _select_agent(game, policy, r, reward_class, targets, i):
     """Agent i's selection: (x, margin, pivots, pinned, sweeps, path), path
     None in max-margin mode (`targets` None).
 
-    Builds the rows U, solves the lexicographic margin LP and, in distance
-    mode, projects agent i's target onto U's live rows; the margin is read
-    off the full U."""
+    Builds the rows U, pins their antipodal pairs, solves the lexicographic
+    margin LP and, in distance mode, projects agent i's target onto U's live
+    rows; the margin is read off the full U."""
     U = _advantage_rows(game, policy, i, reward_class)
     mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
-    live = np.linalg.norm(U, axis=1) > _DEAD_ROW
-    x, t_star, margin_rows, pivots = _lexicographic_margin(U, mask, live, r[i], game.gamma)
+    norms = np.linalg.norm(U, axis=1)
+    live = norms > _DEAD_ROW
+    # pinning the antipodal pairs first leaves the loop one LP on the grids
+    pairs = _antipodal_rows(U, mask & live, norms)
+    x, t_star, margin_rows, pivots = _lexicographic_margin(
+        U, mask & ~pairs, live, r[i], game.gamma
+    )
     pinned = int(np.sum(mask & live & ~margin_rows))
     sweeps, path = 0, None
     if targets is not None:
         # support rows are one-sided too: their average under the policy is
         # zero identically, so <= 0 on each forces equality at any feasible point
         rhs = np.where(margin_rows[live], -max(t_star - 1e-6, 0.0), 0.0)
-        x, sweeps, path = _distance_project(targets[i], U[live], rhs, x, r[i])
+        x, sweeps, path = _distance_project(targets[i], _aligned_rows(U, live), rhs, x, r[i])
     if margin_rows.any():
         # over the full U: a product over U[live] alone can differ in the last bit
         margin = float(-(U @ x)[margin_rows].max())

@@ -285,6 +285,33 @@ def test_grid_expert_projection_matches_reference():
     assert [sweeps for _, sweeps, _ in got] == [reward_select.MAX_SWEEPS] * 2
 
 
+def test_aligned_rows_project_with_the_bits_of_any_offset():
+    """`_aligned_rows` copies U[live] to a 64-byte boundary, and the
+    projection returns the same point, sweeps and path on a copy of the
+    rows at every other 8-byte offset."""
+    game, reward, _ = build_grid_game(GridGameSpec())
+    policy = nash_value_iteration(game, reward).policy
+    U = reward_select._advantage_rows(game, policy, 0, "state")
+    mask = (policy.per_agent[0] == 0.0).ravel()
+    live = np.linalg.norm(U, axis=1) > reward_select._DEAD_ROW
+    x, t, margin_rows, _ = reward_select._lexicographic_margin(U, mask, live, 1.0, game.gamma)
+    rhs = np.where(margin_rows[live], -max(t - 1e-6, 0.0), 0.0)
+    target = np.random.default_rng(0).uniform(0.0, 1.0, size=U.shape[1])
+    aligned = reward_select._aligned_rows(U, live)
+    assert aligned.ctypes.data % 64 == 0 and aligned.flags.c_contiguous
+    assert np.array_equal(aligned, U[live])
+    want = reward_select._distance_project(target, aligned, rhs, x, 1.0)
+    raw = np.empty(aligned.size + 16)  # up to 7 to the boundary, then up to 7 more
+    for offset in range(8):
+        start = (-raw.ctypes.data % 64) // 8 + offset
+        rows = raw[start : start + aligned.size].reshape(aligned.shape)
+        rows[:] = aligned
+        point, sweeps, path = reward_select._distance_project(target, rows, rhs, x, 1.0)
+        assert (point.tobytes(), sweeps, path) == (want[0].tobytes(), want[1], want[2])
+    empty = reward_select._aligned_rows(U, np.zeros_like(live))
+    assert empty.shape == (0, U.shape[1])
+
+
 def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
     """`max_gap_reward` projects onto each agent's live rows only, yet its
     margins are -(U @ x) over the full U at the carrying rows, bit for bit:

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mairl.reward_select
 import mairl.simplex
 from mairl.equilibrium import matrix_ne_check, nash_gap, nash_value_iteration
 from mairl.errors import DimensionMismatchError
-from mairl.estimation import CountBook, estimate
+from mairl.estimation import CountBook, GenerativeOracle, estimate, sample_round
 from mairl.feasible import check_implicit
 from mairl.games import JointReward
 from mairl.gridworld import GridGameSpec, build_grid_game
 from mairl.reward_select import (
     _advantage_rows,
+    _antipodal_rows,
     _dual_margin_lp,
     _lexicographic_margin,
     _margin_lp,
@@ -253,6 +254,100 @@ def test_dual_margin_lp_matches_primal_on_random_rows(seed, m, n, levels):
     )
     assert abs(t_dual - t_primal) <= 1e-9
     assert np.array_equal(rows_dual, rows_primal)
+
+
+def expert_and_estimate(spec):
+    """The board's NashQ expert and the game and policy estimated after one round."""
+    game, reward, _ = build_grid_game(spec)
+    expert = nash_value_iteration(game, reward).policy
+    counts = CountBook(game.n_states, game.action_counts)
+    sample_round(GenerativeOracle(game, expert, seed=0), counts)
+    problem = estimate(counts)
+    return [(game, expert), (problem.as_game(game.gamma, game.mu), problem.pi_hat)]
+
+
+@pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)])
+def test_pre_pinned_pairs_leave_the_loop_one_margin_lp(width, height, monkeypatch):
+    # the loop alone is the oracle: pinning the antipodal pairs first pins the
+    # same rows and ends on the same LP, so x and t keep their bits
+    cases = expert_and_estimate(crossing_board(width, height))
+    for game, policy in cases:
+        for agent in range(game.n_agents):
+            U = _advantage_rows(game, policy, agent, "state")
+            mask = (policy.per_agent[agent] == 0.0).ravel()
+            norms = np.linalg.norm(U, axis=1)
+            live = norms > mairl.reward_select._DEAD_ROW
+            x, t, margin_rows, _ = lexicographic_rounds(U, mask, live, 1.0, game.gamma, _margin_lp)
+            pairs = _antipodal_rows(U, mask & live, norms)
+            x_pre, t_pre, rows_pre, rounds = lexicographic_rounds(
+                U, mask & ~pairs, live, 1.0, game.gamma, _margin_lp
+            )
+            # on the grids the loop pins exactly the pairs
+            assert np.array_equal(pairs, mask & live & ~margin_rows)
+            assert np.array_equal(rows_pre, margin_rows)
+            assert x_pre.tobytes() == x.tobytes() and t_pre == t
+            assert len(rounds) == 1
+    # and through max_gap_reward, one margin LP per agent
+    calls = []
+    margin_lp = mairl.reward_select._margin_lp
+
+    def counting(*args):
+        calls.append(args)
+        return margin_lp(*args)
+
+    monkeypatch.setattr(mairl.reward_select, "_margin_lp", counting)
+    # one group, so every LP runs in this process, where the counter sees it
+    monkeypatch.setattr(mairl.reward_select, "_usable_cpus", lambda: 1)
+    for game, policy in cases:
+        calls.clear()
+        max_gap_reward(game, policy, 1.0, reward_class="state")
+        assert len(calls) == game.n_agents
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=1, max_value=14),
+    n=st.integers(min_value=1, max_value=5),
+    levels=st.sampled_from([1, 2, 8]),
+    planted=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=13), st.sampled_from([-3.0, -1.0, -0.5, 2.0])),
+        max_size=6,
+    ),
+    rows=st.none(),
+)
+# the second row is -2 times the first; its zero is -0.0 where the first
+# row's negation has 0.0, so only the rounding's + 0.0 lets their bytes match
+@example(seed=0, m=2, n=2, levels=1, planted=[], rows=[[1.0, 0.0], [-2.0, -0.0]])
+def test_pre_pinned_rows_are_antipodal_pairs(seed, m, n, levels, planted, rows):
+    # integer-grid rows as in the test above, plus negated and scaled copies
+    # of some of them, whose zeros are -0.0 where the scale is negative
+    rng = np.random.default_rng(seed)
+    if rows is None:
+        U = rng.integers(-levels, levels + 1, size=(m, n)) / levels
+        copies = [U[r % m] * c for r, c in planted]
+        U = np.vstack([U, *copies])[rng.permutation(m + len(copies))]
+        mask = rng.random(len(U)) < 0.6
+    else:
+        U = np.array(rows)
+        mask = np.ones(len(U), dtype=bool)
+    norms = np.linalg.norm(U, axis=1)
+    live = norms > mairl.reward_select._DEAD_ROW
+    rmax_i, gamma = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 0.95))
+    pairs = _antipodal_rows(U, mask & live, norms)
+    assert not np.any(pairs & ~(mask & live))
+    unit = U / np.where(live, norms, 1.0)[:, None]
+    for r1 in np.flatnonzero(pairs):
+        partners = [r2 for r2 in np.flatnonzero(pairs) if np.allclose(unit[r1], -unit[r2])]
+        assert partners  # U[r1] = -c U[r2] with c = norms[r1] / norms[r2] > 0
+        only_pair = np.zeros_like(mask)
+        only_pair[[r1, partners[0]]] = True
+        assert _margin_lp(U, only_pair, rmax_i, gamma)[1] <= 1e-9
+    _, t, _, _ = _lexicographic_margin(U, mask, live, rmax_i, gamma)
+    _, t_pre, _, _ = _lexicographic_margin(U, mask & ~pairs, live, rmax_i, gamma)
+    assert abs(t_pre - t) <= 1e-9
+    if rows is not None:
+        assert pairs.all()
 
 
 @pytest.mark.parametrize(
