@@ -75,11 +75,17 @@ def transition_under(game: MarkovGame, policy: JointPolicy) -> np.ndarray:
     return _weighted_kernel(game, policy.joint_table())
 
 
+def _reply_weights(game: MarkovGame, policy: JointPolicy, agent: int, actions) -> np.ndarray:
+    """(..., S, A) table pi^{-i}(a^{-i}|s) where the own action is `actions`, else 0:
+    one own action, a reply (S,), or (n, 1) for n own actions at once."""
+    mask = game.agent_actions[agent] == np.asarray(actions)[..., None]
+    return np.where(mask, policy.opponent_table(agent), 0.0)
+
+
 def _reply_kernel(game: MarkovGame, policy: JointPolicy, agent: int, actions) -> np.ndarray:
     """S x S kernel sum_{a^{-i}} pi^{-i}(a^{-i}|s) P(s'|s, (actions[s], a^{-i})) of
     the pure reply `actions` (S,) of `agent`, or of one own action everywhere."""
-    mask = game.agent_actions[agent] == np.asarray(actions)[..., None]
-    return _weighted_kernel(game, np.where(mask, policy.opponent_table(agent), 0.0))
+    return _weighted_kernel(game, _reply_weights(game, policy, agent, actions))
 
 
 def policy_evaluation(game: MarkovGame, reward: JointReward, policy: JointPolicy) -> ValueBundle:

@@ -6,8 +6,8 @@ The grid pipeline has two pieces. `set_up` takes the board as a
 transfer variants. `seed_curve` runs one seed on that set-up: it samples up
 to each eval point, estimates, selects a reward and yields the seed's curve
 rows. `run_experiment` and every `mairl` subcommand call them on the 3x3
-board of `ExperimentConfig.grid_spec()`; any other board is built by the
-caller and passed in.
+board of `ExperimentConfig.grid_spec()`; a w x h crossing-goals board is
+`set_up(GridGameSpec(width=w, height=h), variants)`.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ def set_up(spec: GridGameSpec, variants=()) -> GridSetup:
     game, reward, _ = build_grid_game(spec)
     result = nash_value_iteration(game, reward)
     if not result.converged:
-        raise ConvergenceError("expert synthesis did not converge on the deterministic grid")
+        board = f"{spec.width}x{spec.height} {spec.variant} board"
+        raise ConvergenceError(f"expert synthesis did not converge on the {board}")
     altered = []
     for name in variants:
         alt_game, alt_reward, _ = build_grid_game(variant_spec(spec, name))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import expected_advantage_table, occupancy, policy_evaluation, shaping
+from .dp import _expected_next, expected_advantage_table, occupancy, policy_evaluation, shaping
 from .equilibrium import nash_gap
 from .errors import DimensionMismatchError, NotFeasibleError, OutOfRangeError
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
@@ -53,16 +53,10 @@ def event_mask(policy: JointPolicy) -> np.ndarray:
     joint action has positive probability."""
     n = policy.n_agents
     agent_actions = policy.agent_actions
-    A = agent_actions.shape[1]
-    S = policy.n_states
-    mask = np.zeros((n, S, A), dtype=bool)
+    mask = np.zeros((n, policy.n_states, agent_actions.shape[1]), dtype=bool)
     for i in range(n):
         own_zero = policy.per_agent[i][:, agent_actions[i]] == 0.0
-        opp_pos = np.ones((S, A), dtype=bool)
-        for j in range(n):
-            if j != i:
-                opp_pos &= policy.per_agent[j][:, agent_actions[j]] > 0.0
-        mask[i] = own_zero & opp_pos
+        mask[i] = own_zero & (policy.opponent_table(i) > 0.0)
     return mask
 
 
@@ -224,16 +218,15 @@ def nash_gap_bound(
             f"(gap {report.gap:.3e} > 1e-6)"
         )
     dr = np.abs(reward.tables - reward_hat.tables)
-    dp = game_est.transitions - game_true.transitions
     bounds = np.zeros(game_true.n_agents)
     w_hat = occupancy(game_est, policy_hat)
     v_hat_side = policy_evaluation(game_true, reward, policy_hat).v
     for i in range(game_true.n_agents):
         tilde = _deviator_profile(policy_hat, deviator_policy, i)
         w_tilde = occupancy(game_est, tilde)
-        v_tilde = policy_evaluation(game_true, reward, tilde).v[i]
-        term_tilde = dr[i] + game_true.gamma * np.abs(dp @ v_tilde)
-        term_hat = dr[i] + game_true.gamma * np.abs(dp @ v_hat_side[i])
+        v = np.stack([policy_evaluation(game_true, reward, tilde).v[i], v_hat_side[i]])
+        err = np.abs(_expected_next(game_est, v) - _expected_next(game_true, v))
+        term_tilde, term_hat = dr[i] + game_true.gamma * err
         bounds[i] = float((w_tilde * term_tilde).sum() + (w_hat * term_hat).sum())
     return float(bounds.max())
 

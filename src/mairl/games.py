@@ -234,24 +234,24 @@ class JointPolicy:
     def action_counts(self):
         return tuple(t.shape[1] for t in self.per_agent)
 
-    def joint_table(self) -> np.ndarray:
-        """(S, A) table of joint probabilities (product over agents)."""
+    def _product(self, skipped=None) -> np.ndarray:
+        """(S, A) product over the agents but `skipped`, in agent order."""
         out = np.ones((self.n_states, self.agent_actions.shape[1]))
         for j, table in enumerate(self.per_agent):
-            out *= table[:, self.agent_actions[j]]
+            if j != skipped:
+                out *= table[:, self.agent_actions[j]]
         return out
+
+    def joint_table(self) -> np.ndarray:
+        """(S, A) table of joint probabilities (product over agents)."""
+        return self._product()
 
     def opponent_table(self, agent: int) -> np.ndarray:
         """(S, A) table of pi^{-agent}(a^{-agent} | s), constant in agent's own action.
 
         A negative agent counts from the last, as in `per_agent`; an agent
         outside [-n, n) raises IndexError."""
-        agent = range(self.n_agents)[agent]
-        out = np.ones((self.n_states, self.agent_actions.shape[1]))
-        for j, table in enumerate(self.per_agent):
-            if j != agent:
-                out *= table[:, self.agent_actions[j]]
-        return out
+        return self._product(range(self.n_agents)[agent])
 
     def support(self, agent: int) -> np.ndarray:
         """Boolean (S, |A_i|) mask of actions with strictly positive stored probability."""

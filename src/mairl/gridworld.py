@@ -1,12 +1,14 @@
 """Two-agent grid games with crossing goals.
 
-Cells are (col, row) with row 0 at the bottom; the joint state is the
-ordered pair of distinct agent positions, so a w x h board has (wh)^2 - wh
-states. Actions are up/down/left/right. Moves off the board or into an
-obstacle cell bounce; simultaneous moves into the same cell bounce both
-agents (position swaps are allowed, the ordered pair stays valid). An agent
-standing on its own goal is pinned there, and the goal reward is paid on
-entry only, so values stay within the goal reward.
+Cells are (col, row) with row 0 at the bottom. Unless a spec gives its own
+layout, agents 0 and 1 start at (0, 0) and (w-1, 0) and head for the top
+corners diagonally opposite, (w-1, h-1) and (0, h-1): the crossing-goals
+board. The joint state is the ordered pair of distinct agent positions, so a
+w x h board has (wh)^2 - wh states. Actions are up/down/left/right. Moves
+off the board or into an obstacle cell bounce; simultaneous moves into the
+same cell bounce both agents (position swaps are allowed, the ordered pair
+stays valid). An agent standing on its own goal is pinned there, and the
+goal reward is paid on entry only, so values stay within the goal reward.
 
 Variants: "deterministic"; "stochastic-up" (an up move from the agent's own
 start column advances only with probability UP_SUCCESS_PROB, else the agent
@@ -37,19 +39,24 @@ GOAL_REWARD = 1.0
 class GridGameSpec:
     width: int = 3
     height: int = 3
-    start_positions: tuple = ((0, 0), (2, 0))
-    goal_positions: tuple = ((2, 2), (0, 2))
+    start_positions: tuple | None = None  # None: the crossing-goals layout
+    goal_positions: tuple | None = None
     variant: str = "deterministic"
     gamma: float = 0.9
     rmax: float = 1.0
 
     def __post_init__(self):
+        w, h = self.width, self.height
+        if self.start_positions is None:
+            object.__setattr__(self, "start_positions", ((0, 0), (w - 1, 0)))
+        if self.goal_positions is None:
+            object.__setattr__(self, "goal_positions", ((w - 1, h - 1), (0, h - 1)))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         for pos in (*self.start_positions, *self.goal_positions):
             c, r = pos
-            if not (0 <= c < self.width and 0 <= r < self.height):
-                raise ValueError(f"cell {pos} outside the {self.width}x{self.height} board")
+            if not (0 <= c < w and 0 <= r < h):
+                raise ValueError(f"cell {pos} outside the {w}x{h} board")
         if self.start_positions[0] == self.start_positions[1]:
             raise ValueError("agents cannot share a start cell")
         if self.goal_positions[0] == self.goal_positions[1]:

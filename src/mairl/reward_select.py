@@ -75,7 +75,7 @@ from functools import partial
 
 import numpy as np
 
-from .dp import _check_shapes, _reply_kernel, own_action_marginal, transition_under
+from .dp import _check_shapes, _reply_weights, _weighted_kernel, transition_under
 from .errors import MairlError, NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
@@ -133,9 +133,10 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
     S, A = game.n_states, game.n_joint_actions
     n_own = game.action_counts[agent]
     p_pi = transition_under(game, policy)
+    weights = _reply_weights(game, policy, agent, np.arange(n_own)[:, None])  # (|A_i|, S, A)
     p_dev = np.empty((S, n_own, S))
     for d in range(n_own):  # gamma (P_d - P_pi), one own action d at a time
-        p_dev[:, d] = (_reply_kernel(game, policy, agent, d) - p_pi) * game.gamma
+        p_dev[:, d] = (_weighted_kernel(game, weights[d]) - p_pi) * game.gamma
     # X (I - gamma P_pi)^{-1} is the transpose of a solve with the transposed system
     resolved = np.linalg.solve(
         (np.eye(S) - game.gamma * p_pi).T, p_dev.reshape(S * n_own, S).T
@@ -144,9 +145,8 @@ def _advantage_rows(game: MarkovGame, policy: JointPolicy, agent: int, reward_cl
         return resolved
     joint = policy.joint_table()
     U = (resolved[:, :, None] * joint).reshape(S, n_own, S, A)
-    own_rows = own_action_marginal(game, policy, agent, np.broadcast_to(np.eye(A), (S, A, A)))
     states = np.arange(S)
-    U[states, :, states, :] += own_rows - joint[:, None, :]
+    U[states, :, states, :] += weights.swapaxes(0, 1) - joint[:, None, :]
     return U.reshape(S * n_own, S * A)
 
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from mairl.estimation import _schedule
+from mairl.gridworld import GridGameSpec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,3 +63,10 @@ def test_certify_workload_checks_and_fingerprints_its_history(tmp_path, monkeypa
         for k, e, c, r, i in zip(ks, *_schedule(ks, workloads.PARAMS, *shape))
     )
     assert prints[0][:3] == (tau, True, rows)
+
+
+def test_workload_boards_are_the_specs_own_crossing_layout(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    for width, height in ((3, 3), (4, 3), (4, 4)):
+        spec = GridGameSpec(width=width, height=height, gamma=0.9, rmax=1.0)
+        assert workloads.board(width, height) == spec

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import mairl.equilibrium
 from mairl.dp import (
     _reply_kernel,
+    _reply_weights,
     expected_advantage_table,
     own_action_marginal,
     policy_evaluation,
@@ -50,6 +51,7 @@ def test_negative_agent_reads_the_last_agent():
          expected_advantage_table(game, policy, values, last)),
         (own_action_marginal(game, policy, -1, table),
          own_action_marginal(game, policy, last, table)),
+        (_reply_weights(game, policy, -1, 1), _reply_weights(game, policy, last, 1)),
         (_reply_kernel(game, policy, -1, 1), _reply_kernel(game, policy, last, 1)),
     ]:
         assert got.tobytes() == want.tobytes()

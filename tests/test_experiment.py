@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import mairl.experiment
 from mairl.cli import EXIT_OK, main
-from mairl.errors import ConfigError, NotFeasibleError
+from mairl.errors import ConfigError, ConvergenceError, NotFeasibleError
 from mairl.experiment import (
     ExperimentConfig,
     optimality_check,
@@ -204,14 +205,25 @@ def test_bound_command_matches_run_experiment(tmp_path):
     assert cli_bound == Path(result.paths["bound"]).read_bytes()
 
 
+def test_set_up_names_the_board_whose_expert_did_not_converge(monkeypatch):
+    synthesize = mairl.experiment.nash_value_iteration
+
+    def capped(game, reward):
+        return dataclasses.replace(synthesize(game, reward, max_iters=1), converged=False)
+
+    monkeypatch.setattr(mairl.experiment, "nash_value_iteration", capped)
+    board = GridGameSpec(width=4, height=3, variant="stochastic-up")
+    with pytest.warns(RuntimeWarning), pytest.raises(ConvergenceError) as caught:
+        set_up(board)
+    assert str(caught.value) == "expert synthesis did not converge on the 4x3 stochastic-up board"
+
+
 def test_seed_curve_on_the_4x3_board():
     """The per-seed pipeline on a board other than the CLI's 3x3, with the
     criterion-8 settings at k = 1. The literals are the rows the benchmark's
     own composition of the pipeline gave on this board; the recovered reward
     beats cloning on obstacle-one (0.19 against 0.9^3)."""
-    board = GridGameSpec(
-        width=4, height=3, start_positions=((0, 0), (3, 0)), goal_positions=((3, 2), (0, 2))
-    )
+    board = GridGameSpec(width=4, height=3)
     config = ExperimentConfig(
         seeds=(0, 1, 2), epsilon=1.0, delta=0.1, pi_min=1.0, k_max=1, eval_points=(1,),
         gamma=0.9, rmax=1.0, mode="distance-to-random", reward_class="state",

@@ -77,9 +77,7 @@ def test_forked_selection_has_the_bits_of_the_in_process_one():
 
         cases = []
         for w, h in ((3, 3), (4, 3)):
-            spec = GridGameSpec(width=w, height=h, start_positions=((0, 0), (w - 1, 0)),
-                                goal_positions=((w - 1, h - 1), (0, h - 1)))
-            game, reward, _ = build_grid_game(spec)
+            game, reward, _ = build_grid_game(GridGameSpec(width=w, height=h))
             expert = nash_value_iteration(game, reward).policy
             counts = CountBook(game.n_states, game.action_counts)
             sample_round(GenerativeOracle(game, expert, seed=0), counts)

@@ -10,10 +10,49 @@ def test_state_count_and_actions():
     assert game.n_joint_actions == 16
     assert reward.tables.shape == (2, 72, 16)
     # closed form on another board size
-    spec = GridGameSpec(width=2, height=2, start_positions=((0, 0), (1, 0)),
-                        goal_positions=((1, 1), (0, 1)))
-    g2, _, _ = build_grid_game(spec)
+    g2, _, _ = build_grid_game(GridGameSpec(width=2, height=2))
     assert g2.n_states == (2 * 2) ** 2 - 2 * 2 == 12
+
+
+@pytest.mark.parametrize("width, height", [(2, 2), (3, 3), (4, 3), (4, 4), (5, 5)])
+def test_default_layout_is_the_crossing_goals_board(width, height):
+    spec = GridGameSpec(width=width, height=height)
+    # starts in the bottom corners, agent 0 on the left
+    assert spec.start_positions == ((0, 0), (width - 1, 0))
+    # each goal is the top corner diagonally opposite its agent's start
+    for (c, r), goal in zip(spec.start_positions, spec.goal_positions):
+        assert goal == (width - 1 - c, height - 1 - r)
+    _, _, index = build_grid_game(spec)
+    assert index.states[index.start_state] == spec.start_positions
+
+
+def test_default_3x3_spec_is_the_explicit_crossing_board():
+    explicit = GridGameSpec(
+        width=3, height=3, start_positions=((0, 0), (2, 0)), goal_positions=((2, 2), (0, 2))
+    )
+    assert GridGameSpec() == explicit
+    assert hash(GridGameSpec()) == hash(explicit)
+    default_game = build_grid_game(GridGameSpec())[:2]
+    explicit_game = build_grid_game(explicit)[:2]
+    for got, want in zip(default_game, explicit_game):
+        for a, b in zip(vars(got).values(), vars(want).values()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_variants_keep_the_layout_and_an_explicit_layout_wins():
+    derived = GridGameSpec(width=4, height=3)
+    for variant in ("stochastic-up", "obstacle-both", "obstacle-one"):
+        spec = variant_spec(derived, variant)
+        assert (spec.width, spec.height, spec.variant) == (4, 3, variant)
+        assert spec.start_positions == ((0, 0), (3, 0))
+        assert spec.goal_positions == ((3, 2), (0, 2))
+    starts, goals = ((1, 0), (2, 1)), ((3, 0), (0, 2))
+    spec = GridGameSpec(width=4, height=3, start_positions=starts, goal_positions=goals)
+    assert (spec.start_positions, spec.goal_positions) == (starts, goals)
+    assert variant_spec(spec, "obstacle-one").start_positions == starts
+    # one side given, the other derived
+    only_goals = GridGameSpec(width=4, height=3, goal_positions=goals)
+    assert only_goals.start_positions == ((0, 0), (3, 0)) and only_goals.goal_positions == goals
 
 
 def test_rows_stochastic_all_variants():

@@ -151,12 +151,16 @@ def test_state_and_own_action_kernels_match_the_dense_sums(case):
         dense = _dense_own_action_kernel(game, policy, agent)
         scattered = _scatter_own_action_kernel(game, policy, agent)
         _check(exact, scattered, dense)
-        # the advantage rows' P_d: one reply kernel per own action, all states alike
-        for d in range(game.action_counts[agent]):
-            got = dp._reply_kernel(game, policy, agent, d)
+        # the advantage rows' P_d: one reply kernel per own action, all states
+        # alike, from the weights of every own action at once
+        n_own = game.action_counts[agent]
+        weights = dp._reply_weights(game, policy, agent, np.arange(n_own)[:, None])
+        for d in range(n_own):
+            assert weights[d].tobytes() == dp._reply_weights(game, policy, agent, d).tobytes()
+            got = dp._weighted_kernel(game, weights[d])
             assert np.array_equal(got, scattered[:, d])
         # best_response's kernel: one own action per state
-        actions = rng.integers(0, game.action_counts[agent], game.n_states)
+        actions = rng.integers(0, n_own, game.n_states)
         got = dp._reply_kernel(game, policy, agent, actions)
         assert np.array_equal(got, scattered[rows, actions])
         _check(exact, got, dense[rows, actions])
@@ -184,25 +188,14 @@ def test_state_class_advantage_rows_match_the_own_action_kernel(case):
         assert got.tobytes() == want.tobytes()
 
 
-# crossing-goals boards: starts in the bottom corners, goals diagonally opposite
-BOARDS = {
-    f"{w}x{h}": gridworld.GridGameSpec(
-        width=w,
-        height=h,
-        start_positions=((0, 0), (w - 1, 0)),
-        goal_positions=((w - 1, h - 1), (0, h - 1)),
-    )
-    for w, h in ((3, 3), (4, 3), (4, 4))
-}
-
-
-@pytest.mark.parametrize("board", BOARDS)
-def test_best_responses_on_the_transfer_sweep_match_the_dense_oracle(board):
+@pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)], ids=["3x3", "4x3", "4x4"])
+def test_best_responses_on_the_transfer_sweep_match_the_dense_oracle(width, height):
     """Each variant of the board under its true reward and the state-class
     rewards recovered in both modes after one round: the best responses to
     the variant's NashQ policy of that reward and to behavior cloning,
     scored under the variant's true reward and under that reward."""
-    setup = experiment.set_up(BOARDS[board], gridworld.VARIANTS)
+    spec = gridworld.GridGameSpec(width=width, height=height)
+    setup = experiment.set_up(spec, gridworld.VARIANTS)
     game, expert = setup.game, setup.expert
     counts = estimation.CountBook(game.n_states, game.action_counts)
     estimation.sample_round(GenerativeOracle(game, expert, seed=0), counts)
@@ -311,9 +304,7 @@ def test_run_experiment_builds_no_dense_kernel(monkeypatch, tmp_path, mode, rewa
 
 
 def test_5x5_pipeline_front_stays_below_one_dense_kernel():
-    spec = gridworld.GridGameSpec(
-        width=5, height=5, start_positions=((0, 0), (4, 0)), goal_positions=((4, 4), (0, 4))
-    )
+    spec = gridworld.GridGameSpec(width=5, height=5)
     dense_bytes = 600 * 16 * 600 * 8  # one (S, A, S) float64 table: 46 MB
     tracemalloc.start()
     try:

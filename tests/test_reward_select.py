@@ -183,15 +183,6 @@ def lexicographic_rounds(U, mask, live, rmax_i, gamma, margin_lp):
     return x, t, margin_rows, rounds
 
 
-def crossing_board(width, height):
-    return GridGameSpec(
-        width=width,
-        height=height,
-        start_positions=((0, 0), (width - 1, 0)),
-        goal_positions=((width - 1, height - 1), (0, height - 1)),
-    )
-
-
 # the primal's lexicographic (margin, pinned count) per agent on the 4x4
 # expert, where it takes ~13 s against the dual's ~0.4 s
 PRIMAL_4X4 = [(0.3913043478260855, 8), (0.3131868131868113, 3)]
@@ -199,7 +190,7 @@ PRIMAL_4X4 = [(0.3913043478260855, 8), (0.3131868131868113, 3)]
 
 @pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)])
 def test_dual_margin_lp_matches_primal_on_grid_experts(width, height):
-    game, reward, _ = build_grid_game(crossing_board(width, height))
+    game, reward, _ = build_grid_game(GridGameSpec(width=width, height=height))
     policy = nash_value_iteration(game, reward).policy
     for agent in range(game.n_agents):
         U = _advantage_rows(game, policy, agent, "state")
@@ -270,7 +261,7 @@ def expert_and_estimate(spec):
 def test_pre_pinned_pairs_leave_the_loop_one_margin_lp(width, height, monkeypatch):
     # the loop alone is the oracle: pinning the antipodal pairs first pins the
     # same rows and ends on the same LP, so x and t keep their bits
-    cases = expert_and_estimate(crossing_board(width, height))
+    cases = expert_and_estimate(GridGameSpec(width=width, height=height))
     for game, policy in cases:
         for agent in range(game.n_agents):
             U = _advantage_rows(game, policy, agent, "state")

@@ -170,18 +170,8 @@ def reference_uniform_sampling(oracle, params, epsilon_target, k_max):
     return problem, unc, counts.iteration, converged, history
 
 
-def _board(width, height, variant="deterministic"):
-    return gridworld.GridGameSpec(
-        width=width,
-        height=height,
-        start_positions=((0, 0), (width - 1, 0)),
-        goal_positions=((width - 1, height - 1), (0, height - 1)),
-        variant=variant,
-    )
-
-
 def _nashq_expert(width, height):
-    game, reward, _ = gridworld.build_grid_game(_board(width, height))
+    game, reward, _ = gridworld.build_grid_game(gridworld.GridGameSpec(width=width, height=height))
     return game, equilibrium.nash_value_iteration(game, reward).policy
 
 
@@ -189,7 +179,7 @@ def _grid_oracles():
     """The NashQ experts of the 3x3 and 4x3 boards, and a mixed expert on the
     3x3 board with stochastic up-moves."""
     oracles = [GenerativeOracle(*_nashq_expert(w, h), seed=3) for w, h in ((3, 3), (4, 3))]
-    game, _, _ = gridworld.build_grid_game(_board(3, 3, "stochastic-up"))
+    game, _, _ = gridworld.build_grid_game(gridworld.GridGameSpec(variant="stochastic-up"))
     rng = np.random.default_rng(5)
     mixed = JointPolicy([rng.dirichlet(np.ones(c), game.n_states) for c in game.action_counts])
     oracles.append(GenerativeOracle(game, mixed, seed=4))
@@ -327,7 +317,7 @@ def _mixed_oracles():
     3x3 board with stochastic up-moves and its pure NashQ expert, and a
     random game with some (s, a) rows forced to one successor and an expert
     that is pure on some states and mixed on the others."""
-    game, reward, _ = gridworld.build_grid_game(_board(3, 3, "stochastic-up"))
+    game, reward, _ = gridworld.build_grid_game(gridworld.GridGameSpec(variant="stochastic-up"))
     expert = equilibrium.nash_value_iteration(game, reward).policy
     oracles = [GenerativeOracle(game, expert, seed=6)]
     rng = np.random.default_rng(9)

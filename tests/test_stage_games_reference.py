@@ -24,9 +24,7 @@ from mairl.synthetic import matching_pennies, random_markov_game, random_reward
 
 BOARDS = {
     "3x3": GridGameSpec(),
-    "4x3": GridGameSpec(
-        width=4, height=3, start_positions=((0, 0), (3, 0)), goal_positions=((3, 2), (0, 2))
-    ),
+    "4x3": GridGameSpec(width=4, height=3),
 }
 
 
