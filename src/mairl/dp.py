@@ -15,6 +15,8 @@ StaleValuesError there.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +109,23 @@ def own_action_marginal(
     """(S, |A_i|, ...) table sum_{a^{-i}} pi^{-i}(a^{-i}|s) table[s, (a^i, a^{-i}), ...].
 
     `table` is indexed by (state, joint action) first; trailing axes are kept.
+    The weighted table is reshaped to (state, agents before i, own action,
+    agents after i, ...) and summed over the opponents' joint actions one at
+    a time, in joint-action order from zero: the order fixes the bits, and a
+    numpy reduction over both opponent axes would group the additions
+    differently.
     """
-    opp = policy.opponent_table(agent)
-    own = game.agent_actions[agent]
-    onehot = np.equal.outer(own, np.arange(game.action_counts[agent])).astype(np.float64)
-    return np.einsum("sf,sf...,fd->sd...", opp, table, onehot)
+    i = range(game.n_agents)[agent]
+    counts = game.action_counts
+    trailing = table.shape[2:]
+    opp = policy.opponent_table(i)
+    terms = (opp.reshape(opp.shape + (1,) * len(trailing)) * table).reshape(
+        game.n_states, math.prod(counts[:i]), counts[i], math.prod(counts[i + 1 :]), *trailing
+    )
+    out = np.zeros((game.n_states, counts[i], *trailing))
+    for before, after in itertools.product(range(terms.shape[1]), range(terms.shape[3])):
+        out += terms[:, before, :, after]
+    return out
 
 
 def shaping(game: MarkovGame, v: np.ndarray) -> np.ndarray:

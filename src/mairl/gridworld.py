@@ -118,6 +118,27 @@ def _move_outcomes(spec: GridGameSpec, agent: int, pos, action):
     return [(1.0, target)]
 
 
+def _move_table(spec: GridGameSpec, cells):
+    """Both agents' moves as (2, cells, 4, K) arrays over (agent, cell,
+    action, outcome slot): next cell, probability, and whether the slot is
+    listed. Each (cell, action) lists `_move_outcomes` in its order; K is
+    the longest such list, and shorter ones leave their last slots unlisted."""
+    outcomes = [
+        [[_move_outcomes(spec, i, pos, a) for a in range(4)] for pos in cells] for i in range(2)
+    ]
+    K = max(len(o) for per_agent in outcomes for per_cell in per_agent for o in per_cell)
+    cell_of = {pos: c for c, pos in enumerate(cells)}
+    nxt = np.zeros((2, len(cells), 4, K), dtype=np.intp)
+    prob = np.zeros((2, len(cells), 4, K))
+    listed = np.zeros((2, len(cells), 4, K), dtype=bool)
+    for i, per_agent in enumerate(outcomes):
+        for c, per_cell in enumerate(per_agent):
+            for a, moves in enumerate(per_cell):
+                for k, (w, q) in enumerate(moves):
+                    nxt[i, c, a, k], prob[i, c, a, k], listed[i, c, a, k] = cell_of[q], w, True
+    return nxt, prob, listed
+
+
 def build_grid_game(spec: GridGameSpec):
     """Joint successor-list kernel and entry rewards for a grid-game spec.
 
@@ -125,44 +146,63 @@ def build_grid_game(spec: GridGameSpec):
     outcomes that reach the same next state are summed in the order the
     per-agent outcomes are enumerated. Returns (game, reward, index) with
     index mapping states to position pairs.
+
+    Every (state, a0, a1, outcome0, outcome1) is computed at once: the
+    agents' moves come from `_move_table`, a collision sends both agents
+    back, and each row's outcomes are sorted stably by next state, so that
+    equal next states are summed slot by slot in enumeration order.
     """
     index = GridIndex.build(spec)
     S = len(index.states)
     A = 16
-    rows = []  # per (state, joint action): {next state: probability}
-    R = np.zeros((2, S, A))
-    goals = tuple(tuple(g) for g in spec.goal_positions)
     cells = list(itertools.product(range(spec.width), range(spec.height)))
-    # per agent, {(cell, action): outcomes}
-    moves = [
-        {(pos, a): _move_outcomes(spec, i, pos, a) for pos in cells for a in range(4)}
-        for i in range(2)
-    ]
+    C = len(cells)
+    # the states' cells in state order, and the state of each ordered cell pair
+    distinct = ~np.eye(C, dtype=bool)
+    here = np.nonzero(distinct)
+    pair_state = np.zeros((C, C), dtype=np.intp)
+    pair_state[distinct] = np.arange(S)
 
-    for s, (p0, p1) in enumerate(index.states):
-        for a0 in range(4):
-            for a1 in range(4):
-                flat = a0 * 4 + a1
-                row = {}
-                for (w0, q0), (w1, q1) in itertools.product(moves[0][p0, a0], moves[1][p1, a1]):
-                    w = w0 * w1
-                    if q0 == q1:
-                        q0, q1 = p0, p1
-                    t = index.state_of[(q0, q1)]
-                    row[t] = row.get(t, 0.0) + w
-                    if q0 == goals[0] and p0 != goals[0]:
-                        R[0, s, flat] += w * GOAL_REWARD
-                    if q1 == goals[1] and p1 != goals[1]:
-                        R[1, s, flat] += w * GOAL_REWARD
-                rows.append(sorted(row.items()))
+    def spread(table):
+        """Each agent's (cell, action, outcome) table at the states' cells,
+        over the axes (state, a0, a1, outcome0, outcome1)."""
+        return table[0][here[0]][:, :, None, :, None], table[1][here[1]][:, None, :, None, :]
 
-    width = max(len(row) for row in rows)
+    nxt, prob, listed = _move_table(spec, cells)
+    K = nxt.shape[-1]
+    q0, q1 = spread(nxt)
+    w0, w1 = spread(prob)
+    l0, l1 = spread(listed)
+    w = w0 * w1
+    kept = l0 & l1
+    at = [c.reshape(S, 1, 1, 1, 1) for c in here]
+    bounce = q0 == q1
+    q = (np.where(bounce, at[0], q0), np.where(bounce, at[1], q1))
+
+    R = np.zeros((2, S, A))
+    goals = [cells.index(tuple(g)) for g in spec.goal_positions]
+    for i in range(2):
+        entered = kept & (q[i] == goals[i]) & (at[i] != goals[i])
+        pay = np.where(entered, w * GOAL_REWARD, 0.0).reshape(S, A, K * K)
+        for k in range(K * K):  # outcome by outcome, in enumeration order
+            R[i] += pay[:, :, k]
+
+    # each row's outcomes by next state, unlisted ones (state S) last
+    nxt_state = np.where(kept, pair_state[q[0], q[1]], S).reshape(S * A, K * K)
+    order = np.argsort(nxt_state, axis=1, kind="stable")
+    nxt_state = np.take_along_axis(nxt_state, order, axis=1)
+    w = np.take_along_axis(w.reshape(S * A, K * K), order, axis=1)
+    first = np.ones(nxt_state.shape, dtype=bool)
+    first[:, 1:] = nxt_state[:, 1:] != nxt_state[:, :-1]
+    slot = np.cumsum(first, axis=1) - 1
+    kept = nxt_state < S
+    width = int(slot[kept].max()) + 1
     successors = np.zeros((S * A, width), dtype=np.intp)
     probs = np.zeros((S * A, width))
-    for r, row in enumerate(rows):
-        for slot, (t, w) in enumerate(row):
-            successors[r, slot] = t
-            probs[r, slot] = w
+    for k in range(K * K):
+        rows = np.flatnonzero(kept[:, k])
+        successors[rows, slot[rows, k]] = nxt_state[rows, k]
+        probs[rows, slot[rows, k]] += w[rows, k]
 
     mu = np.zeros(S)
     mu[index.start_state] = 1.0

@@ -22,7 +22,9 @@ The max-margin mode maximizes that margin by LP over a reward class:
   Most are antipodal pairs, U[r1] = -c U[r2] with c > 0, found before the
   first LP by matching rounded unit rows (`_antipodal_rows`); any other tied
   set is found from the LP duals (`_lexicographic_margin`). On the grids the
-  pairs are all of them, so each agent solves one LP.
+  pairs are all of them, so each agent solves one LP. The state-action
+  class leaves every tied set to the LP duals: no state-action rows
+  measured hold an antipodal pair.
 
 The margin LP, max t s.t. U x + t 1_margin <= 0, 0 <= x <= rmax,
 0 <= t <= rmax/(1-gamma), has one row per (s, d) and one column per reward
@@ -71,7 +73,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -251,10 +253,10 @@ def _lexicographic_margin(U, mask, live, rmax_i, gamma):
     are removed from the margin (kept feasible at <= 0) and the LP repeats.
     Each repeat removes at least one row, so there are at most
     |margin rows| + 1 rounds. Each antipodal pair is such a certificate, at
-    one cold LP apiece; `_select_agent` pins the pairs beforehand
-    (`_antipodal_rows`) and leaves this loop the certificates that are not
-    pairs. Called alone on the whole mask, it finds the pairs itself; on the
-    grids it then ends on the same rows, x and t, bit for bit.
+    one cold LP apiece; in the state class `_select_agent` pins the pairs
+    beforehand (`_antipodal_rows`) and leaves this loop the certificates that
+    are not pairs. Called alone on the whole mask, it finds the pairs itself;
+    on the grids it then ends on the same rows, x and t, bit for bit.
     """
     margin_rows = mask & live
     pivots = 0
@@ -333,56 +335,85 @@ def _step_size(U):
     return 1.0 / max(gram_scale * 1.01, 1e-12)
 
 
+@lru_cache(maxsize=None)
+def _momentum(sweeps, block):
+    """The coefficients (t_k - 1) / t_{k+1} of sweeps k = 1..sweeps, in
+    tuples of `block`, the last one shorter if `block` does not divide
+    `sweeps`. The sequence t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 of
+    Beck & Teboulle's accelerated gradient does not depend on the problem,
+    so each (sweeps, block) is computed once, on first use."""
+    coefs = []
+    t_acc = 1.0
+    for _ in range(sweeps):
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
+        coefs.append((t_acc - 1.0) / t_next)
+        t_acc = t_next
+    # numpy scalars: a Python float operand costs a conversion on every call
+    coefs = tuple(np.array(coefs))
+    return tuple(coefs[k : k + block] for k in range(0, sweeps, block))
+
+
 def _dual_gradient(target, U, rhs, rmax_i):
     """Accelerated projected gradient on the dual of one projection problem.
 
     Returns (sweeps, best): the sweeps run and the best-feasibility primal
-    iterate. The multipliers, primal iterate and gradient live in buffers
-    updated in place, and the two matrix-vector products, bound once as
-    `ndarray.dot(v, out)` calls on the C-contiguous U and on U.T, write into
-    them. The loop stops at a check, every CHECK_EVERY sweeps, once its
-    iterate violates no constraint by more than SWEEP_TOL, and otherwise
-    after MAX_SWEEPS.
+    iterate. A sweep takes the momentum point mom = lam + c_k (lam -
+    lam_prev) of the multipliers, the primal iterate x = clip(target -
+    U^T mom, 0, rmax) and the slack U x - rhs; the next sweep opens with the
+    dual step lam = max(mom + step * slack, 0) (zero before the first, whose
+    slack and mom are zero). The sweeps run in blocks of CHECK_EVERY, with
+    the coefficients c_k from `_momentum`; after each block the iterate's
+    violation is checked, and the loop stops once it is at most SWEEP_TOL,
+    and otherwise after MAX_SWEEPS. The multipliers, iterate and slack live
+    in buffers updated in place: the ufuncs are bound to locals and write
+    through `out` (positional, except for np.maximum and np.minimum, which
+    deprecate it), the two matrix-vector products are `ndarray.dot(v, out)`
+    calls bound once on the C-contiguous U and on U.T, and no operand is a
+    Python scalar, since converting one costs more per call than the
+    elementwise work itself.
     """
-    # the step and rmax spread over full rows: a numpy scalar operand costs
-    # more per call than the elementwise work itself
     steps = np.full_like(rhs, _step_size(U))
     rmax = np.full_like(target, rmax_i)
+    row_zeros = np.zeros_like(rhs)
+    col_zeros = np.zeros_like(target)
     lam = np.zeros_like(rhs)
     lam_prev = np.zeros_like(rhs)
     mom = np.zeros_like(rhs)
-    grad = np.zeros_like(rhs)
+    grad = np.zeros_like(rhs)  # the slack U x - rhs, then the dual step
     back = np.empty_like(target)  # U^T mom
     x = np.clip(target, 0.0, rmax_i)
     best = x.copy()
     best_viol = _violation(x, U @ x - rhs, rmax_i)
     to_primal = partial(U.T.dot, mom, back)
     to_rows = partial(U.dot, x, grad)
-    t_acc = 1.0
-    for it in range(1, MAX_SWEEPS + 1):
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-        np.subtract(lam, lam_prev, out=mom)
-        mom *= (t_acc - 1.0) / t_next
-        mom += lam
-        to_primal()
-        np.subtract(target, back, out=x)
-        np.maximum(x, 0.0, out=x)
-        np.minimum(x, rmax, out=x)
-        to_rows()
-        grad -= rhs
-        if it % CHECK_EVERY == 0:
-            viol = _violation(x, grad, rmax_i)
-            if viol < best_viol:
-                best_viol = viol
-                best[:] = x
-            if viol <= SWEEP_TOL:
-                return it, best
-        grad *= steps
-        grad += mom
-        lam_prev, lam = lam, lam_prev
-        np.maximum(grad, 0.0, out=lam)
-        t_acc = t_next
-    return MAX_SWEEPS, best
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    maximum, minimum = np.maximum, np.minimum
+    sweeps = 0
+    for block in _momentum(MAX_SWEEPS, CHECK_EVERY):
+        for coef in block:
+            multiply(grad, steps, grad)
+            add(grad, mom, grad)
+            lam_prev, lam = lam, lam_prev
+            maximum(grad, row_zeros, out=lam)
+            subtract(lam, lam_prev, mom)
+            multiply(mom, coef, mom)
+            add(mom, lam, mom)
+            to_primal()
+            subtract(target, back, x)
+            maximum(x, col_zeros, out=x)
+            minimum(x, rmax, out=x)
+            to_rows()
+            subtract(grad, rhs, grad)
+        sweeps += len(block)
+        if len(block) < CHECK_EVERY:
+            break  # a last, shorter block ends at the cap without a check
+        viol = _violation(x, grad, rmax_i)
+        if viol < best_viol:
+            best_viol = viol
+            best[:] = x
+        if viol <= SWEEP_TOL:
+            break
+    return sweeps, best
 
 
 def _aligned_rows(U, rows):
@@ -439,18 +470,19 @@ def _select_agent(game, policy, r, reward_class, targets, i):
     """Agent i's selection: (x, margin, pivots, pinned, sweeps, path), path
     None in max-margin mode (`targets` None).
 
-    Builds the rows U, pins their antipodal pairs, solves the lexicographic
-    margin LP and, in distance mode, projects agent i's target onto U's live
+    Builds the rows U, pins their antipodal pairs in the state class, solves
+    the lexicographic margin LP and, in distance mode, projects agent i's target onto U's live
     rows; the margin is read off the full U."""
     U = _advantage_rows(game, policy, i, reward_class)
     mask = (policy.per_agent[i] == 0.0).ravel()  # row order (s, d)
     norms = np.linalg.norm(U, axis=1)
     live = norms > _DEAD_ROW
-    # pinning the antipodal pairs first leaves the loop one LP on the grids
-    pairs = _antipodal_rows(U, mask & live, norms)
-    x, t_star, margin_rows, pivots = _lexicographic_margin(
-        U, mask & ~pairs, live, r[i], game.gamma
-    )
+    unpaired = mask
+    if reward_class == STATE_CLASS:
+        # pinning the antipodal pairs first leaves the loop one LP on the grids;
+        # no state-action rows measured hold a pair, so that class skips the search
+        unpaired = mask & ~_antipodal_rows(U, mask & live, norms)
+    x, t_star, margin_rows, pivots = _lexicographic_margin(U, unpaired, live, r[i], game.gamma)
     pinned = int(np.sum(mask & live & ~margin_rows))
     sweeps, path = 0, None
     if targets is not None:

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from mairl.dp import (
     expected_advantage_table,
     occupancy,
+    own_action_marginal,
     policy_evaluation,
     simulation_decomposition,
 )
+from mairl.equilibrium import nash_value_iteration
 from mairl.errors import StaleValuesError
 from mairl.games import JointPolicy, JointReward, MarkovGame
+from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game
 from mairl.synthetic import (
     random_joint_policy,
     random_markov_game,
@@ -176,3 +179,56 @@ def test_value_bound_invariant():
         vb = policy_evaluation(game, reward, policy)
         assert vb.v.min() >= -1e-12
         assert vb.v.max() <= 1.0 / (1 - 0.7) + 1e-9
+
+
+def reference_own_action_marginal(game, policy, agent, table):
+    """The former `own_action_marginal`: one einsum over the opponents'
+    probabilities, the table and a one-hot own-action matrix."""
+    opp = policy.opponent_table(agent)
+    own = game.agent_actions[agent]
+    onehot = np.equal.outer(own, np.arange(game.action_counts[agent])).astype(np.float64)
+    return np.einsum("sf,sf...,fd->sd...", opp, table, onehot)
+
+
+def assert_marginals_match_reference(game, policy, tables):
+    for agent in [*range(game.n_agents), -1]:
+        for table in tables:
+            got = own_action_marginal(game, policy, agent, table)
+            want = reference_own_action_marginal(game, policy, agent, table)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)])
+def test_own_action_marginal_matches_the_einsum_on_the_grids(width, height, variant):
+    """The NashQ expert and a random mixed policy, each agent, on the reward
+    tables, P V (2-D) and a table with a trailing axis (3-D)."""
+    game, reward, _ = build_grid_game(GridGameSpec(width=width, height=height, variant=variant))
+    rng = np.random.default_rng(width * 10 + height)
+    S, A = game.n_states, game.n_joint_actions
+    tables = [
+        *reward.tables,
+        rng.standard_normal((S, A)),
+        rng.standard_normal((S, A, 3)),
+        reward.tables.transpose(1, 2, 0).copy(),
+    ]
+    for policy in (nash_value_iteration(game, reward).policy, random_joint_policy(rng, game)):
+        assert_marginals_match_reference(game, policy, tables)
+
+
+@pytest.mark.parametrize("counts", [(2, 2), (3, 2), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2)])
+def test_own_action_marginal_matches_the_einsum_on_random_games(counts):
+    """Two to four agents: a middle agent has opponents on both sides, and
+    (3, 3, 3) gives every agent nine opponent joint actions."""
+    rng = np.random.default_rng(len(counts) * 100 + sum(counts))
+    game = random_markov_game(rng, 5, counts, 0.8)
+    S, A = game.n_states, game.n_joint_actions
+    tables = [
+        *random_reward(rng, game).tables,
+        rng.standard_normal((S, A)),
+        rng.standard_normal((S, A, 2, 3)),
+    ]
+    for deterministic in (False, True):
+        policy = random_joint_policy(rng, game, deterministic=deterministic)
+        assert_marginals_match_reference(game, policy, tables)

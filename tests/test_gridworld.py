@@ -1,7 +1,83 @@
+"""The grid games: layout, variants, moves, rewards, and the array build
+against `reference_build_grid_game`, the former loop over every (state,
+joint action) row, kept here as the test oracle."""
+
+import itertools
+
 import numpy as np
 import pytest
 
-from mairl.gridworld import GridGameSpec, build_grid_game, variant_spec
+from mairl.games import JointReward, MarkovGame
+from mairl.gridworld import (
+    GOAL_REWARD,
+    VARIANTS,
+    GridGameSpec,
+    GridIndex,
+    _move_outcomes,
+    build_grid_game,
+    variant_spec,
+)
+
+
+def reference_build_grid_game(spec):
+    index = GridIndex.build(spec)
+    S = len(index.states)
+    A = 16
+    rows = []  # per (state, joint action): {next state: probability}
+    R = np.zeros((2, S, A))
+    goals = tuple(tuple(g) for g in spec.goal_positions)
+    cells = list(itertools.product(range(spec.width), range(spec.height)))
+    # per agent, {(cell, action): outcomes}
+    moves = [
+        {(pos, a): _move_outcomes(spec, i, pos, a) for pos in cells for a in range(4)}
+        for i in range(2)
+    ]
+
+    for s, (p0, p1) in enumerate(index.states):
+        for a0 in range(4):
+            for a1 in range(4):
+                flat = a0 * 4 + a1
+                row = {}
+                for (w0, q0), (w1, q1) in itertools.product(moves[0][p0, a0], moves[1][p1, a1]):
+                    w = w0 * w1
+                    if q0 == q1:
+                        q0, q1 = p0, p1
+                    t = index.state_of[(q0, q1)]
+                    row[t] = row.get(t, 0.0) + w
+                    if q0 == goals[0] and p0 != goals[0]:
+                        R[0, s, flat] += w * GOAL_REWARD
+                    if q1 == goals[1] and p1 != goals[1]:
+                        R[1, s, flat] += w * GOAL_REWARD
+                rows.append(sorted(row.items()))
+
+    width = max(len(row) for row in rows)
+    successors = np.zeros((S * A, width), dtype=np.intp)
+    probs = np.zeros((S * A, width))
+    for r, row in enumerate(rows):
+        for slot, (t, w) in enumerate(row):
+            successors[r, slot] = t
+            probs[r, slot] = w
+
+    mu = np.zeros(S)
+    mu[index.start_state] = 1.0
+    game = MarkovGame.from_successors(
+        successors.reshape(S, A, width), probs.reshape(S, A, width), spec.gamma, mu, (4, 4)
+    )
+    reward = JointReward(R, rmax=[spec.rmax, spec.rmax])
+    return game, reward, index
+
+
+def assert_builds_like_reference(spec):
+    game, reward, index = build_grid_game(spec)
+    want_game, want_reward, want_index = reference_build_grid_game(spec)
+    for name in ("successors", "successor_probs", "mu"):
+        got, want = getattr(game, name), getattr(want_game, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert reward.tables.tobytes() == want_reward.tables.tobytes()
+    assert np.array_equal(reward.rmax, want_reward.rmax)
+    assert (game.gamma, game.action_counts) == (want_game.gamma, want_game.action_counts)
+    assert index == want_index
 
 
 def test_state_count_and_actions():
@@ -139,3 +215,26 @@ def test_mu_is_start_state():
     game, _, index = build_grid_game(GridGameSpec())
     assert game.mu[index.start_state] == 1.0
     assert game.mu.sum() == 1.0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("height", [2, 3, 4, 5])
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_build_matches_the_loop_reference(width, height, variant):
+    assert_builds_like_reference(GridGameSpec(width=width, height=height, variant=variant))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_build_matches_the_loop_reference_on_a_non_crossing_layout(variant):
+    """No start in a bottom corner and no goal in a top corner: agent 1
+    starts mid-board and heads for the bottom-left corner."""
+    spec = GridGameSpec(
+        width=4,
+        height=3,
+        start_positions=((1, 0), (2, 1)),
+        goal_positions=((3, 2), (0, 0)),
+        variant=variant,
+        gamma=0.8,
+        rmax=2.0,
+    )
+    assert_builds_like_reference(spec)

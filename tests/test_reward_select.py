@@ -24,6 +24,7 @@ from mairl.reward_select import (
 from mairl.synthetic import random_joint_policy, random_markov_game
 
 from conftest import make_instance
+from test_projection_reference import assert_matches_reference, random_problem
 
 
 def dense_advantage_rows(game, policy, agent, reward_class):
@@ -341,6 +342,55 @@ def test_pre_pinned_rows_are_antipodal_pairs(seed, m, n, levels, planted, rows):
         assert pairs.all()
 
 
+def state_action_cases():
+    """The 3x3 expert and its one-round estimate, the 4x3 expert, and the
+    random games the tests above build."""
+    yield from expert_and_estimate(GridGameSpec())
+    yield expert_and_estimate(GridGameSpec(width=4, height=3))[0]
+    for seed in [*range(8), 12]:
+        yield make_instance(seed, n_states=3, gamma=0.7)
+    for game, policy in advantage_row_cases():
+        if game.n_states < 72:
+            yield game, policy
+    rng = np.random.default_rng(3)
+    game = random_markov_game(rng, 4, (2, 2), 0.6)
+    yield game, random_joint_policy(rng, game, deterministic=True)
+
+
+def test_state_action_selection_skips_the_pair_search(monkeypatch):
+    # the former selection pinned `_antipodal_rows` first in both classes; in
+    # the state-action class it finds no pair on these games, so the loop
+    # gets the rows it got then and returns the same rows, x and t
+    loops = []
+    loop = mairl.reward_select._lexicographic_margin
+
+    def recording(U, mask, live, rmax_i, gamma):
+        loops.append((mask, loop(U, mask, live, rmax_i, gamma)))
+        return loops[-1][1]
+
+    def searching(*args):
+        raise AssertionError("the state-action class searched for antipodal pairs")
+
+    monkeypatch.setattr(mairl.reward_select, "_lexicographic_margin", recording)
+    for game, policy in state_action_cases():
+        for agent in range(game.n_agents):
+            U = _advantage_rows(game, policy, agent, "state-action")
+            mask = (policy.per_agent[agent] == 0.0).ravel()
+            norms = np.linalg.norm(U, axis=1)
+            live = norms > mairl.reward_select._DEAD_ROW
+            pairs = _antipodal_rows(U, mask & live, norms)
+            assert not pairs.any()
+            with monkeypatch.context() as patch:
+                patch.setattr(mairl.reward_select, "_antipodal_rows", searching)
+                x, _, _, pinned, _, _ = mairl.reward_select._select_agent(
+                    game, policy, np.ones(game.n_agents), "state-action", None, agent
+                )
+            given, (x_loop, _, margin_rows, _) = loops.pop()
+            assert np.array_equal(given, mask & ~pairs)
+            assert x.tobytes() == x_loop.tobytes()
+            assert pinned == int(np.sum(mask & live & ~margin_rows))
+
+
 @pytest.mark.parametrize(
     "reward_class, expected",
     [
@@ -471,3 +521,25 @@ def test_behavior_cloning_identity_and_fallback():
     assert cloned is prob.pi_hat
     # with no observations, cloning returns the uniform fallback policy
     assert np.allclose(cloned.per_agent[0], 0.5)
+
+
+@pytest.mark.parametrize("first_cap", [300, "MAX_SWEEPS"])
+def test_momentum_coefficients_follow_the_sweep_cap(first_cap, monkeypatch):
+    """The projection's momentum coefficients are computed once per process.
+    A table kept from the first call's cap would cut a later run at a
+    larger cap short, or carry one at a smaller cap past it. The problem
+    here stops at a check between the caps: cut at 300 sweeps it ends on
+    the vertex, and under MAX_SWEEPS it stops after 375 and polishes. In
+    either order both runs match `reference_distance_project` bit for bit."""
+    real_cap = mairl.reward_select.MAX_SWEEPS
+    caps = [300, real_cap] if first_cap == 300 else [real_cap, 300]
+    rng = np.random.default_rng(110)
+    random_problem(rng, 4, 3, loose=False)
+    problem = random_problem(rng, 6, 4, loose=False)
+    mairl.reward_select._momentum.cache_clear()
+    ends = {}
+    for cap in caps:
+        monkeypatch.setattr(mairl.reward_select, "MAX_SWEEPS", cap)
+        [(_, sweeps, path)] = assert_matches_reference([problem])
+        ends[cap] = (sweeps, path)
+    assert ends == {300: (300, "vertex"), real_cap: (375, "polished")}
