@@ -165,19 +165,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        if args.command == "gen-expert":
-            return cmd_gen_expert(config)
-        if args.command == "sample":
-            return cmd_sample(config)
-        if args.command == "recover":
-            return cmd_recover(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.reward)
-        if args.command == "experiment":
-            return cmd_experiment(config)
-        if args.command == "bound":
-            return cmd_bound(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {
+            "gen-expert": cmd_gen_expert,
+            "sample": cmd_sample,
+            "recover": cmd_recover,
+            "evaluate": lambda config: cmd_evaluate(config, args.reward),
+            "experiment": cmd_experiment,
+            "bound": cmd_bound,
+        }
+        return commands[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

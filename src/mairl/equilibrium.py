@@ -8,14 +8,13 @@ runs exact full-width backups on the true model. `best_response`,
 reward whose tables are not the game's (n, S, A).
 
 A NashQ backup solves one stage game per state, warm-started from the support
-that state selected in the previous backup. Cached pure supports are checked
-for all states in one numpy pass. A second pass gives every state with no
-cache, or with a pure cache that stopped being an equilibrium, its first
-pure equilibrium in enumeration order. Only the remaining states (a mixed
-cache, or no pure equilibrium) run support enumeration, one state at a
-time. Both passes and `bimatrix_nash` test pure profiles with one helper,
-`_pure_equilibria`, so the selected equilibrium is the one the per-state
-solver picks, and every path gives bit-identical results.
+that state selected in the previous backup. One rule, `_select_pure`, picks
+pure stage equilibria: keep a cached pure profile while it is still an
+equilibrium, else take the first pure equilibrium in C order; a state with
+a mixed cache, or with no pure equilibrium, goes to support enumeration.
+`bimatrix_nash`, NashQ's stage pass (all states in one numpy call) and the
+jump's acceptance test all apply it, so every path selects the equilibrium
+the per-state solver picks, bit for bit.
 
 Once a backup leaves every cached support unchanged and all of them are
 pure, NashQ jumps to the fixed point of the linear backup that keeps those
@@ -231,11 +230,30 @@ def _profile(a, b, x, y, rows, cols):
     return BimatrixEquilibrium(x, y, payoffs, (tuple(rows), tuple(cols)))
 
 
-def _pure_profile(a, b, i, j):
-    """The pure profile (i, j): one-hot strategies, payoffs (a[i, j], b[i, j])."""
-    x = np.eye(a.shape[0])[i]
-    y = np.eye(a.shape[1])[j]
-    return _profile(a, b, x, y, (i,), (j,))
+def _pure_equilibria(q1, q2):
+    """Which pure profiles (i, j) are equilibria of the stage games q1, q2
+    (..., a1, a2): max_r Q^1[r,j] <= Q^1[i,j] + tol and
+    max_c Q^2[i,c] <= Q^2[i,j] + tol, tol = _STAGE_TOL, the deviation
+    test of a size-1 support (exact for one-hot strategies)."""
+    return (q1.max(axis=-2, keepdims=True) <= q1 + _STAGE_TOL) & (
+        q2.max(axis=-1, keepdims=True) <= q2 + _STAGE_TOL
+    )
+
+
+def _select_pure(holds, cached):
+    """The pure profile the selection rule picks in each stage game.
+
+    `holds` is `_pure_equilibria`'s mask of the games, `cached` (games,)
+    each game's cached profile i * a2 + j, -1 for no cache and -2 for a
+    mixed one. The rule keeps a cached pure profile while it is an
+    equilibrium, else takes the first pure equilibrium in C order. Returns
+    the flat profile per game, -1 where the rule leaves the game to support
+    enumeration: a mixed cache, or no pure equilibrium.
+    """
+    holds = holds.reshape(cached.size, -1)
+    kept = (holds & (np.arange(holds.shape[1]) == cached[:, None])).any(axis=1)
+    first = np.where(holds.any(axis=1) & (cached != -2), holds.argmax(axis=1), -1)
+    return np.where(kept, cached, first)
 
 
 def bimatrix_nash(payoff_row, payoff_col, first_supports=None):
@@ -243,10 +261,11 @@ def bimatrix_nash(payoff_row, payoff_col, first_supports=None):
 
     Candidate supports are ordered by total size, then lexicographically, and
     the first support pair whose indifference system yields nonnegative
-    probabilities with no profitable pure deviation is returned; the size-1
-    pairs are tested at once (`_pure_equilibria`), in C order. An optional
-    `first_supports` hint is tried first (cache warm start); a pure hint is
-    kept if it is an equilibrium.
+    probabilities with no profitable pure deviation is returned. An optional
+    `first_supports` hint is tried first (cache warm start): a mixed hint
+    is kept if its indifference system still gives an equilibrium. The
+    size-1 pairs then follow `_select_pure`'s rule: a pure hint while it is
+    an equilibrium, else the first pure equilibrium in C order.
     """
     a = np.asarray(payoff_row, dtype=np.float64)
     b = np.asarray(payoff_col, dtype=np.float64)
@@ -260,12 +279,12 @@ def bimatrix_nash(payoff_row, payoff_col, first_supports=None):
         hit = _try_support(a, b, tuple(rows), tuple(cols))
         if hit is not None:
             return hit
-    holds = _pure_equilibria(a, b)
-    if len(rows) == len(cols) == 1 and holds[rows[0], cols[0]]:
-        return _pure_profile(a, b, rows[0], cols[0])
     m, n = a.shape
-    if holds.any():
-        return _pure_profile(a, b, *divmod(int(holds.argmax()), n))
+    cached = rows[0] * n + cols[0] if len(rows) == len(cols) == 1 else -1
+    pick = int(_select_pure(_pure_equilibria(a, b), np.array([cached]))[0])
+    if pick >= 0:
+        i, j = divmod(pick, n)
+        return _profile(a, b, np.eye(m)[i], np.eye(n)[j], (i,), (j,))
     for k in range(2, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
@@ -294,71 +313,44 @@ class NashQResult:
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
-def _pure_caches(support_cache):
-    """The (state, i, j) index arrays of the cached pure supports ((i,), (j,))."""
-    pure = [
-        (s, c[0][0], c[1][0])
-        for s, c in enumerate(support_cache)
-        if c is not None and len(c[0]) == 1
+def _cached_profiles(support_cache, a2):
+    """Each cached support as a flat pure profile i * a2 + j; -1 for no
+    cache, -2 for a mixed one (the cache codes `_select_pure` reads)."""
+    codes = [
+        -1 if c is None else -2 if len(c[0]) > 1 else c[0][0] * a2 + c[1][0]
+        for c in support_cache
     ]
-    return np.array(pure, dtype=np.int64).reshape(-1, 3).T
-
-
-def _pure_equilibria(q1, q2):
-    """Which pure profiles (i, j) are equilibria of the stage games q1, q2
-    (..., a1, a2): max_r Q^1[r,j] <= Q^1[i,j] + tol and
-    max_c Q^2[i,c] <= Q^2[i,j] + tol, tol = _STAGE_TOL, the deviation
-    test of a size-1 support (exact for one-hot strategies)."""
-    return (q1.max(axis=-2, keepdims=True) <= q1 + _STAGE_TOL) & (
-        q2.max(axis=-1, keepdims=True) <= q2 + _STAGE_TOL
-    )
+    return np.array(codes, dtype=np.int64)
 
 
 def _solve_stage_games(game, q, support_cache):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
-    Two numpy passes settle every state they can at a pure equilibrium
-    (`_pure_equilibria`). The first keeps each cached pure support that
-    still holds. The second gives each state with no cache, or whose pure
-    cache failed, its first pure equilibrium in C order, as `bimatrix_nash`
-    would after rejecting the failed hint. Only states with a mixed cache,
-    or with no pure equilibrium, call `bimatrix_nash`, warm-started from
-    their cache. The selected equilibrium is the per-state solver's, bit
-    for bit.
+    One `_select_pure` call settles every state the pure rule settles, all
+    states at once, and writes the new pure supports to the cache. Only
+    states it leaves unsettled (a mixed cache, or no pure equilibrium) call
+    `bimatrix_nash`, warm-started from their cache. The selected equilibrium
+    is the per-state solver's, bit for bit.
     """
     if not np.all(np.isfinite(q)):
         raise ValueError("payoff matrices must be finite")
     a1, a2 = game.action_counts
     S = game.n_states
-    q1 = q[0].reshape(S, a1, a2)
-    q2 = q[1].reshape(S, a1, a2)
+    cached = _cached_profiles(support_cache, a2)
+    pick = _select_pure(_pure_equilibria(*q.reshape(2, S, a1, a2)), cached)
+    pure = np.flatnonzero(pick >= 0)
+    i_pure, j_pure = np.divmod(pick[pure], a2)
     pol1 = np.zeros((S, a1))
     pol2 = np.zeros((S, a2))
+    pol1[pure, i_pure] = 1.0
+    pol2[pure, j_pure] = 1.0
     values = np.zeros((2, S))
-
-    holds = _pure_equilibria(q1, q2)
-    s_idx, i_idx, j_idx = _pure_caches(support_cache)
-    ok = holds[s_idx, i_idx, j_idx]
-    open_ = np.array([c is None or len(c[0]) == 1 for c in support_cache], dtype=bool)
-    open_[s_idx[ok]] = False
-    s_new = np.flatnonzero(open_)
-    first = holds[s_new].reshape(s_new.size, a1 * a2)
-    found = first.any(axis=1)
-    s_new = s_new[found]
-    i_new, j_new = np.divmod(first[found].argmax(axis=1), a2)
-    for s, i, j in zip(s_new.tolist(), i_new.tolist(), j_new.tolist()):
+    values[:, pure] = q[:, pure, pick[pure]]
+    for s in np.flatnonzero((pick >= 0) & (pick != cached)).tolist():
+        i, j = divmod(int(pick[s]), a2)
         support_cache[s] = ((i,), (j,))
-    s_pure = np.concatenate([s_idx[ok], s_new])
-    i_pure = np.concatenate([i_idx[ok], i_new])
-    j_pure = np.concatenate([j_idx[ok], j_new])
-    pol1[s_pure, i_pure] = 1.0
-    pol2[s_pure, j_pure] = 1.0
-    values[0, s_pure] = q1[s_pure, i_pure, j_pure]
-    values[1, s_pure] = q2[s_pure, i_pure, j_pure]
-    settled = np.zeros(S, dtype=bool)
-    settled[s_pure] = True
 
-    for s in np.flatnonzero(~settled):
+    for s in np.flatnonzero(pick < 0):
         eq = bimatrix_nash(
             q[0, s].reshape(a1, a2),
             q[1, s].reshape(a1, a2),
@@ -379,20 +371,18 @@ def _jump(game, reward, pol1, pol2, support_cache):
     state, so its fixed point is that profile's Q = policy_evaluation(...).q.
     Returns (Q, the confirming backup's largest move) when a stage pass on
     Q would leave a copy of the cache unchanged and its backup moves Q by
-    less than 1e-8, else None. The pass leaves the copy unchanged iff every
-    cached support still holds (a failed one is replaced, by another pure
-    equilibrium or by `bimatrix_nash`'s), so that test alone decides it and
-    no state enumerates.
+    less than 1e-8, else None. The pass leaves the copy unchanged iff
+    `_select_pure` keeps every cached profile (it never keeps a mixed one),
+    so that test alone decides it and no state enumerates.
     """
     q = policy_evaluation(game, reward, JointPolicy([pol1, pol2])).q
     a1, a2 = game.action_counts
-    payoffs = q.reshape(2, game.n_states, a1, a2)
-    s_idx, i_idx, j_idx = _pure_caches(support_cache)
-    if not _pure_equilibria(*payoffs)[s_idx, i_idx, j_idx].all():
+    S = game.n_states
+    cached = _cached_profiles(support_cache, a2)
+    holds = _pure_equilibria(*q.reshape(2, S, a1, a2))
+    if not np.array_equal(_select_pure(holds, cached), cached):
         return None
-    values = np.zeros((2, game.n_states))
-    values[:, s_idx] = payoffs[:, s_idx, i_idx, j_idx]
-    q_next = reward.tables + game.gamma * _expected_next(game, values)
+    q_next = reward.tables + game.gamma * _expected_next(game, q[:, np.arange(S), cached])
     delta = float(np.max(np.abs(q_next - q)))
     return (q, delta) if delta < 1e-8 else None
 
@@ -409,12 +399,10 @@ def nash_value_iteration(
     the support a state selected in the previous backup if it is still an
     equilibrium, else the first support in the fixed enumeration order (size,
     then lexicographic), which pins down the equilibrium the iteration tracks.
-    Cached pure supports are checked for all states in one numpy pass,
-    states without a valid one take their first pure equilibrium in a
-    second, and only the rest enumerate (see `_solve_stage_games`). The
-    iteration has
-    converged once a backup moves no Q entry by 1e-8 or more; `final_delta`
-    reports the last backup's largest move either way.
+    `_select_pure` applies that rule to the pure profiles of all states at
+    once, and only the rest enumerate (see `_solve_stage_games`). The
+    iteration has converged once a backup moves no Q entry by 1e-8 or more;
+    `final_delta` reports the last backup's largest move either way.
 
     Policy-evaluation jump (modified policy iteration): when a backup leaves
     every cached support unchanged and all of them are pure, the backup that

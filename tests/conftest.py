@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from mairl.games import JointPolicy, deterministic_policy
-from mairl.synthetic import (
+# One BLAS thread, as the benchmark runs (bench/run.py::load_package), set
+# before numpy loads: the suite then takes the forked selection path the
+# benchmark times, and LP pivot counts do not depend on the BLAS pool.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from mairl.games import JointPolicy, deterministic_policy  # noqa: E402
+from mairl.synthetic import (  # noqa: E402
     matching_pennies,
     prisoners_dilemma,
     random_joint_policy,

@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import pytest
 
+from mairl import cli, experiment
 from mairl.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
+from mairl.errors import ConvergenceError
 from mairl.estimation import LOG_COLUMNS, GenerativeOracle, uniform_sampling
 from mairl.experiment import seed_curve, set_up
 from mairl.gridworld import GridGameSpec, build_grid_game
@@ -175,3 +177,51 @@ def test_recover_then_evaluate(tmp_path, capsys):
     variant, gap_mairl, gap_bc = lines[1].split(",")
     assert variant == "deterministic"
     assert float(gap_bc) <= 1e-9
+
+
+def _one_seed_config(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "[experiment]\n"
+        "seeds = 0\n"
+        "k_max = 1\n"
+        "eval_points = 1\n"
+        "variants = deterministic\n"
+        "mode = max-margin\n"
+        f"out_dir = {tmp_path}\n"
+    )
+    return str(cfg)
+
+
+def test_experiment_writes_curve_bound_and_summary(tmp_path, capsys):
+    assert main(["--config", _one_seed_config(tmp_path), "experiment"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"curve: {tmp_path / 'curve.csv'}" in out
+    curve = (tmp_path / "curve.csv").read_text().splitlines()
+    assert len(curve) == 2 and curve[1].startswith("0,deterministic,1,")
+    assert len((tmp_path / "bound.csv").read_text().splitlines()) == 2
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 2
+    assert not (tmp_path / "errors.csv").exists()
+
+
+def test_experiment_with_a_failed_seed_is_exit_3(tmp_path, capsys, monkeypatch):
+    def failing_selection(*args, **kwargs):
+        raise ConvergenceError("selection failed")
+
+    monkeypatch.setattr(experiment, "max_gap_reward", failing_selection)
+    assert main(["--config", _one_seed_config(tmp_path), "experiment"]) == EXIT_CONVERGENCE
+    assert "1 seed(s) failed" in capsys.readouterr().out
+    errors = (tmp_path / "errors.csv").read_text().splitlines()
+    assert errors[0] == "seed,error"
+    assert errors[1].startswith("0,") and "selection failed" in errors[1]
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 1
+
+
+def test_convergence_error_in_a_command_is_exit_3(tmp_path, capsys, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise ConvergenceError("expert synthesis did not converge")
+
+    monkeypatch.setattr(cli, "set_up", unconverged)
+    assert main(["--out-dir", str(tmp_path), "gen-expert"]) == EXIT_CONVERGENCE
+    assert "convergence failure: expert synthesis did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "expert.txt").exists()
