@@ -45,6 +45,8 @@ MU_WEIGHTED = "mu-weighted"
 # a stage-game profile is an equilibrium when no pure deviation gains more
 # than this, and a support's mix may dip this far below 0
 _STAGE_TOL = 1e-9
+# NashQ has converged once a backup moves no Q entry by this much
+_BACKUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ def _jump(game, reward, pol1, pol2, support_cache):
     state, so its fixed point is that profile's Q = policy_evaluation(...).q.
     Returns (Q, the confirming backup's largest move) when a stage pass on
     Q would leave a copy of the cache unchanged and its backup moves Q by
-    less than 1e-8, else None. The pass leaves the copy unchanged iff
+    less than _BACKUP_TOL, else None. The pass leaves the copy unchanged iff
     `_select_pure` keeps every cached profile (it never keeps a mixed one),
     so that test alone decides it and no state enumerates.
     """
@@ -384,7 +386,7 @@ def _jump(game, reward, pol1, pol2, support_cache):
         return None
     q_next = reward.tables + game.gamma * _expected_next(game, q[:, np.arange(S), cached])
     delta = float(np.max(np.abs(q_next - q)))
-    return (q, delta) if delta < 1e-8 else None
+    return (q, delta) if delta < _BACKUP_TOL else None
 
 
 def nash_value_iteration(
@@ -401,15 +403,15 @@ def nash_value_iteration(
     then lexicographic), which pins down the equilibrium the iteration tracks.
     `_select_pure` applies that rule to the pure profiles of all states at
     once, and only the rest enumerate (see `_solve_stage_games`). The
-    iteration has converged once a backup moves no Q entry by 1e-8 or more;
-    `final_delta` reports the last backup's largest move either way.
+    iteration has converged once a backup moves no Q entry by _BACKUP_TOL or
+    more; `final_delta` reports the last backup's largest move either way.
 
     Policy-evaluation jump (modified policy iteration): when a backup leaves
     every cached support unchanged and all of them are pure, the backup that
     keeps those supports is linear, and its fixed point is the cached
     one-hot profile's Q, one S x S solve away. That Q is accepted, and the
     iteration stops there, if one confirming stage pass on a copy of the
-    cache changes no support and its backup moves Q by less than 1e-8.
+    cache changes no support and its backup moves Q by less than _BACKUP_TOL.
     Otherwise it is discarded and plain backups continue from the last
     iterate; the jump is tried again only after the cache changes again.
     An accepted Q is a fixed point of the backup, yet plain iteration need
@@ -441,7 +443,7 @@ def nash_value_iteration(
         q_next = reward.tables + game.gamma * _expected_next(game, values)
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
-        if delta < 1e-8:
+        if delta < _BACKUP_TOL:
             converged = True
             break
         if support_cache != before:
@@ -459,7 +461,8 @@ def nash_value_iteration(
     if not converged:
         warnings.warn(
             f"Nash value iteration did not converge within {max_iters} backups "
-            f"(last delta {delta:.3e}, tolerance 1e-08); returning best-so-far policy",
+            f"(last delta {delta:.3e}, tolerance {_BACKUP_TOL:.0e}); "
+            "returning best-so-far policy",
             RuntimeWarning,
         )
     pol1, pol2, values = _solve_stage_games(game, q, support_cache)

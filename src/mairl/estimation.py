@@ -451,11 +451,9 @@ def uniform_sampling(
     estimates after k_max rounds. The history holds one row per round drawn
     (a `SamplingHistory`, whose rows are computed when read); every row's
     wall_time_ms is the elapsed time at the end of that call, the batch that
-    drew its round. A non-positive epsilon_target and a k_max that
-    `stopping_time` refuses raise ValueError before any draw.
+    drew its round. An epsilon_target or a k_max that `stopping_time`
+    refuses raises ValueError before any draw.
     """
-    if not epsilon_target > 0:
-        raise ValueError("epsilon_target must be positive")
     game = oracle.game
     shape = (game.n_states, game.action_counts, game.n_agents)
     tau = stopping_time(params, *shape, epsilon_target, k_max=k_max)

@@ -37,6 +37,17 @@ GOAL_REWARD = 1.0
 
 @dataclass(frozen=True)
 class GridGameSpec:
+    """A w x h board, its layout, its transition variant, gamma and rmax.
+
+    Start and goal positions left as None take the crossing-goals layout of
+    this width and height, filled in on construction. A spec therefore
+    stores its layout, and `dataclasses.replace` that changes `width` or
+    `height` keeps the old board's cells: build a resized board anew,
+    `GridGameSpec(width=w, height=h, ...)`. A variant outside VARIANTS, a
+    cell off the board, a shared start or goal cell, or an rmax below
+    GOAL_REWARD raises ValueError.
+    """
+
     width: int = 3
     height: int = 3
     start_positions: tuple | None = None  # None: the crossing-goals layout
@@ -214,5 +225,9 @@ def build_grid_game(spec: GridGameSpec):
 
 
 def variant_spec(base: GridGameSpec, variant: str) -> GridGameSpec:
-    """Same board and parameters, different transition variant."""
+    """Same board and parameters, different transition variant.
+
+    Only the variant is replaced, so a board of another size is built anew
+    rather than by replacing `width` or `height` here: `dataclasses.replace`
+    keeps `base`'s start and goal cells."""
     return replace(base, variant=variant)

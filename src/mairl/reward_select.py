@@ -85,9 +85,11 @@ from .simplex import GE, LinearProgram, solve_lp
 
 MAX_MARGIN = "max-margin"
 DISTANCE_TO_RANDOM = "distance-to-random"
+MODES = (MAX_MARGIN, DISTANCE_TO_RANDOM)
 
 STATE_ACTION_CLASS = "state-action"
 STATE_CLASS = "state"
+REWARD_CLASSES = (STATE_ACTION_CLASS, STATE_CLASS)
 
 _DEAD_ROW = 1e-9
 _PIN_BLOCK_BYTES = 2**20  # the slice of U that `_antipodal_rows` normalises at once
@@ -601,11 +603,11 @@ def max_gap_reward(
     DimensionMismatchError, and an rmax entry that is not positive and
     finite ValueError, before any LP runs.
     """
-    if mode not in (MAX_MARGIN, DISTANCE_TO_RANDOM):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == DISTANCE_TO_RANDOM and seed is None:
         raise ValueError("distance-to-random mode needs a seed for the target reward")
-    if reward_class not in (STATE_ACTION_CLASS, STATE_CLASS):
+    if reward_class not in REWARD_CLASSES:
         raise ValueError(f"unknown reward class {reward_class!r}")
     _check_shapes(game, None, policy)
     r = per_agent_rmax(rmax, game.n_agents)

@@ -11,7 +11,7 @@ from mairl.dp import (
     simulation_decomposition,
 )
 from mairl.equilibrium import nash_value_iteration
-from mairl.errors import StaleValuesError
+from mairl.errors import DimensionMismatchError, StaleValuesError
 from mairl.games import JointPolicy, JointReward, MarkovGame
 from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game
 from mairl.synthetic import (
@@ -167,6 +167,15 @@ def test_simulation_decomposition_identity_and_shift():
     lhs, rhs = simulation_decomposition(game, game, reward, shifted, policy, 0)
     assert np.allclose(lhs, 0.1 / (1 - 0.8))
     assert np.allclose(rhs, 0.1 / (1 - 0.8))
+
+    # models of another size, action counts or discount are refused
+    for other in (
+        random_markov_game(rng, 2, (2, 2), 0.8),
+        random_markov_game(rng, 3, (2, 3), 0.8),
+        random_markov_game(rng, 3, (2, 2), 0.5),
+    ):
+        with pytest.raises(DimensionMismatchError, match="models must share"):
+            simulation_decomposition(game, other, reward, reward, policy, 0)
 
 
 def test_value_bound_invariant():

@@ -138,6 +138,15 @@ def test_matrix_ne_check_examples(pd):
     assert abs(bad.worst_violation - 0.4) < 1e-9
 
 
+def test_unknown_gap_mode_and_unequal_payoff_shapes_raise(pd):
+    game, reward, dd, _ = pd
+    with pytest.raises(ValueError, match="unknown initial_state_mode"):
+        nash_gap(game, reward, dd, initial_state_mode="other")
+    for a, b in ((np.zeros((2, 2)), np.zeros((2, 3))), (np.zeros(4), np.zeros(4))):
+        with pytest.raises(DimensionMismatchError, match="payoff shapes"):
+            bimatrix_nash(a, b)
+
+
 def test_matrix_check_agrees_with_nash_gap():
     for seed in range(25):
         rng = np.random.default_rng(seed)

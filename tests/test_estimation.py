@@ -180,6 +180,16 @@ def test_confidence_params_reject_an_rmax_that_is_no_finite_scale(rmax):
     assert _params(rmax=0.0).rmax == 0.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta", 0.0), ("delta", 1.0), ("pi_min", 0.0), ("pi_min", 1.5), ("gamma", 1.0),
+     ("gamma", -0.1), ("gamma", math.nan)],
+)
+def test_confidence_params_reject_each_field_out_of_its_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        _params(**{field: value})
+
+
 def test_uncertainty_example_value():
     params = _params(delta=0.5, pi_min=0.5, rmax=1.0, gamma=0.9)
     counts = CountBook(2, (2, 2))  # N = 0 everywhere: indicator active, N+ = 1
@@ -352,6 +362,24 @@ def test_uniform_sampling_rejects_a_k_max_that_is_no_round_count(k_max, monkeypa
         stopping_time(_params(pi_min=1.0), game.n_states, game.action_counts, 2, 1e-3, k_max)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_a_non_positive_epsilon_raises_before_any_draw(epsilon, monkeypatch):
+    game, expert = det_game_and_expert()
+    oracle = GenerativeOracle(game, expert, seed=4)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before checking epsilon")
+
+    monkeypatch.setattr("mairl.estimation.sample_round", no_draws)
+    params, shape = _params(), (game.n_states, game.action_counts, 2)
+    with pytest.raises(ValueError, match="epsilon"):
+        uniform_sampling(oracle, params, epsilon_target=epsilon, k_max=10)
+    with pytest.raises(ValueError, match="epsilon"):
+        stopping_time(params, *shape, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        theoretical_sample_bound(params, *shape, epsilon)
+
+
 def _schedule_row(k, params, shape, wall_ms):
     """The history row of round k from one `_schedule` call on that round alone."""
     eps, c, radius, ind = _schedule(np.array([float(k)]), params, *shape)
@@ -460,6 +488,9 @@ def test_policy_estimation_threshold():
     for pi_min in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError, match="pi_min"):
             policy_estimation_threshold(2, 0.1, pi_min)
+    for delta in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="delta"):
+            policy_estimation_threshold(2, delta, 0.5)
 
 
 def test_estimator_consistency_long_run():

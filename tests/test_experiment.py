@@ -54,6 +54,10 @@ def test_optimality_check_validates_inputs():
     bad = [random_reward(np.random.default_rng(0), game)]
     with pytest.raises(ValueError):
         optimality_check((game, policy), (game, policy), bad, fam, epsilon=0.5)
+    with pytest.raises(ValueError, match="recovered-family member"):
+        optimality_check((game, policy), (game, policy), fam, bad, epsilon=0.5)
+    with pytest.raises(ValueError, match="family size"):
+        sample_reward_family(game, policy, 1.0, 0, seed=0)
 
 
 def test_experiment_config_validation():
@@ -67,6 +71,19 @@ def test_experiment_config_validation():
         ExperimentConfig(mode="other")
     with pytest.raises(ConfigError):
         ExperimentConfig(reward_class="other")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta", 0.0), ("delta", 1.0), ("pi_min", 0.0), ("pi_min", 1.5), ("gamma", 1.0),
+     ("gamma", -0.1), ("rmax", np.inf), ("variants", ("deterministic", "bogus"))],
+)
+def test_experiment_config_checks_its_fields_through_the_objects_it_builds(field, value):
+    # ConfidenceParams owns the ranges of delta, pi_min, gamma and rmax, and
+    # GridGameSpec the variant names; the config re-raises their ValueError
+    with pytest.raises(ConfigError, match=field.rstrip("s")) as info:
+        ExperimentConfig(**{field: value})
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mairl.equilibrium import nash_gap
-from mairl.errors import NotFeasibleError, OutOfRangeError
+from mairl.errors import DimensionMismatchError, NotFeasibleError, OutOfRangeError
 from mairl.experiment import sample_reward_family
 from mairl.feasible import (
     FeasibleParams,
@@ -112,6 +112,13 @@ def test_construct_reward_rejects_out_of_range():
     params = FeasibleParams(a_fn=np.zeros((2, 2, 4)), v_fn=np.full((2, 2), 5.0))
     with pytest.raises(OutOfRangeError):
         construct_reward(game, policy, params, rmax=1.0)
+    # parameters that do not align, or that fit another game, are refused
+    for a_shape, v_shape in (((2, 2, 4), (2, 3)), ((2, 4), (2, 2)), ((2, 2, 4), (2,))):
+        with pytest.raises(DimensionMismatchError, match="do not align"):
+            FeasibleParams(a_fn=np.zeros(a_shape), v_fn=np.zeros(v_shape))
+    other = FeasibleParams(a_fn=np.zeros((2, 3, 4)), v_fn=np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError, match="do not match the game"):
+        construct_reward(game, policy, other, rmax=1.0)
 
 
 def test_decompose_constant_reward():
@@ -174,6 +181,8 @@ def test_error_propagation_trivial_and_factored():
     bound = error_propagation_bound(const, mask, mask, game.transitions, p_hat)
     l1 = np.abs(game.transitions - p_hat).sum(-1)
     assert np.allclose(bound, 0.7 * l1[None, :, :])
+    with pytest.raises(DimensionMismatchError, match="differ in shape"):
+        error_propagation_bound(const, mask, mask, game.transitions, p_hat[:, :2])
 
 
 def test_error_propagation_witness_realizability():

@@ -61,6 +61,21 @@ def test_shape_mismatches():
     P = np.full((2, 3, 2), 1 / 2)
     with pytest.raises(DimensionMismatchError):
         MarkovGame(P, 0.9, [0.5, 0.5], (2, 2))
+    for dense in (np.full((2, 2), 0.5), np.full((2, 2, 3), 1 / 3)):
+        with pytest.raises(DimensionMismatchError, match=r"is not \(S, A, S\)"):
+            MarkovGame(dense, 0.9, [0.5, 0.5], (2,))
+    with pytest.raises(DimensionMismatchError, match="mu shape"):
+        MarkovGame(np.full((2, 2, 2), 0.5), 0.9, [1.0], (2,))
+    for counts in ((0,), (2, -1)):
+        with pytest.raises(ValueError, match="action counts must be positive"):
+            MarkovGame(np.full((2, 2, 2), 0.5), 0.9, [0.5, 0.5], counts)
+    with pytest.raises(DimensionMismatchError, match="reward tables"):
+        JointReward(np.zeros((2, 4)), rmax=1.0)
+    with pytest.raises(ValueError, match="at least one agent"):
+        JointPolicy([])
+    for tables, agent in (([np.full(2, 0.5)], 0), ([np.full((2, 2), 0.5), np.ones((3, 1))], 1)):
+        with pytest.raises(DimensionMismatchError, match=f"policy table {agent}"):
+            JointPolicy(tables)
 
 
 def test_reward_range_enforced():

@@ -209,6 +209,8 @@ def test_spec_validation():
         GridGameSpec(goal_positions=((5, 5), (0, 2)))
     with pytest.raises(ValueError):
         GridGameSpec(rmax=0.5)  # below the goal reward 1
+    with pytest.raises(ValueError, match="share a goal"):
+        GridGameSpec(goal_positions=((1, 2), (1, 2)))
 
 
 def test_mu_is_start_state():

@@ -464,6 +464,10 @@ def test_mismatched_policy_and_rmax_raise_before_any_lp(pd, monkeypatch):
     for rmax in (0.0, np.nan, np.inf, [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="rmax"):
             max_gap_reward(game, dd, rmax=rmax)
+    with pytest.raises(ValueError, match="unknown mode"):
+        max_gap_reward(game, dd, rmax=1.0, mode="other", seed=0)
+    with pytest.raises(ValueError, match="unknown reward class"):
+        max_gap_reward(game, dd, rmax=1.0, reward_class="other")
     assert calls == []
 
 
@@ -529,10 +533,12 @@ def test_momentum_coefficients_follow_the_sweep_cap(first_cap, monkeypatch):
     A table kept from the first call's cap would cut a later run at a
     larger cap short, or carry one at a smaller cap past it. The problem
     here stops at a check between the caps: cut at 300 sweeps it ends on
-    the vertex, and under MAX_SWEEPS it stops after 375 and polishes. In
-    either order both runs match `reference_distance_project` bit for bit."""
+    the vertex, and under MAX_SWEEPS it stops after 375 and polishes. A cap
+    of 310, no multiple of CHECK_EVERY, ends on a last block of 10 sweeps
+    with no check after the one at 300, so it too ends on the vertex. In
+    either order every run matches `reference_distance_project` bit for bit."""
     real_cap = mairl.reward_select.MAX_SWEEPS
-    caps = [300, real_cap] if first_cap == 300 else [real_cap, 300]
+    caps = [300, 310, real_cap] if first_cap == 300 else [real_cap, 310, 300]
     rng = np.random.default_rng(110)
     random_problem(rng, 4, 3, loose=False)
     problem = random_problem(rng, 6, 4, loose=False)
@@ -542,4 +548,4 @@ def test_momentum_coefficients_follow_the_sweep_cap(first_cap, monkeypatch):
         monkeypatch.setattr(mairl.reward_select, "MAX_SWEEPS", cap)
         [(_, sweeps, path)] = assert_matches_reference([problem])
         ends[cap] = (sweeps, path)
-    assert ends == {300: (300, "vertex"), real_cap: (375, "polished")}
+    assert ends == {300: (300, "vertex"), 310: (310, "vertex"), real_cap: (375, "polished")}

@@ -72,6 +72,25 @@ def test_non_finite_rhs_and_nan_bounds_rejected(rhs, lower, upper):
         lp([1], [[1]], [LE], rhs, lower, upper)
 
 
+@pytest.mark.parametrize(
+    "objective, sense, rhs, lower, upper, match",
+    [
+        ([1, 1], [LE], [1], [0], [1], "objective length"),
+        ([1], [LE, LE], [1], [0], [1], "sense/rhs length"),
+        ([1], [LE], [1, 2], [0], [1], "sense/rhs length"),
+        ([1], [LE], [1], [0, 0], [1], "bounds length"),
+        ([1], [LE], [1], [0], [1, 1], "bounds length"),
+        ([1], [LE], [1], [2], [1], "lower bound exceeds upper"),
+    ],
+    ids=["objective", "sense", "rhs", "lower", "upper", "crossed"],
+)
+def test_inconsistent_lengths_and_crossed_bounds_rejected(
+    objective, sense, rhs, lower, upper, match
+):
+    with pytest.raises(ValueError, match=match):
+        LinearProgram(objective, [[1.0]], sense, rhs, lower, upper)
+
+
 def random_lp_cases():
     """(lhs, sense, rhs, objective, upper) with lower bounds 0."""
     # small dense rows of every sense

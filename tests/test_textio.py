@@ -97,6 +97,12 @@ def test_config_errors(tmp_path):
     bad.write_text("[experiment]\nepsilon = not-a-number\n")
     with pytest.raises(ConfigError):
         parse_config(bad)
+    bad.write_text("[experiment]\nseeds 1\n")
+    with pytest.raises(ConfigError, match="expected key = value"):
+        parse_config(bad)
+    bad.write_text("[game]\nn = 2\n")
+    with pytest.raises(ConfigError, match=r"\[experiment\] section"):
+        parse_config(bad)
 
 
 def test_repeated_config_key_is_an_error(tmp_path):
@@ -128,6 +134,27 @@ def test_missing_or_repeated_table_entry_is_an_error(tmp_path, section):
         (lines[:first + 1] + lines[first:], "more than once"),
     ]:
         path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ConfigError, match=match):
+            read_sections(path)
+
+
+def test_malformed_game_and_table_lines_are_errors(tmp_path):
+    rng = np.random.default_rng(1)
+    game = random_markov_game(rng, 2, (2, 2), 0.5)
+    path = tmp_path / "bundle.txt"
+    write_sections(path, game=game)
+    text = path.read_text()
+    first = text.splitlines()[text.splitlines().index("[transitions]") + 1]
+    state_0 = "\n".join(line for line in text.splitlines() if not line.startswith("1 "))
+    for edited, match in [
+        (text.replace("n = 2", "n 2"), "expected key = value"),
+        (text.replace("action_counts = 2 2", "action_counts = 4"), "action_counts length"),
+        (text.replace(first, "0 0"), "has no value"),
+        (text.replace(first, "-1 " + first[2:]), "negative index"),
+        (state_0, r"\[transitions\] covers \(1, 4\), expected \(2, 4\)"),
+        ("[policy]\n", r"\[policy\] has no entries"),
+    ]:
+        path.write_text(edited)
         with pytest.raises(ConfigError, match=match):
             read_sections(path)
 
