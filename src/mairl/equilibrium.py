@@ -315,32 +315,24 @@ class NashQResult:
     stage_supports: list = field(default_factory=list)  # per-state selected supports
 
 
-def _cached_profiles(support_cache, a2):
-    """Each cached support as a flat pure profile i * a2 + j; -1 for no
-    cache, -2 for a mixed one (the cache codes `_select_pure` reads)."""
-    codes = [
-        -1 if c is None else -2 if len(c[0]) > 1 else c[0][0] * a2 + c[1][0]
-        for c in support_cache
-    ]
-    return np.array(codes, dtype=np.int64)
-
-
-def _solve_stage_games(game, q, support_cache):
+def _solve_stage_games(game, q, cache, mixed):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
-    One `_select_pure` call settles every state the pure rule settles, all
-    states at once, and writes the new pure supports to the cache. Only
-    states it leaves unsettled (a mixed cache, or no pure equilibrium) call
-    `bimatrix_nash`, warm-started from their cache. The selected equilibrium
-    is the per-state solver's, bit for bit.
+    `cache` holds each state's selected profile in `_select_pure`'s codes,
+    `mixed` the supports of each state coded -2; both are updated in place.
+    One `_select_pure` call settles every state the pure rule settles. Only
+    the rest (a mixed cache, or no pure equilibrium) call `bimatrix_nash`,
+    warm-started from their mixed supports: with no pure equilibrium a pure
+    hint changes nothing. The selected equilibrium is the per-state
+    solver's, bit for bit.
     """
     if not np.all(np.isfinite(q)):
         raise ValueError("payoff matrices must be finite")
     a1, a2 = game.action_counts
     S = game.n_states
-    cached = _cached_profiles(support_cache, a2)
-    pick = _select_pure(_pure_equilibria(*q.reshape(2, S, a1, a2)), cached)
+    pick = _select_pure(_pure_equilibria(*q.reshape(2, S, a1, a2)), cache)
     pure = np.flatnonzero(pick >= 0)
+    cache[pure] = pick[pure]
     i_pure, j_pure = np.divmod(pick[pure], a2)
     pol1 = np.zeros((S, a1))
     pol2 = np.zeros((S, a2))
@@ -348,24 +340,32 @@ def _solve_stage_games(game, q, support_cache):
     pol2[pure, j_pure] = 1.0
     values = np.zeros((2, S))
     values[:, pure] = q[:, pure, pick[pure]]
-    for s in np.flatnonzero((pick >= 0) & (pick != cached)).tolist():
-        i, j = divmod(int(pick[s]), a2)
-        support_cache[s] = ((i,), (j,))
 
-    for s in np.flatnonzero(pick < 0):
+    for s in np.flatnonzero(pick < 0).tolist():
         eq = bimatrix_nash(
             q[0, s].reshape(a1, a2),
             q[1, s].reshape(a1, a2),
-            first_supports=support_cache[s],
+            first_supports=mixed.pop(s, None),
         )
-        support_cache[s] = eq.supports
+        rows, cols = eq.supports
+        cache[s] = -2 if len(rows) > 1 else rows[0] * a2 + cols[0]
+        if len(rows) > 1:
+            mixed[s] = eq.supports
         pol1[s] = eq.row_strategy
         pol2[s] = eq.col_strategy
         values[0, s], values[1, s] = eq.payoffs
     return pol1, pol2, values
 
 
-def _jump(game, reward, pol1, pol2, support_cache):
+def _stage_supports(cache, mixed, a2):
+    """Each state's selected supports as (rows, cols) tuples."""
+    return [
+        mixed[s] if code == -2 else tuple((k,) for k in divmod(code, a2))
+        for s, code in enumerate(cache.tolist())
+    ]
+
+
+def _jump(game, reward, pol1, pol2, cache):
     """The fixed point of the backup that keeps every (pure) cached support.
 
     With each cached support pure and held, a backup is the linear map
@@ -380,11 +380,10 @@ def _jump(game, reward, pol1, pol2, support_cache):
     q = policy_evaluation(game, reward, JointPolicy([pol1, pol2])).q
     a1, a2 = game.action_counts
     S = game.n_states
-    cached = _cached_profiles(support_cache, a2)
     holds = _pure_equilibria(*q.reshape(2, S, a1, a2))
-    if not np.array_equal(_select_pure(holds, cached), cached):
+    if not np.array_equal(_select_pure(holds, cache), cache):
         return None
-    q_next = reward.tables + game.gamma * _expected_next(game, q[:, np.arange(S), cached])
+    q_next = reward.tables + game.gamma * _expected_next(game, q[:, np.arange(S), cache])
     delta = float(np.max(np.abs(q_next - q)))
     return (q, delta) if delta < _BACKUP_TOL else None
 
@@ -431,29 +430,28 @@ def nash_value_iteration(
     _check_shapes(game, reward, None)
     S, A = game.n_states, game.n_joint_actions
     q = np.zeros((2, S, A))
-    support_cache = [None] * S
+    cache = np.full(S, -1, dtype=np.int64)  # `_select_pure`'s codes
+    mixed = {}  # state -> supports of its mixed equilibrium
     converged = False
     iterations = 0
     delta = np.inf
     jump_ready = False  # the cache changed since the last jump was tried
     while iterations < max_iters:
         iterations += 1
-        before = list(support_cache)
-        pol1, pol2, values = _solve_stage_games(game, q, support_cache)
+        before = cache.copy()
+        pol1, pol2, values = _solve_stage_games(game, q, cache, mixed)
         q_next = reward.tables + game.gamma * _expected_next(game, values)
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
         if delta < _BACKUP_TOL:
             converged = True
             break
-        if support_cache != before:
+        if not np.array_equal(cache, before):
             jump_ready = True
-        elif jump_ready and iterations < max_iters and all(
-            len(rows) == 1 for rows, _ in support_cache
-        ):
+        elif jump_ready and iterations < max_iters and np.all(cache >= 0):
             jump_ready = False
             iterations += 1
-            jumped = _jump(game, reward, pol1, pol2, support_cache)
+            jumped = _jump(game, reward, pol1, pol2, cache)
             if jumped is not None:
                 q, delta = jumped
                 converged = True
@@ -465,7 +463,7 @@ def nash_value_iteration(
             "returning best-so-far policy",
             RuntimeWarning,
         )
-    pol1, pol2, values = _solve_stage_games(game, q, support_cache)
+    pol1, pol2, values = _solve_stage_games(game, q, cache, mixed)
     return NashQResult(
         policy=JointPolicy([pol1, pol2]),
         q=q,
@@ -473,5 +471,5 @@ def nash_value_iteration(
         converged=converged,
         iterations=iterations,
         final_delta=delta,
-        stage_supports=list(support_cache),
+        stage_supports=_stage_supports(cache, mixed, game.action_counts[1]),
     )

@@ -535,7 +535,7 @@ def _child(select, group, write_end):
 def _forked(select, groups):
     """select(group) for every group, concatenated in group order: the last
     group in the caller, each other one in a forked child that sends its
-    outcome back through a pipe.
+    outcome back through a pipe. A single group forks nothing.
 
     A child's exception is raised again here; a child that exits without an
     outcome raises MairlError. On every way out, a pipe not yet read is
@@ -625,11 +625,10 @@ def max_gap_reward(
     def select(group):
         return [agent(i) for i in group]
 
-    groups = [part.tolist() for part in np.array_split(np.arange(n), min(n, _usable_cpus()))]
-    if len(groups) > 1 and hasattr(os, "fork") and _single_threaded():
-        selected = _forked(select, groups)
-    else:
-        selected = select(range(n))
+    parts = min(n, _usable_cpus())
+    if parts > 1 and not (hasattr(os, "fork") and _single_threaded()):
+        parts = 1
+    selected = _forked(select, [part.tolist() for part in np.array_split(np.arange(n), parts)])
 
     tables = np.zeros((n, S, A))
     for i, (x, *_) in enumerate(selected):

@@ -176,6 +176,15 @@ def test_bimatrix_examples():
         bimatrix_nash(np.array([[np.inf]]), np.array([[1.0]]))
 
 
+def test_bimatrix_says_so_when_enumeration_finds_nothing(monkeypatch):
+    """Matching pennies has no pure equilibrium; with every larger support
+    pair rejected, enumeration runs out and raises rather than return."""
+    monkeypatch.setattr(mairl.equilibrium, "_try_support", lambda *args: None)
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(RuntimeError, match="found no equilibrium"):
+        bimatrix_nash(a, 1 - a)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_bimatrix_no_profitable_deviation(seed):

@@ -36,6 +36,14 @@ def test_sample_reward_family_members_feasible():
         assert np.array_equal(a.tables, b.tables)
 
 
+def test_sample_reward_family_gives_up_after_200_draws(pd):
+    """The prisoner's dilemma has one state, so a draw's shaped reward is
+    (1 - gamma) V >= 5 for V in [10, 20]: no draw is within rmax = 1."""
+    game, _, dd, _ = pd
+    with pytest.raises(ConvergenceError, match="200 tries"):
+        sample_reward_family(game, dd, 1.0, 1, seed=0, v_range=(10.0, 20.0))
+
+
 def test_optimality_check_identical_families():
     game, policy = make_instance(2, n_states=2, action_counts=(2, 2), gamma=0.5)
     fam = sample_reward_family(game, policy, 1.0, 4, seed=0)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import mairl.feasible
 from mairl.equilibrium import nash_gap
 from mairl.errors import DimensionMismatchError, NotFeasibleError, OutOfRangeError
 from mairl.experiment import sample_reward_family
 from mairl.feasible import (
     FeasibleParams,
+    ImplicitCheckReport,
     check_implicit,
     construct_reward,
     decompose_reward,
@@ -103,6 +105,17 @@ def test_construct_reward_single_state_example():
     assert abs(reward.tables[0, 0, 2]) < 1e-12  # agent 0's masked deviation row
     assert abs(reward.tables[1, 0, 1]) < 1e-12
     assert nash_gap(game, reward, policy).gap < 1e-9
+
+
+def test_construct_reward_raises_when_its_own_check_fails(monkeypatch):
+    rng = np.random.default_rng(2)
+    game = random_markov_game(rng, 3, (2, 2), 0.9)
+    policy = random_joint_policy(rng, game)
+    params = FeasibleParams(a_fn=np.zeros((2, 3, 4)), v_fn=np.ones((2, 3)))
+    failing = ImplicitCheckReport(passed=False, max_violation=1.0)
+    monkeypatch.setattr(mairl.feasible, "check_implicit", lambda *args, **kwargs: failing)
+    with pytest.raises(NotFeasibleError, match="its own feasibility check"):
+        construct_reward(game, policy, params, rmax=1.0)
 
 
 def test_construct_reward_rejects_out_of_range():

@@ -264,16 +264,18 @@ def test_nashq_matches_a_dense_backup_loop(variant):
     result = equilibrium.nash_value_iteration(game, reward)
     P = game.transitions
     q = np.zeros((2, game.n_states, game.n_joint_actions))
-    cache = [None] * game.n_states
+    cache, mixed = np.full(game.n_states, -1, dtype=np.int64), {}
     delta = np.inf
     while delta >= 1e-8:
-        _, _, values = equilibrium._solve_stage_games(game, q, cache)
+        _, _, values = equilibrium._solve_stage_games(game, q, cache, mixed)
         q_next = reward.tables + game.gamma * _dense_backup(P, values)
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
-    pol1, pol2, _ = equilibrium._solve_stage_games(game, q, cache)
+    pol1, pol2, _ = equilibrium._solve_stage_games(game, q, cache, mixed)
     assert result.converged and result.final_delta < 1e-8
-    assert result.stage_supports == cache
+    assert result.stage_supports == equilibrium._stage_supports(
+        cache, mixed, game.action_counts[1]
+    )
     assert result.policy.per_agent[0].tobytes() == pol1.tobytes()
     assert result.policy.per_agent[1].tobytes() == pol2.tobytes()
     assert np.max(np.abs(result.q - q)) <= 1e-7

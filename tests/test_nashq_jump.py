@@ -35,10 +35,10 @@ def plain_nash_value_iteration(game, reward, max_iters=5000):
     """(policy, q, stage supports, converged, backups) of the loop without the jump."""
     S, A = game.n_states, game.n_joint_actions
     q = np.zeros((2, S, A))
-    cache = [None] * S
+    cache, mixed = np.full(S, -1, dtype=np.int64), {}
     converged = False
     for backups in range(1, max_iters + 1):
-        _, _, values = equilibrium._solve_stage_games(game, q, cache)
+        _, _, values = equilibrium._solve_stage_games(game, q, cache, mixed)
         q_next = reward.tables + game.gamma * _gather(
             game.successors, game.successor_probs, values
         )
@@ -47,8 +47,9 @@ def plain_nash_value_iteration(game, reward, max_iters=5000):
         if delta < 1e-8:
             converged = True
             break
-    pol1, pol2, _ = equilibrium._solve_stage_games(game, q, cache)
-    return JointPolicy([pol1, pol2]), q, cache, converged, backups
+    pol1, pol2, _ = equilibrium._solve_stage_games(game, q, cache, mixed)
+    supports = equilibrium._stage_supports(cache, mixed, game.action_counts[1])
+    return JointPolicy([pol1, pol2]), q, supports, converged, backups
 
 
 def assert_same_equilibrium(got, game, reward, q_tol=1e-7, plain=None):

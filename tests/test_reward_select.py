@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import mairl.reward_select
 import mairl.simplex
 from mairl.equilibrium import matrix_ne_check, nash_gap, nash_value_iteration
-from mairl.errors import DimensionMismatchError
+from mairl.errors import DimensionMismatchError, NotFeasibleError
 from mairl.estimation import CountBook, GenerativeOracle, estimate, sample_round
-from mairl.feasible import check_implicit
+from mairl.feasible import ImplicitCheckReport, check_implicit
 from mairl.games import JointReward
 from mairl.gridworld import GridGameSpec, build_grid_game
 from mairl.reward_select import (
@@ -469,6 +469,16 @@ def test_mismatched_policy_and_rmax_raise_before_any_lp(pd, monkeypatch):
     with pytest.raises(ValueError, match="unknown reward class"):
         max_gap_reward(game, dd, rmax=1.0, reward_class="other")
     assert calls == []
+
+
+def test_selected_reward_that_fails_the_check_raises(pd, monkeypatch):
+    game, _, dd, _ = pd
+    failing = ImplicitCheckReport(passed=False, max_violation=1.0)
+    monkeypatch.setattr(mairl.reward_select, "check_implicit", lambda *args, **kwargs: failing)
+    # one group, so the check runs in this process after an in-process selection
+    monkeypatch.setattr(mairl.reward_select, "_usable_cpus", lambda: 1)
+    with pytest.raises(NotFeasibleError, match="fails the feasibility check"):
+        max_gap_reward(game, dd, rmax=1.0)
 
 
 def test_feasibility_never_empty_on_random_instances():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from mairl.errors import InfeasibleLPError, UnboundedLPError
+from mairl import simplex
+from mairl.errors import ConvergenceError, InfeasibleLPError, UnboundedLPError
 from mairl.simplex import EQ, GE, LE, LinearProgram, solve_lp
 
 
@@ -50,6 +51,18 @@ def test_infeasible_detected():
 def test_unbounded_detected():
     with pytest.raises(UnboundedLPError):
         solve_lp(lp([1], np.zeros((0, 1)), [], [], [0], [np.inf]))
+
+
+def test_pivot_budget_exceeded_raises(monkeypatch):
+    class NoBudget(simplex._BoundedSimplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.max_pivots = 0
+
+    monkeypatch.setattr(simplex, "_BoundedSimplex", NoBudget)
+    # test_basic_max's LP leaves its all-zero start vertex in one pivot
+    with pytest.raises(ConvergenceError, match="pivot budget"):
+        solve_lp(lp([1, 1], [[1, 1]], [LE], [1], [0, 0], [1, 1]))
 
 
 def test_free_variables_rejected():

@@ -1,10 +1,11 @@
 """Bit-equality of NashQ's batched stage-game pass against the per-state loop.
 
 `reference_solve_stage_games` is the former `_solve_stage_games`: one
-warm-started `bimatrix_nash` call per state. It is kept here as a test
-oracle; NashQ run with it patched in must return exactly what NashQ returns
-with the batched passes (the cached pure-support check, then the first pure
-equilibrium of every state left without a valid cache).
+`bimatrix_nash` call per state, warm-started from the state's cached
+supports, pure or mixed. It is kept here as a test oracle; NashQ run with it
+patched in must return exactly what NashQ returns with the batched passes
+(the cached pure-support check, then the first pure equilibrium of every
+state left without a valid cache).
 """
 
 import itertools
@@ -28,9 +29,28 @@ BOARDS = {
 }
 
 
-def reference_solve_stage_games(game, q, support_cache):
+def coded(supports, a2):
+    """Per-state supports (None for no cache) as NashQ's stage cache: the
+    `_select_pure` codes and the mixed supports by state."""
+    cache = np.array(
+        [-1 if c is None else -2 if len(c[0]) > 1 else c[0][0] * a2 + c[1][0] for c in supports],
+        dtype=np.int64,
+    )
+    return cache, {s: c for s, c in enumerate(supports) if c is not None and len(c[0]) > 1}
+
+
+def decoded(cache, mixed, a2):
+    """The per-state supports of a stage cache, as `coded` takes them."""
+    return [
+        None if code == -1 else mixed[s] if code == -2 else ((code // a2,), (code % a2,))
+        for s, code in enumerate(cache.tolist())
+    ]
+
+
+def reference_solve_stage_games(game, q, cache, mixed):
     a1, a2 = game.action_counts
     S = game.n_states
+    support_cache = decoded(cache, mixed, a2)
     pol1 = np.zeros((S, a1))
     pol2 = np.zeros((S, a2))
     values = np.zeros((2, S))
@@ -44,6 +64,9 @@ def reference_solve_stage_games(game, q, support_cache):
         pol1[s] = eq.row_strategy
         pol2[s] = eq.col_strategy
         values[0, s], values[1, s] = eq.payoffs
+    cache[:], coded_mixed = coded(support_cache, a2)
+    mixed.clear()
+    mixed.update(coded_mixed)
     return pol1, pol2, values
 
 
@@ -149,17 +172,19 @@ def _stage_stacks(draw):
 def test_stage_pass_matches_reference_on_tied_integer_games(stack):
     q, action_counts, cache = stack
     game = random_markov_game(np.random.default_rng(0), q.shape[1], action_counts, 0.9)
-    want_cache, got_cache = list(cache), list(cache)
+    a2 = action_counts[1]
+    want_cache, got_cache = coded(cache, a2), coded(cache, a2)
     try:
-        want = reference_solve_stage_games(game, q, want_cache)
+        want = reference_solve_stage_games(game, q, *want_cache)
     except RuntimeError:
         # a degenerate game may have no equilibrium with equal-size supports;
         # the batched pass must then fail the same way
         with pytest.raises(RuntimeError):
-            equilibrium._solve_stage_games(game, q, got_cache)
+            equilibrium._solve_stage_games(game, q, *got_cache)
         return
-    got = equilibrium._solve_stage_games(game, q, got_cache)
-    assert got_cache == want_cache
+    got = equilibrium._solve_stage_games(game, q, *got_cache)
+    assert decoded(*got_cache, a2) == decoded(*want_cache, a2)
+    assert got_cache[1] == want_cache[1]  # no supports kept for a state gone pure
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()
 
@@ -206,15 +231,19 @@ def test_batched_pass_settles_only_valid_pure_caches(monkeypatch):
     game, _ = _chain_game()
     q = np.zeros((2, 3, 4))
     q[:, 0] = [0.0, 0.0, 1.0, 1.0]  # in state 0 both players gain by leaving (0, 0)
-    cache = [((0,), (0,))] * 3
-    want_cache = list(cache)
-    want = reference_solve_stage_games(game, q, want_cache)
+    cache = coded([((0,), (0,))] * 3, 2)
+    want_cache = coded([((0,), (0,))] * 3, 2)
+    want = reference_solve_stage_games(game, q, *want_cache)
     log = logged_calls(monkeypatch)
-    got = equilibrium._solve_stage_games(game, q, cache)
+    got = equilibrium._solve_stage_games(game, q, *cache)
     # state 0's cache fails and the pass takes its first pure equilibrium,
     # (1, 0); the others keep their caches, and no state calls the solver
     assert log.hints == []
-    assert cache == want_cache == [((1,), (0,)), ((0,), (0,)), ((0,), (0,))]
+    assert (
+        decoded(*cache, 2)
+        == decoded(*want_cache, 2)
+        == [((1,), (0,)), ((0,), (0,)), ((0,), (0,))]
+    )
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()
 
@@ -229,10 +258,10 @@ def test_mixed_stage_equilibria_take_the_per_state_path(monkeypatch):
     assert np.allclose(got.policy.per_agent[0], 0.5)
     # the first backup settles Q = 0 at the pure ((0,), (0,)) in the pass; on
     # the second that cache fails and the game has no pure equilibrium, so
-    # bimatrix_nash rejects it and enumerates; every later stage pass, the
+    # bimatrix_nash, given no hint, enumerates; every later stage pass, the
     # returned profile's included, warm-starts from the mixed cache
     assert len(log.hints) == got.iterations
-    assert log.hints[0] == ((0,), (0,))
+    assert log.hints[0] is None
     assert all(hint == ((0, 1), (0, 1)) for hint in log.hints[1:])
 
 
@@ -242,19 +271,43 @@ def test_all_zero_first_backup(monkeypatch):
     keeps it; neither calls the solver."""
     game, _, _ = build_grid_game(GridGameSpec())
     q = np.zeros((2, game.n_states, game.n_joint_actions))
-    cache = [None] * game.n_states
-    want_cache = [None] * game.n_states
-    want = reference_solve_stage_games(game, q, want_cache)
+    a2 = game.action_counts[1]
+    cache = coded([None] * game.n_states, a2)
+    want_cache = coded([None] * game.n_states, a2)
+    want = reference_solve_stage_games(game, q, *want_cache)
     log = logged_calls(monkeypatch)
-    got = equilibrium._solve_stage_games(game, q, cache)
+    got = equilibrium._solve_stage_games(game, q, *cache)
     assert log.hints == []
-    assert cache == want_cache == [((0,), (0,))] * game.n_states
+    assert decoded(*cache, a2) == decoded(*want_cache, a2) == [((0,), (0,))] * game.n_states
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()
-    again = equilibrium._solve_stage_games(game, q, cache)
+    again = equilibrium._solve_stage_games(game, q, *cache)
     assert log.hints == []
     for mine, theirs in zip(again, want):
         assert mine.tobytes() == theirs.tobytes()
+
+
+def test_a_mixed_cache_that_turns_pure_is_forgotten():
+    """The 3x3 game G has no pure equilibrium and two mixed ones, on the
+    supports A = ((0, 2), (1, 2)) and, later in enumeration order, the full
+    support F. A pass on G keeps a cached F; a pass on H, where F fails and
+    (0, 0) is strictly dominant, turns the cache pure; the next pass on G
+    then enumerates from A, as the pure hint does, and not from F."""
+    g = np.array(
+        [[[0, 1, 2], [3, 1, 0], [2, 0, 3]], [[0, 0, 2], [0, 2, 3], [1, 1, 0]]], dtype=np.float64
+    ).reshape(2, 1, 9)
+    h = np.zeros((2, 1, 9))
+    h[0, 0, :3] = 1.0  # the row player's row 0
+    h[1, 0, ::3] = 1.0  # the column player's column 0
+    game = random_markov_game(np.random.default_rng(0), 1, (3, 3), 0.9)
+    full = ((0, 1, 2), (0, 1, 2))
+    cache, want_cache = coded([full], 3), coded([full], 3)
+    for q, supports in ((g, full), (h, ((0,), (0,))), (g, ((0, 2), (1, 2)))):
+        want = reference_solve_stage_games(game, q, *want_cache)
+        got = equilibrium._solve_stage_games(game, q, *cache)
+        assert decoded(*cache, 3) == decoded(*want_cache, 3) == [supports]
+        for mine, theirs in zip(got, want):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -275,4 +328,4 @@ def test_non_finite_reward_raises(bad):
     q = np.zeros((2, game.n_states, game.n_joint_actions))
     q[0, 7, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        equilibrium._solve_stage_games(game, q, [((0,), (0,))] * game.n_states)
+        equilibrium._solve_stage_games(game, q, np.zeros(game.n_states, dtype=np.int64), {})
