@@ -10,11 +10,11 @@ reward whose tables are not the game's (n, S, A).
 A NashQ backup solves one stage game per state, warm-started from the support
 that state selected in the previous backup. One rule, `_select_pure`, picks
 pure stage equilibria: keep a cached pure profile while it is still an
-equilibrium, else take the first pure equilibrium in C order; a state with
-a mixed cache, or with no pure equilibrium, goes to support enumeration.
-`bimatrix_nash`, NashQ's stage pass (all states in one numpy call) and the
-jump's acceptance test all apply it, so every path selects the equilibrium
-the per-state solver picks, bit for bit.
+equilibrium, else take the first pure equilibrium in C order. A state with a
+mixed cache keeps its supports while they still give an equilibrium; that
+state otherwise, and a state with no pure equilibrium, goes to support
+enumeration. `bimatrix_nash`, NashQ's stage pass (all states in one numpy
+call) and the jump's acceptance test all apply the pure rule.
 
 Once a backup leaves every cached support unchanged and all of them are
 pure, NashQ jumps to the fixed point of the linear backup that keeps those
@@ -258,16 +258,14 @@ def _select_pure(holds, cached):
     return np.where(kept, cached, first)
 
 
-def bimatrix_nash(payoff_row, payoff_col, first_supports=None):
+def bimatrix_nash(payoff_row, payoff_col):
     """One exact equilibrium of a finite two-player game by support enumeration.
 
     Candidate supports are ordered by total size, then lexicographically, and
     the first support pair whose indifference system yields nonnegative
-    probabilities with no profitable pure deviation is returned. An optional
-    `first_supports` hint is tried first (cache warm start): a mixed hint
-    is kept if its indifference system still gives an equilibrium. The
-    size-1 pairs then follow `_select_pure`'s rule: a pure hint while it is
-    an equilibrium, else the first pure equilibrium in C order.
+    probabilities with no profitable pure deviation is returned: among the
+    size-1 pairs, the first pure equilibrium in C order (`_select_pure`'s
+    rule with no cache).
     """
     a = np.asarray(payoff_row, dtype=np.float64)
     b = np.asarray(payoff_col, dtype=np.float64)
@@ -276,14 +274,8 @@ def bimatrix_nash(payoff_row, payoff_col, first_supports=None):
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("payoff matrices must be finite")
 
-    rows, cols = first_supports or ((), ())
-    if len(rows) == len(cols) > 1:
-        hit = _try_support(a, b, tuple(rows), tuple(cols))
-        if hit is not None:
-            return hit
     m, n = a.shape
-    cached = rows[0] * n + cols[0] if len(rows) == len(cols) == 1 else -1
-    pick = int(_select_pure(_pure_equilibria(a, b), np.array([cached]))[0])
+    pick = int(_select_pure(_pure_equilibria(a, b), np.array([-1]))[0])
     if pick >= 0:
         i, j = divmod(pick, n)
         return _profile(a, b, np.eye(m)[i], np.eye(n)[j], (i,), (j,))
@@ -320,11 +312,10 @@ def _solve_stage_games(game, q, cache, mixed):
 
     `cache` holds each state's selected profile in `_select_pure`'s codes,
     `mixed` the supports of each state coded -2; both are updated in place.
-    One `_select_pure` call settles every state the pure rule settles. Only
-    the rest (a mixed cache, or no pure equilibrium) call `bimatrix_nash`,
-    warm-started from their mixed supports: with no pure equilibrium a pure
-    hint changes nothing. The selected equilibrium is the per-state
-    solver's, bit for bit.
+    One `_select_pure` call settles every state the pure rule settles. Each
+    of the rest (a mixed cache, or no pure equilibrium) keeps its cached
+    mixed supports while their indifference system still gives an
+    equilibrium, and otherwise calls `bimatrix_nash`.
     """
     if not np.all(np.isfinite(q)):
         raise ValueError("payoff matrices must be finite")
@@ -342,11 +333,11 @@ def _solve_stage_games(game, q, cache, mixed):
     values[:, pure] = q[:, pure, pick[pure]]
 
     for s in np.flatnonzero(pick < 0).tolist():
-        eq = bimatrix_nash(
-            q[0, s].reshape(a1, a2),
-            q[1, s].reshape(a1, a2),
-            first_supports=mixed.pop(s, None),
-        )
+        a, b = q[:, s].reshape(2, a1, a2)
+        hint = mixed.pop(s, None)
+        eq = _try_support(a, b, *hint) if hint else None
+        if eq is None:
+            eq = bimatrix_nash(a, b)
         rows, cols = eq.supports
         cache[s] = -2 if len(rows) > 1 else rows[0] * a2 + cols[0]
         if len(rows) > 1:

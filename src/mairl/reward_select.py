@@ -81,7 +81,7 @@ from .dp import _check_shapes, _reply_weights, _weighted_kernel, transition_unde
 from .errors import MairlError, NotFeasibleError
 from .feasible import check_implicit
 from .games import JointPolicy, JointReward, MarkovGame, per_agent_rmax
-from .simplex import GE, LinearProgram, solve_lp
+from .simplex import LinearProgram, solve_lp
 
 MAX_MARGIN = "max-margin"
 DISTANCE_TO_RANDOM = "distance-to-random"
@@ -160,9 +160,7 @@ def _primal_margin_lp(U, margin_rows, rmax_i, gamma):
     lp = LinearProgram(
         objective=np.concatenate([np.zeros(n), [1.0]]),
         lhs=np.hstack([-U, -margin_rows.astype(np.float64)[:, None]]),
-        sense=np.full(m, GE, dtype=np.int64),
         rhs=np.zeros(m),
-        lower=np.zeros(n + 1),
         upper=np.concatenate([np.full(n, rmax_i), [rmax_i / (1.0 - gamma)]]),
     )
     sol = solve_lp(lp)
@@ -171,8 +169,8 @@ def _primal_margin_lp(U, margin_rows, rmax_i, gamma):
 
 def _dual_margin_lp(U, margin_rows, rmax_i, gamma):
     """The margin LP's dual over (y, z, w): n + 1 rows, so an (n+1) x (n+1)
-    basis. (x, t) are its row multipliers, negated: solve_lp's multipliers
-    of GE rows are <= 0 in a maximization."""
+    basis. (x, t) are its row multipliers, negated: solve_lp's row
+    multipliers are <= 0 in a maximization."""
     m, n = U.shape
     lhs = np.zeros((n + 1, m + n + 1))
     lhs[:n, :m] = U.T
@@ -182,9 +180,7 @@ def _dual_margin_lp(U, margin_rows, rmax_i, gamma):
     lp = LinearProgram(
         objective=-np.concatenate([np.zeros(m), np.full(n, rmax_i), [rmax_i / (1.0 - gamma)]]),
         lhs=lhs,
-        sense=np.full(n + 1, GE, dtype=np.int64),
         rhs=np.concatenate([np.zeros(n), [1.0]]),
-        lower=np.zeros(m + n + 1),
         upper=np.full(m + n + 1, np.inf),
     )
     sol = solve_lp(lp)

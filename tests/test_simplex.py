@@ -4,53 +4,47 @@ from scipy import optimize
 
 from mairl import simplex
 from mairl.errors import ConvergenceError, InfeasibleLPError, UnboundedLPError
-from mairl.simplex import EQ, GE, LE, LinearProgram, solve_lp
+from mairl.simplex import LinearProgram, solve_lp
 
-
-def lp(objective, lhs, sense, rhs, lower, upper):
-    objective = np.asarray(objective, dtype=float)
-    return LinearProgram(
-        objective=objective,
-        lhs=np.asarray(lhs, dtype=float).reshape(len(sense), objective.size),
-        sense=np.asarray(sense, dtype=np.int64).reshape(len(sense)),
-        rhs=np.asarray(rhs, dtype=float).reshape(len(sense)),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-    )
+# row senses of the random cases before they are posed as GE rows
+LE, EQ, GE = -1, 0, 1
 
 
 def test_basic_max():
-    sol = solve_lp(lp([1, 1], [[1, 1]], [LE], [1], [0, 0], [1, 1]))
+    # x1 + x2 <= 1
+    sol = solve_lp(LinearProgram([1, 1], [[-1, -1]], [-1], [1, 1]))
     assert abs(sol.value - 1.0) < 1e-9
 
 
 def test_bounds_only():
-    sol = solve_lp(lp([2, -1], np.zeros((0, 2)), [], [], [0, 0], [3, 5]))
+    sol = solve_lp(LinearProgram([2, -1], np.zeros((0, 2)), [], [3, 5]))
     assert abs(sol.value - 6.0) < 1e-12
     assert np.allclose(sol.x, [3, 0])
 
 
 def test_equality_row():
-    sol = solve_lp(lp([1, 0], [[1, 1]], [EQ], [1], [0, 0], [2, 2]))
+    # x1 + x2 = 1 as the GE pair x1 + x2 >= 1, -x1 - x2 >= -1
+    sol = solve_lp(LinearProgram([1, 0], [[1, 1], [-1, -1]], [1, -1], [2, 2]))
     assert abs(sol.value - 1.0) < 1e-9
     assert abs(sol.x.sum() - 1.0) < 1e-9
 
 
 def test_ge_row_degenerate_start():
     # max t subject to x - t >= 0 from the all-zero vertex
-    sol = solve_lp(lp([0, 1], [[1, -1]], [GE], [0], [0, 0], [1, 2]))
+    sol = solve_lp(LinearProgram([0, 1], [[1, -1]], [0], [1, 2]))
     assert abs(sol.value - 1.0) < 1e-9
     assert np.allclose(sol.x, [1, 1], atol=1e-9)
 
 
 def test_infeasible_detected():
+    # x >= 2 and x <= 1
     with pytest.raises(InfeasibleLPError):
-        solve_lp(lp([1], [[1], [1]], [GE, LE], [2, 1], [0], [5]))
+        solve_lp(LinearProgram([1], [[1], [-1]], [2, -1], [5]))
 
 
 def test_unbounded_detected():
     with pytest.raises(UnboundedLPError):
-        solve_lp(lp([1], np.zeros((0, 1)), [], [], [0], [np.inf]))
+        solve_lp(LinearProgram([1], np.zeros((0, 1)), [], [np.inf]))
 
 
 def test_pivot_budget_exceeded_raises(monkeypatch):
@@ -62,12 +56,7 @@ def test_pivot_budget_exceeded_raises(monkeypatch):
     monkeypatch.setattr(simplex, "_BoundedSimplex", NoBudget)
     # test_basic_max's LP leaves its all-zero start vertex in one pivot
     with pytest.raises(ConvergenceError, match="pivot budget"):
-        solve_lp(lp([1, 1], [[1, 1]], [LE], [1], [0, 0], [1, 1]))
-
-
-def test_free_variables_rejected():
-    with pytest.raises(ValueError):
-        solve_lp(lp([1], np.zeros((0, 1)), [], [], [-np.inf], [np.inf]))
+        solve_lp(LinearProgram([1, 1], [[-1, -1]], [-1], [1, 1]))
 
 
 @pytest.mark.parametrize(
@@ -81,32 +70,38 @@ def test_free_variables_rejected():
     ],
 )
 def test_non_finite_rhs_and_nan_bounds_rejected(rhs, lower, upper):
+    # x <= rhs and the lower bound x >= lower, posed as two GE rows
     with pytest.raises(ValueError, match="finite|NaN"):
-        lp([1], [[1]], [LE], rhs, lower, upper)
+        LinearProgram([1], [[-1], [1]], np.concatenate([np.negative(rhs), lower]), upper)
 
 
 @pytest.mark.parametrize(
-    "objective, sense, rhs, lower, upper, match",
+    "objective, rhs, upper, match",
     [
-        ([1, 1], [LE], [1], [0], [1], "objective length"),
-        ([1], [LE, LE], [1], [0], [1], "sense/rhs length"),
-        ([1], [LE], [1, 2], [0], [1], "sense/rhs length"),
-        ([1], [LE], [1], [0, 0], [1], "bounds length"),
-        ([1], [LE], [1], [0], [1, 1], "bounds length"),
-        ([1], [LE], [1], [2], [1], "lower bound exceeds upper"),
+        ([1, 1], [1], [1], "objective length"),
+        ([1], [1, 2], [1], "rhs length"),
+        ([1], [1], [1, 1], "bounds length"),
+        ([1], [1], [-1], "nonnegative"),  # crosses the lower bound 0
+        ([1], [1], [np.nan], "nonnegative, not NaN"),
     ],
-    ids=["objective", "sense", "rhs", "lower", "upper", "crossed"],
+    ids=["objective", "rhs", "upper", "crossed", "nan-upper"],
 )
-def test_inconsistent_lengths_and_crossed_bounds_rejected(
-    objective, sense, rhs, lower, upper, match
-):
+def test_inconsistent_lengths_and_crossed_bounds_rejected(objective, rhs, upper, match):
     with pytest.raises(ValueError, match=match):
-        LinearProgram(objective, [[1.0]], sense, rhs, lower, upper)
+        LinearProgram(objective, [[1.0]], rhs, upper)
+
+
+def ge_form(A, sense, b):
+    """Rows of any sense as L x >= b': an LE row negated, an EQ row as the
+    GE pair a x >= b, -a x >= -b."""
+    sign = np.where(sense == LE, -1.0, 1.0)
+    eq = sense == EQ
+    return np.vstack([sign[:, None] * A, -A[eq]]), np.concatenate([sign * b, -b[eq]])
 
 
 def random_lp_cases():
-    """(lhs, sense, rhs, objective, upper) with lower bounds 0."""
-    # small dense rows of every sense
+    """(lhs, rhs, objective, upper) of LPs with GE rows and lower bounds 0."""
+    # small dense rows of every sense, posed as GE rows
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
@@ -116,9 +111,9 @@ def random_lp_cases():
         c = rng.normal(size=n)
         upper = rng.uniform(0.5, 3.0, size=n)
         sense = rng.choice([LE, GE, EQ], size=m, p=[0.5, 0.3, 0.2])
-        yield A, sense, b, c, upper
+        yield *ge_form(A, sense, b), c, upper
     # margin-LP shape: -U x - t m >= 0 with rhs 0, feasible at the origin,
-    # so every row starts on its slack and no artificial is built
+    # so every row starts on its surplus and no artificial is built
     for seed in range(12):
         rng = np.random.default_rng(100 + seed)
         m = int(rng.integers(5, 41))
@@ -129,7 +124,7 @@ def random_lp_cases():
         c = np.zeros(n + 1)
         c[-1] = 1.0
         upper = np.concatenate([np.full(n, 1.0), [10.0]])
-        yield A, np.full(m, GE), np.zeros(m), c, upper
+        yield A, np.zeros(m), c, upper
     # its dual: U^T y + z >= 0, m^T y + w >= 1, minimizing rmax 1^T z + T w;
     # only the last row needs an artificial, and y, z, w have no upper bound
     for seed in range(12):
@@ -145,9 +140,9 @@ def random_lp_cases():
         A[n, -1] = 1.0
         c = -np.concatenate([np.zeros(m), np.full(n, 1.0), [10.0]])
         b = np.concatenate([np.zeros(n), [1.0]])
-        yield A, np.full(n + 1, GE), b, c, np.full(m + n + 1, np.inf)
-    # mixed rows around an interior point: LE rows with rhs < 0, GE rows with
-    # rhs > 0 and EQ rows start on artificials, the other rows on slacks
+        yield A, b, c, np.full(m + n + 1, np.inf)
+    # mixed rows around an interior point, posed as GE rows: the rows with
+    # rhs > 0 start on artificials, the other rows on surpluses
     for seed in range(12):
         rng = np.random.default_rng(200 + seed)
         m = int(rng.integers(5, 31))
@@ -157,37 +152,17 @@ def random_lp_cases():
         inside = rng.uniform(0.0, upper)
         sense = rng.choice([LE, GE, EQ], size=m, p=[0.45, 0.45, 0.1])
         b = A @ inside - sense * rng.uniform(0.0, 1.0, size=m)
-        yield A, sense, b, rng.normal(size=n), upper
+        yield *ge_form(A, sense, b), rng.normal(size=n), upper
 
 
 def test_random_lps_match_reference_solver():
     """Cross-check optimal values against an independent LP solver and
     certify the row duals (complementary slackness, signs, reduced costs)."""
     matched = 0
-    for A, sense, b, c, upper in random_lp_cases():
-        m, n = A.shape
-        prob = lp(c, A, sense, b, np.zeros(n), upper)
-
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for row, s, rb in zip(A, sense, b):
-            if s == LE:
-                A_ub.append(row)
-                b_ub.append(rb)
-            elif s == GE:
-                A_ub.append(-row)
-                b_ub.append(-rb)
-            else:
-                A_eq.append(row)
-                b_eq.append(rb)
-        ref = optimize.linprog(
-            -c,
-            A_ub=np.array(A_ub) if A_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(A_eq) if A_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=list(zip(np.zeros(n), upper)),
-            method="highs",
-        )
+    for A, b, c, upper in random_lp_cases():
+        bounds = list(zip(np.zeros(c.size), upper))
+        ref = optimize.linprog(-c, A_ub=-A, b_ub=-b, bounds=bounds, method="highs")
+        prob = LinearProgram(c, A, b, upper)
         if ref.status == 2:
             with pytest.raises(InfeasibleLPError):
                 solve_lp(prob)
@@ -197,17 +172,11 @@ def test_random_lps_match_reference_solver():
         assert abs(sol.value - (-ref.fun)) <= 1e-7 * max(1.0, abs(ref.fun))
         # feasibility of our solution
         vals = A @ sol.x
-        for v, s, rb in zip(vals, sense, b):
-            if s == LE:
-                assert v <= rb + 1e-7
-            elif s == GE:
-                assert v >= rb - 1e-7
-            else:
-                assert abs(v - rb) <= 1e-7
-        # dual feasibility: y >= 0 on LE rows, <= 0 on GE rows, zero on slack rows
+        assert np.all(vals >= b - 1e-7)
+        # dual feasibility: y <= 0, and zero on every row with surplus
         y = sol.row_duals
-        assert np.all(y[sense == LE] >= -1e-9) and np.all(y[sense == GE] <= 1e-9)
-        assert np.all(np.abs(y * (vals - b))[sense != EQ] <= 1e-7)
+        assert np.all(y <= 1e-9)
+        assert np.all(np.abs(y * (vals - b)) <= 1e-7)
         # reduced costs: <= 0 off the upper bound, >= 0 off the lower bound
         reduced = c - y @ A
         assert np.all(reduced[sol.x < upper - 1e-9] <= 1e-7)
@@ -217,7 +186,8 @@ def test_random_lps_match_reference_solver():
 
 
 def test_row_duals_certify_optimality():
-    prob = lp([1, 2], [[1, 1], [1, 0]], [LE, LE], [2, 1], [0, 0], [10, 10])
+    # x1 + x2 <= 2, x1 <= 1
+    prob = LinearProgram([1, 2], [[-1, -1], [-1, 0]], [-2, -1], [10, 10])
     sol = solve_lp(prob)
     assert abs(sol.value - 4.0) < 1e-9
     # dual feasibility: c - y A <= 0 on structural columns at the optimum

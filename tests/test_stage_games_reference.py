@@ -1,11 +1,12 @@
-"""Bit-equality of NashQ's batched stage-game pass against the per-state loop.
+"""Bit-equality of NashQ's batched stage-game pass against a per-state loop.
 
-`reference_solve_stage_games` is the former `_solve_stage_games`: one
-`bimatrix_nash` call per state, warm-started from the state's cached
-supports, pure or mixed. It is kept here as a test oracle; NashQ run with it
-patched in must return exactly what NashQ returns with the batched passes
-(the cached pure-support check, then the first pure equilibrium of every
-state left without a valid cache).
+`reference_solve_stage_games` settles one state at a time: it keeps a cached
+pure profile while neither player gains by a pure deviation, else keeps
+cached mixed supports while their indifference system still gives an
+equilibrium, else calls `bimatrix_nash`. It is kept here as a test oracle;
+NashQ run with it patched in must return exactly what NashQ returns with the
+batched passes (the cached pure-support check, then the first pure
+equilibrium of every state left without a valid cache).
 """
 
 import itertools
@@ -55,11 +56,18 @@ def reference_solve_stage_games(game, q, cache, mixed):
     pol2 = np.zeros((S, a2))
     values = np.zeros((2, S))
     for s in range(S):
-        eq = equilibrium.bimatrix_nash(
-            q[0, s].reshape(a1, a2),
-            q[1, s].reshape(a1, a2),
-            first_supports=support_cache[s],
-        )
+        a, b = q[:, s].reshape(2, a1, a2)
+        rows, cols = support_cache[s] or ((), ())
+        eq = None
+        if len(rows) == 1:
+            i, j = rows[0], cols[0]
+            # neither player gains more than 1e-9 by a pure deviation
+            if a[:, j].max() <= a[i, j] + 1e-9 and b[i, :].max() <= b[i, j] + 1e-9:
+                eq = equilibrium._profile(a, b, np.eye(a1)[i], np.eye(a2)[j], rows, cols)
+        elif rows:
+            eq = equilibrium._try_support(a, b, rows, cols)
+        if eq is None:
+            eq = equilibrium.bimatrix_nash(a, b)
         support_cache[s] = eq.supports
         pol1[s] = eq.row_strategy
         pol2[s] = eq.col_strategy
@@ -86,15 +94,15 @@ def assert_same_result(got, want):
 
 
 class CallLog:
-    """Wraps `equilibrium.bimatrix_nash`, recording each call's warm-start hint."""
+    """Wraps `equilibrium.bimatrix_nash`, counting its calls."""
 
     def __init__(self):
-        self.hints = []
+        self.calls = 0
         self._inner = equilibrium.bimatrix_nash
 
-    def __call__(self, *args, first_supports=None, **kwargs):
-        self.hints.append(first_supports)
-        return self._inner(*args, first_supports=first_supports, **kwargs)
+    def __call__(self, *args):
+        self.calls += 1
+        return self._inner(*args)
 
 
 def logged_calls(monkeypatch):
@@ -216,14 +224,14 @@ def test_cached_pure_support_that_stops_being_an_equilibrium(monkeypatch):
         early = equilibrium.nash_value_iteration(game, reward, max_iters=3)
     # first backup: from Q = 0 every state takes its first pure equilibrium,
     # ((0,), (0,)), in the pass; the supports then hold for the next backups
-    assert log.hints == []
+    assert log.calls == 0
     assert early.stage_supports[0] == ((0,), (0,))
     got = equilibrium.nash_value_iteration(game, reward)
     assert_same_result(got, want)
     # later, state 0's cached (0, 0) stops being an equilibrium; the pass
     # moves it to the next pure equilibrium in enumeration order, (0, 1),
-    # where bimatrix_nash would reject the hint (0, 0) and pick the same
-    assert log.hints == []
+    # the one bimatrix_nash picks
+    assert log.calls == 0
     assert got.converged and got.stage_supports[0] == ((0,), (1,))
 
 
@@ -238,7 +246,7 @@ def test_batched_pass_settles_only_valid_pure_caches(monkeypatch):
     got = equilibrium._solve_stage_games(game, q, *cache)
     # state 0's cache fails and the pass takes its first pure equilibrium,
     # (1, 0); the others keep their caches, and no state calls the solver
-    assert log.hints == []
+    assert log.calls == 0
     assert (
         decoded(*cache, 2)
         == decoded(*want_cache, 2)
@@ -252,17 +260,21 @@ def test_mixed_stage_equilibria_take_the_per_state_path(monkeypatch):
     game, reward = matching_pennies(0.9)
     want = reference_nash_value_iteration(game, reward)
     log = logged_calls(monkeypatch)
+    tried = []
+    try_support = equilibrium._try_support
+    monkeypatch.setattr(
+        equilibrium, "_try_support", lambda *args: tried.append(args[2:]) or try_support(*args)
+    )
     got = equilibrium.nash_value_iteration(game, reward)
     assert_same_result(got, want)
     assert got.stage_supports == [((0, 1), (0, 1))]
     assert np.allclose(got.policy.per_agent[0], 0.5)
     # the first backup settles Q = 0 at the pure ((0,), (0,)) in the pass; on
     # the second that cache fails and the game has no pure equilibrium, so
-    # bimatrix_nash, given no hint, enumerates; every later stage pass, the
-    # returned profile's included, warm-starts from the mixed cache
-    assert len(log.hints) == got.iterations
-    assert log.hints[0] is None
-    assert all(hint == ((0, 1), (0, 1)) for hint in log.hints[1:])
+    # bimatrix_nash enumerates, once; every later stage pass, the returned
+    # profile's included, keeps the mixed cache
+    assert log.calls == 1
+    assert tried == [((0, 1), (0, 1))] * got.iterations
 
 
 def test_all_zero_first_backup(monkeypatch):
@@ -277,12 +289,12 @@ def test_all_zero_first_backup(monkeypatch):
     want = reference_solve_stage_games(game, q, *want_cache)
     log = logged_calls(monkeypatch)
     got = equilibrium._solve_stage_games(game, q, *cache)
-    assert log.hints == []
+    assert log.calls == 0
     assert decoded(*cache, a2) == decoded(*want_cache, a2) == [((0,), (0,))] * game.n_states
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()
     again = equilibrium._solve_stage_games(game, q, *cache)
-    assert log.hints == []
+    assert log.calls == 0
     for mine, theirs in zip(again, want):
         assert mine.tobytes() == theirs.tobytes()
 
@@ -292,7 +304,7 @@ def test_a_mixed_cache_that_turns_pure_is_forgotten():
     supports A = ((0, 2), (1, 2)) and, later in enumeration order, the full
     support F. A pass on G keeps a cached F; a pass on H, where F fails and
     (0, 0) is strictly dominant, turns the cache pure; the next pass on G
-    then enumerates from A, as the pure hint does, and not from F."""
+    then enumerates from A, and does not return to F."""
     g = np.array(
         [[[0, 1, 2], [3, 1, 0], [2, 0, 3]], [[0, 0, 2], [0, 2, 3], [1, 1, 0]]], dtype=np.float64
     ).reshape(2, 1, 9)
