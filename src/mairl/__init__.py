@@ -79,7 +79,7 @@ from .feasible import (
 )
 from .games import JointPolicy, JointReward, MarkovGame, deterministic_policy
 from .gridworld import GridGameSpec, GridIndex, build_grid_game, variant_spec
-from .joint import flat_of, joint_action_count, split_of
+from .joint import joint_action_count
 from .reward_select import MaxGapResult, behavior_cloning, max_gap_reward
 from .simplex import LinearProgram, LPSolution, solve_lp
 

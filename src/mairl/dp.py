@@ -35,12 +35,11 @@ class ValueBundle:
     v: np.ndarray
     q: np.ndarray
     residual: float
-    tol: float
 
     def require_fresh(self) -> None:
-        if self.residual > self.tol:
+        if self.residual > _RESIDUAL_TOL:
             raise StaleValuesError(
-                f"value bundle residual {self.residual:.3e} exceeds tolerance {self.tol:.3e}"
+                f"value bundle residual {self.residual:.3e} exceeds tolerance {_RESIDUAL_TOL:.3e}"
             )
 
 
@@ -92,7 +91,7 @@ def _reply_kernel(game: MarkovGame, policy: JointPolicy, agent: int, actions) ->
 
 def policy_evaluation(game: MarkovGame, reward: JointReward, policy: JointPolicy) -> ValueBundle:
     """Solve (I - gamma P_pi) V^i = R^i_pi per agent; Q from one Bellman
-    backup. The bundle carries the fixed tolerance _RESIDUAL_TOL."""
+    backup; `require_fresh` checks the residual against _RESIDUAL_TOL."""
     _check_shapes(game, reward, policy)
     joint = policy.joint_table()
     p_pi = transition_under(game, policy)
@@ -100,7 +99,7 @@ def policy_evaluation(game: MarkovGame, reward: JointReward, policy: JointPolicy
     v = np.linalg.solve(np.eye(game.n_states) - game.gamma * p_pi, r_pi.T).T
     q = reward.tables + game.gamma * _expected_next(game, v)
     residual = float(np.max(np.abs(v - np.einsum("sa,isa->is", joint, q))))
-    return ValueBundle(v=v, q=q, residual=residual, tol=_RESIDUAL_TOL)
+    return ValueBundle(v=v, q=q, residual=residual)
 
 
 def own_action_marginal(

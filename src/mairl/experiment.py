@@ -7,7 +7,8 @@ transfer variants. `seed_curve` runs one seed on that set-up: it samples up
 to each eval point, estimates, selects a reward and yields the seed's curve
 rows. `run_experiment` and every `mairl` subcommand call them on the 3x3
 board of `ExperimentConfig.grid_spec()`; a w x h crossing-goals board is
-`set_up(GridGameSpec(width=w, height=h), variants)`.
+`set_up(GridGameSpec(width=w, height=h), variants)`, whose gamma and rmax
+must be the config's.
 """
 
 from __future__ import annotations
@@ -373,9 +374,16 @@ def seed_curve(setup: GridSetup, config: ExperimentConfig, seed: int):
     (discount config.gamma) gets a reward selected in the config's mode and
     reward class; that reward and behavior cloning are scored on each of
     `setup.variants` by `transfer_gaps`, one CURVE_COLUMNS row per variant.
-    The rows of an eval point are yielded together once all are scored.
+    The rows of an eval point are yielded together once all are scored. A
+    board whose gamma or rmax differs from the config's raises ConfigError
+    before any round is drawn.
     """
     game = setup.game
+    if game.gamma != config.gamma or np.any(setup.reward.rmax != config.rmax):
+        raise ConfigError(
+            f"the board has gamma {game.gamma} and rmax {setup.reward.rmax.tolist()}, "
+            f"the config gamma {config.gamma} and rmax {config.rmax}"
+        )
     oracle = GenerativeOracle(game, setup.expert, seed=seed)
     counts = CountBook(game.n_states, game.action_counts)
     params = config.confidence_params()

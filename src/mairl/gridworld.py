@@ -20,7 +20,7 @@ stays);
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,27 +84,14 @@ class GridGameSpec:
             return above
         return ()
 
-    @property
-    def n_states(self) -> int:
-        cells = self.width * self.height
-        return cells * cells - cells
-
 
 @dataclass(frozen=True)
 class GridIndex:
     """State/cell bookkeeping for a built grid game."""
 
     spec: GridGameSpec
-    states: tuple = field(default=())  # ordered (pos0, pos1) pairs
-    state_of: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, spec: GridGameSpec) -> "GridIndex":
-        cells = list(itertools.product(range(spec.width), range(spec.height)))
-        states = tuple(
-            (p0, p1) for p0 in cells for p1 in cells if p0 != p1
-        )
-        return cls(spec=spec, states=states, state_of={st: i for i, st in enumerate(states)})
+    states: tuple  # ordered (pos0, pos1) pairs
+    state_of: dict
 
     @property
     def start_state(self) -> int:
@@ -163,16 +150,17 @@ def build_grid_game(spec: GridGameSpec):
     back, and each row's outcomes are sorted stably by next state, so that
     equal next states are summed slot by slot in enumeration order.
     """
-    index = GridIndex.build(spec)
-    S = len(index.states)
-    A = 16
     cells = list(itertools.product(range(spec.width), range(spec.height)))
     C = len(cells)
-    # the states' cells in state order, and the state of each ordered cell pair
+    # the states, distinct ordered cell pairs row-major: their cells, and each pair's state
     distinct = ~np.eye(C, dtype=bool)
     here = np.nonzero(distinct)
+    S = here[0].size
+    A = 16
     pair_state = np.zeros((C, C), dtype=np.intp)
     pair_state[distinct] = np.arange(S)
+    states = tuple((cells[c0], cells[c1]) for c0, c1 in zip(*here))
+    index = GridIndex(spec, states, {st: i for i, st in enumerate(states)})
 
     def spread(table):
         """Each agent's (cell, action, outcome) table at the states' cells,

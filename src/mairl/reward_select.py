@@ -509,8 +509,9 @@ def _single_threaded() -> bool:
         return False
 
 
-def _child(select, group, write_end):
-    """In a forked child: send the pickled outcome of select(group) and exit.
+def _child(agent, group, write_end):
+    """In a forked child: send the pickled outcome of mapping `agent` over
+    `group` and exit.
 
     It never returns into the caller's frames, and `os._exit` flushes none of
     the stdio or file buffers it inherited. Status 0 means the whole outcome
@@ -518,7 +519,7 @@ def _child(select, group, write_end):
     status = 1
     try:
         try:
-            outcome = (True, select(group))
+            outcome = (True, [agent(i) for i in group])
         except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
             outcome = (False, exc)
         with open(write_end, "wb") as pipe:
@@ -528,14 +529,17 @@ def _child(select, group, write_end):
         os._exit(status)
 
 
-def _forked(select, groups):
-    """select(group) for every group, concatenated in group order: the last
-    group in the caller, each other one in a forked child that sends its
-    outcome back through a pipe. A single group forks nothing.
+def _select_all(agent, n):
+    """[agent(i) for i in range(n)], split as the module docstring says: in
+    min(n, usable CPUs) contiguous groups, the last in the caller and each
+    other in a forked child, or all in the caller where forking is unsafe.
 
     A child's exception is raised again here; a child that exits without an
     outcome raises MairlError. On every way out, a pipe not yet read is
     closed and its child killed, and every child is reaped."""
+    groups = [part.tolist() for part in np.array_split(np.arange(n), min(n, _usable_cpus()))]
+    if len(groups) == 1 or not (hasattr(os, "fork") and _single_threaded()):
+        return [agent(i) for i in range(n)]
     pending = {}  # child pid -> read end of its pipe, in group order
     try:
         for group in groups[:-1]:
@@ -548,10 +552,10 @@ def _forked(select, groups):
                 raise
             if pid == 0:
                 os.close(read_end)
-                _child(select, group, write_end)
+                _child(agent, group, write_end)
             os.close(write_end)
             pending[pid] = open(read_end, "rb")
-        own = select(groups[-1])
+        own = [agent(i) for i in groups[-1]]
         selected = []
         for (pid, pipe), group in zip(list(pending.items()), groups):
             with pipe:
@@ -616,15 +620,7 @@ def max_gap_reward(
         rng = np.random.default_rng(seed)
         size = S if reward_class == STATE_CLASS else S * A
         targets = [rng.uniform(0.0, r[i], size=size) for i in range(n)]
-    agent = partial(_select_agent, game, policy, r, reward_class, targets)
-
-    def select(group):
-        return [agent(i) for i in group]
-
-    parts = min(n, _usable_cpus())
-    if parts > 1 and not (hasattr(os, "fork") and _single_threaded()):
-        parts = 1
-    selected = _forked(select, [part.tolist() for part in np.array_split(np.arange(n), parts)])
+    selected = _select_all(partial(_select_agent, game, policy, r, reward_class, targets), n)
 
     tables = np.zeros((n, S, A))
     for i, (x, *_) in enumerate(selected):

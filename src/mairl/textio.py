@@ -9,7 +9,6 @@ round-trips IEEE doubles bit-exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import typing
 
@@ -181,13 +180,6 @@ def _build_sections(sections):
 # ---------------------------------------------------------------------------
 
 
-def _config_fields():
-    """(name, type) of every ExperimentConfig field, in declaration order; a
-    tuple field's type is tuple[element type, ...]."""
-    hints = typing.get_type_hints(ExperimentConfig)
-    return [(f.name, hints[f.name]) for f in dataclasses.fields(ExperimentConfig)]
-
-
 def parse_config(path) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -196,7 +188,7 @@ def parse_config(path) -> ExperimentConfig:
     if "experiment" not in sections:
         raise ConfigError("config file must contain an [experiment] section")
     kv = _kv(sections["experiment"], "experiment")
-    types = dict(_config_fields())
+    types = typing.get_type_hints(ExperimentConfig)
     kwargs = {}
     try:
         for key, value in kv.items():
@@ -213,13 +205,3 @@ def parse_config(path) -> ExperimentConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-
-
-def write_config(path, config: ExperimentConfig) -> None:
-    lines = ["[experiment]"]
-    for name, kind in _config_fields():
-        value = getattr(config, name)
-        items = value if typing.get_origin(kind) is tuple else (value,)
-        lines.append(f"{name} = " + " ".join(fmt(v) for v in items))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -2,7 +2,8 @@
 
 Demos 01 and 02 take about a second together, demo 03 (the grid transfer,
 three seeds at k = 500) about two. Each runs in its own temporary directory,
-as demo 03 writes `demo_results/` relative to the working directory.
+as demo 03 writes `demo_results/` relative to the working directory, and with
+warnings as errors, so a demo that warns fails.
 """
 
 import os
@@ -21,7 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, "-W", "error", os.path.join(ROOT, "demos", demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl.dp import (
+    _RESIDUAL_TOL,
     expected_advantage_table,
     occupancy,
     own_action_marginal,
@@ -29,7 +30,7 @@ def test_constant_reward_geometric_series():
     policy = random_joint_policy(rng, game)
     vb = policy_evaluation(game, reward, policy)
     assert np.allclose(vb.v, 0.3 / (1 - 0.7))
-    assert vb.residual <= vb.tol
+    assert vb.residual <= _RESIDUAL_TOL
 
 
 def test_single_state_closed_form(pd):
@@ -113,7 +114,7 @@ def test_advantage_pd_defection(pd):
 def test_stale_values_rejected(pd):
     game, reward, dd, _ = pd
     vb = policy_evaluation(game, reward, dd)
-    stale = type(vb)(v=vb.v, q=vb.q, residual=1.0, tol=vb.tol)
+    stale = type(vb)(v=vb.v, q=vb.q, residual=1.0)
     with pytest.raises(StaleValuesError):
         expected_advantage_table(game, dd, stale, 0)
 

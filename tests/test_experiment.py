@@ -18,7 +18,6 @@ from mairl.experiment import (
 from mairl.feasible import check_implicit
 from mairl.gridworld import GridGameSpec
 from mairl.synthetic import random_reward
-from mairl.textio import write_config
 
 from conftest import make_instance
 
@@ -222,12 +221,34 @@ def test_run_experiment_lets_programming_errors_raise(tmp_path, monkeypatch):
 
 def test_bound_command_matches_run_experiment(tmp_path):
     config = one_seed_config(tmp_path / "experiment")
-    write_config(tmp_path / "exp.cfg", config)
+    (tmp_path / "exp.cfg").write_text(
+        "[experiment]\nseeds = 0\nk_max = 1\neval_points = 1\nvariants = deterministic\n"
+        f"out_dir = {config.out_dir}\n"
+    )
     result = run_experiment(config)
     args = ["--config", str(tmp_path / "exp.cfg"), "--out-dir", str(tmp_path / "cli"), "bound"]
     assert main(args) == EXIT_OK
     cli_bound = (tmp_path / "cli" / "bound.csv").read_bytes()
     assert cli_bound == Path(result.paths["bound"]).read_bytes()
+
+
+def test_seed_curve_refuses_a_board_that_disagrees_with_the_config(monkeypatch):
+    """A board built under another gamma or rmax than the config's raises
+    ConfigError naming both, before any sampling round is drawn."""
+    draws = []
+    monkeypatch.setattr(mairl.experiment, "sample_round", lambda *args: draws.append(args))
+    config = one_seed_config("unused")
+    boards = {
+        "gamma 0.5 and rmax [1.0, 1.0]": GridGameSpec(width=2, height=2, gamma=0.5),
+        "gamma 0.9 and rmax [2.0, 2.0]": GridGameSpec(width=2, height=2, rmax=2.0),
+    }
+    for board_values, board in boards.items():
+        with pytest.raises(ConfigError) as caught:
+            next(seed_curve(set_up(board), config, 0))
+        assert str(caught.value) == (
+            f"the board has {board_values}, the config gamma 0.9 and rmax 1.0"
+        )
+    assert draws == []
 
 
 def test_set_up_names_the_board_whose_expert_did_not_converge(monkeypatch):

@@ -101,15 +101,18 @@ def test_forked_selection_has_the_bits_of_the_in_process_one():
 
 def test_failures_reach_the_caller_and_leave_no_process():
     """A child's exception comes back with its type and message, a child that
-    exits without a result raises MairlError, and after a success, a child's
-    failure and a failure in the caller no child process is left."""
+    exits without a result (or with one that cannot be pickled) raises
+    MairlError, and after a success, a child's failure and a failure in the
+    caller no child process is left."""
     out = run_script(
         """
         caller = os.getpid()
         rng = np.random.default_rng(0)
         game = random_markov_game(rng, 4, (2, 2), 0.6)
         policy = random_joint_policy(rng, game, deterministic=True)
-        margin = reward_select._lexicographic_margin
+        originals = {
+            name: getattr(reward_select, name) for name in ("_lexicographic_margin", "_select_agent")
+        }
 
         def no_child_left():
             try:
@@ -118,11 +121,13 @@ def test_failures_reach_the_caller_and_leave_no_process():
                 return True
             return False
 
-        def outcome(in_child, in_caller=margin):
-            def patched(*args):
-                return (in_caller if os.getpid() == caller else in_child)(*args)
+        def outcome(in_child, in_caller=None, name="_lexicographic_margin"):
+            own = in_caller or originals[name]
 
-            reward_select._lexicographic_margin = patched
+            def patched(*args):
+                return (own if os.getpid() == caller else in_child)(*args)
+
+            setattr(reward_select, name, patched)
             start = time.perf_counter()
             try:
                 reward_select.max_gap_reward(game, policy, 1.0, mode="distance-to-random",
@@ -130,6 +135,8 @@ def test_failures_reach_the_caller_and_leave_no_process():
                 raised = None
             except BaseException as exc:
                 raised = [type(exc).__name__, str(exc)]
+            finally:
+                setattr(reward_select, name, originals[name])
             return raised, no_child_left(), time.perf_counter() - start
 
         def infeasible(*args):
@@ -147,17 +154,21 @@ def test_failures_reach_the_caller_and_leave_no_process():
         def interrupted(*args):
             raise KeyboardInterrupt
 
+        def unpicklable(*args):
+            return lambda: None
+
         print(json.dumps({
-            "success": outcome(margin),
+            "success": outcome(originals["_lexicographic_margin"]),
             "child error": outcome(infeasible),
             "child exit": outcome(vanish),
+            "child unpicklable": outcome(unpicklable, name="_select_agent"),
             "caller error": outcome(hang, broken),
             "caller interrupt": outcome(hang, interrupted),
             "forks": len(forks),
         }))
         """
     )
-    assert out.pop("forks") == 5
+    assert out.pop("forks") == 6
     assert all(seconds < 30 for _, _, seconds in out.values())  # no wait on the hung child
     assert {name: raised for name, (raised, _, _) in out.items()} == {
         "success": None,
@@ -165,6 +176,10 @@ def test_failures_reach_the_caller_and_leave_no_process():
         "child exit": [
             "MairlError",
             "reward selection of agents [0] exited with status 7 and no result",
+        ],
+        "child unpicklable": [
+            "MairlError",
+            "reward selection of agents [0] exited with status 1 and no result",
         ],
         "caller error": ["ValueError", "failure in the caller"],
         "caller interrupt": ["KeyboardInterrupt", ""],

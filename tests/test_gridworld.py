@@ -20,13 +20,14 @@ from mairl.gridworld import (
 
 
 def reference_build_grid_game(spec):
-    index = GridIndex.build(spec)
+    cells = list(itertools.product(range(spec.width), range(spec.height)))
+    states = tuple((p0, p1) for p0 in cells for p1 in cells if p0 != p1)
+    index = GridIndex(spec, states, {st: i for i, st in enumerate(states)})
     S = len(index.states)
     A = 16
     rows = []  # per (state, joint action): {next state: probability}
     R = np.zeros((2, S, A))
     goals = tuple(tuple(g) for g in spec.goal_positions)
-    cells = list(itertools.product(range(spec.width), range(spec.height)))
     # per agent, {(cell, action): outcomes}
     moves = [
         {(pos, a): _move_outcomes(spec, i, pos, a) for pos in cells for a in range(4)}
@@ -82,7 +83,7 @@ def assert_builds_like_reference(spec):
 
 def test_state_count_and_actions():
     game, reward, index = build_grid_game(GridGameSpec())
-    assert game.n_states == 72 == GridGameSpec().n_states
+    assert game.n_states == 72
     assert game.n_joint_actions == 16
     assert reward.tables.shape == (2, 72, 16)
     # closed form on another board size

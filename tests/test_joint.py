@@ -1,16 +1,16 @@
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mairl.joint import agent_action_table, flat_of, joint_action_count, split_of
+from mairl.joint import agent_action_table, joint_action_count
 
 
 def test_lexicographic_order_agent0_most_significant():
     counts = (2, 3)
     # agent 1 (last) varies fastest
-    assert [split_of(counts, f) for f in range(6)] == [
-        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
+    assert agent_action_table(counts).T.tolist() == [
+        [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]
     ]
-    assert flat_of(counts, (1, 2)) == 5
 
 
 def test_agent_action_table():
@@ -29,7 +29,5 @@ def test_round_trip_bijection(counts, raw):
     total = joint_action_count(counts)
     if total > 10_000:
         return
-    flat = raw % total
-    assert flat_of(counts, split_of(counts, flat)) == flat
-    per = split_of(counts, flat)
-    assert split_of(counts, flat_of(counts, per)) == per
+    ranks = np.ravel_multi_index(tuple(agent_action_table(counts)), counts)
+    assert np.array_equal(ranks, np.arange(total))

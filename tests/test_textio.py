@@ -4,7 +4,7 @@ import pytest
 from mairl.errors import ConfigError
 from mairl.experiment import ExperimentConfig, write_csv
 from mairl.synthetic import random_joint_policy, random_markov_game, random_reward
-from mairl.textio import fmt, parse_config, read_sections, write_config, write_sections
+from mairl.textio import fmt, parse_config, read_sections, write_sections
 
 
 def test_bit_exact_round_trip(tmp_path):
@@ -80,7 +80,21 @@ def test_config_round_trip(tmp_path):
                               eval_points=(1, 10), variants=("deterministic",),
                               out_dir="out")
     path = tmp_path / "exp.cfg"
-    write_config(path, config)
+    path.write_text(
+        "[experiment]\n"
+        "seeds = 3 4\n"
+        "epsilon = 0.25\n"
+        "delta = 0.1\n"
+        "pi_min = 1.0\n"
+        "k_max = 10\n"
+        "variants = deterministic\n"
+        "eval_points = 1 10\n"
+        "gamma = 0.9\n"
+        "rmax = 1.0\n"
+        "mode = distance-to-random\n"
+        "reward_class = state\n"
+        "out_dir = out\n"
+    )
     assert parse_config(path) == config
 
 
