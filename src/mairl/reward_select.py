@@ -56,7 +56,9 @@ onto U's live rows, and the margin read off the full U. The agents are
 split into min(agents, usable CPUs) contiguous groups. With two or more,
 the last group runs in the caller and every other group in a forked child
 process, which sends its agents' points, margins and counters back through
-a pipe, or the exception it raised. The call forks only where `os.fork`
+a pipe, or the exception it raised. Each child moves off the CPU the caller
+last ran on, where another CPU is usable, so that the two do not share one
+CPU while others idle. The call forks only where `os.fork`
 exists and the process runs one OS thread: a process with a BLAS thread
 pool, or with a second Python thread, runs every agent in the caller, one
 after another, as does a machine with one CPU. Each agent's work is the
@@ -319,7 +321,9 @@ def _polish_projection(target, x, U, rhs, rmax_i):
 
 
 def _step_size(U):
-    """1 / (1.01 L), L the power-iteration estimate of the largest eigenvalue of U U^T."""
+    """1 / (1.01 L), L the power-iteration estimate of the largest eigenvalue
+    of U U^T, or its bound ||U||_F^2 where the all-ones start lies in the null
+    space of U^T."""
     m = U.shape[0]
     gram_scale = 1.0
     v = np.ones(m) / np.sqrt(m)
@@ -327,6 +331,8 @@ def _step_size(U):
         v = U @ (U.T @ v)
         nv = np.linalg.norm(v)
         if nv == 0:
+            # only the start can vanish: every later v lies in the range of U
+            gram_scale = float(np.vdot(U, U))
             break
         gram_scale = nv
         v /= nv
@@ -509,15 +515,41 @@ def _single_threaded() -> bool:
         return False
 
 
-def _child(agent, group, write_end):
-    """In a forked child: send the pickled outcome of mapping `agent` over
-    `group` and exit.
+def _caller_cpu() -> int | None:
+    """The CPU this process last ran on, field 39 of /proc/self/stat, or None
+    where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # the command name, field 2, is in parentheses and may hold spaces
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _leave_cpu(cpu) -> None:
+    """In a forked child: run on the usable CPUs other than `cpu`, the one the
+    caller last ran on, so that the child does not queue behind it. Skipped
+    where `cpu` is None, no other CPU is usable or affinity cannot be set."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:
+        pass
+
+
+def _child(agent, group, write_end, caller_cpu):
+    """In a forked child: leave `caller_cpu`, send the pickled outcome of
+    mapping `agent` over `group` and exit.
 
     It never returns into the caller's frames, and `os._exit` flushes none of
     the stdio or file buffers it inherited. Status 0 means the whole outcome
     was written; an outcome that cannot be pickled leaves with status 1."""
     status = 1
     try:
+        _leave_cpu(caller_cpu)
         try:
             outcome = (True, [agent(i) for i in group])
         except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
@@ -541,6 +573,7 @@ def _select_all(agent, n):
     if len(groups) == 1 or not (hasattr(os, "fork") and _single_threaded()):
         return [agent(i) for i in range(n)]
     pending = {}  # child pid -> read end of its pipe, in group order
+    caller_cpu = _caller_cpu()
     try:
         for group in groups[:-1]:
             read_end, write_end = os.pipe()
@@ -552,7 +585,7 @@ def _select_all(agent, n):
                 raise
             if pid == 0:
                 os.close(read_end)
-                _child(agent, group, write_end)
+                _child(agent, group, write_end, caller_cpu)
             os.close(write_end)
             pending[pid] = open(read_end, "rb")
         own = [agent(i) for i in groups[-1]]

@@ -6,9 +6,13 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import dataclasses  # noqa: E402
+import functools  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from mairl import estimation, experiment, gridworld  # noqa: E402
 from mairl.games import JointPolicy, deterministic_policy  # noqa: E402
 from mairl.synthetic import (  # noqa: E402
     matching_pennies,
@@ -32,6 +36,33 @@ def pennies():
     game, reward = matching_pennies(0.9)
     uniform = JointPolicy([np.full((1, 2), 0.5), np.full((1, 2), 0.5)])
     return game, reward, uniform
+
+
+@functools.cache
+def _every_variant(spec):
+    return experiment.set_up(spec, gridworld.VARIANTS)
+
+
+def grid_setup(spec=gridworld.GridGameSpec(), variants=()):
+    """`experiment.set_up(spec, variants)`, cut from one `set_up` of `spec`
+    with every variant, built once per session: each board's expert is
+    synthesized once. Its games, rewards and policy are read-only and shared
+    by every caller."""
+    board = _every_variant(spec)
+    built = {entry[0]: entry for entry in board.variants}
+    return dataclasses.replace(board, variants=tuple(built[name] for name in variants))
+
+
+@functools.cache
+def one_round_estimate(spec):
+    """(estimated game, estimated policy) after one round of the board's
+    expert at seed 0, as `seed_curve` estimates its first eval point at k = 1."""
+    setup = grid_setup(spec)
+    game = setup.game
+    counts = estimation.CountBook(game.n_states, game.action_counts)
+    estimation.sample_round(estimation.GenerativeOracle(game, setup.expert, seed=0), counts)
+    problem = estimation.estimate(counts)
+    return problem.as_game(game.gamma, game.mu), problem.pi_hat
 
 
 def make_instance(seed, n_states=3, action_counts=(2, 2), gamma=0.6, zeros=True):

@@ -19,7 +19,7 @@ from mairl.synthetic import (
     random_reward,
 )
 
-from conftest import make_instance
+from conftest import grid_setup, make_instance
 
 
 def report(criterion, passed, detail):
@@ -233,7 +233,6 @@ def test_criterion_7_bound_dominates_empirical(toy_run):
         and run.tau * game.n_states * game.n_joint_actions <= bound_toy.total
     )
 
-    grid, _, _ = build_grid_game(GridGameSpec())
     grid_params = mairl.ConfidenceParams(delta=0.1, pi_min=1.0, rmax=1.0, gamma=0.9)
     tau_grid = mairl.stopping_time(grid_params, 72, (4, 4), 2, epsilon=1.0)
     bound_grid = mairl.theoretical_sample_bound(grid_params, 72, (4, 4), 2, epsilon=1.0)
@@ -277,12 +276,10 @@ def test_criterion_8_transfer_beats_cloning(transfer_experiment):
     # independent account of the cloning failure: agent 1 (index 0) earns
     # nothing from every state its cloned path breaks at, and the reported
     # gap equals its full best-response value over those states
-    base = GridGameSpec(variant="deterministic", gamma=0.9, rmax=1.0)
-    det_game, det_reward, _ = build_grid_game(base)
-    expert = mairl.nash_value_iteration(det_game, det_reward).policy
-    alt_game, alt_reward, _ = build_grid_game(variant_spec(base, "obstacle-one"))
-    br0 = best_response(alt_game, alt_reward, expert, agent=0)
-    clone_value = policy_evaluation(alt_game, alt_reward, expert).v[0]
+    board = grid_setup(GridGameSpec(gamma=0.9, rmax=1.0), ("obstacle-one",))
+    _, alt_game, alt_reward = board.variants[0]
+    br0 = best_response(alt_game, alt_reward, board.expert, agent=0)
+    clone_value = policy_evaluation(alt_game, alt_reward, board.expert).v[0]
     broken = clone_value <= 1e-9
     full_br = float(br0.value[broken].max())
     gap_bc = obs[0][5]

@@ -6,9 +6,10 @@ from mairl import cli, experiment
 from mairl.cli import EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_OK, main
 from mairl.errors import ConvergenceError
 from mairl.estimation import LOG_COLUMNS, GenerativeOracle, uniform_sampling
-from mairl.experiment import seed_curve, set_up
-from mairl.gridworld import GridGameSpec, build_grid_game
+from mairl.experiment import seed_curve
 from mairl.textio import parse_config, read_sections, write_sections
+
+from conftest import grid_setup
 
 
 def test_bound_command(tmp_path, capsys):
@@ -104,9 +105,8 @@ def test_evaluate_reward_file_with_a_non_numeric_entry_is_exit_2(tmp_path, capsy
     ids=["truncated", "doubled", "nan"],
 )
 def test_evaluate_reward_file_with_a_bad_table_is_exit_2(tmp_path, capsys, edit):
-    _, reward, _ = build_grid_game(GridGameSpec())
     path = tmp_path / "reward.txt"
-    write_sections(path, reward=reward)
+    write_sections(path, reward=grid_setup().reward)
     lines = path.read_text().splitlines()  # [reward], rmax, then one line per entry
     path.write_text("\n".join(edit(lines)) + "\n")
     assert main(["--out-dir", str(tmp_path), "evaluate", "--reward", str(path)]) == EXIT_CONFIG
@@ -134,7 +134,7 @@ def test_sample_writes_one_log_row_per_round(tmp_path):
     cfg.write_text(f"[experiment]\nseeds = 3\nepsilon = 100\nout_dir = {tmp_path}\n")
     assert main(["--config", str(cfg), "sample"]) == EXIT_OK
     config = parse_config(str(cfg))
-    setup = set_up(config.grid_spec())
+    setup = grid_setup(config.grid_spec())
     oracle = GenerativeOracle(setup.game, setup.expert, seed=3)
     run = uniform_sampling(oracle, config.confidence_params(), config.epsilon, config.k_max)
     lines = (tmp_path / "run_log.csv").read_text().splitlines()
@@ -167,7 +167,7 @@ def test_recover_then_evaluate(tmp_path, capsys):
     # counted it; the reference samples the k_max rounds one eval point at a time
     config = parse_config(str(cfg))
     every_round = replace(config, eval_points=tuple(range(1, config.k_max + 1)))
-    *_, (recovered, _) = seed_curve(set_up(config.grid_spec()), every_round, 0)
+    *_, (recovered, _) = seed_curve(grid_setup(config.grid_spec()), every_round, 0)
     assert int(provenance["lp_pivots"]) == recovered.lp_iterations > 0
     assert int(provenance["projection_sweeps"]) == recovered.projection_sweeps
     assert "solver_iterations" not in provenance

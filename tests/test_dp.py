@@ -11,16 +11,17 @@ from mairl.dp import (
     policy_evaluation,
     simulation_decomposition,
 )
-from mairl.equilibrium import nash_value_iteration
 from mairl.errors import DimensionMismatchError, StaleValuesError
 from mairl.games import JointPolicy, JointReward, MarkovGame
-from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game
+from mairl.gridworld import VARIANTS, GridGameSpec
 from mairl.synthetic import (
     random_joint_policy,
     random_markov_game,
     random_reward,
     single_state_game,
 )
+
+from conftest import grid_setup
 
 
 def test_constant_reward_geometric_series():
@@ -214,7 +215,8 @@ def assert_marginals_match_reference(game, policy, tables):
 def test_own_action_marginal_matches_the_einsum_on_the_grids(width, height, variant):
     """The NashQ expert and a random mixed policy, each agent, on the reward
     tables, P V (2-D) and a table with a trailing axis (3-D)."""
-    game, reward, _ = build_grid_game(GridGameSpec(width=width, height=height, variant=variant))
+    board = grid_setup(GridGameSpec(width=width, height=height, variant=variant))
+    game, reward = board.game, board.reward
     rng = np.random.default_rng(width * 10 + height)
     S, A = game.n_states, game.n_joint_actions
     tables = [
@@ -223,7 +225,7 @@ def test_own_action_marginal_matches_the_einsum_on_the_grids(width, height, vari
         rng.standard_normal((S, A, 3)),
         reward.tables.transpose(1, 2, 0).copy(),
     ]
-    for policy in (nash_value_iteration(game, reward).policy, random_joint_policy(rng, game)):
+    for policy in (board.expert, random_joint_policy(rng, game)):
         assert_marginals_match_reference(game, policy, tables)
 
 

@@ -30,6 +30,8 @@ from mairl.synthetic import (
     single_state_game,
 )
 
+from conftest import grid_setup
+
 
 def test_negative_agent_reads_the_last_agent():
     """Agent -1 is agent n - 1, as in `per_agent`, `reward.tables` and
@@ -176,6 +178,22 @@ def test_bimatrix_examples():
         bimatrix_nash(np.array([[np.inf]]), np.array([[1.0]]))
 
 
+def test_a_support_whose_clipped_mix_moves_its_payoffs_off_the_value_is_rejected():
+    """The row player's indifference solve gives the column mix (1 + e, -e),
+    e = 5e-10, inside -_STAGE_TOL, so it is clipped to (1, 0). No row then
+    pays more than the value v, but both support rows pay up to 1e-6 less,
+    beyond 10 _STAGE_TOL, and the pair is rejected; with the players'
+    roles swapped the column side is."""
+    tol = mairl.equilibrium._STAGE_TOL
+    a = np.array([[1000.0 + 5e-7, 0.0], [1000.0, -1000.0]])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    y, v = mairl.equilibrium._indifferent_mix(a, (0, 1), 2)
+    assert y.tolist() == [1.0, 0.0]
+    assert np.max(a @ y) <= v + tol and np.max(np.abs(a @ y - v)) > 10 * tol
+    assert mairl.equilibrium._try_support(a, b, (0, 1), (0, 1)) is None
+    assert mairl.equilibrium._try_support(b.T, a.T, (0, 1), (0, 1)) is None
+
+
 def test_bimatrix_says_so_when_enumeration_finds_nothing(monkeypatch):
     """Matching pennies has no pure equilibrium; with every larger support
     pair rejected, enumeration runs out and raises rather than return."""
@@ -279,7 +297,7 @@ def test_nash_q_learning_requires_two_agents():
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 72, 15), (3, 72, 16)])
 def test_reward_that_is_not_the_games_shape_is_rejected(shape):
     # a (1, 1, 1) table would broadcast through the NashQ backup and converge
-    game, _, _ = build_grid_game(GridGameSpec())
+    game = grid_setup().game
     bad = JointReward(np.zeros(shape), rmax=np.ones(shape[0]))
     policy = deterministic_policy(game.action_counts, game.n_states, [0, 0])
     with pytest.raises(DimensionMismatchError):

@@ -29,11 +29,11 @@ from mairl.estimation import (
     xi_threshold,
 )
 from mairl.errors import DimensionMismatchError
-from mairl.experiment import ExperimentConfig, sample_reward_family, set_up, write_csv
+from mairl.experiment import ExperimentConfig, sample_reward_family, write_csv
 from mairl.games import JointPolicy, MarkovGame, deterministic_policy
 from mairl.synthetic import random_markov_game
 
-from conftest import make_instance
+from conftest import grid_setup, make_instance
 from test_sampling_reference import pipeline_round_samples
 
 
@@ -329,7 +329,7 @@ def test_stopping_time_tests_a_batch_of_rounds_per_schedule_call(k_max, most, mo
 
 def test_stopping_time_of_the_3x3_board_at_epsilon_1_matches_the_scan(monkeypatch):
     config = ExperimentConfig()
-    game = set_up(config.grid_spec()).game
+    game = grid_setup(config.grid_spec()).game
     params, shape = config.confidence_params(), (game.n_states, game.action_counts, game.n_agents)
     want = _scan_stopping_time(params, *shape, config.epsilon, 10**8)
     calls = _counting_schedule(monkeypatch)
@@ -390,7 +390,7 @@ def test_history_of_a_run_to_the_3x3_stopping_round_is_read_on_demand():
     # the deterministic 3x3 board at epsilon = 1: millions of rounds, each
     # query fixed, so the run costs no more than its set-up
     config = ExperimentConfig()
-    setup = set_up(config.grid_spec())
+    setup = grid_setup(config.grid_spec())
     game, params = setup.game, config.confidence_params()
     shape = (game.n_states, game.action_counts, game.n_agents)
     oracle = GenerativeOracle(game, setup.expert, seed=0)

@@ -19,7 +19,7 @@ from mairl.feasible import check_implicit
 from mairl.gridworld import GridGameSpec
 from mairl.synthetic import random_reward
 
-from conftest import make_instance
+from conftest import grid_setup, make_instance
 
 
 def test_sample_reward_family_members_feasible():
@@ -244,7 +244,7 @@ def test_seed_curve_refuses_a_board_that_disagrees_with_the_config(monkeypatch):
     }
     for board_values, board in boards.items():
         with pytest.raises(ConfigError) as caught:
-            next(seed_curve(set_up(board), config, 0))
+            next(seed_curve(grid_setup(board), config, 0))
         assert str(caught.value) == (
             f"the board has {board_values}, the config gamma 0.9 and rmax 1.0"
         )
@@ -274,7 +274,7 @@ def test_seed_curve_on_the_4x3_board():
         seeds=(0, 1, 2), epsilon=1.0, delta=0.1, pi_min=1.0, k_max=1, eval_points=(1,),
         gamma=0.9, rmax=1.0, mode="distance-to-random", reward_class="state",
     )
-    setup = set_up(board, ("deterministic", "obstacle-one"))
+    setup = grid_setup(board, ("deterministic", "obstacle-one"))
     for seed in config.seeds:
         rows = [row for _, rows in seed_curve(setup, config, seed) for row in rows]
         assert rows == [

@@ -20,9 +20,7 @@ import json, os, time
 import numpy as np
 from mairl import reward_select
 from mairl.errors import InfeasibleLPError, MairlError
-from mairl.equilibrium import nash_value_iteration
-from mairl.estimation import CountBook, GenerativeOracle, estimate, sample_round
-from mairl.gridworld import GridGameSpec, build_grid_game
+from mairl.gridworld import GridGameSpec
 from mairl.synthetic import random_joint_policy, random_markov_game
 
 assert reward_select._single_threaded()
@@ -43,7 +41,9 @@ reward_select._usable_cpus = lambda: 2
 
 
 def run_script(body):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    # tests/ too, so that a script can take its grid set-ups from conftest
+    path = os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "tests"))
+    env = dict(os.environ, PYTHONPATH=path)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     proc = subprocess.run(
@@ -75,17 +75,14 @@ def test_forked_selection_has_the_bits_of_the_in_process_one():
             reward_select._usable_cpus = lambda: 2
             return forked == in_process
 
+        from conftest import one_round_estimate
+
         cases = []
         for w, h in ((3, 3), (4, 3)):
-            game, reward, _ = build_grid_game(GridGameSpec(width=w, height=h))
-            expert = nash_value_iteration(game, reward).policy
-            counts = CountBook(game.n_states, game.action_counts)
-            sample_round(GenerativeOracle(game, expert, seed=0), counts)
-            problem = estimate(counts)
-            est_game = problem.as_game(game.gamma, game.mu)
+            est_game, pi_hat = one_round_estimate(GridGameSpec(width=w, height=h))
             for mode in ("max-margin", "distance-to-random"):
                 for cls in ("state", "state-action"):
-                    cases.append(both_paths(est_game, problem.pi_hat, mode=mode, seed=1,
+                    cases.append(both_paths(est_game, pi_hat, mode=mode, seed=1,
                                             reward_class=cls))
         rng = np.random.default_rng(3)
         game = random_markov_game(rng, 5, (2, 3, 2), 0.7)
@@ -185,3 +182,46 @@ def test_failures_reach_the_caller_and_leave_no_process():
         "caller interrupt": ["KeyboardInterrupt", ""],
     }
     assert all(left for _, left, _ in out.values())
+
+
+def test_the_child_leaves_the_callers_cpu():
+    """Whenever another CPU is usable, a child runs on the usable CPUs but the
+    one the caller last ran on; the caller's own affinity is kept. A CPU that
+    cannot be read, or an affinity that cannot be set, leaves the child where
+    it started, and the selection still returns."""
+    out = run_script(
+        """
+        usable = sorted(os.sched_getaffinity(0))
+        read = []
+        caller_cpu = reward_select._caller_cpu
+
+        def recording():
+            read.append(caller_cpu())
+            return read[-1]
+
+        def affinities():
+            return reward_select._select_all(lambda i: sorted(os.sched_getaffinity(0)), 2)
+
+        def refuse(*args):
+            raise OSError("affinity cannot be set")
+
+        reward_select._caller_cpu = recording
+        placed = affinities()
+        caller_after = sorted(os.sched_getaffinity(0))
+        reward_select._caller_cpu = lambda: None
+        unread = affinities()
+        reward_select._caller_cpu = caller_cpu
+        os.sched_setaffinity = refuse
+        refused = affinities()
+        print(json.dumps({"usable": usable, "read": read, "placed": placed,
+                          "caller_after": caller_after, "unread": unread,
+                          "refused": refused, "forks": len(forks)}))
+        """
+    )
+    usable, (cpu,) = out["usable"], out["read"]
+    assert cpu in usable
+    others = [c for c in usable if c != cpu]
+    assert out["placed"] == [others or usable, usable]
+    assert out["caller_after"] == usable
+    assert out["unread"] == out["refused"] == [usable, usable]
+    assert out["forks"] == 3

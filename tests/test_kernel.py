@@ -15,7 +15,6 @@ iteration on it are kept here as the oracle of the S x S reply kernels that
 replaced them, and every result must match it bit for bit.
 """
 
-import functools
 import tracemalloc
 import warnings
 
@@ -29,12 +28,8 @@ from mairl.estimation import EstimatedProblem, GenerativeOracle
 from mairl.games import JointPolicy, MarkovGame, _gather, _scatter, deterministic_policy
 from mairl.synthetic import random_joint_policy, random_markov_game, random_reward
 
+from conftest import grid_setup, one_round_estimate
 from test_sampling_reference import pipeline_round_samples, reference_round_samples
-
-
-@functools.lru_cache(maxsize=None)
-def _grid(variant):
-    return gridworld.build_grid_game(gridworld.GridGameSpec(variant=variant))[:2]
 
 
 @st.composite
@@ -52,7 +47,7 @@ def games(draw):
         exact = False
     else:
         variant = draw(st.sampled_from(gridworld.VARIANTS))
-        game, reward = _grid(variant)
+        _, game, reward = grid_setup(variants=(variant,)).variants[0]
         exact = variant != "stochastic-up"
     if draw(st.booleans()):
         tables = [rng.dirichlet(np.ones(c), game.n_states) for c in game.action_counts]
@@ -195,22 +190,20 @@ def test_best_responses_on_the_transfer_sweep_match_the_dense_oracle(width, heig
     the variant's NashQ policy of that reward and to behavior cloning,
     scored under the variant's true reward and under that reward."""
     spec = gridworld.GridGameSpec(width=width, height=height)
-    setup = experiment.set_up(spec, gridworld.VARIANTS)
-    game, expert = setup.game, setup.expert
-    counts = estimation.CountBook(game.n_states, game.action_counts)
-    estimation.sample_round(GenerativeOracle(game, expert, seed=0), counts)
-    problem = estimation.estimate(counts)
-    estimated = problem.as_game(game.gamma, game.mu)
+    setup = grid_setup(spec, gridworld.VARIANTS)
+    estimated, pi_hat = one_round_estimate(spec)
     recovered = [
         reward_select.max_gap_reward(
-            estimated, problem.pi_hat, 1.0, mode=mode, seed=0, reward_class="state"
+            estimated, pi_hat, 1.0, mode=mode, seed=0, reward_class="state"
         ).reward
         for mode in (reward_select.MAX_MARGIN, reward_select.DISTANCE_TO_RANDOM)
     ]
-    cloning = reward_select.behavior_cloning(problem.pi_hat)
-    for _, alt_game, alt_reward in setup.variants:
-        for reward in (alt_reward, *recovered):
-            transferred = equilibrium.nash_value_iteration(alt_game, reward).policy
+    cloning = reward_select.behavior_cloning(pi_hat)
+    for name, alt_game, alt_reward in setup.variants:
+        # under its true reward, the variant's NashQ policy is its board's expert
+        transfers = [(alt_reward, grid_setup(gridworld.variant_spec(spec, name)).expert)]
+        transfers += [(r, equilibrium.nash_value_iteration(alt_game, r).policy) for r in recovered]
+        for reward, transferred in transfers:
             scores = (alt_reward,) if reward is alt_reward else (alt_reward, reward)
             for policy in (transferred, cloning):
                 for score in scores:
@@ -244,7 +237,7 @@ def test_jump_table_draws_match_the_dense_cdf(case, seed, k):
 
 @pytest.mark.parametrize("variant", gridworld.VARIANTS)
 def test_grid_list_is_the_ascending_support_of_its_dense_view(variant):
-    game, _ = _grid(variant)
+    _, game, _ = grid_setup(variants=(variant,)).variants[0]
     P = game.transitions
     again = MarkovGame(P, game.gamma, game.mu, game.action_counts)
     assert np.array_equal(again.successors, game.successors)
@@ -260,7 +253,7 @@ def test_nashq_matches_a_dense_backup_loop(variant):
     exact fixed point, so Q agrees within 1e-7 (gamma 1e-8 / (1 - gamma) =
     9e-8 is the loop's own distance to its fixed point) and the policies
     exactly."""
-    game, reward = _grid(variant)
+    _, game, reward = grid_setup(variants=(variant,)).variants[0]
     result = equilibrium.nash_value_iteration(game, reward)
     P = game.transitions
     q = np.zeros((2, game.n_states, game.n_joint_actions))
@@ -325,7 +318,7 @@ def test_5x5_pipeline_front_stays_below_one_dense_kernel():
 
 
 def test_dense_views_are_read_only_and_not_cached():
-    game, _ = _grid("deterministic")
+    game = grid_setup().game
     assert game.transitions is not game.transitions
     with pytest.raises(ValueError):
         game.transitions[0, 0, 0] = 0.5
@@ -339,7 +332,7 @@ def test_dense_views_are_read_only_and_not_cached():
 
 
 def test_nashq_final_delta_on_converged_and_capped_runs():
-    game, reward = _grid("deterministic")
+    _, game, reward = grid_setup(variants=("deterministic",)).variants[0]
     done = equilibrium.nash_value_iteration(game, reward)
     assert done.converged and 0.0 <= done.final_delta < 1e-8
     with warnings.catch_warnings():

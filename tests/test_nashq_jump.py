@@ -18,17 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl import dp, equilibrium
-from mairl.experiment import ExperimentConfig, seed_curve, set_up
+from mairl.experiment import ExperimentConfig, seed_curve
 from mairl.games import JointPolicy, _gather
-from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game, variant_spec
+from mairl.gridworld import VARIANTS
 from mairl.synthetic import matching_pennies, random_markov_game, random_reward
 
-from test_stage_games_reference import _chain_game
-
-BOARDS = {
-    "3x3": GridGameSpec(),
-    "4x3": GridGameSpec(width=4, height=3),
-}
+from conftest import grid_setup
+from test_stage_games_reference import BOARDS, _chain_game
 
 
 def plain_nash_value_iteration(game, reward, max_iters=5000):
@@ -100,21 +96,21 @@ def recovered_rewards():
         seeds=(0,), k_max=1, eval_points=(1,), mode="distance-to-random", reward_class="state"
     )
     return {
-        name: next(seed_curve(set_up(spec), config, 0))[0].reward
+        name: next(seed_curve(grid_setup(spec), config, 0))[0].reward
         for name, spec in BOARDS.items()
     }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_grid_variants_under_their_true_reward(variant):
-    game, reward, _ = build_grid_game(variant_spec(BOARDS["3x3"], variant))
+    _, game, reward = grid_setup(BOARDS["3x3"], (variant,)).variants[0]
     assert_same_equilibrium(equilibrium.nash_value_iteration(game, reward), game, reward)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("board", sorted(BOARDS))
 def test_recovered_reward_transfer(board, variant, recovered_rewards, monkeypatch):
-    game, _, _ = build_grid_game(variant_spec(BOARDS[board], variant))
+    _, game, _ = grid_setup(BOARDS[board], (variant,)).variants[0]
     reward = recovered_rewards[board]
     log = logged_jumps(monkeypatch)
     got = equilibrium.nash_value_iteration(game, reward)
@@ -132,7 +128,7 @@ def test_transfer_jumps_on_the_deterministic_boards(recovered_rewards):
     """The pipeline's transfer to the unchanged board settles on pure supports
     within a few backups, where plain iteration takes 176."""
     for name, spec in BOARDS.items():
-        game, _, _ = build_grid_game(spec)
+        game = grid_setup(spec).game
         got = equilibrium.nash_value_iteration(game, recovered_rewards[name])
         *_, backups = plain_nash_value_iteration(game, recovered_rewards[name])
         assert backups == 176

@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl import reward_select
-from mairl.equilibrium import nash_value_iteration
-from mairl.estimation import CountBook, GenerativeOracle, estimate, sample_round
-from mairl.gridworld import GridGameSpec, build_grid_game
+from mairl.gridworld import GridGameSpec
+
+from conftest import grid_setup, one_round_estimate
 
 
 def _violation(x, U, rhs, rmax_i):
@@ -195,6 +195,20 @@ def test_unequal_rows_an_empty_agent_and_an_early_stop():
     assert [sweeps for _, sweeps, _ in got] == want
 
 
+def test_step_size_when_the_start_lies_in_the_null_space_of_u_transposed():
+    """The all-ones start of the power iteration has U^T 1 = 0 here, so the
+    step rests on the bound ||U||_F^2 = 4, which the largest eigenvalue of
+    U U^T meets, and the projection onto x1 - x2 <= 0.1 stops at its second
+    check, not at the sweep cap."""
+    U = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert reward_select._step_size(U) == 1.0 / (1.01 * 4.0)
+    point, sweeps, path = reward_select._distance_project(
+        np.array([0.9, 0.1]), U, np.array([0.1, 0.1]), np.array([0.5, 0.5]), 1.0
+    )
+    assert (sweeps, path) == (2 * reward_select.CHECK_EVERY, "polished")
+    np.testing.assert_allclose(point, [0.55, 0.45], rtol=0, atol=1e-12)
+
+
 def polish_problem(rng, m, n):
     """(target, x, U, rhs, rmax) with m >= 1 rows on n variables. About a
     third of x's coordinates sit at each bound, half the rows are active at
@@ -268,8 +282,8 @@ def test_polish_outcomes_match_reference(monkeypatch):
 
 def test_grid_expert_projection_matches_reference():
     """The 3x3 expert staged as `max_gap_reward` stages it in distance mode."""
-    game, reward, _ = build_grid_game(GridGameSpec())
-    policy = nash_value_iteration(game, reward).policy
+    board = grid_setup()
+    game, policy = board.game, board.expert
     rng = np.random.default_rng(0)
     problems = []
     for agent in range(game.n_agents):
@@ -289,8 +303,8 @@ def test_aligned_rows_project_with_the_bits_of_any_offset():
     """`_aligned_rows` copies U[live] to a 64-byte boundary, and the
     projection returns the same point, sweeps and path on a copy of the
     rows at every other 8-byte offset."""
-    game, reward, _ = build_grid_game(GridGameSpec())
-    policy = nash_value_iteration(game, reward).policy
+    board = grid_setup()
+    game, policy = board.game, board.expert
     U = reward_select._advantage_rows(game, policy, 0, "state")
     mask = (policy.per_agent[0] == 0.0).ravel()
     live = np.linalg.norm(U, axis=1) > reward_select._DEAD_ROW
@@ -317,12 +331,7 @@ def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
     margins are -(U @ x) over the full U at the carrying rows, bit for bit:
     on this board the product of the live rows alone differs in the last
     bit. Each `_distance_project` call projects one agent's target."""
-    game, reward, _ = build_grid_game(GridGameSpec())
-    expert = nash_value_iteration(game, reward).policy
-    counts = CountBook(game.n_states, game.action_counts)
-    sample_round(GenerativeOracle(game, expert, seed=0), counts)
-    problem = estimate(counts)
-    est_game = problem.as_game(game.gamma, game.mu)
+    est_game, pi_hat = one_round_estimate(GridGameSpec())
     points = []
     project = reward_select._distance_project
 
@@ -335,12 +344,12 @@ def test_margins_have_the_bits_of_the_full_rows(monkeypatch):
     # one group, so every projection runs in this process, where the recorder sees it
     monkeypatch.setattr(reward_select, "_usable_cpus", lambda: 1)
     res = reward_select.max_gap_reward(
-        est_game, problem.pi_hat, 1.0, mode="distance-to-random", seed=1, reward_class="state"
+        est_game, pi_hat, 1.0, mode="distance-to-random", seed=1, reward_class="state"
     )
     assert len(points) == est_game.n_agents
     for agent, x in enumerate(points):
-        U = reward_select._advantage_rows(est_game, problem.pi_hat, agent, "state")
-        mask = (problem.pi_hat.per_agent[agent] == 0.0).ravel()
+        U = reward_select._advantage_rows(est_game, pi_hat, agent, "state")
+        mask = (pi_hat.per_agent[agent] == 0.0).ravel()
         live = np.linalg.norm(U, axis=1) > reward_select._DEAD_ROW
         _, _, margin_rows, _ = reward_select._lexicographic_margin(
             U, mask, live, 1.0, est_game.gamma

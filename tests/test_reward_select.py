@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 import mairl.reward_select
 import mairl.simplex
-from mairl.equilibrium import matrix_ne_check, nash_gap, nash_value_iteration
+from mairl.equilibrium import matrix_ne_check, nash_gap
 from mairl.errors import DimensionMismatchError, NotFeasibleError
-from mairl.estimation import CountBook, GenerativeOracle, estimate, sample_round
+from mairl.estimation import CountBook, estimate
 from mairl.feasible import ImplicitCheckReport, check_implicit
 from mairl.games import JointReward
-from mairl.gridworld import GridGameSpec, build_grid_game
+from mairl.gridworld import GridGameSpec
 from mairl.reward_select import (
     _advantage_rows,
     _antipodal_rows,
@@ -23,7 +23,7 @@ from mairl.reward_select import (
 )
 from mairl.synthetic import random_joint_policy, random_markov_game
 
-from conftest import make_instance
+from conftest import grid_setup, make_instance, one_round_estimate
 from test_projection_reference import assert_matches_reference, random_problem
 
 
@@ -61,8 +61,8 @@ def advantage_row_cases():
     for seed in range(6):
         counts = (2, 3) if seed % 2 else (2, 2, 3)
         yield make_instance(500 + seed, n_states=4, action_counts=counts, gamma=0.8)
-    game, reward, _ = build_grid_game(GridGameSpec())
-    yield game, nash_value_iteration(game, reward).policy
+    board = grid_setup()
+    yield board.game, board.expert
 
 
 @pytest.mark.parametrize("reward_class", ["state-action", "state"])
@@ -104,12 +104,6 @@ def test_lp_iterations_count_every_lexicographic_round(monkeypatch):
     assert res.lp_iterations == sum(pivots)
 
 
-@pytest.fixture(scope="module")
-def grid_expert():
-    game, reward, _ = build_grid_game(GridGameSpec())
-    return game, nash_value_iteration(game, reward).policy
-
-
 def recorded_cores(monkeypatch):
     """Shapes of the constraint matrices the simplex core starts on, and its runs."""
     shapes, runs = [], []
@@ -128,11 +122,12 @@ def recorded_cores(monkeypatch):
     return shapes, runs
 
 
-def test_grid_margin_lp_starts_feasible(grid_expert, monkeypatch):
+def test_grid_margin_lp_starts_feasible(monkeypatch):
     # the state-action class keeps the primal: -U x - t m >= 0 holds at x = 0,
     # t = 0, so the slack basis is feasible and phase 1 is skipped: one run of
     # the core, for phase 2, on one row per deviation
-    game, policy = grid_expert
+    board = grid_setup()
+    game, policy = board.game, board.expert
     shapes, runs = recorded_cores(monkeypatch)
     U = _advantage_rows(game, policy, 0, "state-action")
     mask = (policy.per_agent[0] == 0.0).ravel()
@@ -141,10 +136,11 @@ def test_grid_margin_lp_starts_feasible(grid_expert, monkeypatch):
     assert len(runs) == 1
 
 
-def test_state_class_margin_lp_solves_the_dual(grid_expert, monkeypatch):
+def test_state_class_margin_lp_solves_the_dual(monkeypatch):
     # n + 1 rows U^T y + z >= 0, 1_margin^T y + w >= 1; only the last row's
     # slack cannot carry the start residual 1, so one artificial and phase 1
-    game, policy = grid_expert
+    board = grid_setup()
+    game, policy = board.game, board.expert
     shapes, runs = recorded_cores(monkeypatch)
     U = _advantage_rows(game, policy, 0, "state")
     m, S = U.shape
@@ -191,8 +187,8 @@ PRIMAL_4X4 = [(0.3913043478260855, 8), (0.3131868131868113, 3)]
 
 @pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)])
 def test_dual_margin_lp_matches_primal_on_grid_experts(width, height):
-    game, reward, _ = build_grid_game(GridGameSpec(width=width, height=height))
-    policy = nash_value_iteration(game, reward).policy
+    board = grid_setup(GridGameSpec(width=width, height=height))
+    game, policy = board.game, board.expert
     for agent in range(game.n_agents):
         U = _advantage_rows(game, policy, agent, "state")
         assert U.shape[0] > U.shape[1] + 1  # the state class takes the dual
@@ -248,21 +244,13 @@ def test_dual_margin_lp_matches_primal_on_random_rows(seed, m, n, levels):
     assert np.array_equal(rows_dual, rows_primal)
 
 
-def expert_and_estimate(spec):
-    """The board's NashQ expert and the game and policy estimated after one round."""
-    game, reward, _ = build_grid_game(spec)
-    expert = nash_value_iteration(game, reward).policy
-    counts = CountBook(game.n_states, game.action_counts)
-    sample_round(GenerativeOracle(game, expert, seed=0), counts)
-    problem = estimate(counts)
-    return [(game, expert), (problem.as_game(game.gamma, game.mu), problem.pi_hat)]
-
-
 @pytest.mark.parametrize("width, height", [(3, 3), (4, 3), (4, 4)])
 def test_pre_pinned_pairs_leave_the_loop_one_margin_lp(width, height, monkeypatch):
     # the loop alone is the oracle: pinning the antipodal pairs first pins the
     # same rows and ends on the same LP, so x and t keep their bits
-    cases = expert_and_estimate(GridGameSpec(width=width, height=height))
+    spec = GridGameSpec(width=width, height=height)
+    board = grid_setup(spec)
+    cases = [(board.game, board.expert), one_round_estimate(spec)]
     for game, policy in cases:
         for agent in range(game.n_agents):
             U = _advantage_rows(game, policy, agent, "state")
@@ -343,15 +331,14 @@ def test_pre_pinned_rows_are_antipodal_pairs(seed, m, n, levels, planted, rows):
 
 
 def state_action_cases():
-    """The 3x3 expert and its one-round estimate, the 4x3 expert, and the
-    random games the tests above build."""
-    yield from expert_and_estimate(GridGameSpec())
-    yield expert_and_estimate(GridGameSpec(width=4, height=3))[0]
+    """The advantage-row cases (the 3x3 expert among them), the 3x3 one-round
+    estimate, the 4x3 expert, and the random games the tests above build."""
+    yield from advantage_row_cases()
+    yield one_round_estimate(GridGameSpec())
+    board = grid_setup(GridGameSpec(width=4, height=3))
+    yield board.game, board.expert
     for seed in [*range(8), 12]:
         yield make_instance(seed, n_states=3, gamma=0.7)
-    for game, policy in advantage_row_cases():
-        if game.n_states < 72:
-            yield game, policy
     rng = np.random.default_rng(3)
     game = random_markov_game(rng, 4, (2, 2), 0.6)
     yield game, random_joint_policy(rng, game, deterministic=True)
@@ -399,9 +386,9 @@ def test_state_action_selection_skips_the_pair_search(monkeypatch):
         ("state-action", [0.9999999999999666, 0.9999999999998361]),
     ],
 )
-def test_grid_margins_match_artificial_start(grid_expert, reward_class, expected):
-    game, policy = grid_expert
-    res = max_gap_reward(game, policy, rmax=1.0, reward_class=reward_class)
+def test_grid_margins_match_artificial_start(reward_class, expected):
+    board = grid_setup()
+    res = max_gap_reward(board.game, board.expert, rmax=1.0, reward_class=reward_class)
     np.testing.assert_allclose(res.margins, expected, rtol=0, atol=1e-9)
 
 

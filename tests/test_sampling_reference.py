@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mairl import equilibrium, gridworld
 from mairl.estimation import (
     ConfidenceParams,
     CountBook,
@@ -37,9 +36,10 @@ from mairl.estimation import (
     uniform_sampling,
 )
 from mairl.games import JointPolicy, MarkovGame, _pack_positive
+from mairl.gridworld import GridGameSpec
 from mairl.synthetic import random_markov_game
 
-from conftest import make_instance
+from conftest import grid_setup, make_instance
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -170,16 +170,12 @@ def reference_uniform_sampling(oracle, params, epsilon_target, k_max):
     return problem, unc, counts.iteration, converged, history
 
 
-def _nashq_expert(width, height):
-    game, reward, _ = gridworld.build_grid_game(gridworld.GridGameSpec(width=width, height=height))
-    return game, equilibrium.nash_value_iteration(game, reward).policy
-
-
 def _grid_oracles():
     """The NashQ experts of the 3x3 and 4x3 boards, and a mixed expert on the
     3x3 board with stochastic up-moves."""
-    oracles = [GenerativeOracle(*_nashq_expert(w, h), seed=3) for w, h in ((3, 3), (4, 3))]
-    game, _, _ = gridworld.build_grid_game(gridworld.GridGameSpec(variant="stochastic-up"))
+    boards = [grid_setup(GridGameSpec(width=w, height=h)) for w, h in ((3, 3), (4, 3))]
+    oracles = [GenerativeOracle(board.game, board.expert, seed=3) for board in boards]
+    game = grid_setup(GridGameSpec(variant="stochastic-up")).game
     rng = np.random.default_rng(5)
     mixed = JointPolicy([rng.dirichlet(np.ones(c), game.n_states) for c in game.action_counts])
     oracles.append(GenerativeOracle(game, mixed, seed=4))
@@ -212,8 +208,8 @@ def test_nashq_grid_draws_do_not_depend_on_the_seed():
     # one outcome, so no draw reads its uniform and the grid results stay
     # the same under any change of stream layout
     for width, height in ((3, 3), (4, 3), (4, 4)):
-        game, expert = _nashq_expert(width, height)
-        oracles = [GenerativeOracle(game, expert, seed=seed) for seed in (0, 1)]
+        board = grid_setup(GridGameSpec(width=width, height=height))
+        oracles = [GenerativeOracle(board.game, board.expert, seed=seed) for seed in (0, 1)]
         for k in range(1, 6):
             draws = [pipeline_round_samples(oracle, k) for oracle in oracles]
             assert np.array_equal(draws[0][0], draws[1][0])
@@ -317,9 +313,8 @@ def _mixed_oracles():
     3x3 board with stochastic up-moves and its pure NashQ expert, and a
     random game with some (s, a) rows forced to one successor and an expert
     that is pure on some states and mixed on the others."""
-    game, reward, _ = gridworld.build_grid_game(gridworld.GridGameSpec(variant="stochastic-up"))
-    expert = equilibrium.nash_value_iteration(game, reward).policy
-    oracles = [GenerativeOracle(game, expert, seed=6)]
+    board = grid_setup(GridGameSpec(variant="stochastic-up"))
+    oracles = [GenerativeOracle(board.game, board.expert, seed=6)]
     rng = np.random.default_rng(9)
     n_states, action_counts = 6, (2, 3)
     dense = random_markov_game(rng, n_states, action_counts, 0.8)
@@ -370,7 +365,8 @@ def _assert_reference_tallies(counts, oracle, first, rounds):
 
 
 def test_oracle_split_matches_the_jump_table_split_of_every_row():
-    oracles = [GenerativeOracle(*_nashq_expert(w, h), seed=0) for w, h in ((3, 3), (4, 3), (4, 4))]
+    boards = [grid_setup(GridGameSpec(width=w, height=h)) for w, h in ((3, 3), (4, 3), (4, 4))]
+    oracles = [GenerativeOracle(board.game, board.expert, seed=0) for board in boards]
     oracles += _mixed_oracles() + _grid_oracles() + _random_oracles()
     for oracle in oracles:
         _assert_oracle_matches_reference_split(oracle)
@@ -471,7 +467,8 @@ class _CountingGenerator:
 
 
 def test_all_fixed_oracle_builds_no_seed_sequence(monkeypatch):
-    game, expert = _nashq_expert(3, 3)
+    board = grid_setup()
+    game, expert = board.game, board.expert
     built = []
     seed_sequence = np.random.SeedSequence
 
@@ -496,7 +493,8 @@ def test_all_fixed_oracle_builds_no_seed_sequence(monkeypatch):
 
 
 def test_all_fixed_oracle_draws_no_uniform(monkeypatch):
-    oracle = GenerativeOracle(*_nashq_expert(3, 3), seed=2)
+    board = grid_setup()
+    oracle = GenerativeOracle(board.game, board.expert, seed=2)
     assert not oracle._has_random
     want_states, want_actions = reference_round_samples(oracle, 5)
     monkeypatch.setattr(_CountingGenerator, "calls", 0)

@@ -19,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mairl import equilibrium
-from mairl.experiment import ExperimentConfig, seed_curve, set_up
+from mairl.experiment import ExperimentConfig, seed_curve
 from mairl.games import JointReward, MarkovGame
-from mairl.gridworld import VARIANTS, GridGameSpec, build_grid_game, variant_spec
+from mairl.gridworld import VARIANTS, GridGameSpec
 from mairl.synthetic import matching_pennies, random_markov_game, random_reward
+
+from conftest import grid_setup
 
 BOARDS = {
     "3x3": GridGameSpec(),
@@ -114,7 +116,7 @@ def logged_calls(monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("board", sorted(BOARDS))
 def test_grid_experts_match_reference(board, variant):
-    game, reward, _ = build_grid_game(variant_spec(BOARDS[board], variant))
+    _, game, reward = grid_setup(BOARDS[board], (variant,)).variants[0]
     want = reference_nash_value_iteration(game, reward)
     assert_same_result(equilibrium.nash_value_iteration(game, reward), want)
 
@@ -130,8 +132,8 @@ def test_recovered_reward_transfer_matches_reference(variant):
         mode="distance-to-random", reward_class="state",
     )
     spec = config.grid_spec()
-    recovered, _ = next(seed_curve(set_up(spec), config, 0))
-    alt_game, _, _ = build_grid_game(variant_spec(spec, variant))
+    recovered, _ = next(seed_curve(grid_setup(spec), config, 0))
+    _, alt_game, _ = grid_setup(spec, (variant,)).variants[0]
     want = reference_nash_value_iteration(alt_game, recovered.reward)
     assert_same_result(equilibrium.nash_value_iteration(alt_game, recovered.reward), want)
 
@@ -281,7 +283,7 @@ def test_all_zero_first_backup(monkeypatch):
     """From Q = 0 every stage game is a tie; the first-pure pass picks
     ((0,), (0,)) everywhere, as enumeration does, and the batched check then
     keeps it; neither calls the solver."""
-    game, _, _ = build_grid_game(GridGameSpec())
+    game = grid_setup().game
     q = np.zeros((2, game.n_states, game.n_joint_actions))
     a2 = game.action_counts[1]
     cache = coded([None] * game.n_states, a2)
@@ -324,7 +326,7 @@ def test_a_mixed_cache_that_turns_pure_is_forgotten():
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_reward_raises(bad):
-    game, reward, _ = build_grid_game(GridGameSpec())
+    _, game, reward = grid_setup(variants=("deterministic",)).variants[0]
     tables = reward.tables.copy()
     tables[1, 5, 3] = bad
     if np.isnan(bad):
