@@ -8,13 +8,18 @@ runs exact full-width backups on the true model. `best_response`,
 reward whose tables are not the game's (n, S, A).
 
 A NashQ backup solves one stage game per state, warm-started from the support
-that state selected in the previous backup. One rule, `_select_pure`, picks
-pure stage equilibria: keep a cached pure profile while it is still an
-equilibrium, else take the first pure equilibrium in C order. A state with a
-mixed cache keeps its supports while they still give an equilibrium; that
-state otherwise, and a state with no pure equilibrium, goes to support
-enumeration. `bimatrix_nash`, NashQ's stage pass (all states in one numpy
-call) and the jump's acceptance test all apply the pure rule.
+that state selected in the previous backup. One rule picks pure stage
+equilibria: keep a cached pure profile while it is still an equilibrium
+(`_pure_holds`, tested at that profile's entry only), else take the first
+pure equilibrium in C order (`_first_pure`). NashQ's stage pass applies it to
+all states in a few numpy calls and `bimatrix_nash` to its one game; the
+jump is accepted only where every cached profile passes `_pure_holds`. A
+state with a mixed cache keeps its supports while they still give an
+equilibrium; that state otherwise, and a state with no pure equilibrium, goes
+to support enumeration, which solves the indifference systems of each support
+size's candidate pairs in stacked LAPACK calls (`_indifference_solves`): one
+`dgesv` per system, as a solve of one system alone, so the batching moves no
+bit.
 
 Once a backup leaves every cached support unchanged and all of them are
 pure, NashQ jumps to the fixed point of the linear backup that keeps those
@@ -47,6 +52,9 @@ MU_WEIGHTED = "mu-weighted"
 _STAGE_TOL = 1e-9
 # NashQ has converged once a backup moves no Q entry by this much
 _BACKUP_TOL = 1e-8
+# bound on the entries of one stacked batch of support enumeration's
+# indifference systems, so memory stays flat as the action counts grow
+_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -177,43 +185,51 @@ class BimatrixEquilibrium:
     supports: tuple  # (row support, col support), as sorted tuples
 
 
-def _indifferent_mix(block, support, n):
-    """(mix, value): the strategy over `n` actions, on `support`, that makes
-    the opponent indifferent across the rows of the k x k `block` (the
-    opponent's payoffs, one row per opponent action), and that common
-    payoff; None if the system is singular or not finite, or the mix is
-    negative beyond _STAGE_TOL."""
-    k = len(support)
-    lhs = np.zeros((k + 1, k + 1))
-    lhs[:k, :k] = block
-    lhs[:k, k] = -1.0
-    lhs[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
+def _indifference_solves(a, b, rows, cols):
+    """Solve the indifference systems of the support pairs (rows[p], cols[p]),
+    rows and cols (P, k) index arrays, k >= 2.
+
+    Pair p poses two (k + 1) x (k + 1) systems, stacked as [p, 0] and [p, 1]
+    and each solved by its own `dgesv` call: y over `cols` makes the row
+    player indifferent across `rows` and carries its value v, and x over
+    `rows` makes the column player indifferent across `cols`, with its value
+    w (Nisan et al., Algorithm 3.4 layout). Returns (kept, sol): the pairs
+    whose systems are both regular, with finite solutions whose weights are
+    >= -_STAGE_TOL, in input order, and their solutions (len(kept), 2, k + 1),
+    weights first and the value last.
+    """
+    P, k = rows.shape
+    lhs = np.zeros((P, 2, k + 1, k + 1))
+    lhs[:, 0, :k, :k] = a[rows[:, :, None], cols[:, None, :]]
+    lhs[:, 1, :k, :k] = b[rows[:, None, :], cols[:, :, None]]  # b's block, transposed
+    lhs[:, :, :k, k] = -1.0
+    lhs[:, :, k, :k] = 1.0
+    rhs = np.zeros((k + 1, 1))
     rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)) or np.any(sol[:k] < -_STAGE_TOL):
-        return None
+    # a zero pivot in the LU factorization (the `dgetrf` that `solve` runs,
+    # and raises on) gives the determinant sign 0
+    regular = np.flatnonzero(np.all(np.linalg.slogdet(lhs)[0] != 0, axis=1))
+    sol = np.linalg.solve(lhs[regular], rhs)[..., 0]
+    ok = np.all(np.isfinite(sol), axis=(1, 2)) & np.all(sol[:, :, :k] >= -_STAGE_TOL, axis=(1, 2))
+    return regular[ok], sol[ok]
+
+
+def _mix(weights, support, n):
+    """The strategy over `n` actions that plays `weights`, clipped at 0 and
+    normalized, on `support`."""
     mix = np.zeros(n)
-    mix[list(support)] = np.clip(sol[:k], 0.0, None)
+    mix[list(support)] = np.clip(weights, 0.0, None)
     mix /= mix.sum()
-    return mix, sol[k]
+    return mix
 
 
-def _try_support(a, b, rows, cols):
-    """Solve the indifference system on a candidate support pair of size
-    k >= 2; None if invalid. Pure profiles are `_pure_equilibria`'s."""
-    # y makes the row player indifferent across `rows` and carries its value
-    # v; x the column player across `cols`, with its value w (Nisan et al.,
-    # Algorithm 3.4 layout)
-    block = np.ix_(rows, cols)
-    row_side = _indifferent_mix(a[block], cols, a.shape[1])
-    col_side = _indifferent_mix(b[block].T, rows, a.shape[0])
-    if row_side is None or col_side is None:
-        return None
-    (y, v), (x, w) = row_side, col_side
+def _supported_equilibrium(a, b, sol, rows, cols):
+    """The profile that support pair (rows, cols) with solved indifference
+    systems `sol` (`_indifference_solves`'s (2, k + 1)) gives, or None if a
+    player gains by a pure deviation or a support action pays off its value."""
+    k = len(rows)
+    y, v = _mix(sol[0, :k], cols, a.shape[1]), sol[0, k]
+    x, w = _mix(sol[1, :k], rows, a.shape[0]), sol[1, k]
     # no profitable pure deviation for either player
     row_payoffs = a @ y
     col_payoffs = x @ b
@@ -224,6 +240,13 @@ def _try_support(a, b, rows, cols):
     if np.max(np.abs(col_payoffs[list(cols)] - w)) > 10 * _STAGE_TOL:
         return None
     return _profile(a, b, x, y, rows, cols)
+
+
+def _try_support(a, b, rows, cols):
+    """The equilibrium on one candidate support pair of size k >= 2; None if
+    invalid. Pure profiles are `_pure_equilibria`'s."""
+    kept, sol = _indifference_solves(a, b, np.array([rows]), np.array([cols]))
+    return _supported_equilibrium(a, b, sol[0], rows, cols) if kept.size else None
 
 
 def _profile(a, b, x, y, rows, cols):
@@ -242,20 +265,21 @@ def _pure_equilibria(q1, q2):
     )
 
 
-def _select_pure(holds, cached):
-    """The pure profile the selection rule picks in each stage game.
+def _first_pure(q1, q2):
+    """Each stage game's first pure equilibrium in C order, as the flat
+    profile i * a2 + j; -1 for a game without one. q1, q2 are (games, a1, a2)."""
+    holds = _pure_equilibria(q1, q2).reshape(len(q1), -1)
+    return np.where(holds.any(axis=1), holds.argmax(axis=1), -1)
 
-    `holds` is `_pure_equilibria`'s mask of the games, `cached` (games,)
-    each game's cached profile i * a2 + j, -1 for no cache and -2 for a
-    mixed one. The rule keeps a cached pure profile while it is an
-    equilibrium, else takes the first pure equilibrium in C order. Returns
-    the flat profile per game, -1 where the rule leaves the game to support
-    enumeration: a mixed cache, or no pure equilibrium.
-    """
-    holds = holds.reshape(cached.size, -1)
-    kept = (holds & (np.arange(holds.shape[1]) == cached[:, None])).any(axis=1)
-    first = np.where(holds.any(axis=1) & (cached != -2), holds.argmax(axis=1), -1)
-    return np.where(kept, cached, first)
+
+def _pure_holds(q1, q2, states, codes):
+    """Whether each state's pure profile `codes` (i * a2 + j) is still an
+    equilibrium of its stage game in q1, q2 (S, a1, a2): `_pure_equilibria`'s
+    comparisons at that one entry."""
+    i, j = np.divmod(codes, q1.shape[2])
+    return (q1[states, :, j].max(axis=1) <= q1[states, i, j] + _STAGE_TOL) & (
+        q2[states, i, :].max(axis=1) <= q2[states, i, j] + _STAGE_TOL
+    )
 
 
 def bimatrix_nash(payoff_row, payoff_col):
@@ -264,8 +288,10 @@ def bimatrix_nash(payoff_row, payoff_col):
     Candidate supports are ordered by total size, then lexicographically, and
     the first support pair whose indifference system yields nonnegative
     probabilities with no profitable pure deviation is returned: among the
-    size-1 pairs, the first pure equilibrium in C order (`_select_pure`'s
-    rule with no cache).
+    size-1 pairs, the first pure equilibrium in C order (`_first_pure`).
+    The larger pairs of one size are solved in stacked batches of at most
+    _BATCH_ELEMENTS system entries (`_indifference_solves`); the pairs a
+    batch keeps are checked for deviations in enumeration order.
     """
     a = np.asarray(payoff_row, dtype=np.float64)
     b = np.asarray(payoff_col, dtype=np.float64)
@@ -275,14 +301,21 @@ def bimatrix_nash(payoff_row, payoff_col):
         raise ValueError("payoff matrices must be finite")
 
     m, n = a.shape
-    pick = int(_select_pure(_pure_equilibria(a, b), np.array([-1]))[0])
+    pick = int(_first_pure(a[None], b[None])[0])
     if pick >= 0:
         i, j = divmod(pick, n)
         return _profile(a, b, np.eye(m)[i], np.eye(n)[j], (i,), (j,))
     for k in range(2, min(m, n) + 1):
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.combinations(range(n), k):
-                hit = _try_support(a, b, rows, cols)
+        row_sets = np.array(list(itertools.combinations(range(m), k)))
+        col_sets = np.array(list(itertools.combinations(range(n), k)))
+        pairs = len(row_sets) * len(col_sets)
+        step = max(1, _BATCH_ELEMENTS // (2 * (k + 1) ** 2))
+        for start in range(0, pairs, step):
+            r, c = np.divmod(np.arange(start, min(start + step, pairs)), len(col_sets))
+            kept, sol = _indifference_solves(a, b, row_sets[r], col_sets[c])
+            for p, solved in zip(kept.tolist(), sol):
+                rows, cols = tuple(row_sets[r[p]].tolist()), tuple(col_sets[c[p]].tolist())
+                hit = _supported_equilibrium(a, b, solved, rows, cols)
                 if hit is not None:
                     return hit
     raise RuntimeError(
@@ -310,9 +343,11 @@ class NashQResult:
 def _solve_stage_games(game, q, cache, mixed):
     """Per-state equilibrium of (Q^1(s,.), Q^2(s,.)); returns policies and values.
 
-    `cache` holds each state's selected profile in `_select_pure`'s codes,
-    `mixed` the supports of each state coded -2; both are updated in place.
-    One `_select_pure` call settles every state the pure rule settles. Each
+    `cache` holds each state's selected profile: i * a2 + j for a pure one,
+    -1 for none and -2 for a mixed one, whose supports `mixed` holds by
+    state; both are updated in place. A cached pure profile is kept while it
+    is still an equilibrium (`_pure_holds`); a state whose pure cache failed,
+    or that has none, takes its first pure equilibrium (`_first_pure`). Each
     of the rest (a mixed cache, or no pure equilibrium) keeps its cached
     mixed supports while their indifference system still gives an
     equilibrium, and otherwise calls `bimatrix_nash`.
@@ -321,19 +356,21 @@ def _solve_stage_games(game, q, cache, mixed):
         raise ValueError("payoff matrices must be finite")
     a1, a2 = game.action_counts
     S = game.n_states
-    pick = _select_pure(_pure_equilibria(*q.reshape(2, S, a1, a2)), cache)
-    pure = np.flatnonzero(pick >= 0)
-    cache[pure] = pick[pure]
-    i_pure, j_pure = np.divmod(pick[pure], a2)
-    pol1 = np.zeros((S, a1))
-    pol2 = np.zeros((S, a2))
-    pol1[pure, i_pure] = 1.0
-    pol2[pure, j_pure] = 1.0
-    values = np.zeros((2, S))
-    values[:, pure] = q[:, pure, pick[pure]]
+    q1, q2 = q.reshape(2, S, a1, a2)
+    pure = np.flatnonzero(cache >= 0)
+    cache[pure[~_pure_holds(q1, q2, pure, cache[pure])]] = -1
+    fresh = np.flatnonzero(cache == -1)
+    if fresh.size:
+        cache[fresh] = _first_pure(q1[fresh], q2[fresh])
+    # every state as if pure; the loop below overwrites the rest
+    pick = np.maximum(cache, 0)
+    i, j = np.divmod(pick, a2)
+    pol1 = np.eye(a1)[i]
+    pol2 = np.eye(a2)[j]
+    values = q[:, np.arange(S), pick]
 
-    for s in np.flatnonzero(pick < 0).tolist():
-        a, b = q[:, s].reshape(2, a1, a2)
+    for s in np.flatnonzero(cache < 0).tolist():
+        a, b = q1[s], q2[s]
         hint = mixed.pop(s, None)
         eq = _try_support(a, b, *hint) if hint else None
         if eq is None:
@@ -365,16 +402,16 @@ def _jump(game, reward, pol1, pol2, cache):
     Returns (Q, the confirming backup's largest move) when a stage pass on
     Q would leave a copy of the cache unchanged and its backup moves Q by
     less than _BACKUP_TOL, else None. The pass leaves the copy unchanged iff
-    `_select_pure` keeps every cached profile (it never keeps a mixed one),
-    so that test alone decides it and no state enumerates.
+    every cached profile still holds (`_pure_holds`), so that test alone
+    decides it and no state enumerates.
     """
     q = policy_evaluation(game, reward, JointPolicy([pol1, pol2])).q
     a1, a2 = game.action_counts
     S = game.n_states
-    holds = _pure_equilibria(*q.reshape(2, S, a1, a2))
-    if not np.array_equal(_select_pure(holds, cache), cache):
+    states = np.arange(S)
+    if not np.all(_pure_holds(*q.reshape(2, S, a1, a2), states, cache)):
         return None
-    q_next = reward.tables + game.gamma * _expected_next(game, q[:, np.arange(S), cache])
+    q_next = reward.tables + game.gamma * _expected_next(game, q[:, states, cache])
     delta = float(np.max(np.abs(q_next - q)))
     return (q, delta) if delta < _BACKUP_TOL else None
 
@@ -391,10 +428,10 @@ def nash_value_iteration(
     the support a state selected in the previous backup if it is still an
     equilibrium, else the first support in the fixed enumeration order (size,
     then lexicographic), which pins down the equilibrium the iteration tracks.
-    `_select_pure` applies that rule to the pure profiles of all states at
-    once, and only the rest enumerate (see `_solve_stage_games`). The
-    iteration has converged once a backup moves no Q entry by _BACKUP_TOL or
-    more; `final_delta` reports the last backup's largest move either way.
+    The pure half of that rule settles all states at once, and only the rest
+    enumerate (see `_solve_stage_games`). The iteration has converged once a
+    backup moves no Q entry by _BACKUP_TOL or more; `final_delta` reports the
+    last backup's largest move either way.
 
     Policy-evaluation jump (modified policy iteration): when a backup leaves
     every cached support unchanged and all of them are pure, the backup that
@@ -421,7 +458,7 @@ def nash_value_iteration(
     _check_shapes(game, reward, None)
     S, A = game.n_states, game.n_joint_actions
     q = np.zeros((2, S, A))
-    cache = np.full(S, -1, dtype=np.int64)  # `_select_pure`'s codes
+    cache = np.full(S, -1, dtype=np.int64)  # `_solve_stage_games`'s codes
     mixed = {}  # state -> supports of its mixed equilibrium
     converged = False
     iterations = 0

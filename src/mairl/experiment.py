@@ -374,7 +374,11 @@ def seed_curve(setup: GridSetup, config: ExperimentConfig, seed: int):
     (discount config.gamma) gets a reward selected in the config's mode and
     reward class; that reward and behavior cloning are scored on each of
     `setup.variants` by `transfer_gaps`, one CURVE_COLUMNS row per variant.
-    The rows of an eval point are yielded together once all are scored. A
+    The rows of an eval point are yielded together once all are scored. An
+    eval point whose estimate (successor list, probabilities and pi-hat
+    tables) is byte-equal to the previous one's reuses that point's
+    MaxGapResult and gaps, and recomputes only epsilon_k: on a deterministic
+    board with a pure expert, every estimate after the first round is. A
     board whose gamma or rmax differs from the config's raises ConfigError
     before any round is drawn.
     """
@@ -387,20 +391,30 @@ def seed_curve(setup: GridSetup, config: ExperimentConfig, seed: int):
     oracle = GenerativeOracle(game, setup.expert, seed=seed)
     counts = CountBook(game.n_states, game.action_counts)
     params = config.confidence_params()
+    last = None  # (estimate's bytes, MaxGapResult, gaps) of the previous eval point
     for k in sorted(set(config.eval_points)):
         sample_round(oracle, counts, k - counts.iteration)
         problem = estimate(counts)
-        recovered = max_gap_reward(
-            problem.as_game(config.gamma, game.mu),
-            problem.pi_hat,
-            config.rmax,
-            mode=config.mode,
-            seed=seed,
-            reward_class=config.reward_class,
+        # selection and transfer read nothing of the estimate but these tables
+        seen = (
+            problem.successors.tobytes(),
+            problem.successor_probs.tobytes(),
+            *(t.tobytes() for t in problem.pi_hat.per_agent),
         )
+        if last is None or last[0] != seen:
+            recovered = max_gap_reward(
+                problem.as_game(config.gamma, game.mu),
+                problem.pi_hat,
+                config.rmax,
+                mode=config.mode,
+                seed=seed,
+                reward_class=config.reward_class,
+            )
+            gaps = transfer_gaps(setup.variants, recovered.reward, behavior_cloning(problem.pi_hat))
+            last = (seen, recovered, list(gaps))
+        _, recovered, gaps = last
         epsilon_k = uncertainty(counts, params).epsilon_k
         samples_total = k * game.n_states * (game.n_joint_actions + 1)
-        gaps = transfer_gaps(setup.variants, recovered.reward, behavior_cloning(problem.pi_hat))
         yield recovered, [
             (seed, name, k, samples_total, gap_mairl, gap_bc, epsilon_k)
             for name, gap_mairl, gap_bc in gaps

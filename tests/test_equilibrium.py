@@ -187,7 +187,10 @@ def test_a_support_whose_clipped_mix_moves_its_payoffs_off_the_value_is_rejected
     tol = mairl.equilibrium._STAGE_TOL
     a = np.array([[1000.0 + 5e-7, 0.0], [1000.0, -1000.0]])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    y, v = mairl.equilibrium._indifferent_mix(a, (0, 1), 2)
+    support = np.array([[0, 1]])
+    kept, sol = mairl.equilibrium._indifference_solves(a, b, support, support)
+    assert kept.tolist() == [0]
+    y, v = mairl.equilibrium._mix(sol[0, 0, :2], (0, 1), 2), sol[0, 0, 2]
     assert y.tolist() == [1.0, 0.0]
     assert np.max(a @ y) <= v + tol and np.max(np.abs(a @ y - v)) > 10 * tol
     assert mairl.equilibrium._try_support(a, b, (0, 1), (0, 1)) is None
@@ -196,8 +199,9 @@ def test_a_support_whose_clipped_mix_moves_its_payoffs_off_the_value_is_rejected
 
 def test_bimatrix_says_so_when_enumeration_finds_nothing(monkeypatch):
     """Matching pennies has no pure equilibrium; with every larger support
-    pair rejected, enumeration runs out and raises rather than return."""
-    monkeypatch.setattr(mairl.equilibrium, "_try_support", lambda *args: None)
+    pair rejected by the deviation check, enumeration runs out and raises
+    rather than return."""
+    monkeypatch.setattr(mairl.equilibrium, "_supported_equilibrium", lambda *args: None)
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(RuntimeError, match="found no equilibrium"):
         bimatrix_nash(a, 1 - a)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import mairl.experiment
+from mairl import estimation
 from mairl.cli import EXIT_OK, main
+from mairl.equilibrium import nash_gap, nash_value_iteration
 from mairl.errors import ConfigError, ConvergenceError, NotFeasibleError
 from mairl.experiment import (
     ExperimentConfig,
@@ -191,16 +193,18 @@ def test_run_experiment_records_package_errors_per_seed(tmp_path, monkeypatch):
 
 
 def test_run_experiment_keeps_the_eval_points_a_failed_seed_finished(tmp_path, monkeypatch):
-    select = mairl.experiment.max_gap_reward
+    # the uncertainty is computed at every eval point; a selection is reused
+    # where the estimate did not move, as on this board at k = 2
+    measure = mairl.experiment.uncertainty
     calls = []
 
     def fails_on_second_call(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:  # seed 0 at k = 2
             raise NotFeasibleError("no feasible reward")
-        return select(*args, **kwargs)
+        return measure(*args, **kwargs)
 
-    monkeypatch.setattr(mairl.experiment, "max_gap_reward", fails_on_second_call)
+    monkeypatch.setattr(mairl.experiment, "uncertainty", fails_on_second_call)
     config = ExperimentConfig(
         seeds=(0, 1), k_max=2, eval_points=(1, 2), variants=("deterministic",),
         out_dir=str(tmp_path),
@@ -283,3 +287,51 @@ def test_seed_curve_on_the_4x3_board():
             (seed, "obstacle-one", 1, 2244, 0.18999999999999995, 0.7290000000000001,
              448.97070581414664),
         ]
+
+
+@pytest.mark.parametrize("base, selections", [("deterministic", 1), ("stochastic-up", 2)])
+def test_seed_curve_selects_again_only_when_the_estimate_moves(base, selections, monkeypatch):
+    """Criterion 8's settings at eval points 1 and 500. On the deterministic
+    board every oracle row is fixed and the expert is pure, so the estimate
+    at k = 500 equals the one at k = 1 and its selection and gaps are
+    reused; on the stochastic-up base board the estimate moves and each eval
+    point selects. Either way the rows are those of the pipeline composed
+    anew at each eval point."""
+    config = ExperimentConfig(
+        seeds=(0,), epsilon=1.0, delta=0.1, pi_min=1.0, k_max=500, eval_points=(1, 500),
+        variants=("deterministic", "obstacle-one"), gamma=0.9, rmax=1.0,
+        mode="distance-to-random", reward_class="state",
+    )
+    setup = grid_setup(GridGameSpec(variant=base), config.variants)
+    game = setup.game
+    select = mairl.experiment.max_gap_reward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(mairl.experiment, "max_gap_reward", counted)
+    got = [row for _, rows in seed_curve(setup, config, 0) for row in rows]
+    assert len(calls) == selections
+
+    want = []
+    oracle = estimation.GenerativeOracle(game, setup.expert, seed=0)
+    counts = estimation.CountBook(game.n_states, game.action_counts)
+    for k in config.eval_points:
+        estimation.sample_round(oracle, counts, k - counts.iteration)
+        problem = estimation.estimate(counts)
+        reward = select(
+            problem.as_game(0.9, game.mu), problem.pi_hat, 1.0, mode="distance-to-random",
+            seed=0, reward_class="state",
+        ).reward
+        epsilon_k = estimation.uncertainty(counts, config.confidence_params()).epsilon_k
+        for name, alt_game, alt_reward in setup.variants:
+            transferred = nash_value_iteration(alt_game, reward).policy
+            want.append((
+                0, name, k, k * game.n_states * (game.n_joint_actions + 1),
+                nash_gap(alt_game, alt_reward, transferred).gap,
+                nash_gap(alt_game, alt_reward, problem.pi_hat).gap,
+                epsilon_k,
+            ))
+    assert got == want

@@ -24,7 +24,7 @@ from mairl.gridworld import VARIANTS
 from mairl.synthetic import matching_pennies, random_markov_game, random_reward
 
 from conftest import grid_setup
-from test_stage_games_reference import BOARDS, _chain_game
+from test_stage_games_reference import BOARDS, _chain_game, coded
 
 
 def plain_nash_value_iteration(game, reward, max_iters=5000):
@@ -178,6 +178,29 @@ def test_no_jump_past_max_iters(monkeypatch):
     with pytest.warns(RuntimeWarning):
         capped = equilibrium.nash_value_iteration(game, reward, max_iters=2)
     assert log.accepted == [] and capped.iterations == 2
+
+
+def test_the_jump_ends_on_an_equilibrium_of_the_backup():
+    """The promise the docstrings make, on the 3-state game (gamma 0.659)
+    that `test_random_games` draws at seed 869: NashQ converges, and one
+    more stage pass and backup from the returned Q keep every support and
+    move Q by less than _BACKUP_TOL. Plain iteration ends elsewhere on this
+    game: its backup 4 switches state 1's support, and it converges after
+    45 backups with state 1 on ((1,), (0,)), Q 0.167 away. This test
+    asserts nothing about plain iteration."""
+    rng = np.random.default_rng(869)
+    game = random_markov_game(rng, 3, (2, 4), float(rng.uniform(0.3, 0.95)))
+    reward = random_reward(rng, game)
+    got = equilibrium.nash_value_iteration(game, reward)
+    assert got.converged
+    a2 = game.action_counts[1]
+    cache, mixed = coded(got.stage_supports, a2)
+    pol1, pol2, values = equilibrium._solve_stage_games(game, got.q, cache, mixed)
+    assert equilibrium._stage_supports(cache, mixed, a2) == got.stage_supports
+    for mine, theirs in zip((pol1, pol2), got.policy.per_agent):
+        assert mine.tobytes() == theirs.tobytes()
+    again = reward.tables + game.gamma * _gather(game.successors, game.successor_probs, values)
+    assert np.max(np.abs(again - got.q)) < equilibrium._BACKUP_TOL
 
 
 @settings(max_examples=40, deadline=None)
